@@ -193,8 +193,16 @@ class SISModel:
         return self.eigenvalues.shape[1]
 
 
-def _bin_layout(signal_grid: Grid, fgrid: FiberGrid) -> tuple[int, int]:
-    """Integer period and cells-to-bins stride, validating compatibility."""
+def _bin_layout(
+    signal_grid: Grid, fgrid: FiberGrid
+) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
+    """Spectrum bin of every fiber slot per dimension, and its validity.
+
+    ``bins[w, k]`` is the centered spectrum index that cell ``w`` and the
+    ``k``-th window offset read along each axis; ``valid`` marks the bins
+    that lie on the signal grid.  Raises :class:`GridMismatch` unless the
+    signal period is an integer multiple of the cell count.
+    """
     if signal_grid.n_dims != fgrid.n_dims:
         raise GridMismatch(
             f"signal is {signal_grid.n_dims}-dimensional but the fiber grid "
@@ -209,7 +217,15 @@ def _bin_layout(signal_grid: Grid, fgrid: FiberGrid) -> tuple[int, int]:
             f"{fgrid.omega_samples} frequency cells do not divide the "
             f"signal period {period_int}"
         )
-    return period_int, period_int // fgrid.omega_samples
+    stride = period_int // fgrid.omega_samples
+    n = signal_grid.samples_per_dim
+    w_axis = np.arange(fgrid.omega_samples, dtype=np.int64)
+    bins = (
+        n // 2
+        + fgrid.theta.sign_sin * stride * w_axis[:, None]
+        + period_int * fgrid.offsets_1d[None, :]
+    )
+    return bins, (bins >= 0) & (bins < n)
 
 
 def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
@@ -222,28 +238,19 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     :class:`TruncationLoss` when more than ``1e-6`` of the spectrum
     energy falls outside the offset window.
     """
-    theta = fgrid.theta
-    period_int, stride = _bin_layout(f.grid, fgrid)
-    n = f.grid.samples_per_dim
-    sign = theta.sign_sin
+    bins, valid = _bin_layout(f.grid, fgrid)
+    n_off = bins.shape[1]
+    clipped = np.clip(bins, 0, f.grid.samples_per_dim - 1)
 
-    twisted = chirp_modulate(f, theta, +1)
+    twisted = chirp_modulate(f, fgrid.theta, +1)
     spectrum = centered_dft(twisted.as_nd(), f.grid.spacing)
-
-    w_axis = np.arange(fgrid.omega_samples, dtype=np.int64)
-    k_axis = fgrid.offsets_1d
-    bins = n // 2 + sign * stride * w_axis[:, None] + period_int * k_axis[None, :]
-    valid = (bins >= 0) & (bins < n)
-    clipped = np.clip(bins, 0, n - 1)
 
     if fgrid.n_dims == 1:
         data = np.where(valid, spectrum[clipped], 0.0)
         data = data.reshape(fgrid.n_cells, fgrid.window_size)
     else:
         block = spectrum[np.ix_(clipped.ravel(), clipped.ravel())]
-        block = block.reshape(
-            fgrid.omega_samples, len(k_axis), fgrid.omega_samples, len(k_axis)
-        )
+        block = block.reshape(fgrid.omega_samples, n_off, fgrid.omega_samples, n_off)
         mask = valid.ravel()[:, None] & valid.ravel()[None, :]
         mask = mask.reshape(block.shape)
         block = np.where(mask, block, 0.0)
@@ -327,32 +334,24 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
     if not 1 <= ell <= m:
         raise BadRank(f"rank {ell} is not within 1..{m}")
     gram = gramian_field(fibers)
-    grid = gram.grid
-    stack = np.stack([fib.data for fib in fibers])
+    stack = np.stack([fib.data for fib in fibers])  # (member, cell, offset)
 
-    eigenvalues = np.zeros((grid.n_cells, m))
-    eigenvectors = np.zeros((grid.n_cells, m, m), dtype=np.complex128)
-    generators = np.zeros((ell, grid.n_cells, grid.window_size), dtype=np.complex128)
-    for w in range(grid.n_cells):
-        values, vectors = hermitian_eig(gram.data[w])
-        top = values[0]
-        if values[-1] < -ZERO_EIGENVALUE_TOL * max(top, 1.0):
-            raise ValueError(
-                f"gramian at cell {w} is not positive semidefinite "
-                f"(eigenvalue {values[-1]:.3e})"
-            )
-        eigenvalues[w] = values
-        eigenvectors[w] = vectors
-        for i in range(ell):
-            if values[i] <= ZERO_EIGENVALUE_TOL * max(top, 0.0):
-                continue
-            weights = np.conj(vectors[:, i])
-            generators[i, w] = (
-                np.tensordot(weights, stack[:, w, :], axes=(0, 0))
-                / np.sqrt(values[i])
-            )
+    eigenvalues, eigenvectors = hermitian_eig(gram.data)
+    top = eigenvalues[:, 0]
+    indefinite = eigenvalues[:, -1] < -ZERO_EIGENVALUE_TOL * np.maximum(top, 1.0)
+    if np.any(indefinite):
+        w = int(np.argmax(indefinite))
+        raise ValueError(
+            f"gramian at cell {w} is not positive semidefinite "
+            f"(eigenvalue {eigenvalues[w, -1]:.3e})"
+        )
+    kept = eigenvalues[:, :ell]
+    live = kept > ZERO_EIGENVALUE_TOL * np.maximum(top, 0.0)[:, None]
+    scale = np.where(live, 1.0 / np.sqrt(np.where(live, kept, 1.0)), 0.0)
+    weights = np.conj(eigenvectors[:, :, :ell]) * scale[:, None, :]
+    generators = np.einsum("wji,jwt->iwt", weights, stack)
     return SISModel(
-        grid=grid,
+        grid=gram.grid,
         ell=ell,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
@@ -398,27 +397,19 @@ def synthesize_generator(
     if not 0 <= i < model.ell:
         raise IndexError(f"generator index {i} out of range for rank {model.ell}")
     fgrid = model.grid
-    period_int, stride = _bin_layout(signal_grid, fgrid)
-    n = signal_grid.samples_per_dim
-    sign = fgrid.theta.sign_sin
-
-    w_axis = np.arange(fgrid.omega_samples, dtype=np.int64)
-    k_axis = fgrid.offsets_1d
-    bins = n // 2 + sign * stride * w_axis[:, None] + period_int * k_axis[None, :]
-    valid = (bins >= 0) & (bins < n)
+    bins, valid = _bin_layout(signal_grid, fgrid)
+    n_off = bins.shape[1]
 
     spectrum = np.zeros(signal_grid.shape, dtype=np.complex128)
     if fgrid.n_dims == 1:
-        values = model.generators[i].reshape(fgrid.omega_samples, len(k_axis))
+        values = model.generators[i].reshape(fgrid.omega_samples, n_off)
         spectrum[bins[valid]] = values[valid]
     else:
         W = fgrid.omega_samples
         # Cells flatten as w1*W + w2 and offsets as k1*n_off + k2, so the
         # generator reshapes to axes (w1, w2, k1, k2).
-        values = model.generators[i].reshape(W, W, len(k_axis), len(k_axis))
-        values = values.transpose(0, 2, 1, 3).reshape(
-            W * len(k_axis), W * len(k_axis)
-        )
+        values = model.generators[i].reshape(W, W, n_off, n_off)
+        values = values.transpose(0, 2, 1, 3).reshape(W * n_off, W * n_off)
         keep = valid.ravel()
         target = bins.ravel()[keep]
         spectrum[np.ix_(target, target)] = values[np.ix_(keep, keep)]

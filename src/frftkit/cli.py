@@ -594,10 +594,21 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
     for key in required:
         if key not in data:
             raise CliConfigError(f"{path}: missing field {key!r}")
-    cells = tuple(
-        tuple(tuple(int(c) for c in offset) for offset in cell)
-        for cell in data["cells"]
-    )
+    raw = data["cells"]
+    if not (
+        isinstance(raw, list)
+        and all(
+            isinstance(cell, list)
+            and all(
+                isinstance(offset, list)
+                and all(isinstance(c, int) and not isinstance(c, bool) for c in offset)
+                for offset in cell
+            )
+            for cell in raw
+        )
+    ):
+        raise CliParseError(f"{path}: cells must be a list of lists of integer lists")
+    cells = tuple(tuple(tuple(offset) for offset in cell) for cell in raw)
     tile = TileSet(
         theta=ThetaParam(float(data["theta"])),
         n_dims=int(data["n_dims"]),

@@ -1,11 +1,10 @@
-"""Hand-rolled Hermitian eigensolver (cyclic Jacobi with complex rotations).
+"""Batched Hermitian eigensolver: one LAPACK ``eigh`` with a deterministic phase fix.
 
-The solver repeatedly zeroes the largest remaining off-diagonal entries by
-two-sided unitary plane rotations.  For a Hermitian pivot pair ``(p, q)``
-the off-diagonal phase is factored out first, reducing each 2x2 problem to
-the classical real symmetric Jacobi rotation.  Convergence is quadratic;
-the matrices handled here are small (a handful of generators), so a fixed
-sweep cap is generous.
+A stack of Hermitian matrices ``(..., m, m)`` is checked matrix by matrix,
+symmetrized and handed to :func:`numpy.linalg.eigh` in a single call.  The
+results are reordered to descending eigenvalues (ties keep the solver's
+order) and every eigenvector's phase is fixed, so repeated runs agree
+exactly and callers never see LAPACK's arbitrary unit-modulus factors.
 """
 
 from __future__ import annotations
@@ -19,89 +18,50 @@ __all__ = ["hermitian_eig"]
 
 #: Hermitian symmetry tolerance relative to the Frobenius norm.
 HERMITIAN_TOL = 1e-10
-#: Off-diagonal mass (relative to the Frobenius norm) considered converged.
-SWEEP_TOL = 1e-15
-MAX_SWEEPS = 64
 #: Smallest eigenvector component eligible for deterministic phase fixing.
 PHASE_FLOOR = 1e-12
-
-
-def _offdiag_norm(a: NDArray[np.complex128]) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))
 
 
 def hermitian_eig(
     G: NDArray[np.complex128],
 ) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a stack of them.
 
-    Returns ``(values, vectors)`` with eigenvalues sorted descending and
-    eigenvectors as the corresponding columns of a unitary matrix.  Ties
-    keep their pre-sort (index) order; each eigenvector's first component
-    of magnitude above ``PHASE_FLOOR`` is rotated to the positive real
-    axis so repeated runs agree exactly.
+    ``G`` has shape ``(..., m, m)``.  Returns ``(values, vectors)`` of
+    shapes ``(..., m)`` and ``(..., m, m)``: per matrix, eigenvalues sorted
+    descending and eigenvectors as the corresponding columns of a unitary
+    matrix.  Ties keep their pre-sort order; each eigenvector's first
+    component of magnitude above ``PHASE_FLOOR`` is rotated to the
+    positive real axis so repeated runs agree exactly.
 
-    Raises :class:`NotHermitian` when ``‖G - G*‖ > 1e-10 ‖G‖``.
+    Raises :class:`NotHermitian` when ``‖G - G*‖ > 1e-10 ‖G‖`` for any
+    matrix of the stack and ``ValueError`` unless the last two axes are
+    square.
     """
     a = np.asarray(G, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.conj().T)) > HERMITIAN_TOL * max(norm, 1e-300):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    adjoint = np.conj(np.swapaxes(a, -1, -2))
+    norm = np.linalg.norm(a, axis=(-2, -1))
+    defect = np.linalg.norm(a - adjoint, axis=(-2, -1))
+    bad = defect > HERMITIAN_TOL * np.maximum(norm, 1e-300)
+    if np.any(bad):
+        where = "" if a.ndim == 2 else f" at stack index {np.argwhere(bad)[0].tolist()}"
+        raise NotHermitian(f"matrix{where} is not Hermitian within tolerance")
 
-    a = 0.5 * (a + a.conj().T)  # symmetrize the representable rounding
-    vectors = np.eye(m, dtype=np.complex128)
-    if m > 1 and norm > 0.0:
-        for _ in range(MAX_SWEEPS):
-            if _offdiag_norm(a) <= SWEEP_TOL * norm:
-                break
-            rotated = False
-            for p in range(m - 1):
-                for q in range(p + 1, m):
-                    apq = a[p, q]
-                    if abs(apq) <= SWEEP_TOL * norm:
-                        continue
-                    rotated = True
-                    # Factor out the phase, then rotate the real 2x2 block.
-                    u = apq / abs(apq)
-                    tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    # Column update: A <- A V, with V the plane rotation
-                    # carrying the phase on the q-column.
-                    col_p = a[:, p].copy()
-                    col_q = a[:, q].copy()
-                    a[:, p] = c * col_p - s * np.conj(u) * col_q
-                    a[:, q] = s * u * col_p + c * col_q
-                    row_p = a[p, :].copy()
-                    row_q = a[q, :].copy()
-                    a[p, :] = c * row_p - s * u * row_q
-                    a[q, :] = s * np.conj(u) * row_p + c * row_q
-                    vp = vectors[:, p].copy()
-                    vq = vectors[:, q].copy()
-                    vectors[:, p] = c * vp - s * np.conj(u) * vq
-                    vectors[:, q] = s * u * vp + c * vq
-            if not rotated:
-                # Every remaining entry sits below the rotation threshold;
-                # the aggregate is then O(m) * SWEEP_TOL * norm and further
-                # sweeps cannot improve it.
-                break
-        else:
-            raise ArithmeticError("Jacobi sweep cap exceeded without converging")
+    # Symmetrize the representable rounding, then solve every matrix at once.
+    values, vectors = np.linalg.eigh(0.5 * (a + adjoint))
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
 
-    values = np.real(np.diag(a)).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-
-    for i in range(m):
-        col = vectors[:, i]
-        significant = np.abs(col) > PHASE_FLOOR
-        if np.any(significant):
-            lead = col[np.argmax(significant)]
-            vectors[:, i] = col * (np.conj(lead) / abs(lead))
-    return values, vectors
+    significant = np.abs(vectors) > PHASE_FLOOR
+    first = np.argmax(significant, axis=-2)[..., None, :]
+    lead = np.take_along_axis(vectors, first, axis=-2)
+    magnitude = np.abs(lead)
+    # Columns with no significant component (none in a unitary matrix) keep
+    # their phase; the floor only keeps the division finite for them.
+    phase = np.where(
+        magnitude > PHASE_FLOOR, np.conj(lead) / np.maximum(magnitude, PHASE_FLOOR), 1.0
+    )
+    return values, vectors * phase

@@ -155,38 +155,31 @@ def optimal_multitile(
     if not 1 <= ell <= len(candidates):
         raise BadRank(f"rank {ell} is not within 1..{len(candidates)}")
 
-    offsets_1d = [int(k) for k in grid.offsets_1d]
-    position = {k: idx for idx, k in enumerate(offsets_1d)}
-    window_index: dict[tuple[int, ...], int] = {}
-    n_off = len(offsets_1d)
-    for cand in candidates:
-        if all(c in position for c in cand):
-            flat = 0
-            for c in cand:
-                flat = flat * n_off + position[c]
-            window_index[cand] = flat
-
+    # Energy of every candidate per cell; candidates outside the window score 0.
+    cand = np.array(candidates, dtype=np.int64)
+    lo = int(grid.offsets_1d[0])
+    n_off = len(grid.offsets_1d)
+    in_window = np.all((cand >= lo) & (cand <= grid.window), axis=1)
+    slot = np.ravel_multi_index(
+        tuple(np.clip(cand - lo, 0, n_off - 1).T), (n_off,) * grid.n_dims
+    )
     stack = np.stack([fib.data for fib in fibers])
     energy = np.sum(np.abs(stack) ** 2, axis=0)  # (cell, window slot)
+    table = np.where(in_window, energy[:, slot], 0.0)  # (cell, candidate)
 
-    selection = []
-    cells = []
-    for w in range(grid.n_cells):
-        scored = sorted(
-            candidates,
-            key=lambda k: (-energy[w, window_index[k]] if k in window_index else 0.0, k),
-        )
-        chosen = tuple(scored[:ell])
-        selection.append(chosen)
-        cells.append(tuple(sorted(chosen)))
+    # Candidates are listed in ascending lexicographic order, so a stable
+    # sort of the negated energies breaks ties toward smaller offsets.
+    ranked = np.argsort(-table, axis=1, kind="stable")[:, :ell]
+    selection = tuple(tuple(candidates[j] for j in row) for row in ranked)
+    cells = tuple(tuple(sorted(chosen)) for chosen in selection)
     tile = TileSet(
         theta=grid.theta,
         n_dims=grid.n_dims,
         omega_samples=grid.omega_samples,
         bound=bound,
-        cells=tuple(cells),
+        cells=cells,
     )
-    return MultiTileModel(tile=tile, ell=ell, selection=tuple(selection))
+    return MultiTileModel(tile=tile, ell=ell, selection=selection)
 
 
 def _decode_bins(signal_grid: Grid, tile: TileSet) -> tuple[np.ndarray, np.ndarray]:
@@ -226,27 +219,31 @@ def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSigna
             f"expects {tile.n_dims}"
         )
     w_lab, k_lab = _decode_bins(f.grid, tile)
-    members = [frozenset(cell) for cell in tile.cells]
     W = tile.omega_samples
+    side = 2 * tile.bound + 1
+
+    # member[cell, code] says whether the cell carries the offset whose
+    # shifted coordinates (k + bound) read ``code`` in base ``side``.
+    w_idx = np.repeat(np.arange(tile.n_cells), tile.counts)
+    k_idx = np.array(
+        [k for offsets in tile.cells for k in offsets], dtype=np.int64
+    ).reshape(-1, tile.n_dims)
+    codes = np.ravel_multi_index(tuple(k_idx.T + tile.bound), (side,) * tile.n_dims)
+    member = np.zeros((tile.n_cells, side**tile.n_dims), dtype=bool)
+    member[w_idx, codes] = True
+
+    # Labels of every output bin, combined over the axes by broadcasting.
+    cell, code, inside = 0, 0, True
+    for d in range(tile.n_dims):
+        along = tuple(slice(None) if e == d else None for e in range(tile.n_dims))
+        cell = cell * W + w_lab[along]
+        code = code * side + np.clip(k_lab + tile.bound, 0, side - 1)[along]
+        inside = inside & (np.abs(k_lab) <= tile.bound)[along]
+    keep = inside & member[cell, code]
 
     spectrum = frft(f, tile.theta)
     values = spectrum.values.copy().reshape(f.grid.shape)
-    if tile.n_dims == 1:
-        keep = np.array(
-            [
-                (int(k_lab[l]),) in members[int(w_lab[l])]
-                for l in range(values.shape[0])
-            ]
-        )
-        values[~keep] = 0.0
-    else:
-        n = values.shape[0]
-        keep = np.zeros((n, n), dtype=bool)
-        for l1 in range(n):
-            for l2 in range(n):
-                cell = int(w_lab[l1]) * W + int(w_lab[l2])
-                keep[l1, l2] = (int(k_lab[l1]), int(k_lab[l2])) in members[cell]
-        values[~keep] = 0.0
+    values[~keep] = 0.0
     masked = spectrum.with_values(values.ravel())
     return inverse_frft(masked, tile.theta)
 

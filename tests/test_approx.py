@@ -175,6 +175,31 @@ def test_fit_sis_model_properties():
         fit_sis(fibers, 0)
 
 
+def test_fit_sis_rank_deficient_family_gives_zero_generators():
+    fg = FiberGrid(PI3, 1, 8, 3)
+    rng = np.random.default_rng(45)
+    a, b = random_fiber_fields(fg, 2, rng)
+    model = fit_sis([a, b, a], 3)  # duplicated member: every Gramian has rank 2
+    top = model.eigenvalues[:, 0]
+    assert np.all(model.eigenvalues[:, 2] <= 1e-10 * top)
+    assert np.all(model.generators[2] == 0.0)
+    for w in range(fg.n_cells):
+        q = model.generators[:2, w, :]
+        assert np.max(np.abs(q @ q.conj().T - np.eye(2))) < 1e-10
+    # the two live generators span every member
+    assert approximation_error(fit_sis([a, b, a], 2)) < 1e-10
+
+
+@pytest.mark.parametrize("n_dims", [1, 2])
+def test_fit_sis_eigenvalues_match_eigvalsh(n_dims):
+    fg = FiberGrid(PI3, n_dims, 4, 2)
+    fibers = random_fiber_fields(fg, 4, np.random.default_rng(46 + n_dims))
+    model = fit_sis(fibers, 2)
+    ref = np.linalg.eigvalsh(gramian_field(fibers).data)[:, ::-1]
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(model.eigenvalues - ref)) < 1e-12 * scale
+
+
 def test_projection_is_idempotent_and_optimal():
     fg = FiberGrid(PI3, 1, 8, 3)
     rng = np.random.default_rng(43)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import frftkit
 from frftkit import (
     FiberGrid,
     Grid,
@@ -265,6 +266,20 @@ def test_multitile_fit_and_check(tmp_path, capsys):
     assert main(["multitile", "check", "--tile", str(bad)]) == 4
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [5, [5, 5], [[5], [0]], [[[0]], [["0"]]], [[[0.5]], [[0]]], [[[True]], [[0]]]],
+    ids=["number", "cell-not-list", "offset-not-list", "string", "float", "bool"],
+)
+def test_multitile_check_rejects_malformed_cells(tmp_path, capsys, cells):
+    doc = {"schema": 1, "theta": 1.0, "n_dims": 1, "omega_samples": 2,
+           "bound": 1, "ell": 1, "cells": cells}
+    bad = tmp_path / "tile.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["multitile", "check", "--tile", str(bad)]) == 2
+    assert "cells must be a list" in capsys.readouterr().err
+
+
 def test_plotdata(tmp_path):
     grid = Grid(1, 64, 4.0)
     f = random_signal(grid, 9)
@@ -384,6 +399,9 @@ def test_module_entry_point_matches_in_process(tmp_path):
                  "--theta-frac", "1", "3"]) == 0
     sub_out = str(tmp_path / "sub.csv")
     env = {k: v for k, v in os.environ.items() if k != "FRFTKIT_THREADS"}
+    # The child imports the same package as this process, installed or not.
+    package_root = os.path.dirname(os.path.dirname(frftkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "frftkit", "frft", "--in", src, "--out", sub_out,
          "--theta-frac", "1", "3"],

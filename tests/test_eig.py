@@ -95,3 +95,45 @@ def test_rejects_non_hermitian():
 def test_rejects_non_square():
     with pytest.raises(ValueError):
         hermitian_eig(np.ones((2, 3), dtype=np.complex128))
+
+
+def test_stack_matches_separate_solves():
+    stack = np.stack([random_hermitian(4, 500 + s) for s in range(6)])
+    vals, vecs = hermitian_eig(stack)
+    assert vals.shape == (6, 4) and vecs.shape == (6, 4, 4)
+    for s in range(6):
+        v1, u1 = hermitian_eig(stack[s])
+        scale = np.max(np.abs(v1))
+        assert np.max(np.abs(vals[s] - v1)) < 1e-12 * scale
+        assert np.max(np.abs(vecs[s] - u1)) < 1e-12
+    # extra leading axes are carried through
+    vals2, vecs2 = hermitian_eig(stack.reshape(2, 3, 4, 4))
+    assert np.array_equal(vals2.reshape(6, 4), vals)
+    assert np.array_equal(vecs2.reshape(6, 4, 4), vecs)
+
+
+def test_stack_phase_fix():
+    vals, vecs = hermitian_eig(np.stack([random_hermitian(5, 600 + s) for s in range(4)]))
+    lead = vecs[:, 0, :]  # random matrices: the first component is significant
+    assert np.all(np.abs(lead.imag) == 0.0)
+    assert np.all(lead.real > 0.0)
+
+
+def test_stack_of_scaled_identities_keeps_tie_order():
+    vals, vecs = hermitian_eig(np.stack([3.0 * np.eye(4, dtype=np.complex128)] * 3))
+    assert np.max(np.abs(vals - 3.0)) < 1e-14
+    for s in range(3):
+        assert np.max(np.abs(vecs[s] - np.eye(4))) < 1e-14
+
+
+def test_stack_with_one_non_hermitian_matrix():
+    stack = np.stack([random_hermitian(3, 700 + s) for s in range(4)])
+    stack[2, 0, 1] += 1.0
+    with pytest.raises(NotHermitian, match=r"\[2\]"):
+        hermitian_eig(stack)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 3), (2, 4, 3)])
+def test_rejects_non_square_and_vector_inputs(shape):
+    with pytest.raises(ValueError):
+        hermitian_eig(np.ones(shape, dtype=np.complex128))

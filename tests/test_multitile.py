@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from frftkit import (
+    FiberField,
     FiberGrid,
     Grid,
     MultiTileModel,
@@ -18,6 +19,7 @@ from frftkit import (
     fit_sis,
     frft,
     inner_product,
+    inverse_frft,
     is_multitile,
     l2_norm,
     optimal_multitile,
@@ -125,6 +127,89 @@ def test_bandlimited_projection_properties():
                 allowed[b] = True
     assert np.max(np.abs(spec.values[~allowed])) < 1e-10
     assert np.max(np.abs(spec.values[allowed] - spec_f.values[allowed])) < 1e-10
+
+
+def reference_keep_mask(grid, tile):
+    """Set-membership mask of the kept output bins, one bin at a time."""
+    n = grid.samples_per_dim
+    period = round(grid.period)
+    members = [frozenset(cell) for cell in tile.cells]
+    labels = []
+    for l in range(n):
+        m = l - n // 2
+        w = m % period
+        labels.append((w, tile.theta.sign_sin * ((m - w) // period)))
+    keep = np.zeros(grid.shape, dtype=bool)
+    for index in itertools.product(range(n), repeat=grid.n_dims):
+        cell = 0
+        for l in index:
+            cell = cell * tile.omega_samples + labels[l][0]
+        offset = tuple(labels[l][1] for l in index)
+        keep[index] = offset in members[cell]
+    return keep, max(abs(k) for _, k in labels)
+
+
+@pytest.mark.parametrize(
+    "n_dims,samples,extent,bound,ell,theta",
+    [
+        (1, 64, 2.0, 2, 2, PI3),
+        (1, 64, 2.0, 1, 3, ThetaParam(-math.pi / 3)),
+        (2, 32, 2.0, 1, 2, PI3),
+        (2, 32, 2.0, 2, 4, ThetaParam(-math.pi / 4)),
+    ],
+)
+def test_bandlimited_project_matches_membership_loop(n_dims, samples, extent, bound, ell, theta):
+    grid = Grid(n_dims, samples, extent)
+    omega = round(grid.period)
+    rng = np.random.default_rng(317 + samples + bound)
+    cands = list(itertools.product(range(-bound, bound + 1), repeat=n_dims))
+    cells = tuple(
+        tuple(sorted(cands[j] for j in rng.choice(len(cands), ell, replace=False)))
+        for _ in range(omega**n_dims)
+    )
+    tile = TileSet(theta, n_dims, omega, bound, cells)
+    model = MultiTileModel(tile, ell, cells)
+    keep, max_offset = reference_keep_mask(grid, tile)
+    assert max_offset > bound  # decoded offsets reach past the tile bound
+    f = SampledSignal(
+        grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    )
+    spectrum = frft(f, theta)
+    masked = np.where(keep, spectrum.values.reshape(grid.shape), 0.0)
+    expected = inverse_frft(spectrum.with_values(masked.ravel()), theta)
+    assert np.array_equal(bandlimited_project(f, model).values, expected.values)
+
+
+def sorted_key_selection(fibers, ell, bound):
+    """Per-cell ranking with a Python sort key, the reference for ties."""
+    grid = fibers[0].grid
+    energy = np.sum(np.abs(np.stack([f.data for f in fibers])) ** 2, axis=0)
+    slot = {k: i for i, k in enumerate(grid.offsets)}
+    cands = list(itertools.product(range(-bound, bound + 1), repeat=grid.n_dims))
+    return tuple(
+        tuple(
+            sorted(cands, key=lambda k: (-energy[w, slot[k]] if k in slot else 0.0, k))[:ell]
+        )
+        for w in range(grid.n_cells)
+    )
+
+
+@pytest.mark.parametrize(
+    "n_dims,window,one_sided,bound,ell",
+    [(1, 2, False, 3, 3), (1, 2, True, 2, 4), (2, 1, False, 2, 5), (2, 2, True, 1, 6)],
+)
+def test_optimal_multitile_matches_sorted_key_ranking(n_dims, window, one_sided, bound, ell):
+    fg = FiberGrid(PI3, n_dims, 3, window, one_sided)
+    rng = np.random.default_rng(318 + ell)
+    fibers = []
+    for fib in random_fiber_fields(fg, 2, rng):
+        data = fib.data.copy()
+        data[rng.random(data.shape) < 0.4] = 0.0  # zero-energy candidates tie at 0
+        fibers.append(FiberField(fg, data))
+    model = optimal_multitile(fibers, ell, bound)
+    expected = sorted_key_selection(fibers, ell, bound)
+    assert model.selection == expected
+    assert model.tile.cells == tuple(tuple(sorted(c)) for c in expected)
 
 
 def test_partial_projection_exact_for_nested_band_family():
