@@ -27,7 +27,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .grids import Grid, SampledSignal, ThetaParam
-from .transform import centered_dft, centered_idft, chirp_modulate
+from .transform import _alternate, _chirp_plan
 
 __all__ = [
     "FiberGrid",
@@ -242,8 +242,11 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     n_off = bins.shape[1]
     clipped = np.clip(bins, 0, f.grid.samples_per_dim - 1)
 
-    twisted = chirp_modulate(f, fgrid.theta, +1)
-    spectrum = centered_dft(twisted.as_nd(), f.grid.spacing)
+    # Centered transform of the chirped signal: the plan's spectrum with the
+    # sign table undone and the Riemann weight applied.
+    spectrum = _chirp_plan(f.grid, fgrid.theta).spectrum(f.as_nd())
+    _alternate(spectrum, fgrid.n_dims)
+    spectrum *= f.grid.spacing**fgrid.n_dims
 
     if fgrid.n_dims == 1:
         data = np.where(valid, spectrum[clipped], 0.0)
@@ -413,6 +416,8 @@ def synthesize_generator(
         keep = valid.ravel()
         target = bins.ravel()[keep]
         spectrum[np.ix_(target, target)] = values[np.ix_(keep, keep)]
-    twisted = centered_idft(spectrum, signal_grid.spacing)
-    signal = SampledSignal(grid=signal_grid, values=twisted.ravel())
-    return chirp_modulate(signal, fgrid.theta, -1)
+    # Into the plan's spectrum domain: sign table, no Riemann weight.
+    _alternate(spectrum, fgrid.n_dims)
+    spectrum /= signal_grid.spacing**fgrid.n_dims
+    values = _chirp_plan(signal_grid, fgrid.theta).from_spectrum(spectrum)
+    return SampledSignal(grid=signal_grid, values=values.ravel())

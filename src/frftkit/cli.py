@@ -57,7 +57,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .frames import AtomBank, frame_bounds
-from .grids import Grid, SampledSignal, ThetaParam
+from .grids import Grid, SampledSignal, ThetaParam, as_shift
 from .multitile import TileSet, bandlimited_project, is_multitile, optimal_multitile
 from .scatter import (
     LayerConfig,
@@ -156,7 +156,11 @@ def write_signal(path: Path | str, signal: SampledSignal) -> None:
 
 
 def read_signal(path: Path | str) -> SampledSignal:
-    """Parse a signal CSV; raises :class:`CliParseError` on any defect."""
+    """Parse a signal CSV; raises :class:`CliParseError` on any defect.
+
+    The data rows are collected first, so a grid header that promises more
+    samples than the file holds is rejected before anything is allocated.
+    """
     path = Path(path)
     try:
         raw = path.read_text()
@@ -164,8 +168,8 @@ def read_signal(path: Path | str) -> SampledSignal:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
 
     grid: Grid | None = None
-    values: np.ndarray | None = None
-    seen: np.ndarray | None = None
+    header_line = 0
+    rows: list[tuple[int, str]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -180,13 +184,25 @@ def read_signal(path: Path | str) -> SampledSignal:
                     grid = Grid(int(fields[0]), int(fields[1]), float(fields[2]))
                 except (ValueError, FrftkitError) as exc:
                     raise CliParseError(f"{path}:{lineno}: bad grid: {exc}") from exc
-                values = np.zeros(grid.size, dtype=np.complex128)
-                seen = np.zeros(grid.size, dtype=bool)
+                header_line = lineno
+                rows = []  # a new header starts the signal afresh
             continue
         if line.lower() == "index,re,im":
             continue
-        if grid is None or values is None or seen is None:
+        if grid is None:
             raise CliParseError(f"{path}:{lineno}: data before the grid header")
+        rows.append((lineno, line))
+    if grid is None:
+        raise CliParseError(f"{path}: missing grid header")
+    if grid.size > len(rows):
+        raise CliParseError(
+            f"{path}:{header_line}: grid header promises {grid.size} samples "
+            f"but the file holds {len(rows)} data rows"
+        )
+
+    values = np.zeros(grid.size, dtype=np.complex128)
+    seen = np.zeros(grid.size, dtype=bool)
+    for lineno, line in rows:
         fields = line.split(",")
         if len(fields) != 3:
             raise CliParseError(f"{path}:{lineno}: expected index,re,im")
@@ -195,14 +211,14 @@ def read_signal(path: Path | str) -> SampledSignal:
             re, im = float(fields[1]), float(fields[2])
         except ValueError as exc:
             raise CliParseError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise CliParseError(f"{path}:{lineno}: non-finite sample {line!r}")
         if not 0 <= index < grid.size:
             raise CliParseError(f"{path}:{lineno}: index {index} out of range")
         if seen[index]:
             raise CliParseError(f"{path}:{lineno}: duplicate index {index}")
         seen[index] = True
         values[index] = complex(re, im)
-    if grid is None or values is None or seen is None:
-        raise CliParseError(f"{path}: missing grid header")
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise CliParseError(f"{path}: missing sample index {missing}")
@@ -463,8 +479,9 @@ def cmd_scatter_invariance(args: argparse.Namespace, config: RunConfig) -> None:
     )
     rows = []
     for t in args.t:
-        deviation = invariance_deviation(signal, t, layers, depth, theta)
-        bound = invariance_bound(t, theta, s_factors, decay, norm_f)
+        shift = as_shift(t, signal.grid.n_dims)
+        deviation = invariance_deviation(signal, shift, layers, depth, theta)
+        bound = invariance_bound(shift, theta, s_factors, decay, norm_f)
         rows.append(f"{_fmt(t)},{_fmt(theta.theta)},{_fmt(deviation)},{_fmt(bound)}")
     _write_table(args.out, "t,theta,deviation,bound", rows)
 

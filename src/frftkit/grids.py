@@ -209,9 +209,6 @@ class ShiftVector:
     def norm(self) -> float:
         return math.sqrt(sum(c * c for c in self.components))
 
-    def as_array(self) -> NDArray[np.float64]:
-        return np.array(self.components, dtype=np.float64)
-
     def index_offsets(self, grid: Grid) -> tuple[int, ...]:
         """Shift expressed in whole samples; OffGridShift if not exact."""
         if len(self.components) != grid.n_dims:

@@ -7,6 +7,11 @@ running signals against per-layer output atoms.  The module also provides
 the certified stability bounds: how far features can move under a
 twisted translation of the input, both in the invariant and the
 covariant sense.
+
+Every layer keeps the chirped spectra of its atoms, computed once at
+construction, and the cascade propagates plain ndarrays on the cached
+chirp plan of :mod:`frftkit.transform`; a public function builds
+:class:`SampledSignal` objects only for the signals it returns.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    GridMismatch,
     InadmissibleBankWarning,
     KeyMismatch,
     NoDecay,
@@ -27,9 +33,10 @@ from .errors import (
     PathArityMismatch,
 )
 from .frames import AtomBank, check_admissibility, frame_bounds
-from .grids import SampledSignal, ShiftVector, ThetaParam, as_shift
-from .theta_ops import theta_convolve, theta_dilate, theta_translate
-from .transform import frft, l2_norm
+from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, as_shift
+from .theta_ops import _as_fraction, _dilate, _translate
+from .theta_ops import theta_convolve  # noqa: F401  (bench/test_smoke.py reads this name)
+from .transform import _chirp_plan, _ChirpPlan, frft, l2_norm
 
 __all__ = [
     "Nonlinearity",
@@ -169,9 +176,12 @@ class LayerConfig:
     """One analysis layer: atom bank, output atom, nonlinearity, pooling.
 
     Construction computes and caches the layer's upper frame bound (over
-    the bank together with the output atom) and the output atom's decay
-    constants; the latter raises :class:`NoDecay` for atoms whose
-    transform does not vanish toward the grid boundary.
+    the bank together with the output atom), the output atom's decay
+    constants, and ``kernels``: the chirped spectra of the bank atoms
+    followed by the output atom, ready for convolution on the chirp plan
+    (``None`` at multiples of pi, where no convolution is defined).  The
+    decay constants raise :class:`NoDecay` for atoms whose transform does
+    not vanish toward the grid boundary.
     """
 
     bank: AtomBank
@@ -181,6 +191,7 @@ class LayerConfig:
     pooling_factor: float = 1.0
     frame_bound: float = field(init=False, repr=False)
     decay_constants: tuple[float, float, float] = field(init=False, repr=False)
+    kernels: NDArray[np.complex128] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.output_atom.grid != self.bank.grid:
@@ -194,6 +205,12 @@ class LayerConfig:
             "decay_constants",
             atom_decay_constant(self.output_atom, self.bank.theta),
         )
+        kernels = None
+        if not self.theta.is_axis:
+            plan = _chirp_plan(self.bank.grid, self.theta)
+            kernels = plan.kernel(np.stack([atom.as_nd() for atom in extended.atoms]))
+            kernels.setflags(write=False)
+        object.__setattr__(self, "kernels", kernels)
 
     @property
     def theta(self) -> ThetaParam:
@@ -233,20 +250,34 @@ def _check_angle(layer: LayerConfig, theta: ThetaParam) -> None:
         raise ValueError("layer is configured for a different angle")
 
 
+def _check_layer(layer: LayerConfig, plan: _ChirpPlan) -> None:
+    _check_angle(layer, plan.theta)
+    if layer.bank.grid != plan.in_grid:
+        raise GridMismatch("layer atoms and signal live on different grids")
+
+
+def _energy(values: NDArray[np.complex128], grid: Grid) -> float:
+    """Squared discrete L² norm of samples on ``grid``."""
+    return float(grid.spacing**grid.n_dims * np.vdot(values, values).real)
+
+
+def _propagate(
+    x: NDArray[np.complex128], lam: int, layer: LayerConfig, plan: _ChirpPlan
+) -> NDArray[np.complex128]:
+    """:func:`u_layer` on an ndarray of the plan's input grid."""
+    out = plan.convolve(x, layer.kernels[lam])
+    out = layer.pool.apply(layer.nonlin.apply(out))
+    if layer.pooling_factor != 1.0:
+        out = _dilate(out, _as_fraction(layer.pooling_factor), plan)
+    return out
+
+
 def u_layer(
     f: SampledSignal, lam: int, layer: LayerConfig, theta: ThetaParam
 ) -> SampledSignal:
     """One propagation step: convolve with atom ``lam``, then nonlinearity,
     pooling, and dilation by the layer's pooling factor."""
-    _check_angle(layer, theta)
-    if not 0 <= lam < layer.n_atoms:
-        raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
-    out = theta_convolve(f, layer.bank.atoms[lam], theta)
-    out = out.with_values(layer.nonlin.apply(out.values))
-    out = out.with_values(layer.pool.apply(out.values))
-    if layer.pooling_factor != 1.0:
-        out = theta_dilate(out, layer.pooling_factor, theta)
-    return out
+    return u_path(f, (lam,), (layer,), theta)
 
 
 def u_path(
@@ -260,22 +291,78 @@ def u_path(
         raise PathArityMismatch(
             f"path of length {len(q)} exceeds the {len(layers)} configured layers"
         )
-    out = f
+    if not q:
+        return f
+    plan = _chirp_plan(f.grid, theta)
+    out = f.as_nd()
     for k, lam in enumerate(q):
-        out = u_layer(out, lam, layers[k], theta)
-    return out
+        layer = layers[k]
+        _check_layer(layer, plan)
+        if not 0 <= lam < layer.n_atoms:
+            raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
+        out = _propagate(out, lam, layer, plan)
+    return f.with_values(out.ravel())
 
 
-def _level0_output_atom(
+def _level0_kernel(
     layers: Sequence[LayerConfig],
-    theta: ThetaParam,
+    plan: _ChirpPlan,
     level0_atom: SampledSignal | None,
-) -> SampledSignal:
-    if level0_atom is not None:
-        return level0_atom
-    if not layers:
-        raise ValueError("need either a level-0 output atom or at least one layer")
-    return layers[0].output_atom
+) -> NDArray[np.complex128]:
+    """Kernel of ``level0_atom``, else of the first layer's output atom."""
+    if level0_atom is None:
+        if not layers:
+            raise ValueError("need either a level-0 output atom or at least one layer")
+        level0_atom = layers[0].output_atom
+    if level0_atom.grid != plan.in_grid:
+        raise GridMismatch("level-0 output atom and signal live on different grids")
+    return plan.kernel(level0_atom.as_nd())
+
+
+def _feature_levels(
+    x: NDArray[np.complex128],
+    plan: _ChirpPlan,
+    layers: Sequence[LayerConfig],
+    depth: int,
+    level0_atom: SampledSignal | None,
+) -> tuple[list[dict[tuple[int, ...], NDArray[np.complex128]]], bool]:
+    """:func:`extract_features` on an ndarray: feature levels and whether
+    the cascade is admissible.  Warns on behalf of the caller's caller."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > len(layers):
+        raise PathArityMismatch(
+            f"depth {depth} exceeds the {len(layers)} configured layers"
+        )
+    for layer in layers[:depth]:
+        _check_layer(layer, plan)
+
+    admissible = check_admissibility(
+        (layer.frame_bound, layer.nonlin.lipschitz, layer.pool.lipschitz)
+        for layer in layers[:depth]
+    )
+    if not admissible:
+        warnings.warn(
+            "layer cascade is not admissible; feature energy may grow",
+            InadmissibleBankWarning,
+            stacklevel=3,
+        )
+
+    signals = {(): x}
+    levels = [{(): plan.convolve(x, _level0_kernel(layers, plan, level0_atom))}]
+    for k in range(1, depth + 1):
+        layer = layers[k - 1]
+        next_signals: dict[tuple[int, ...], NDArray[np.complex128]] = {}
+        level: dict[tuple[int, ...], NDArray[np.complex128]] = {}
+        for path, signal in signals.items():
+            for lam in range(layer.n_atoms):
+                extended = path + (lam,)
+                propagated = _propagate(signal, lam, layer, plan)
+                next_signals[extended] = propagated
+                level[extended] = plan.convolve(propagated, layer.kernels[-1])
+        signals = next_signals
+        levels.append(level)
+    return levels, admissible
 
 
 def extract_features(
@@ -293,46 +380,15 @@ def extract_features(
     :class:`InadmissibleBankWarning` (and records ``admissible=False``)
     when some layer's frame bound exceeds one.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > len(layers):
-        raise PathArityMismatch(
-            f"depth {depth} exceeds the {len(layers)} configured layers"
-        )
-    for layer in layers[:depth]:
-        _check_angle(layer, theta)
-
-    admissible = check_admissibility(
-        (layer.frame_bound, layer.nonlin.lipschitz, layer.pool.lipschitz)
-        for layer in layers[:depth]
+    plan = _chirp_plan(f.grid, theta)
+    levels, admissible = _feature_levels(f.as_nd(), plan, layers, depth, level0_atom)
+    return FeatureTree(
+        levels=tuple(
+            {path: f.with_values(v.ravel()) for path, v in level.items()} for level in levels
+        ),
+        theta=theta,
+        admissible=admissible,
     )
-    if not admissible:
-        warnings.warn(
-            "layer cascade is not admissible; feature energy may grow",
-            InadmissibleBankWarning,
-            stacklevel=2,
-        )
-
-    atom0 = _level0_output_atom(layers, theta, level0_atom)
-    signals: dict[tuple[int, ...], SampledSignal] = {(): f}
-    levels: list[dict[tuple[int, ...], SampledSignal]] = [
-        {(): theta_convolve(f, atom0, theta)}
-    ]
-    for k in range(1, depth + 1):
-        layer = layers[k - 1]
-        next_signals: dict[tuple[int, ...], SampledSignal] = {}
-        level: dict[tuple[int, ...], SampledSignal] = {}
-        for path, signal in signals.items():
-            for lam in range(layer.n_atoms):
-                extended = path + (lam,)
-                propagated = u_layer(signal, lam, layer, theta)
-                next_signals[extended] = propagated
-                level[extended] = theta_convolve(
-                    propagated, layer.output_atom, theta
-                )
-        signals = next_signals
-        levels.append(level)
-    return FeatureTree(levels=tuple(levels), theta=theta, admissible=admissible)
 
 
 def feature_distance(tree_a: FeatureTree, tree_b: FeatureTree, k: int) -> float:
@@ -344,8 +400,7 @@ def feature_distance(tree_a: FeatureTree, tree_b: FeatureTree, k: int) -> float:
     if level_a.keys() != level_b.keys():
         raise KeyMismatch(f"level {k} features are indexed by different paths")
     return sum(
-        l2_norm(level_a[path].with_values(level_a[path].values - level_b[path].values))
-        ** 2
+        _energy(level_a[path].values - level_b[path].values, level_a[path].grid)
         for path in level_a
     )
 
@@ -364,16 +419,32 @@ def _commutation_gate(layers: Sequence[LayerConfig], depth: int, theta: ThetaPar
             )
 
 
-def _shift_norm_squared(t: object, n_dims: int) -> tuple[ShiftVector, float]:
-    shift = as_shift(t, n_dims)
-    return shift, float(sum(c * c for c in shift.components))
-
-
-def _shift_norm(t: object) -> float:
-    if isinstance(t, ShiftVector):
-        return t.norm
-    arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return float(np.sqrt(np.sum(arr * arr)))
+def _deviation(
+    f: SampledSignal,
+    t: object,
+    layers: Sequence[LayerConfig],
+    depth: int,
+    theta: ThetaParam,
+    level0_atom: SampledSignal | None,
+    covariant: bool,
+) -> float:
+    """Sum over level-``depth`` paths of the squared distance between the
+    phase-corrected features of the shifted input and the features of
+    ``f``, themselves shifted when ``covariant``."""
+    _commutation_gate(layers, depth, theta)
+    shift = as_shift(t, f.grid.n_dims)
+    plan = _chirp_plan(f.grid, theta)
+    x = f.as_nd()
+    shifted = _translate(x, shift, plan)
+    level_a = _feature_levels(shifted, plan, layers, depth, level0_atom)[0][depth]
+    level_b = _feature_levels(x, plan, layers, depth, level0_atom)[0][depth]
+    norm_sq = sum(c * c for c in shift.components)
+    phase = np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
+    total = 0.0
+    for path, feature in level_a.items():
+        reference = _translate(level_b[path], shift, plan) if covariant else level_b[path]
+        total += _energy(phase * feature - reference, f.grid)
+    return total
 
 
 def invariance_deviation(
@@ -392,19 +463,7 @@ def invariance_deviation(
     when some layer's pointwise maps do not commute with twisted
     translations at this angle.
     """
-    _commutation_gate(layers, depth, theta)
-    shift, norm_sq = _shift_norm_squared(t, f.grid.n_dims)
-    shifted = theta_translate(f, shift, theta)
-    tree_a = extract_features(shifted, layers, depth, theta, level0_atom)
-    tree_b = extract_features(f, layers, depth, theta, level0_atom)
-    phase = np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
-    level_a = tree_a.levels[depth]
-    level_b = tree_b.levels[depth]
-    total = 0.0
-    for path, feature in level_a.items():
-        diff = phase * feature.values - level_b[path].values
-        total += l2_norm(feature.with_values(diff)) ** 2
-    return total
+    return _deviation(f, t, layers, depth, theta, level0_atom, covariant=False)
 
 
 def covariance_deviation(
@@ -420,20 +479,12 @@ def covariance_deviation(
     Compares the phase-corrected features of the shifted input against the
     twisted translate of the original features.
     """
-    _commutation_gate(layers, depth, theta)
-    shift, norm_sq = _shift_norm_squared(t, f.grid.n_dims)
-    shifted = theta_translate(f, shift, theta)
-    tree_a = extract_features(shifted, layers, depth, theta, level0_atom)
-    tree_b = extract_features(f, layers, depth, theta, level0_atom)
-    phase = np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
-    level_a = tree_a.levels[depth]
-    level_b = tree_b.levels[depth]
-    total = 0.0
-    for path, feature in level_a.items():
-        moved = theta_translate(level_b[path], shift, theta)
-        diff = phase * feature.values - moved.values
-        total += l2_norm(feature.with_values(diff)) ** 2
-    return total
+    return _deviation(f, t, layers, depth, theta, level0_atom, covariant=True)
+
+
+def _shift(t: ShiftVector | Sequence[float] | float) -> ShiftVector:
+    """``t`` as a shift vector; a bare number is a one-dimensional shift."""
+    return t if isinstance(t, ShiftVector) else as_shift(t, np.size(t))
 
 
 def _pooling_products(s_factors: Sequence[float]) -> tuple[float, float, float]:
@@ -463,7 +514,7 @@ def invariance_bound(
     and ``norm_f`` the input norm.  Valid when at most one pooling factor
     exceeds one.
     """
-    norm_t = _shift_norm(t)
+    norm_t = _shift(t).norm
     prod_sq, prod, inv_sq_sum = _pooling_products(s_factors)
     cot = theta.cot_t
     csc = theta.csc_t
@@ -492,7 +543,7 @@ def covariance_bound(
 
     Valid when at most one pooling factor exceeds one and ``‖t‖ <= 1``.
     """
-    norm_t = _shift_norm(t)
+    norm_t = _shift(t).norm
     prod_sq, prod, inv_sq_sum = _pooling_products(s_factors)
     cot = theta.cot_t
     csc = theta.csc_t
@@ -526,14 +577,16 @@ def energy_profile(
         raise PathArityMismatch(
             f"depth {depth} exceeds the {len(layers)} configured layers"
         )
-    signals: list[SampledSignal] = [f]
+    signals = [f.as_nd()]
     profile = [l2_norm(f) ** 2]
     for k in range(depth):
         layer = layers[k]
-        next_signals: list[SampledSignal] = []
-        for signal in signals:
-            for lam in range(layer.n_atoms):
-                next_signals.append(u_layer(signal, lam, layer, theta))
-        signals = next_signals
-        profile.append(sum(l2_norm(s) ** 2 for s in signals))
+        plan = _chirp_plan(f.grid, theta)
+        _check_layer(layer, plan)
+        signals = [
+            _propagate(signal, lam, layer, plan)
+            for signal in signals
+            for lam in range(layer.n_atoms)
+        ]
+        profile.append(sum(_energy(signal, f.grid) for signal in signals))
     return profile

@@ -11,6 +11,14 @@ through the chirps keeps every textbook identity (translation/modulation
 exchange, convolution commutation, dilation exchange) exact on the periodic
 grid, wrap-around included.  On samples that do not wrap, the translate
 reduces to the pointwise form ``e^{-2 i pi s·(t-s) cot} f(t-s)``.
+
+The chirps come from the cached plan of :mod:`frftkit.transform`, whose
+input table is ``C`` times the sign table ``(-1)^(j_1+..+j_n)``.  The sign
+table stands in for the centering shifts, so the operators run on plain
+``fftn``/``ifftn``; a convolution kernel carries one more copy of it, and a
+translate by ``o`` samples picks up the factor ``(-1)^(o_1+..+o_n)``.  The
+operators work on ndarrays; the public functions build one
+:class:`SampledSignal`, for the value they return.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from numpy.typing import NDArray
 
 from .errors import AliasRiskWarning, GridMismatch, GridTooLarge, IrrationalScale
 from .grids import SampledSignal, ShiftVector, ThetaParam, as_shift
-from .transform import centered_dft, centered_idft, chirp_modulate
+from .transform import _alternate, _chirp_plan, _ChirpPlan, _mul_conj, centered_idft
 
 __all__ = ["theta_translate", "theta_modulate", "theta_convolve", "theta_dilate"]
 
@@ -37,6 +45,18 @@ MAX_FINE_SIZE = 1 << 24
 ALIAS_GUARD = 1e-12
 
 
+def _translate(
+    x: NDArray[np.complex128], shift: ShiftVector, plan: _ChirpPlan
+) -> NDArray[np.complex128]:
+    """:func:`theta_translate` on an ndarray of the plan's input grid."""
+    offsets = shift.index_offsets(plan.in_grid)
+    phase = np.exp(1j * np.pi * plan.theta.cot_t * sum(c * c for c in shift.components))
+    rolled = np.roll(x * plan.chirp_in, offsets, axis=plan.axes)
+    # Rolling the sign table by the offsets o multiplies it by (-1)^(o_1+..+o_n).
+    rolled *= -phase if sum(offsets) % 2 else phase
+    return _mul_conj(rolled, plan.chirp_in)
+
+
 def theta_translate(
     f: SampledSignal,
     s: ShiftVector | Sequence[float] | float,
@@ -44,12 +64,8 @@ def theta_translate(
 ) -> SampledSignal:
     """Angle-covariant translation by the on-grid shift ``s``."""
     shift = as_shift(s, f.grid.n_dims)
-    offsets = shift.index_offsets(f.grid)
-    phase = np.exp(1j * np.pi * theta.cot_t * sum(c * c for c in shift.components))
-    chirped = chirp_modulate(f, theta, +1)
-    rolled = np.roll(chirped.as_nd(), offsets, axis=tuple(range(f.grid.n_dims)))
-    shifted = chirped.with_values(phase * rolled.ravel())
-    return chirp_modulate(shifted, theta, -1)
+    plan = _chirp_plan(f.grid, theta)
+    return f.with_values(_translate(f.as_nd(), shift, plan).ravel())
 
 
 def theta_modulate(
@@ -70,12 +86,8 @@ def theta_convolve(f: SampledSignal, g: SampledSignal, theta: ThetaParam) -> Sam
     """Angle-covariant convolution via chirp, multiply, inverse chirp."""
     if f.grid != g.grid:
         raise GridMismatch("theta_convolve requires a common grid")
-    grid = f.grid
-    cf = centered_dft(chirp_modulate(f, theta, +1).as_nd(), grid.spacing)
-    cg = centered_dft(chirp_modulate(g, theta, +1).as_nd(), grid.spacing)
-    product = centered_idft(cf * cg, grid.spacing)
-    scale = theta.abs_sin ** (-0.5 * grid.n_dims)
-    return chirp_modulate(f.with_values(scale * product.ravel()), theta, -1)
+    plan = _chirp_plan(f.grid, theta)
+    return f.with_values(plan.convolve(f.as_nd(), plan.kernel(g.as_nd())).ravel())
 
 
 def _as_fraction(s: float | Rational) -> Fraction:
@@ -129,18 +141,26 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
     corrupt the output).
     """
     frac = _as_fraction(s)
-    p, q = frac.numerator, frac.denominator
-    grid = f.grid
-    if p == q:
-        return f.with_values(f.values.copy())
+    if frac == 1:
+        return f.with_values(f.values)
+    plan = _chirp_plan(f.grid, theta)
+    return f.with_values(_dilate(f.as_nd(), frac, plan).ravel())
 
-    chirped = chirp_modulate(f, theta, +1).as_nd()
-    spectrum = centered_dft(chirped, grid.spacing)
+
+def _dilate(
+    x: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan
+) -> NDArray[np.complex128]:
+    """:func:`theta_dilate` by ``frac != 1`` on an ndarray of the plan's
+    input grid; the alias warning names the caller of the caller."""
+    p, q = frac.numerator, frac.denominator
+    grid = plan.in_grid
+    signed = x * plan.chirp_in  # C x times the sign table
+    spectrum = np.fft.fftn(signed)  # centered bins of (C x)^, up to sign and spacing^n
     if frac > 1 and _alias_tail_fraction(spectrum, p, q) > ALIAS_GUARD:
         warnings.warn(
             f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}",
             AliasRiskWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     n = grid.samples_per_dim
@@ -153,13 +173,14 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
         pad = (fine_n - n) // 2
         embedded = np.zeros((fine_n,) * grid.n_dims, dtype=np.complex128)
         block = tuple(slice(pad, pad + n) for _ in range(grid.n_dims))
-        embedded[block] = spectrum
+        embedded[block] = _alternate(spectrum, grid.n_dims) * grid.spacing**grid.n_dims
         fine = centered_idft(embedded, grid.spacing / q)
     else:
-        fine = centered_idft(spectrum, grid.spacing)
+        # Without padding the resampler reads the chirped samples themselves.
+        fine = _alternate(signed, grid.n_dims)
 
     idx = (fine_n // 2 + p * (np.arange(n) - n // 2)) % fine_n
     out = fine
     for axis in range(grid.n_dims):
         out = np.take(out, idx, axis=axis)
-    return chirp_modulate(f.with_values(out.ravel()), theta, -1)
+    return _mul_conj(_alternate(out, grid.n_dims), plan.chirp_in)

@@ -11,6 +11,26 @@ shifted FFT, and the output is sampled at spacing ``|sin| / period`` so
 that ``w*csc`` lands exactly on the FFT bins.  Angles at a multiple of pi
 skip the kernel: even multiples return the signal, odd multiples its
 reflection.
+
+The transforms, and every theta-operator that conjugates by the chirp,
+run on one ``_ChirpPlan`` per (input grid, output grid, angle), after the
+chirp-multiply/FFT algorithm of Ozaktas, Arikan, Kutay and Bozdagi (IEEE
+TSP 1996).  A plan holds two complex tables of the grid's shape and
+nothing else (``spacing`` is the input grid's):
+
+    input:   e^{i*pi*‖t_j‖²*cot} * (-1)^(j_1+..+j_n)
+    output:  e^{i*pi*‖w_l‖²*cot} * (-1)^(l_1+..+l_n) * |sin|^{-n/2} * spacing^n
+
+With N a power of two >= 4, N/2 is even, so
+``e^{-2*pi*i*(l-N/2)*(j-N/2)/N} = (-1)^l * (-1)^j * e^{-2*pi*i*l*j/N}``: the
+sign tables stand in exactly for ``fftshift`` and ``ifftshift``, and the
+forward transform is ``output * fftn(input * x)``.  When sin(theta) < 0,
+``w*csc`` reverses the bin order; ``ifftn(..., norm="forward")`` computes
+that reversed, unnormalized spectrum directly.  The inverse divides the
+tables out again: it multiplies in place by their conjugates.  Only one
+plan is kept alive; asking for another key drops it before the new one is
+built, and a plan is a pure function of its key, so eviction never changes
+a result.
 """
 
 from __future__ import annotations
@@ -18,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import GridTooLarge
+from .errors import AngleDegenerate, GridTooLarge
 from .grids import Grid, SampledSignal, ThetaParam
 
 __all__ = [
@@ -55,18 +75,144 @@ def centered_idft(spectrum: NDArray[np.complex128], spacing: float) -> NDArray[n
     return np.fft.fftshift(values) / spacing**spectrum.ndim
 
 
+def _alternate(a: NDArray[np.complex128], n_dims: int) -> NDArray[np.complex128]:
+    """Multiply ``a`` in place by ``(-1)^(j_1+..+j_n)`` over its last axes."""
+    for axis in range(a.ndim - n_dims, a.ndim):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(1, None, 2)
+        a[tuple(index)] *= -1
+    return a
+
+
+def _mul_conj(
+    a: NDArray[np.complex128], table: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """``a *= conj(table)`` in place, without a conjugated copy of the table."""
+    np.conjugate(a, out=a)
+    a *= table
+    np.conjugate(a, out=a)
+    return a
+
+
+def _signed_chirp(grid: Grid, cot: float, scale: float) -> NDArray[np.complex128]:
+    table = np.exp(1j * np.pi * cot * grid.radius_squared()).reshape(grid.shape)
+    if scale != 1.0:
+        table *= scale
+    _alternate(table, grid.n_dims)
+    table.setflags(write=False)
+    return table
+
+
+class _ChirpPlan:
+    """Chirp tables of one (input grid, output grid, angle); see the module
+    docstring.  Methods take ndarrays whose trailing axes have the grid's
+    shape; leading axes are a batch."""
+
+    __slots__ = ("in_grid", "out_grid", "theta", "axes", "chirp_in", "chirp_out")
+
+    def __init__(self, in_grid: Grid, out_grid: Grid, theta: ThetaParam) -> None:
+        self.in_grid, self.out_grid, self.theta = in_grid, out_grid, theta
+        self.axes = tuple(range(-in_grid.n_dims, 0))
+        self.chirp_in = _signed_chirp(in_grid, theta.cot_t, 1.0)
+        self.chirp_out = _signed_chirp(out_grid, theta.cot_t, self.kernel_scale)
+
+    @property
+    def kernel_scale(self) -> float:
+        """``|sin|^{-n/2} * spacing^n``, the modulus of the output table."""
+        n = self.in_grid.n_dims
+        return self.theta.abs_sin ** (-0.5 * n) * self.in_grid.spacing**n
+
+    def spectrum(self, x: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """``fftn`` of the chirped, sign-alternated samples.
+
+        Bin ``l`` is the centered spectrum of ``C_theta x`` at ``(l - N/2) /
+        period``, divided by ``spacing^n`` and by the sign table.
+        """
+        return np.fft.fftn(x * self.chirp_in, axes=self.axes)
+
+    def from_spectrum(self, X: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """Inverse of :meth:`spectrum`."""
+        return _mul_conj(np.fft.ifftn(X, axes=self.axes), self.chirp_in)
+
+    def kernel(self, g: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """Spectrum of the atom ``g`` as a kernel for :meth:`convolve`.
+
+        Both factors of a product of spectra carry the sign table, but its
+        inverse transform removes only one; the kernel takes the other.
+        """
+        out = _alternate(self.spectrum(g), self.in_grid.n_dims)
+        out *= self.kernel_scale
+        return out
+
+    def convolve(
+        self, x: NDArray[np.complex128], kernel: NDArray[np.complex128]
+    ) -> NDArray[np.complex128]:
+        """Angle-covariant convolution of ``x`` with the atom of ``kernel``."""
+        X = self.spectrum(x)
+        X *= kernel
+        return self.from_spectrum(X)
+
+    def forward(self, x: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """The transform of ``x`` on the output grid."""
+        chirped = x * self.chirp_in
+        if self.theta.sign_sin > 0:
+            out = np.fft.fftn(chirped, axes=self.axes)
+        else:
+            out = np.fft.ifftn(chirped, axes=self.axes, norm="forward")
+        out *= self.chirp_out
+        return out
+
+    def inverse(self, y: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """Inverse of :meth:`forward`, back on the input grid."""
+        # 1 / output table = its conjugate over kernel_scale².
+        scaled = _mul_conj(y * self.kernel_scale**-2, self.chirp_out)
+        if self.theta.sign_sin > 0:
+            out = np.fft.ifftn(scaled, axes=self.axes)
+        else:
+            out = np.fft.fftn(scaled, axes=self.axes, norm="forward")
+        return _mul_conj(out, self.chirp_in)
+
+
+_live_plan: _ChirpPlan | None = None
+
+
+def _chirp_plan(grid: Grid, theta: ThetaParam, *, output: bool = False) -> _ChirpPlan:
+    """The plan of ``theta`` whose input grid (output grid if ``output``)
+    is ``grid``; built on a miss after the previous plan is dropped."""
+    global _live_plan
+    if theta.is_axis:
+        raise AngleDegenerate(f"cot undefined at theta={theta.theta!r}")
+    if output:
+        in_grid, out_grid = _input_grid(grid, theta), grid
+    else:
+        in_grid, out_grid = grid, frft_output_grid(grid, theta)
+    plan = _live_plan
+    if plan is None or (plan.in_grid, plan.out_grid, plan.theta) != (in_grid, out_grid, theta):
+        plan = _live_plan = None  # free the old tables before allocating new ones
+        plan = _live_plan = _ChirpPlan(in_grid, out_grid, theta)
+    return plan
+
+
 def chirp_modulate(f: SampledSignal, theta: ThetaParam, sign: int) -> SampledSignal:
     """Pointwise ``e^{sign * i * pi * ‖t‖² * cot(theta)} * f(t)``."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    phase = np.exp(1j * np.pi * sign * theta.cot_t * f.grid.radius_squared())
-    return f.with_values(f.values * phase)
+    table = _chirp_plan(f.grid, theta).chirp_in
+    out = f.as_nd() * table if sign > 0 else _mul_conj(f.as_nd().copy(), table)
+    return f.with_values(_alternate(out, f.grid.n_dims).ravel())
 
 
 def frft_output_grid(grid: Grid, theta: ThetaParam) -> Grid:
     """Canonical output grid: spacing ``|sin(theta)| / period``."""
     d_omega = theta.abs_sin / grid.period
     return Grid(grid.n_dims, grid.samples_per_dim, 0.5 * grid.samples_per_dim * d_omega)
+
+
+def _input_grid(out_grid: Grid, theta: ThetaParam) -> Grid:
+    """The grid that :func:`inverse_frft` maps ``out_grid`` back to."""
+    in_spacing = theta.abs_sin / out_grid.period
+    n = out_grid.samples_per_dim
+    return Grid(out_grid.n_dims, n, 0.5 * n * in_spacing)
 
 
 def _reverse_indices(n: int) -> NDArray[np.intp]:
@@ -83,7 +229,7 @@ def _reflect(values: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
 def _axis_branch(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
     if theta.axis_parity == 0:
-        return f.with_values(f.values.copy())
+        return f.with_values(f.values)
     return f.with_values(_reflect(f.as_nd()).ravel())
 
 
@@ -91,34 +237,16 @@ def frft(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
     """Fractional Fourier transform of angle ``theta``."""
     if theta.is_axis:
         return _axis_branch(f, theta)
-    grid = f.grid
-    chirped = chirp_modulate(f, theta, +1)
-    spectrum = centered_dft(chirped.as_nd(), grid.spacing)
-    if theta.sign_sin < 0:
-        # w*csc reverses the bin order when sin(theta) < 0.
-        spectrum = _reflect(spectrum)
-    out_grid = frft_output_grid(grid, theta)
-    phase = np.exp(1j * np.pi * theta.cot_t * out_grid.radius_squared())
-    scale = theta.abs_sin ** (-0.5 * grid.n_dims)
-    return SampledSignal(out_grid, scale * phase * spectrum.ravel())
+    plan = _chirp_plan(f.grid, theta)
+    return SampledSignal(plan.out_grid, plan.forward(f.as_nd()).ravel())
 
 
 def inverse_frft(F: SampledSignal, theta: ThetaParam) -> SampledSignal:
     """Inverse of :func:`frft`, mapping the canonical output grid back."""
     if theta.is_axis:
         return _axis_branch(F, theta)
-    out_grid = F.grid
-    scale = theta.abs_sin ** (0.5 * out_grid.n_dims)
-    phase = np.exp(-1j * np.pi * theta.cot_t * out_grid.radius_squared())
-    spectrum = (scale * phase * F.values).reshape(out_grid.shape)
-    if theta.sign_sin < 0:
-        spectrum = _reflect(spectrum)
-    in_spacing = theta.abs_sin / out_grid.period
-    values = centered_idft(spectrum, in_spacing)
-    n = out_grid.samples_per_dim
-    in_grid = Grid(out_grid.n_dims, n, 0.5 * n * in_spacing)
-    chirped = SampledSignal(in_grid, values.ravel())
-    return chirp_modulate(chirped, theta, -1)
+    plan = _chirp_plan(F.grid, theta, output=True)
+    return SampledSignal(plan.in_grid, plan.inverse(F.as_nd()).ravel())
 
 
 def frft_direct_oracle(f: SampledSignal, theta: ThetaParam) -> SampledSignal:

@@ -12,17 +12,22 @@ import frftkit
 from frftkit import (
     FiberGrid,
     Grid,
+    LayerConfig,
+    Nonlinearity,
     SampledSignal,
+    ShiftVector,
     ThetaParam,
     approximation_error,
     fiber_map,
     fit_sis,
     frame_bounds,
     frft,
+    invariance_bound,
+    invariance_deviation,
     l2_norm,
     theta_translate,
 )
-from frftkit.cli import main, read_signal, write_signal
+from frftkit.cli import CliParseError, main, read_signal, write_signal
 from helpers import banded_signal, make_s1_layers, random_signal
 
 PI3 = ThetaParam(math.pi / 3)
@@ -131,8 +136,7 @@ def test_frames_command(tmp_path):
 
 
 def scatter_config(tmp_path, depth=2, nonlin="phase_covariant_shrink",
-                   theta_key=None, name="cascade.json"):
-    grid = Grid(1, 128, 8.0)
+                   theta_key=None, name="cascade.json", grid=Grid(1, 128, 8.0)):
     layers, phi = make_s1_layers(grid, PI3, (1.0, 1.0), ["identity", "identity"])
     atom_paths = []
     for i, atom in enumerate(layers[0].bank.atoms):
@@ -185,6 +189,28 @@ def test_scatter_invariance(tmp_path):
         t_val, theta_val, dev, bound = map(float, ln.split(","))
         assert theta_val == pytest.approx(math.pi / 3)
         assert 0.0 <= dev <= bound
+
+
+def test_scatter_invariance_2d_scalar_shift_is_diagonal(tmp_path):
+    grid = Grid(2, 32, 4.0)
+    cfg, sig, f = scatter_config(tmp_path, grid=grid)
+    out = str(tmp_path / "inv.csv")
+    t = 2 * grid.spacing
+    assert main(["scatter", "invariance", "--config", cfg, "--signal", sig,
+                 "--t", repr(t), "--out", out]) == 0
+    row = open(out).read().splitlines()[1]
+    _, _, dev, bound = map(float, row.split(","))
+
+    layers, _ = make_s1_layers(grid, PI3, (1.0, 1.0), ["identity", "identity"])
+    layers = [LayerConfig(bank=layer.bank, output_atom=layer.output_atom,
+                          nonlin=Nonlinearity("phase_covariant_shrink", 0.01))
+              for layer in layers]
+    signal = read_signal(sig)
+    shift = ShiftVector((t, t))
+    decay = max(layer.decay_constants[2] for layer in layers)
+    assert bound == invariance_bound(shift, PI3, (1.0, 1.0), decay, l2_norm(signal))
+    assert dev == invariance_deviation(signal, shift, layers, 2, PI3)
+    assert 0.0 <= dev <= bound
 
 
 def test_approx_fit(tmp_path):
@@ -309,6 +335,28 @@ def test_exit_code_2_parse_failures(tmp_path):
     # argparse usage errors surface as exit 2 as well
     assert main(["frft", "--theta", "1.0"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+def test_non_finite_sample_is_a_parse_failure(tmp_path, capsys, sample):
+    bad = tmp_path / "bad.csv"
+    rows = ["# grid: 1,4,1.0", "index,re,im", "0,1.0,0.0", f"1,0.5,{sample}",
+            "2,0.0,0.0", "3,0.0,0.0"]
+    bad.write_text("\n".join(rows) + "\n")
+    with pytest.raises(CliParseError, match=":4: non-finite sample"):
+        read_signal(bad)
+    assert main(["frft", "--in", str(bad), "--out", str(tmp_path / "o.csv"),
+                 "--theta", "1.0"]) == 2
+    assert ":4:" in capsys.readouterr().err
+
+
+def test_oversized_grid_header_is_a_parse_failure(tmp_path, capsys):
+    # NumPy refuses 2**62 samples outright, so nothing is ever allocated here.
+    bad = tmp_path / "huge.csv"
+    bad.write_text("# grid: 2,2147483648,1.0\nindex,re,im\n0,1.0,0.0\n")
+    assert main(["frft", "--in", str(bad), "--out", str(tmp_path / "o.csv"),
+                 "--theta", "1.0"]) == 2
+    assert "promises 4611686018427387904 samples" in capsys.readouterr().err
 
 
 def test_exit_code_3_numeric_failures(tmp_path):

@@ -29,6 +29,8 @@ from frftkit import (
     invariance_deviation,
     inverse_frft,
     l2_norm,
+    theta_convolve,
+    theta_dilate,
     u_layer,
     u_path,
 )
@@ -275,3 +277,46 @@ def test_invariance_bound_monotone_in_shift():
     bounds = [invariance_bound(t, th, (2.0, 2.0), 0.3, 1.0) for t in (0.1, 0.4, 1.6)]
     assert bounds[0] < bounds[1] < bounds[2]
     assert all(b > 0 for b in bounds)
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # the shrink widens the band
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0)])
+def test_u_layer_kernels_match_operator_composition(grid):
+    th = ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (2.0,), ["phase_covariant_shrink"])
+    layer = layers[0]
+    f = banded_signal(grid, th, 0.4, 17)
+    for lam in range(layer.n_atoms):
+        want = theta_convolve(f, layer.bank.atoms[lam], th)
+        want = want.with_values(layer.pool.apply(layer.nonlin.apply(want.values)))
+        want = theta_dilate(want, layer.pooling_factor, th)
+        got = u_layer(f, lam, layer, th)
+        assert got.grid == want.grid
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+
+def test_public_functions_build_only_returned_signals(monkeypatch):
+    grid = Grid(1, 128, 8.0)
+    th = ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "identity"])
+    f = banded_signal(grid, th, 0.4, 19)
+    built = []
+    post_init = SampledSignal.__post_init__
+
+    def counting(signal):
+        built.append(signal)
+        post_init(signal)
+
+    monkeypatch.setattr(SampledSignal, "__post_init__", counting)
+
+    def count(call):
+        built.clear()
+        call()
+        return len(built)
+
+    assert count(lambda: u_layer(f, 1, layers[0], th)) == 1
+    assert count(lambda: u_path(f, (1, 0), layers, th)) == 1
+    assert count(lambda: energy_profile(f, layers, 2, th)) == 0
+    assert count(lambda: invariance_deviation(f, grid.spacing, layers, 2, th)) == 0
+    assert count(lambda: covariance_deviation(f, grid.spacing, layers, 2, th)) == 0
+    assert count(lambda: extract_features(f, layers, 2, th)) == 1 + 2 + 4

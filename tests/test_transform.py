@@ -1,5 +1,6 @@
 """Transform-level checks: unitarity, oracle agreement, axis handling."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from frftkit import (
     inner_product,
     inverse_frft,
     l2_norm,
+    theta_convolve,
+    theta_dilate,
+    theta_translate,
 )
+from frftkit import transform
+from frftkit.transform import chirp_modulate
 from helpers import dft_matrix_oracle, random_signal
 
 GENERIC_ANGLES = [math.pi / 6, math.pi / 3, 2 * math.pi / 5, -math.pi / 3, 2.0, 4.0]
@@ -47,25 +53,28 @@ def test_roundtrip_and_parseval_2d(theta_val):
     assert np.max(np.abs(back.values - f.values)) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("theta_val", GENERIC_ANGLES)
-def test_matches_direct_oracle_1d(theta_val):
-    grid = Grid(1, 256, 8.0)
-    th = ThetaParam(theta_val)
-    f = random_signal(grid, 13)
+def assert_matches_oracle_both_ways(f, th):
     fast = frft(f, th)
     slow = frft_direct_oracle(f, th)
     assert fast.grid == slow.grid
-    assert np.max(np.abs(fast.values - slow.values)) < 1e-8
+    assert np.max(np.abs(fast.values - slow.values)) <= 1e-12
+    # The discrete inverse is the quadrature of the kernel at -theta.
+    back = inverse_frft(fast, th)
+    slow_back = frft_direct_oracle(fast, ThetaParam(-th.theta))
+    assert back.grid == slow_back.grid == f.grid
+    assert np.max(np.abs(back.values - slow_back.values)) <= 1e-12
 
 
-@pytest.mark.parametrize("theta_val", [math.pi / 3, 2 * math.pi / 5, -1.0])
+@pytest.mark.parametrize("theta_val", GENERIC_ANGLES)
+def test_matches_direct_oracle_1d(theta_val):
+    grid = Grid(1, 256, 8.0)
+    assert_matches_oracle_both_ways(random_signal(grid, 13), ThetaParam(theta_val))
+
+
+@pytest.mark.parametrize("theta_val", [math.pi / 3, 2 * math.pi / 5, -1.0, -2.5])
 def test_matches_direct_oracle_2d(theta_val):
     grid = Grid(2, 32, 4.0)
-    th = ThetaParam(theta_val)
-    f = random_signal(grid, 14)
-    fast = frft(f, th)
-    slow = frft_direct_oracle(f, th)
-    assert np.max(np.abs(fast.values - slow.values)) < 1e-8
+    assert_matches_oracle_both_ways(random_signal(grid, 14), ThetaParam(theta_val))
 
 
 def test_quarter_turn_is_classical_fourier_transform():
@@ -154,3 +163,38 @@ def test_transform_preserves_inner_products():
     before = inner_product(f, g)
     after = inner_product(frft(f, th), frft(g, th))
     assert abs(after - before) <= 1e-8 * abs(before)
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # white noise folds; only bits matter
+def test_plan_eviction_keeps_results_bit_identical():
+    grid = Grid(2, 32, 4.0)
+    th = ThetaParam(-2 * math.pi / 5)
+    f = random_signal(grid, 41)
+    g = random_signal(grid, 42)
+    other = random_signal(Grid(1, 64, 2.0), 43)
+
+    def results():
+        F = frft(f, th)
+        plan = transform._live_plan
+        back = inverse_frft(F, th)
+        assert transform._live_plan is plan  # the inverse reuses the forward plan
+        return [
+            F.values,
+            back.values,
+            chirp_modulate(f, th, -1).values,
+            theta_convolve(f, g, th).values,
+            theta_translate(f, (3 * grid.spacing, -grid.spacing), th).values,
+            theta_dilate(f, 2, th).values,
+            theta_dilate(f, Fraction(3, 2), th).values,
+        ]
+
+    first = results()
+    F = frft(f, th)
+    frft(other, ThetaParam(1.0))  # evicts the plan of (grid, th)
+    assert transform._live_plan.in_grid == other.grid
+    cold_back = inverse_frft(F, th)  # rebuilt from the output grid
+    assert np.array_equal(cold_back.values, first[1])
+    frft(other, ThetaParam(-1.0))
+    again = results()
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
