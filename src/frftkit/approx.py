@@ -7,6 +7,10 @@ rank-``ell`` invariant subspace for a family of signals diagonalizes the
 per-cell Gramian of their fibers.  The module builds fiber maps,
 Gramians, the fitted models with their orthonormal generators, and the
 synthesis back to signal grids.
+
+One layout maps each (cell, offset) slot to the spectrum bin it reads:
+fibers gather through it, generators scatter through it, and tile masks
+keep exactly the bins that their slots' fibers read.
 """
 
 from __future__ import annotations
@@ -193,39 +197,53 @@ class SISModel:
         return self.eigenvalues.shape[1]
 
 
-def _bin_layout(
-    signal_grid: Grid, fgrid: FiberGrid
-) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
-    """Spectrum bin of every fiber slot per dimension, and its validity.
+def _integer_period(grid: Grid) -> int:
+    """The grid's period as an integer; :class:`GridMismatch` if it is not one."""
+    period = int(round(grid.period))
+    if abs(grid.period - period) > 1e-9 * max(grid.period, 1.0):
+        raise GridMismatch(f"signal period {grid.period} is not an integer")
+    return period
 
-    ``bins[w, k]`` is the centered spectrum index that cell ``w`` and the
-    ``k``-th window offset read along each axis; ``valid`` marks the bins
-    that lie on the signal grid.  Raises :class:`GridMismatch` unless the
-    signal period is an integer multiple of the cell count.
+
+class _FiberLayout:
+    """The spectrum bin that every fiber slot reads on one signal grid.
+
+    Per axis, cell ``w`` and offset ``k`` read the centered spectrum bin
+    ``N/2 + sgn(sin θ) * stride * w + P * k``, with ``P`` the integer period
+    and ``stride = P / omega_samples``.  ``index[cell, offset]`` is that bin
+    flattened over the grid's shape, clipped onto it; ``valid[cell, offset]``
+    marks the slots whose bin lies on the grid.  Raises :class:`GridMismatch`
+    when the dimensions differ or the cells do not divide the period.
     """
-    if signal_grid.n_dims != fgrid.n_dims:
-        raise GridMismatch(
-            f"signal is {signal_grid.n_dims}-dimensional but the fiber grid "
-            f"expects {fgrid.n_dims}"
-        )
-    period = signal_grid.period
-    period_int = int(round(period))
-    if abs(period - period_int) > 1e-9 * max(period, 1.0):
-        raise GridMismatch(f"signal period {period} is not an integer")
-    if period_int % fgrid.omega_samples != 0:
-        raise GridMismatch(
-            f"{fgrid.omega_samples} frequency cells do not divide the "
-            f"signal period {period_int}"
-        )
-    stride = period_int // fgrid.omega_samples
-    n = signal_grid.samples_per_dim
-    w_axis = np.arange(fgrid.omega_samples, dtype=np.int64)
-    bins = (
-        n // 2
-        + fgrid.theta.sign_sin * stride * w_axis[:, None]
-        + period_int * fgrid.offsets_1d[None, :]
-    )
-    return bins, (bins >= 0) & (bins < n)
+
+    __slots__ = ("index", "valid")
+
+    def __init__(self, signal_grid: Grid, fgrid: FiberGrid) -> None:
+        if signal_grid.n_dims != fgrid.n_dims:
+            raise GridMismatch(
+                f"signal is {signal_grid.n_dims}-dimensional but the fiber grid "
+                f"expects {fgrid.n_dims}"
+            )
+        period = _integer_period(signal_grid)
+        if period % fgrid.omega_samples != 0:
+            raise GridMismatch(
+                f"{fgrid.omega_samples} frequency cells do not divide the "
+                f"signal period {period}"
+            )
+        stride = period // fgrid.omega_samples
+        n, n_dims = signal_grid.samples_per_dim, fgrid.n_dims
+        w = np.arange(fgrid.omega_samples, dtype=np.int64)[:, None]
+        bins = n // 2 + fgrid.theta.sign_sin * stride * w + period * fgrid.offsets_1d
+        # Axes (w_1 .. w_n, k_1 .. k_n): flattening them row-major gives the
+        # cell index w_1 W + w_2 and the offset index k_1 n_off + k_2.
+        index, valid = 0, True
+        for d in range(n_dims):
+            shape = [1] * (2 * n_dims)
+            shape[d], shape[n_dims + d] = bins.shape
+            index = index * n + np.clip(bins, 0, n - 1).reshape(shape)
+            valid = valid & ((bins >= 0) & (bins < n)).reshape(shape)
+        self.index = index.reshape(fgrid.n_cells, fgrid.window_size)
+        self.valid = valid.reshape(fgrid.n_cells, fgrid.window_size)
 
 
 def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
@@ -238,28 +256,14 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     :class:`TruncationLoss` when more than ``1e-6`` of the spectrum
     energy falls outside the offset window.
     """
-    bins, valid = _bin_layout(f.grid, fgrid)
-    n_off = bins.shape[1]
-    clipped = np.clip(bins, 0, f.grid.samples_per_dim - 1)
+    layout = _FiberLayout(f.grid, fgrid)
 
     # Centered transform of the chirped signal: the plan's spectrum with the
     # sign table undone and the Riemann weight applied.
     spectrum = _chirp_plan(f.grid, fgrid.theta).spectrum(f.as_nd())
     _alternate(spectrum, fgrid.n_dims)
     spectrum *= f.grid.spacing**fgrid.n_dims
-
-    if fgrid.n_dims == 1:
-        data = np.where(valid, spectrum[clipped], 0.0)
-        data = data.reshape(fgrid.n_cells, fgrid.window_size)
-    else:
-        block = spectrum[np.ix_(clipped.ravel(), clipped.ravel())]
-        block = block.reshape(fgrid.omega_samples, n_off, fgrid.omega_samples, n_off)
-        mask = valid.ravel()[:, None] & valid.ravel()[None, :]
-        mask = mask.reshape(block.shape)
-        block = np.where(mask, block, 0.0)
-        # (w1, k1, w2, k2) -> (w1, w2, k1, k2) -> (cell, offset)
-        block = block.transpose(0, 2, 1, 3)
-        data = block.reshape(fgrid.n_cells, fgrid.window_size)
+    data = np.where(layout.valid, spectrum.ravel()[layout.index], 0.0)
 
     total = float(np.sum(np.abs(spectrum) ** 2))
     captured = float(np.sum(np.abs(data) ** 2))
@@ -378,12 +382,9 @@ def project(fiber: FiberField, model: SISModel) -> FiberField:
     """Orthogonal projection of a fiber field onto the model subspace."""
     if fiber.grid != model.grid:
         raise GridMismatch("fiber field and model use different fiber grids")
-    out = np.zeros_like(fiber.data)
-    for i in range(model.ell):
-        q = model.generators[i]
-        coeff = np.sum(fiber.data * np.conj(q), axis=1)
-        out += coeff[:, None] * q
-    return FiberField(grid=model.grid, data=out)
+    q = model.generators
+    coeff = np.einsum("wt,iwt->iw", fiber.data, np.conj(q))
+    return FiberField(grid=model.grid, data=np.einsum("iw,iwt->wt", coeff, q))
 
 
 def synthesize_generator(
@@ -400,22 +401,10 @@ def synthesize_generator(
     if not 0 <= i < model.ell:
         raise IndexError(f"generator index {i} out of range for rank {model.ell}")
     fgrid = model.grid
-    bins, valid = _bin_layout(signal_grid, fgrid)
-    n_off = bins.shape[1]
-
-    spectrum = np.zeros(signal_grid.shape, dtype=np.complex128)
-    if fgrid.n_dims == 1:
-        values = model.generators[i].reshape(fgrid.omega_samples, n_off)
-        spectrum[bins[valid]] = values[valid]
-    else:
-        W = fgrid.omega_samples
-        # Cells flatten as w1*W + w2 and offsets as k1*n_off + k2, so the
-        # generator reshapes to axes (w1, w2, k1, k2).
-        values = model.generators[i].reshape(W, W, n_off, n_off)
-        values = values.transpose(0, 2, 1, 3).reshape(W * n_off, W * n_off)
-        keep = valid.ravel()
-        target = bins.ravel()[keep]
-        spectrum[np.ix_(target, target)] = values[np.ix_(keep, keep)]
+    layout = _FiberLayout(signal_grid, fgrid)
+    spectrum = np.zeros(signal_grid.size, dtype=np.complex128)
+    spectrum[layout.index[layout.valid]] = model.generators[i][layout.valid]
+    spectrum = spectrum.reshape(signal_grid.shape)
     # Into the plan's spectrum domain: sign table, no Riemann weight.
     _alternate(spectrum, fgrid.n_dims)
     spectrum /= signal_grid.spacing**fgrid.n_dims

@@ -33,6 +33,7 @@ import numpy as np
 
 from .approx import (
     FiberGrid,
+    _integer_period,
     analytic_sinc_fibers,
     approximation_error,
     fiber_map,
@@ -123,6 +124,16 @@ def _require_theta(config: RunConfig) -> ThetaParam:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _is_int(x: object) -> bool:
+    """A JSON integer; ``true`` and ``false`` do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x: object) -> bool:
+    """A JSON number; ``true`` and ``false`` do not count."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -353,14 +364,14 @@ def _scatter_theta(data: dict, where: str) -> ThetaParam:
         if (
             not isinstance(frac, list)
             or len(frac) != 2
-            or not all(isinstance(x, int) for x in frac)
+            or not all(_is_int(x) for x in frac)
         ):
             raise CliConfigError(f"{where}: theta_frac must be a pair of integers")
         if frac[1] == 0:
             raise CliConfigError(f"{where}: theta_frac denominator must be nonzero")
         return ThetaParam(math.pi * frac[0] / frac[1])
     if has_val:
-        if not isinstance(data["theta"], (int, float)):
+        if not _is_real(data["theta"]):
             raise CliConfigError(f"{where}: theta must be a number")
         return ThetaParam(float(data["theta"]))
     raise CliConfigError(f"{where}: an angle is required (theta or theta_frac)")
@@ -389,7 +400,7 @@ def _load_scatter_config(
     path = Path(path)
     data = _load_json(path)
     theta = _scatter_theta(data, str(path))
-    if "depth" not in data or not isinstance(data["depth"], int) or data["depth"] < 0:
+    if not _is_int(data.get("depth")) or data["depth"] < 0:
         raise CliConfigError(f"{path}: depth must be a nonnegative integer")
     depth = data["depth"]
     raw_layers = data.get("layers")
@@ -403,7 +414,9 @@ def _load_scatter_config(
         if not isinstance(entry, dict):
             raise CliConfigError(f"{where}: expected an object")
         atom_paths = entry.get("atoms")
-        if not isinstance(atom_paths, list) or not atom_paths:
+        if not isinstance(atom_paths, list) or not atom_paths or not all(
+            isinstance(p, str) for p in atom_paths
+        ):
             raise CliConfigError(f"{where}: atoms must list at least one file")
         out_path = entry.get("output_atom")
         if not isinstance(out_path, str):
@@ -413,15 +426,18 @@ def _load_scatter_config(
             nonlin_spec = {"kind": nonlin_spec}
         if not isinstance(nonlin_spec, dict) or "kind" not in nonlin_spec:
             raise CliConfigError(f"{where}: nonlin needs a kind")
+        threshold = nonlin_spec.get("b", 0.0)
+        if not _is_real(threshold):
+            raise CliConfigError(f"{where}: nonlin b must be a number")
         pool_kind = entry.get("pool", "identity")
         if not isinstance(pool_kind, str):
             raise CliConfigError(f"{where}: pool must be a kind string")
         s_factor = entry.get("s", 1.0)
-        if not isinstance(s_factor, (int, float)):
+        if not _is_real(s_factor):
             raise CliConfigError(f"{where}: s must be a number")
         try:
             nonlin = Nonlinearity(
-                str(nonlin_spec["kind"]), float(nonlin_spec.get("b", 0.0))
+                str(nonlin_spec["kind"]), float(threshold)
             )
             pool = Pooling(pool_kind)
         except ValueError as exc:
@@ -499,9 +515,7 @@ def _fiber_grid_for(
     for other in grids[1:]:
         if other != grid:
             raise GridMismatch("all data signals must share one grid")
-    period = int(round(grid.period))
-    if abs(grid.period - period) > 1e-9 * max(grid.period, 1.0):
-        raise GridMismatch(f"signal period {grid.period} is not an integer")
+    period = _integer_period(grid)
     if omega_samples is None:
         omega_samples = period
     if window is None:
@@ -611,14 +625,18 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
     for key in required:
         if key not in data:
             raise CliConfigError(f"{path}: missing field {key!r}")
+    for key in ("n_dims", "omega_samples", "bound", "ell"):
+        if not _is_int(data[key]):
+            raise CliParseError(f"{path}: {key} must be an integer")
+    if not _is_real(data["theta"]):
+        raise CliParseError(f"{path}: theta must be a number")
     raw = data["cells"]
     if not (
         isinstance(raw, list)
         and all(
             isinstance(cell, list)
             and all(
-                isinstance(offset, list)
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in offset)
+                isinstance(offset, list) and all(_is_int(c) for c in offset)
                 for offset in cell
             )
             for cell in raw
@@ -627,13 +645,13 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
         raise CliParseError(f"{path}: cells must be a list of lists of integer lists")
     cells = tuple(tuple(tuple(offset) for offset in cell) for cell in raw)
     tile = TileSet(
-        theta=ThetaParam(float(data["theta"])),
-        n_dims=int(data["n_dims"]),
-        omega_samples=int(data["omega_samples"]),
-        bound=int(data["bound"]),
+        theta=ThetaParam(data["theta"]),
+        n_dims=data["n_dims"],
+        omega_samples=data["omega_samples"],
+        bound=data["bound"],
         cells=cells,
     )
-    return tile, int(data["ell"])
+    return tile, data["ell"]
 
 
 def cmd_multitile_check(args: argparse.Namespace, config: RunConfig) -> None:

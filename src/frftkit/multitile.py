@@ -5,6 +5,9 @@ offsets; the corresponding frequency support is the union of the shifted
 cells.  Equal-cardinality tile sets (multi-tiles) split into single-tile
 partitions, support bandlimited projection of signals, and can be chosen
 optimally for a family of signals by ranking per-cell offset energies.
+
+Tile masks come from the fiber layout of :mod:`frftkit.approx`: a projection
+keeps exactly the bins that the fibers of the tile's slots read.
 """
 
 from __future__ import annotations
@@ -15,11 +18,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import FiberField, SISModel, synthesize_generator
+from .approx import (
+    FiberField,
+    FiberGrid,
+    SISModel,
+    _FiberLayout,
+    _integer_period,
+    synthesize_generator,
+)
 from .errors import BadRank, GridMismatch, NotMultiTile
-from .grids import Grid, SampledSignal, ThetaParam
+from .grids import SampledSignal, ThetaParam
 from .theta_ops import theta_translate
-from .transform import frft, inner_product, inverse_frft
+from .transform import _reflect, frft, inner_product, inverse_frft
 
 __all__ = [
     "TileSet",
@@ -133,6 +143,21 @@ def partition_multitile(tile: TileSet, ell: int) -> list[TileSet]:
     return parts
 
 
+def _window_slots(fg: FiberGrid, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Window slot of each offset row of ``offsets`` and whether it exists.
+
+    Slots flatten row-major over ``offsets_1d`` per dimension; offsets
+    outside the window get a clipped slot and ``False``.
+    """
+    lo = int(fg.offsets_1d[0])
+    n_off = len(fg.offsets_1d)
+    in_window = np.all((offsets >= lo) & (offsets <= fg.window), axis=1)
+    slot = np.ravel_multi_index(
+        tuple(np.clip(offsets - lo, 0, n_off - 1).T), (n_off,) * fg.n_dims
+    )
+    return slot, in_window
+
+
 def optimal_multitile(
     fibers: Sequence[FiberField], ell: int, bound: int
 ) -> MultiTileModel:
@@ -156,13 +181,7 @@ def optimal_multitile(
         raise BadRank(f"rank {ell} is not within 1..{len(candidates)}")
 
     # Energy of every candidate per cell; candidates outside the window score 0.
-    cand = np.array(candidates, dtype=np.int64)
-    lo = int(grid.offsets_1d[0])
-    n_off = len(grid.offsets_1d)
-    in_window = np.all((cand >= lo) & (cand <= grid.window), axis=1)
-    slot = np.ravel_multi_index(
-        tuple(np.clip(cand - lo, 0, n_off - 1).T), (n_off,) * grid.n_dims
-    )
+    slot, in_window = _window_slots(grid, np.array(candidates, dtype=np.int64))
     stack = np.stack([fib.data for fib in fibers])
     energy = np.sum(np.abs(stack) ** 2, axis=0)  # (cell, window slot)
     table = np.where(in_window, energy[:, slot], 0.0)  # (cell, candidate)
@@ -182,70 +201,43 @@ def optimal_multitile(
     return MultiTileModel(tile=tile, ell=ell, selection=selection)
 
 
-def _decode_bins(signal_grid: Grid, tile: TileSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension cell and offset labels of every transform output bin.
-
-    Requires the signal period to match the cell count (one cell per
-    spectrum column), so each output frequency ``ω_m = m |sin θ| / P``
-    decomposes uniquely as ``ω_w + k sin θ``, i.e. ``m = w + sgn k P``.
-    """
-    period = signal_grid.period
-    period_int = int(round(period))
-    if abs(period - period_int) > 1e-9 * max(period, 1.0):
-        raise GridMismatch(f"signal period {period} is not an integer")
-    if period_int != tile.omega_samples:
-        raise GridMismatch(
-            f"bandlimited projection needs one cell per spectrum column: "
-            f"period {period_int} != {tile.omega_samples} cells"
-        )
-    n = signal_grid.samples_per_dim
-    sign = tile.theta.sign_sin
-    m = np.arange(n, dtype=np.int64) - n // 2
-    w = np.mod(m, period_int)
-    k = sign * ((m - w) // period_int)
-    return w, k
-
-
 def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSignal:
     """Orthogonal projection onto the model's frequency support.
 
-    Keeps exactly the transform bins whose cell/offset decomposition lies
-    in the tile set and inverts the transform.
+    Keeps exactly the transform bins that the fibers of the tile's slots
+    read, on a fiber grid whose window covers every bin, and inverts the
+    transform.  The signal period must equal the cell count, so that every
+    bin belongs to exactly one slot.  When sin θ < 0 the transform lists
+    the centered bins in reverse order, so the mask is mirrored about the
+    origin bin before it is applied.
     """
     tile = model.tile
-    if f.grid.n_dims != tile.n_dims:
+    period = _integer_period(f.grid)
+    if period != tile.omega_samples:
         raise GridMismatch(
-            f"signal is {f.grid.n_dims}-dimensional but the tile set "
-            f"expects {tile.n_dims}"
+            f"bandlimited projection needs one cell per spectrum column: "
+            f"period {period} != {tile.omega_samples} cells"
         )
-    w_lab, k_lab = _decode_bins(f.grid, tile)
-    W = tile.omega_samples
-    side = 2 * tile.bound + 1
+    window = f.grid.samples_per_dim // (2 * period) + 1
+    fgrid = FiberGrid(tile.theta, tile.n_dims, tile.omega_samples, window)
+    layout = _FiberLayout(f.grid, fgrid)
 
-    # member[cell, code] says whether the cell carries the offset whose
-    # shifted coordinates (k + bound) read ``code`` in base ``side``.
-    w_idx = np.repeat(np.arange(tile.n_cells), tile.counts)
-    k_idx = np.array(
-        [k for offsets in tile.cells for k in offsets], dtype=np.int64
-    ).reshape(-1, tile.n_dims)
-    codes = np.ravel_multi_index(tuple(k_idx.T + tile.bound), (side,) * tile.n_dims)
-    member = np.zeros((tile.n_cells, side**tile.n_dims), dtype=bool)
-    member[w_idx, codes] = True
+    # member[cell, slot] says whether the tile carries that slot's offset.
+    cells = np.repeat(np.arange(tile.n_cells), tile.counts)
+    offsets = np.array([k for cell in tile.cells for k in cell], dtype=np.int64)
+    slot, in_window = _window_slots(fgrid, offsets.reshape(-1, tile.n_dims))
+    member = np.zeros((tile.n_cells, fgrid.window_size), dtype=bool)
+    member[cells[in_window], slot[in_window]] = True
 
-    # Labels of every output bin, combined over the axes by broadcasting.
-    cell, code, inside = 0, 0, True
-    for d in range(tile.n_dims):
-        along = tuple(slice(None) if e == d else None for e in range(tile.n_dims))
-        cell = cell * W + w_lab[along]
-        code = code * side + np.clip(k_lab + tile.bound, 0, side - 1)[along]
-        inside = inside & (np.abs(k_lab) <= tile.bound)[along]
-    keep = inside & member[cell, code]
+    keep = np.zeros(f.grid.size, dtype=bool)
+    keep[layout.index[member & layout.valid]] = True
+    keep = keep.reshape(f.grid.shape)
+    if tile.theta.sign_sin < 0:
+        keep = _reflect(keep)
 
     spectrum = frft(f, tile.theta)
-    values = spectrum.values.copy().reshape(f.grid.shape)
-    values[~keep] = 0.0
-    masked = spectrum.with_values(values.ravel())
-    return inverse_frft(masked, tile.theta)
+    masked = np.where(keep, spectrum.as_nd(), 0.0)
+    return inverse_frft(spectrum.with_values(masked.ravel()), tile.theta)
 
 
 def partial_projection(

@@ -293,17 +293,81 @@ def test_multitile_fit_and_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "cells",
-    [5, [5, 5], [[5], [0]], [[[0]], [["0"]]], [[[0.5]], [[0]]], [[[True]], [[0]]]],
-    ids=["number", "cell-not-list", "offset-not-list", "string", "float", "bool"],
+    "where,key,value,message",
+    [
+        ("nonlin", "b", None, "nonlin b must be a number"),
+        ("nonlin", "b", [0.01], "nonlin b must be a number"),
+        ("top", "theta", True, "theta must be a number"),
+        ("top", "depth", True, "depth must be a nonnegative integer"),
+        ("layer", "s", True, "s must be a number"),
+        ("layer", "atoms", [5], "atoms must list at least one file"),
+    ],
+    ids=["b-null", "b-list", "theta-bool", "depth-bool", "s-bool", "atoms-number"],
 )
-def test_multitile_check_rejects_malformed_cells(tmp_path, capsys, cells):
+def test_scatter_config_rejects_wrong_types(tmp_path, capsys, where, key, value, message):
+    cfg, sig, _ = scatter_config(tmp_path)
+    doc = json.loads(open(cfg).read())
+    if key == "theta":
+        del doc["theta_frac"]
+    layer = doc["layers"][0]
+    {"top": doc, "layer": layer, "nonlin": layer["nonlin"]}[where][key] = value
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["scatter", "extract", "--config", cfg, "--signal", sig,
+                 "--out-dir", str(tmp_path / "d")]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_multitile_fit_negative_angle_residuals_match_fiber_energy(tmp_path):
+    theta = ThetaParam(-math.pi / 3)
+    grid = Grid(2, 32, 4.0)
+    members = [random_signal(grid, s) for s in (73, 74)]
+    paths = [write_csv(tmp_path / f"m{i}.csv", m) for i, m in enumerate(members)]
+    out_dir = tmp_path / "mt"
+    assert main(["multitile", "fit", "--data", *paths, "--ell", "3", "--N", "2",
+                 "--theta-frac", "-1", "3", "--out-dir", str(out_dir)]) == 0
+    cells = json.loads((out_dir / "tile.json").read_text())["cells"]
+    rows = (out_dir / "errors.csv").read_text().splitlines()[1:]
+    fg = FiberGrid(theta, 2, 8, 2)
+    slot = {k: i for i, k in enumerate(fg.offsets)}
+    for row, f in zip(rows, members):
+        data = fiber_map(f, fg).data
+        kept = sum(abs(data[w, slot[tuple(k)]]) ** 2
+                   for w, cell in enumerate(cells) for k in cell)
+        want = l2_norm(f) ** 2 - kept / fg.n_cells
+        assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("cells", 5, "cells must be a list"),
+        ("cells", [5, 5], "cells must be a list"),
+        ("cells", [[5], [0]], "cells must be a list"),
+        ("cells", [[[0]], [["0"]]], "cells must be a list"),
+        ("cells", [[[0.5]], [[0]]], "cells must be a list"),
+        ("cells", [[[True]], [[0]]], "cells must be a list"),
+        ("theta", None, "theta must be a number"),
+        ("theta", True, "theta must be a number"),
+        ("n_dims", [1], "n_dims must be an integer"),
+        ("n_dims", 1.5, "n_dims must be an integer"),
+        ("omega_samples", "x", "omega_samples must be an integer"),
+        ("bound", None, "bound must be an integer"),
+        ("ell", {}, "ell must be an integer"),
+        ("ell", True, "ell must be an integer"),
+    ],
+    ids=["number", "cell-not-list", "offset-not-list", "string", "float", "bool",
+         "theta-null", "theta-bool", "n_dims-list", "n_dims-float",
+         "omega_samples-string", "bound-null", "ell-object", "ell-bool"],
+)
+def test_multitile_check_rejects_malformed_cells(tmp_path, capsys, field, value, message):
     doc = {"schema": 1, "theta": 1.0, "n_dims": 1, "omega_samples": 2,
-           "bound": 1, "ell": 1, "cells": cells}
+           "bound": 1, "ell": 1, "cells": [[[0]], [[1]]]}
+    doc[field] = value
     bad = tmp_path / "tile.json"
     bad.write_text(json.dumps(doc))
     assert main(["multitile", "check", "--tile", str(bad)]) == 2
-    assert "cells must be a list" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_plotdata(tmp_path):

@@ -180,6 +180,62 @@ def test_bandlimited_project_matches_membership_loop(n_dims, samples, extent, bo
     assert np.array_equal(bandlimited_project(f, model).values, expected.values)
 
 
+def tile_slot_mask(fg, tile):
+    """Fiber slots of ``fg`` that the tile carries, one offset at a time."""
+    slot = {k: i for i, k in enumerate(fg.offsets)}
+    mask = np.zeros((fg.n_cells, fg.window_size), dtype=bool)
+    for w, cell in enumerate(tile.cells):
+        for k in cell:
+            mask[w, slot[k]] = True
+    return mask
+
+
+def with_nyquist_bin(f, theta, weight):
+    """``f`` plus ``weight`` in output bin 0 on every axis of its transform."""
+    spectrum = frft(f, theta)
+    values = spectrum.values.copy()
+    values[0] += weight
+    return inverse_frft(spectrum.with_values(values), theta)
+
+
+@pytest.mark.parametrize("n_dims,samples,extent", [(1, 32, 2.0), (2, 16, 2.0)])
+@pytest.mark.parametrize(
+    "theta_val", [math.pi / 3, -math.pi / 3, -math.pi / 4], ids=["pi/3", "-pi/3", "-pi/4"]
+)
+def test_bandlimited_project_keeps_exactly_the_tile_fibers(n_dims, samples, extent, theta_val):
+    theta = ThetaParam(theta_val)
+    grid = Grid(n_dims, samples, extent)
+    period = round(grid.period)
+    window = samples // (2 * period)  # the Nyquist offsets are candidates
+    fg = FiberGrid(theta, n_dims, period, window)
+    rng = np.random.default_rng(319 + samples)
+    members = [
+        SampledSignal(grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+        for _ in range(2)
+    ]
+    # A heavy Nyquist bin makes cell 0 select the offset (-window, ..).
+    members[0] = with_nyquist_bin(members[0], theta, 50.0)
+    model = optimal_multitile([fiber_map(m, fg) for m in members], 2, window)
+    assert (-window,) * n_dims in model.tile.cells[0]
+    keep = tile_slot_mask(fg, model.tile)
+    for f in members:
+        want = np.where(keep, fiber_map(f, fg).data, 0.0)
+        got = fiber_map(bandlimited_project(f, model), fg).data
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -math.pi / 3], ids=["pi/3", "-pi/3"])
+def test_bandlimited_project_keeps_the_nyquist_bin(theta_val):
+    theta = ThetaParam(theta_val)
+    grid = Grid(1, 32, 2.0)
+    fg = FiberGrid(theta, 1, 4, 4)
+    f = with_nyquist_bin(SampledSignal(grid, np.zeros(grid.size, dtype=np.complex128)), theta, 1.0)
+    model = optimal_multitile([fiber_map(f, fg)], 1, 4)
+    assert model.tile.cells[0] == ((-4,),)
+    proj = bandlimited_project(f, model)
+    assert l2_norm(f.with_values(f.values - proj.values)) <= 1e-12 * l2_norm(f)
+
+
 def sorted_key_selection(fibers, ell, bound):
     """Per-cell ranking with a Python sort key, the reference for ties."""
     grid = fibers[0].grid
