@@ -630,6 +630,9 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
             raise CliParseError(f"{path}: {key} must be an integer")
     if not _is_real(data["theta"]):
         raise CliParseError(f"{path}: theta must be a number")
+    # False for nan and for numbers that float() cannot hold, inf included.
+    if not abs(data["theta"]) <= sys.float_info.max:
+        raise CliParseError(f"{path}: theta must be finite")
     raw = data["cells"]
     if not (
         isinstance(raw, list)

@@ -9,17 +9,24 @@ twisted translation of the input, both in the invariant and the
 covariant sense.
 
 Every layer keeps the chirped spectra of its atoms, computed once at
-construction, and the cascade propagates plain ndarrays on the cached
-chirp plan of :mod:`frftkit.transform`; a public function builds
+construction.  One engine propagates the cascade on the cached chirp plan
+of :mod:`frftkit.transform`, a level at a time: level ``k`` is one
+``(paths, *grid)`` ndarray whose rows are the length-``k`` paths in
+lexicographic order of their atom indices, the order of
+``itertools.product``.  Each layer takes one spectrum of the whole stack,
+one broadcast product against the atom spectra and one inverse.  The
+deviations stack the shifted and the unshifted input as two roots, so
+both cascades run in one pass.  A public function builds
 :class:`SampledSignal` objects only for the signals it returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,7 +43,7 @@ from .frames import AtomBank, check_admissibility, frame_bounds
 from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, as_shift
 from .theta_ops import _as_fraction, _dilate, _translate
 from .theta_ops import theta_convolve  # noqa: F401  (bench/test_smoke.py reads this name)
-from .transform import _chirp_plan, _ChirpPlan, frft, l2_norm
+from .transform import _chirp_plan, _ChirpPlan, frft
 
 __all__ = [
     "Nonlinearity",
@@ -84,6 +91,8 @@ class Nonlinearity:
     ``identity`` leaves values alone; ``modulus`` takes absolute values;
     ``phase_covariant_shrink`` shrinks the modulus by the threshold ``b``
     while keeping the phase, ``z -> z · max(0, |z| - b) / |z|``.
+    :meth:`apply` returns a new array, except that ``identity`` returns
+    its argument itself.
     """
 
     kind: str = "identity"
@@ -101,7 +110,7 @@ class Nonlinearity:
 
     def apply(self, values: NDArray[np.complex128]) -> NDArray[np.complex128]:
         if self.kind == "identity":
-            return values.copy()
+            return values
         if self.kind == "modulus":
             return np.abs(values).astype(np.complex128)
         mag = np.abs(values)
@@ -115,7 +124,11 @@ class Nonlinearity:
 
 @dataclass(frozen=True, slots=True)
 class Pooling:
-    """Pointwise pooling map applied before the layer dilation."""
+    """Pointwise pooling map applied before the layer dilation.
+
+    :meth:`apply` returns a new array, except that ``identity`` returns its
+    argument itself.
+    """
 
     kind: str = "identity"
 
@@ -129,7 +142,7 @@ class Pooling:
 
     def apply(self, values: NDArray[np.complex128]) -> NDArray[np.complex128]:
         if self.kind == "identity":
-            return values.copy()
+            return values
         return np.abs(values).astype(np.complex128)
 
     def commutes_with_translation(self, theta: ThetaParam) -> bool:
@@ -245,13 +258,9 @@ class FeatureTree:
         return len(self.levels) - 1
 
 
-def _check_angle(layer: LayerConfig, theta: ThetaParam) -> None:
-    if layer.bank.theta.theta != theta.theta:
-        raise ValueError("layer is configured for a different angle")
-
-
 def _check_layer(layer: LayerConfig, plan: _ChirpPlan) -> None:
-    _check_angle(layer, plan.theta)
+    if layer.bank.theta.theta != plan.theta.theta:
+        raise ValueError("layer is configured for a different angle")
     if layer.bank.grid != plan.in_grid:
         raise GridMismatch("layer atoms and signal live on different grids")
 
@@ -261,15 +270,71 @@ def _energy(values: NDArray[np.complex128], grid: Grid) -> float:
     return float(grid.spacing**grid.n_dims * np.vdot(values, values).real)
 
 
-def _propagate(
-    x: NDArray[np.complex128], lam: int, layer: LayerConfig, plan: _ChirpPlan
+def _cascade_plan(
+    grid: Grid, theta: ThetaParam, layers: Sequence[LayerConfig], depth: int
+) -> _ChirpPlan:
+    """The chirp plan for a depth-``depth`` cascade on ``grid``, after
+    checking the depth and the first ``depth`` layers against it."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > len(layers):
+        raise PathArityMismatch(
+            f"depth {depth} exceeds the {len(layers)} configured layers"
+        )
+    plan = _chirp_plan(grid, theta)
+    for layer in layers[:depth]:
+        _check_layer(layer, plan)
+    return plan
+
+
+def _step(
+    x: NDArray[np.complex128], layer: LayerConfig, plan: _ChirpPlan, atoms: slice
 ) -> NDArray[np.complex128]:
-    """:func:`u_layer` on an ndarray of the plan's input grid."""
-    out = plan.convolve(x, layer.kernels[lam])
+    """One layer on a ``(paths, *grid)`` stack: convolve every path with
+    each atom of ``layer.kernels[atoms]``, then nonlinearity, pooling and
+    dilation.  Row ``i * n + j`` of the ``(paths * n, *grid)`` result is
+    path ``i`` extended by the ``j``-th of the ``n`` selected atoms."""
+    spectra = plan.spectrum(x)[:, None] * layer.kernels[atoms]
+    out = plan.from_spectrum(spectra).reshape((-1,) + x.shape[1:])
     out = layer.pool.apply(layer.nonlin.apply(out))
     if layer.pooling_factor != 1.0:
         out = _dilate(out, _as_fraction(layer.pooling_factor), plan)
     return out
+
+
+def _levels(
+    x: NDArray[np.complex128],
+    plan: _ChirpPlan,
+    layers: Sequence[LayerConfig],
+    depth: int,
+) -> Iterator[NDArray[np.complex128]]:
+    """Yield the propagated stack of each level ``0 .. depth`` of the
+    cascade whose roots are the rows of ``x``."""
+    yield x
+    for layer in layers[:depth]:
+        x = _step(x, layer, plan, slice(None, -1))
+        yield x
+
+
+def _readout(
+    stack: NDArray[np.complex128],
+    k: int,
+    layers: Sequence[LayerConfig],
+    plan: _ChirpPlan,
+    level0_atom: SampledSignal | None,
+) -> NDArray[np.complex128]:
+    """Level-``k`` features of a level-``k`` stack: its convolution with
+    the output atom of ``layers[k - 1]``; at level 0 with ``level0_atom``,
+    else with the first layer's output atom."""
+    if k > 0:
+        return plan.convolve(stack, layers[k - 1].kernels[-1])
+    if level0_atom is None:
+        if not layers:
+            raise ValueError("need either a level-0 output atom or at least one layer")
+        level0_atom = layers[0].output_atom
+    if level0_atom.grid != plan.in_grid:
+        raise GridMismatch("level-0 output atom and signal live on different grids")
+    return plan.convolve(stack, plan.kernel(level0_atom.as_nd()))
 
 
 def u_layer(
@@ -293,76 +358,13 @@ def u_path(
         )
     if not q:
         return f
-    plan = _chirp_plan(f.grid, theta)
-    out = f.as_nd()
-    for k, lam in enumerate(q):
-        layer = layers[k]
-        _check_layer(layer, plan)
+    plan = _cascade_plan(f.grid, theta, layers, len(q))
+    out = f.as_nd()[None]
+    for lam, layer in zip(q, layers):
         if not 0 <= lam < layer.n_atoms:
             raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
-        out = _propagate(out, lam, layer, plan)
+        out = _step(out, layer, plan, slice(lam, lam + 1))
     return f.with_values(out.ravel())
-
-
-def _level0_kernel(
-    layers: Sequence[LayerConfig],
-    plan: _ChirpPlan,
-    level0_atom: SampledSignal | None,
-) -> NDArray[np.complex128]:
-    """Kernel of ``level0_atom``, else of the first layer's output atom."""
-    if level0_atom is None:
-        if not layers:
-            raise ValueError("need either a level-0 output atom or at least one layer")
-        level0_atom = layers[0].output_atom
-    if level0_atom.grid != plan.in_grid:
-        raise GridMismatch("level-0 output atom and signal live on different grids")
-    return plan.kernel(level0_atom.as_nd())
-
-
-def _feature_levels(
-    x: NDArray[np.complex128],
-    plan: _ChirpPlan,
-    layers: Sequence[LayerConfig],
-    depth: int,
-    level0_atom: SampledSignal | None,
-) -> tuple[list[dict[tuple[int, ...], NDArray[np.complex128]]], bool]:
-    """:func:`extract_features` on an ndarray: feature levels and whether
-    the cascade is admissible.  Warns on behalf of the caller's caller."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > len(layers):
-        raise PathArityMismatch(
-            f"depth {depth} exceeds the {len(layers)} configured layers"
-        )
-    for layer in layers[:depth]:
-        _check_layer(layer, plan)
-
-    admissible = check_admissibility(
-        (layer.frame_bound, layer.nonlin.lipschitz, layer.pool.lipschitz)
-        for layer in layers[:depth]
-    )
-    if not admissible:
-        warnings.warn(
-            "layer cascade is not admissible; feature energy may grow",
-            InadmissibleBankWarning,
-            stacklevel=3,
-        )
-
-    signals = {(): x}
-    levels = [{(): plan.convolve(x, _level0_kernel(layers, plan, level0_atom))}]
-    for k in range(1, depth + 1):
-        layer = layers[k - 1]
-        next_signals: dict[tuple[int, ...], NDArray[np.complex128]] = {}
-        level: dict[tuple[int, ...], NDArray[np.complex128]] = {}
-        for path, signal in signals.items():
-            for lam in range(layer.n_atoms):
-                extended = path + (lam,)
-                propagated = _propagate(signal, lam, layer, plan)
-                next_signals[extended] = propagated
-                level[extended] = plan.convolve(propagated, layer.kernels[-1])
-        signals = next_signals
-        levels.append(level)
-    return levels, admissible
 
 
 def extract_features(
@@ -380,15 +382,23 @@ def extract_features(
     :class:`InadmissibleBankWarning` (and records ``admissible=False``)
     when some layer's frame bound exceeds one.
     """
-    plan = _chirp_plan(f.grid, theta)
-    levels, admissible = _feature_levels(f.as_nd(), plan, layers, depth, level0_atom)
-    return FeatureTree(
-        levels=tuple(
-            {path: f.with_values(v.ravel()) for path, v in level.items()} for level in levels
-        ),
-        theta=theta,
-        admissible=admissible,
+    plan = _cascade_plan(f.grid, theta, layers, depth)
+    admissible = check_admissibility(
+        (layer.frame_bound, layer.nonlin.lipschitz, layer.pool.lipschitz)
+        for layer in layers[:depth]
     )
+    if not admissible:
+        warnings.warn(
+            "layer cascade is not admissible; feature energy may grow",
+            InadmissibleBankWarning,
+            stacklevel=2,
+        )
+    levels = []
+    for k, stack in enumerate(_levels(f.as_nd()[None], plan, layers, depth)):
+        paths = itertools.product(*(range(layer.n_atoms) for layer in layers[:k]))
+        features = _readout(stack, k, layers, plan, level0_atom)
+        levels.append({path: f.with_values(v.ravel()) for path, v in zip(paths, features)})
+    return FeatureTree(levels=tuple(levels), theta=theta, admissible=admissible)
 
 
 def feature_distance(tree_a: FeatureTree, tree_b: FeatureTree, k: int) -> float:
@@ -407,16 +417,12 @@ def feature_distance(tree_a: FeatureTree, tree_b: FeatureTree, k: int) -> float:
 
 def _commutation_gate(layers: Sequence[LayerConfig], depth: int, theta: ThetaParam) -> None:
     for k, layer in enumerate(layers[:depth]):
-        if not layer.nonlin.commutes_with_translation(theta):
-            raise NonCommutingOps(
-                f"layer {k} nonlinearity {layer.nonlin.kind!r} does not commute "
-                "with twisted translations at this angle"
-            )
-        if not layer.pool.commutes_with_translation(theta):
-            raise NonCommutingOps(
-                f"layer {k} pooling {layer.pool.kind!r} does not commute "
-                "with twisted translations at this angle"
-            )
+        for name, op in (("nonlinearity", layer.nonlin), ("pooling", layer.pool)):
+            if not op.commutes_with_translation(theta):
+                raise NonCommutingOps(
+                    f"layer {k} {name} {op.kind!r} does not commute "
+                    "with twisted translations at this angle"
+                )
 
 
 def _deviation(
@@ -433,18 +439,14 @@ def _deviation(
     ``f``, themselves shifted when ``covariant``."""
     _commutation_gate(layers, depth, theta)
     shift = as_shift(t, f.grid.n_dims)
-    plan = _chirp_plan(f.grid, theta)
+    plan = _cascade_plan(f.grid, theta, layers, depth)
     x = f.as_nd()
-    shifted = _translate(x, shift, plan)
-    level_a = _feature_levels(shifted, plan, layers, depth, level0_atom)[0][depth]
-    level_b = _feature_levels(x, plan, layers, depth, level0_atom)[0][depth]
+    *_, stack = _levels(np.stack([_translate(x, shift, plan), x]), plan, layers, depth)
+    shifted, plain = np.split(_readout(stack, depth, layers, plan, level0_atom), 2)
+    reference = _translate(plain, shift, plan) if covariant else plain
     norm_sq = sum(c * c for c in shift.components)
     phase = np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
-    total = 0.0
-    for path, feature in level_a.items():
-        reference = _translate(level_b[path], shift, plan) if covariant else level_b[path]
-        total += _energy(phase * feature - reference, f.grid)
-    return total
+    return _energy(phase * shifted - reference, f.grid)
 
 
 def invariance_deviation(
@@ -512,7 +514,9 @@ def invariance_bound(
 
     ``K`` is the largest decay constant among the relevant output atoms
     and ``norm_f`` the input norm.  Valid when at most one pooling factor
-    exceeds one.
+    exceeds one.  A bare number ``t`` is read as a one-dimensional shift,
+    ``‖t‖ = |t|``; on a 2-D grid pass a :class:`ShiftVector` or a pair, since
+    :func:`invariance_deviation` reads a bare number there as ``(t, t)``.
     """
     norm_t = _shift(t).norm
     prod_sq, prod, inv_sq_sum = _pooling_products(s_factors)
@@ -542,6 +546,9 @@ def covariance_bound(
     ``len(s_factors)``.
 
     Valid when at most one pooling factor exceeds one and ``‖t‖ <= 1``.
+    A bare number ``t`` is read as a one-dimensional shift, ``‖t‖ = |t|``;
+    on a 2-D grid pass a :class:`ShiftVector` or a pair, since
+    :func:`covariance_deviation` reads a bare number there as ``(t, t)``.
     """
     norm_t = _shift(t).norm
     prod_sq, prod, inv_sq_sum = _pooling_products(s_factors)
@@ -573,20 +580,5 @@ def energy_profile(
     the propagated signal (entry 0 is ``‖f‖²``).  For admissible cascades
     this sequence is nonincreasing.
     """
-    if depth > len(layers):
-        raise PathArityMismatch(
-            f"depth {depth} exceeds the {len(layers)} configured layers"
-        )
-    signals = [f.as_nd()]
-    profile = [l2_norm(f) ** 2]
-    for k in range(depth):
-        layer = layers[k]
-        plan = _chirp_plan(f.grid, theta)
-        _check_layer(layer, plan)
-        signals = [
-            _propagate(signal, lam, layer, plan)
-            for signal in signals
-            for lam in range(layer.n_atoms)
-        ]
-        profile.append(sum(_energy(signal, f.grid) for signal in signals))
-    return profile
+    plan = _cascade_plan(f.grid, theta, layers, depth)
+    return [_energy(stack, f.grid) for stack in _levels(f.as_nd()[None], plan, layers, depth)]

@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 
 from .errors import AliasRiskWarning, GridMismatch, GridTooLarge, IrrationalScale
 from .grids import SampledSignal, ShiftVector, ThetaParam, as_shift
-from .transform import _alternate, _chirp_plan, _ChirpPlan, _mul_conj, centered_idft
+from .transform import _alternate, _chirp_plan, _ChirpPlan, _mul_conj
 
 __all__ = ["theta_translate", "theta_modulate", "theta_convolve", "theta_dilate"]
 
@@ -110,23 +110,18 @@ def _as_fraction(s: float | Rational) -> Fraction:
     return frac
 
 
-def _alias_tail_fraction(spectrum: NDArray[np.complex128], p: int, q: int) -> float:
-    """Spectral mass (relative) that a contraction by p/q would fold."""
-    total = float(np.sum(np.abs(spectrum) ** 2))
-    if total == 0.0:
-        return 0.0
-    n = spectrum.shape[0]
-    half = n // 2
+def _alias_tail_fraction(
+    spectrum: NDArray[np.complex128], p: int, q: int, axes: tuple[int, ...]
+) -> NDArray[np.float64]:
+    """Spectral mass (relative) that a contraction by p/q > 1 would fold,
+    one value per leading index; the trailing ``axes`` hold centered bins."""
+    power = np.abs(spectrum) ** 2
+    total = power.sum(axis=axes)
+    half = spectrum.shape[-1] // 2
     # Bins with |l - N/2| >= (N/2) * q / p survive only as folded copies.
     cut = int(np.ceil(half * q / p))
-    keep = np.abs(np.arange(n) - half) < cut
-    mask = np.ones(spectrum.shape, dtype=bool)
-    for axis in range(spectrum.ndim):
-        shape = [1] * spectrum.ndim
-        shape[axis] = n
-        mask &= keep.reshape(shape)
-    kept = float(np.sum(np.abs(spectrum[mask]) ** 2))
-    return (total - kept) / total
+    kept = power[(...,) + (slice(half - cut + 1, half + cut),) * len(axes)].sum(axis=axes)
+    return np.divide(total - kept, total, out=np.zeros_like(total), where=total > 0.0)
 
 
 def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> SampledSignal:
@@ -150,13 +145,14 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
 def _dilate(
     x: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan
 ) -> NDArray[np.complex128]:
-    """:func:`theta_dilate` by ``frac != 1`` on an ndarray of the plan's
-    input grid; the alias warning names the caller of the caller."""
+    """:func:`theta_dilate` by ``frac != 1`` on an ndarray whose trailing
+    axes are the plan's input grid (leading axes are a batch); the alias
+    warning names the caller of the caller."""
     p, q = frac.numerator, frac.denominator
-    grid = plan.in_grid
+    grid, axes = plan.in_grid, plan.axes
     signed = x * plan.chirp_in  # C x times the sign table
-    spectrum = np.fft.fftn(signed)  # centered bins of (C x)^, up to sign and spacing^n
-    if frac > 1 and _alias_tail_fraction(spectrum, p, q) > ALIAS_GUARD:
+    spectrum = np.fft.fftn(signed, axes=axes)  # centered bins of (C x)^, up to sign and spacing^n
+    if frac > 1 and np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
         warnings.warn(
             f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}",
             AliasRiskWarning,
@@ -170,17 +166,21 @@ def _dilate(
             f"dilation by {frac} needs a refined grid of {fine_n} per dim"
         )
     if q > 1:
+        # centered_idft on the refined grid, over the grid axes only.
         pad = (fine_n - n) // 2
-        embedded = np.zeros((fine_n,) * grid.n_dims, dtype=np.complex128)
-        block = tuple(slice(pad, pad + n) for _ in range(grid.n_dims))
-        embedded[block] = _alternate(spectrum, grid.n_dims) * grid.spacing**grid.n_dims
-        fine = centered_idft(embedded, grid.spacing / q)
+        batch = x.shape[:-grid.n_dims]
+        embedded = np.zeros(batch + (fine_n,) * grid.n_dims, dtype=np.complex128)
+        embedded[(...,) + (slice(pad, pad + n),) * grid.n_dims] = (
+            _alternate(spectrum, grid.n_dims) * grid.spacing**grid.n_dims
+        )
+        fine = np.fft.ifftn(np.fft.ifftshift(embedded, axes=axes), axes=axes)
+        fine = np.fft.fftshift(fine, axes=axes) / (grid.spacing / q) ** grid.n_dims
     else:
         # Without padding the resampler reads the chirped samples themselves.
         fine = _alternate(signed, grid.n_dims)
 
     idx = (fine_n // 2 + p * (np.arange(n) - n // 2)) % fine_n
     out = fine
-    for axis in range(grid.n_dims):
+    for axis in axes:
         out = np.take(out, idx, axis=axis)
     return _mul_conj(_alternate(out, grid.n_dims), plan.chirp_in)

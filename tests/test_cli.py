@@ -349,6 +349,9 @@ def test_multitile_fit_negative_angle_residuals_match_fiber_energy(tmp_path):
         ("cells", [[[True]], [[0]]], "cells must be a list"),
         ("theta", None, "theta must be a number"),
         ("theta", True, "theta must be a number"),
+        ("theta", float("inf"), "theta must be finite"),
+        ("theta", float("nan"), "theta must be finite"),
+        ("theta", 10**400, "theta must be finite"),
         ("n_dims", [1], "n_dims must be an integer"),
         ("n_dims", 1.5, "n_dims must be an integer"),
         ("omega_samples", "x", "omega_samples must be an integer"),
@@ -357,8 +360,9 @@ def test_multitile_fit_negative_angle_residuals_match_fiber_energy(tmp_path):
         ("ell", True, "ell must be an integer"),
     ],
     ids=["number", "cell-not-list", "offset-not-list", "string", "float", "bool",
-         "theta-null", "theta-bool", "n_dims-list", "n_dims-float",
-         "omega_samples-string", "bound-null", "ell-object", "ell-bool"],
+         "theta-null", "theta-bool", "theta-inf", "theta-nan", "theta-huge-int",
+         "n_dims-list", "n_dims-float", "omega_samples-string", "bound-null", "ell-object",
+         "ell-bool"],
 )
 def test_multitile_check_rejects_malformed_cells(tmp_path, capsys, field, value, message):
     doc = {"schema": 1, "theta": 1.0, "n_dims": 1, "omega_samples": 2,

@@ -1,10 +1,13 @@
 """Convolutional feature cascade: decay constants, energy accounting,
 translation deviations against their closed-form bounds."""
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frftkit import (
     Grid,
@@ -31,6 +34,7 @@ from frftkit import (
     l2_norm,
     theta_convolve,
     theta_dilate,
+    theta_translate,
     u_layer,
     u_path,
 )
@@ -320,3 +324,62 @@ def test_public_functions_build_only_returned_signals(monkeypatch):
     assert count(lambda: invariance_deviation(f, grid.spacing, layers, 2, th)) == 0
     assert count(lambda: covariance_deviation(f, grid.spacing, layers, 2, th)) == 0
     assert count(lambda: extract_features(f, layers, 2, th)) == 1 + 2 + 4
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # the shrink widens the band
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5])
+@pytest.mark.parametrize("s_factors", [(1.5, 1.0), (2.0, 1.0)])
+def test_cascade_levels_match_per_path_composition(grid, theta_val, s_factors):
+    """Every level of the batched cascade, path by path, against u_path."""
+    th = ThetaParam(theta_val)
+    layers, _ = make_s1_layers(grid, th, s_factors, nonlin_plan(s_factors))
+    f = banded_signal(grid, th, 0.8, 23)
+    f = f.with_values(10.0 * f.values)  # level 2 must clear the shrink threshold
+    tree = extract_features(f, layers, 2, th)
+    profile = energy_profile(f, layers, 2, th)
+    for k, level in enumerate(tree.levels):
+        assert list(level) == list(itertools.product(range(2), repeat=k))
+        readout = layers[max(k - 1, 0)].output_atom
+        energy = 0.0
+        for path, feature in level.items():
+            u = u_path(f, path, layers, th)
+            energy += l2_norm(u) ** 2
+            want = theta_convolve(u, readout, th)
+            assert np.max(np.abs(feature.values - want.values)) <= 1e-12
+        assert profile[k] == pytest.approx(energy, rel=1e-12)
+    assert profile[2] > 0.0
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(
+    steps=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+    seed=st.integers(0, 2**32 - 1),
+    theta_val=st.sampled_from([math.pi / 3, -2 * math.pi / 5]),
+    depth=st.integers(0, 2),
+)
+def test_deviations_match_feature_trees(grid, steps, seed, theta_val, depth):
+    """Both deviations against sums over paths of two feature trees."""
+    th = ThetaParam(theta_val)
+    layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
+    f = banded_signal(grid, th, 0.8, seed)
+    f = f.with_values(10.0 * f.values)  # level 2 must clear the shrink threshold
+    shift = tuple(k * grid.spacing for k in steps[: grid.n_dims])
+    shifted = extract_features(theta_translate(f, shift, th), layers, depth, th).levels[depth]
+    plain = extract_features(f, layers, depth, th).levels[depth]
+    phase = np.exp(-1j * np.pi * depth * sum(c * c for c in shift) * th.cot_t)
+
+    def drift(reference):
+        return sum(
+            l2_norm(a.with_values(phase * a.values - reference(plain[p]).values)) ** 2
+            for p, a in shifted.items()
+        )
+
+    # The absolute floor covers the zero shift, where both sides are rounding noise.
+    want_i = drift(lambda b: b)
+    want_c = drift(lambda b: theta_translate(b, shift, th))
+    got_i = invariance_deviation(f, shift, layers, depth, th)
+    got_c = covariance_deviation(f, shift, layers, depth, th)
+    assert got_i == pytest.approx(want_i, rel=1e-12, abs=1e-25)
+    assert got_c == pytest.approx(want_c, rel=1e-12, abs=1e-25)
