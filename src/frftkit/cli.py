@@ -11,9 +11,9 @@ meaning ``P*pi/Q``.
 Every command is deterministic (identical inputs produce byte-identical
 outputs) and writes atomically (temporary file plus rename).  Exit codes:
 0 success, 2 input parse failure, 3 numeric degeneracy, 4 configuration
-contradiction.  The environment variable ``FRFTKIT_THREADS`` caps worker
-parallelism; all built-in computations run on a single worker, which
-satisfies any positive cap.
+contradiction.  The environment variable ``FRFTKIT_THREADS``, when set,
+must be a positive integer (else exit 4); every computation runs on a
+single worker, which satisfies any cap, so the value is not kept.
 """
 
 from __future__ import annotations
@@ -22,12 +22,14 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,13 +109,11 @@ class RunConfig:
     """Validated record of one command invocation.
 
     ``theta`` is resolved from the angle flags when the command carries
-    them (scatter and tile commands read their angle from JSON instead);
-    ``threads`` is the ``FRFTKIT_THREADS`` cap, ``None`` when uncapped.
+    them (scatter and tile commands read their angle from JSON instead).
     """
 
     command: str
     theta: ThetaParam | None
-    threads: int | None
 
 
 def _require_theta(config: RunConfig) -> ThetaParam:
@@ -131,12 +131,17 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_real(x: object) -> bool:
-    """A JSON number; ``true`` and ``false`` do not count."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _finite_real(value: object, what: str, error: type[Exception] = CliConfigError) -> float:
+    """``value`` as a float: a JSON number, not a bool, that a float holds."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise error(f"{what} must be a number")
+    # False for nan and for numbers that float() cannot hold, inf included.
+    if not abs(value) <= sys.float_info.max:
+        raise error(f"{what} must be finite")
+    return float(value)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
@@ -144,7 +149,7 @@ def _atomic_write(path: Path, text: str) -> None:
     )
     try:
         with handle as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(handle.name, path)
     except BaseException:
         try:
@@ -154,30 +159,111 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+#: Rows formatted per string in ``write_signal``: large enough that the
+#: ``%`` operator does the work, small enough not to hold the whole file.
+_WRITE_BLOCK = 2048
+
+
+def _signal_chunks(signal: SampledSignal) -> Iterator[str]:
+    grid = signal.grid
+    yield f"# grid: {grid.n_dims},{grid.samples_per_dim},{_fmt(grid.extent)}\nindex,re,im\n"
+    values = signal.values
+    for start in range(0, values.size, _WRITE_BLOCK):
+        block = values[start : start + _WRITE_BLOCK]
+        cells: list = [None] * (3 * block.size)
+        cells[0::3] = range(start, start + block.size)
+        cells[1::3] = block.real.tolist()
+        cells[2::3] = block.imag.tolist()
+        # "%.17g" % x is format(x, ".17g"), i.e. _fmt, for every float.
+        yield ("%d,%.17g,%.17g\n" * block.size) % tuple(cells)
+
+
 def write_signal(path: Path | str, signal: SampledSignal) -> None:
     """Serialize a signal as ``# grid:`` header plus ``index,re,im`` rows."""
-    grid = signal.grid
-    lines = [
-        f"# grid: {grid.n_dims},{grid.samples_per_dim},{_fmt(grid.extent)}",
-        "index,re,im",
-    ]
-    for i, v in enumerate(signal.values):
-        lines.append(f"{i},{_fmt(v.real)},{_fmt(v.imag)}")
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    _atomic_write(Path(path), _signal_chunks(signal))
 
 
 def read_signal(path: Path | str) -> SampledSignal:
     """Parse a signal CSV; raises :class:`CliParseError` on any defect.
 
-    The data rows are collected first, so a grid header that promises more
-    samples than the file holds is rejected before anything is allocated.
+    A file as :func:`write_signal` writes it is read in one bulk pass;
+    any other file goes through the line parser, which names the line at
+    fault.  Both give the same values for every file they accept.
     """
     path = Path(path)
     try:
         raw = path.read_text()
     except OSError as exc:
         raise CliParseError(f"cannot read {path}: {exc}") from exc
+    signal = _read_canonical(raw)
+    return signal if signal is not None else _read_lines(path, raw)
 
+
+def _grid_header(line: str, where: str) -> Grid | None:
+    """The grid that a stripped ``#`` line declares; ``None`` for a comment."""
+    body = line[1:].strip()
+    if not body.startswith("grid:"):
+        return None
+    fields = [t.strip() for t in body[len("grid:"):].split(",")]
+    if len(fields) != 3:
+        raise CliParseError(f"{where}: malformed grid header")
+    try:
+        return Grid(int(fields[0]), int(fields[1]), float(fields[2]))
+    except (ValueError, FrftkitError) as exc:
+        raise CliParseError(f"{where}: bad grid: {exc}") from exc
+
+
+#: The characters of finite ``write_signal`` rows.  ``loadtxt`` reads some
+#: others that ``int`` and ``float`` reject (it takes U+001F as blank, and
+#: many non-ASCII letters as index digits), so they go to the line parser.
+_CANONICAL_ROWS = re.compile(r"[0-9+\-.e,\n]*")
+_ROW = np.dtype([("index", np.int64), ("re", np.float64), ("im", np.float64)])
+
+
+def _read_canonical(raw: str) -> SampledSignal | None:
+    """The signal of a canonical file, or ``None`` to use the line parser.
+
+    Canonical: a ``# grid:`` line, an ``index,re,im`` line, then exactly
+    ``grid.size`` rows of finite samples with the indices 0..N-1 in order.
+    On rows of ``_CANONICAL_ROWS`` characters, ``loadtxt`` reads a subset of
+    what ``int`` and ``float`` read, with the same values; any warning it
+    gives (NumPy 1.24 reads ``1.0`` as an index with a ``DeprecationWarning``)
+    means the file is not canonical.
+    """
+    parts = raw.split("\n", 2)
+    if len(parts) != 3 or parts[1] != "index,re,im" or not parts[0].isprintable():
+        return None
+    head, rows = parts[0].strip(), parts[2]
+    if not head.startswith("#") or not _CANONICAL_ROWS.fullmatch(rows):
+        return None
+    try:
+        grid = _grid_header(head, "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                rows.splitlines(), delimiter=",", dtype=_ROW, comments=None, ndmin=1
+            )
+    except (CliParseError, ValueError, Warning):
+        return None
+    if grid is None or table.size != grid.size:
+        return None
+    if not np.array_equal(table["index"], np.arange(grid.size)):
+        return None
+    # Through the views, not re + 1j*im, which turns a -0.0 real part into +0.0.
+    values = np.empty(grid.size, dtype=np.complex128)
+    values.real = table["re"]
+    values.imag = table["im"]
+    if not np.isfinite(values.view(np.float64)).all():
+        return None
+    return SampledSignal(grid=grid, values=values)
+
+
+def _read_lines(path: Path, raw: str) -> SampledSignal:
+    """Parse a signal CSV line by line; the error names the line at fault.
+
+    The data rows are collected first, so a grid header that promises more
+    samples than the file holds is rejected before anything is allocated.
+    """
     grid: Grid | None = None
     header_line = 0
     rows: list[tuple[int, str]] = []
@@ -186,16 +272,9 @@ def read_signal(path: Path | str) -> SampledSignal:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("grid:"):
-                fields = [t.strip() for t in body[len("grid:"):].split(",")]
-                if len(fields) != 3:
-                    raise CliParseError(f"{path}:{lineno}: malformed grid header")
-                try:
-                    grid = Grid(int(fields[0]), int(fields[1]), float(fields[2]))
-                except (ValueError, FrftkitError) as exc:
-                    raise CliParseError(f"{path}:{lineno}: bad grid: {exc}") from exc
-                header_line = lineno
+            header = _grid_header(line, f"{path}:{lineno}")
+            if header is not None:
+                grid, header_line = header, lineno
                 rows = []  # a new header starts the signal afresh
             continue
         if line.lower() == "index,re,im":
@@ -205,31 +284,32 @@ def read_signal(path: Path | str) -> SampledSignal:
         rows.append((lineno, line))
     if grid is None:
         raise CliParseError(f"{path}: missing grid header")
-    if grid.size > len(rows):
+    size = grid.size
+    if size > len(rows):
         raise CliParseError(
-            f"{path}:{header_line}: grid header promises {grid.size} samples "
+            f"{path}:{header_line}: grid header promises {size} samples "
             f"but the file holds {len(rows)} data rows"
         )
 
-    values = np.zeros(grid.size, dtype=np.complex128)
-    seen = np.zeros(grid.size, dtype=bool)
+    values = np.zeros(size, dtype=np.complex128)
+    seen = np.zeros(size, dtype=bool)
     for lineno, line in rows:
         fields = line.split(",")
         if len(fields) != 3:
             raise CliParseError(f"{path}:{lineno}: expected index,re,im")
         try:
             index = int(fields[0])
-            re, im = float(fields[1]), float(fields[2])
+            real, imag = float(fields[1]), float(fields[2])
         except ValueError as exc:
             raise CliParseError(f"{path}:{lineno}: {exc}") from exc
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not (math.isfinite(real) and math.isfinite(imag)):
             raise CliParseError(f"{path}:{lineno}: non-finite sample {line!r}")
-        if not 0 <= index < grid.size:
+        if not 0 <= index < size:
             raise CliParseError(f"{path}:{lineno}: index {index} out of range")
         if seen[index]:
             raise CliParseError(f"{path}:{lineno}: duplicate index {index}")
         seen[index] = True
-        values[index] = complex(re, im)
+        values[index] = complex(real, imag)
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise CliParseError(f"{path}: missing sample index {missing}")
@@ -239,7 +319,7 @@ def read_signal(path: Path | str) -> SampledSignal:
 def _write_table(path: Path | str, header: str, rows: list[str],
                  preamble: Sequence[str] = ()) -> None:
     lines = list(preamble) + [header] + rows
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    _atomic_write(Path(path), ["\n".join(lines) + "\n"])
 
 
 def _resolve_theta(args: argparse.Namespace) -> ThetaParam | None:
@@ -257,17 +337,17 @@ def _resolve_theta(args: argparse.Namespace) -> ThetaParam | None:
     return ThetaParam(args.theta)
 
 
-def _threads_from_env() -> int | None:
+def _check_threads_env() -> None:
+    """Reject a ``FRFTKIT_THREADS`` that is not a positive integer."""
     raw = os.environ.get("FRFTKIT_THREADS")
     if raw is None:
-        return None
+        return
     try:
         n = int(raw)
     except ValueError as exc:
         raise CliConfigError(f"FRFTKIT_THREADS={raw!r} is not an integer") from exc
     if n < 1:
         raise CliConfigError("FRFTKIT_THREADS must be at least 1")
-    return n
 
 
 # --------------------------------------------------------------------- frft
@@ -371,9 +451,7 @@ def _scatter_theta(data: dict, where: str) -> ThetaParam:
             raise CliConfigError(f"{where}: theta_frac denominator must be nonzero")
         return ThetaParam(math.pi * frac[0] / frac[1])
     if has_val:
-        if not _is_real(data["theta"]):
-            raise CliConfigError(f"{where}: theta must be a number")
-        return ThetaParam(float(data["theta"]))
+        return ThetaParam(_finite_real(data["theta"], f"{where}: theta"))
     raise CliConfigError(f"{where}: an angle is required (theta or theta_frac)")
 
 
@@ -426,19 +504,13 @@ def _load_scatter_config(
             nonlin_spec = {"kind": nonlin_spec}
         if not isinstance(nonlin_spec, dict) or "kind" not in nonlin_spec:
             raise CliConfigError(f"{where}: nonlin needs a kind")
-        threshold = nonlin_spec.get("b", 0.0)
-        if not _is_real(threshold):
-            raise CliConfigError(f"{where}: nonlin b must be a number")
+        threshold = _finite_real(nonlin_spec.get("b", 0.0), f"{where}: nonlin b")
         pool_kind = entry.get("pool", "identity")
         if not isinstance(pool_kind, str):
             raise CliConfigError(f"{where}: pool must be a kind string")
-        s_factor = entry.get("s", 1.0)
-        if not _is_real(s_factor):
-            raise CliConfigError(f"{where}: s must be a number")
+        s_factor = _finite_real(entry.get("s", 1.0), f"{where}: s")
         try:
-            nonlin = Nonlinearity(
-                str(nonlin_spec["kind"]), float(threshold)
-            )
+            nonlin = Nonlinearity(str(nonlin_spec["kind"]), threshold)
             pool = Pooling(pool_kind)
         except ValueError as exc:
             raise CliConfigError(f"{where}: {exc}") from exc
@@ -451,7 +523,7 @@ def _load_scatter_config(
                     output_atom=output_atom,
                     nonlin=nonlin,
                     pool=pool,
-                    pooling_factor=float(s_factor),
+                    pooling_factor=s_factor,
                 )
             )
         except ValueError as exc:
@@ -516,13 +588,16 @@ def _fiber_grid_for(
         if other != grid:
             raise GridMismatch("all data signals must share one grid")
     period = _integer_period(grid)
-    if omega_samples is None:
-        omega_samples = period
+    # Fewer cells than P would read only every (P/W)-th spectrum bin.
+    if omega_samples is not None and omega_samples != period:
+        raise CliConfigError(
+            f"--omega-samples {omega_samples} must equal the signal period {period}"
+        )
     if window is None:
         window = grid.samples_per_dim // (2 * period)
     if window < 1:
         raise CliConfigError("the signal grid leaves no room for fiber offsets")
-    return FiberGrid(theta, grid.n_dims, omega_samples, window)
+    return FiberGrid(theta, grid.n_dims, period, window)
 
 
 def _complex_pairs(block: np.ndarray) -> list:
@@ -555,7 +630,7 @@ def cmd_approx_fit(args: argparse.Namespace, config: RunConfig) -> None:
         "mixing": _complex_pairs(model.eigenvectors),
     }
     _atomic_write(
-        out_dir / "model.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        out_dir / "model.json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"]
     )
     for i in range(model.ell):
         write_signal(
@@ -609,7 +684,7 @@ def cmd_multitile_fit(args: argparse.Namespace, config: RunConfig) -> None:
         "cells": [[list(k) for k in cell] for cell in tile.cells],
     }
     _atomic_write(
-        out_dir / "tile.json", json.dumps(tile_doc, indent=2, sort_keys=True) + "\n"
+        out_dir / "tile.json", [json.dumps(tile_doc, indent=2, sort_keys=True) + "\n"]
     )
     rows = []
     for j, signal in enumerate(signals):
@@ -628,11 +703,7 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
     for key in ("n_dims", "omega_samples", "bound", "ell"):
         if not _is_int(data[key]):
             raise CliParseError(f"{path}: {key} must be an integer")
-    if not _is_real(data["theta"]):
-        raise CliParseError(f"{path}: theta must be a number")
-    # False for nan and for numbers that float() cannot hold, inf included.
-    if not abs(data["theta"]) <= sys.float_info.max:
-        raise CliParseError(f"{path}: theta must be finite")
+    theta = _finite_real(data["theta"], f"{path}: theta", CliParseError)
     raw = data["cells"]
     if not (
         isinstance(raw, list)
@@ -648,7 +719,7 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
         raise CliParseError(f"{path}: cells must be a list of lists of integer lists")
     cells = tuple(tuple(tuple(offset) for offset in cell) for cell in raw)
     tile = TileSet(
-        theta=ThetaParam(data["theta"]),
+        theta=ThetaParam(theta),
         n_dims=data["n_dims"],
         omega_samples=data["omega_samples"],
         bound=data["bound"],
@@ -806,11 +877,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = RunConfig(
-            command=args.command,
-            theta=_resolve_theta(args),
-            threads=_threads_from_env(),
-        )
+        _check_threads_env()
+        config = RunConfig(command=args.command, theta=_resolve_theta(args))
         handler: Callable[[argparse.Namespace, RunConfig], None] = args.func
         handler(args, config)
     except CliParseError as exc:

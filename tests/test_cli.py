@@ -2,11 +2,16 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frftkit
 from frftkit import (
@@ -27,6 +32,7 @@ from frftkit import (
     l2_norm,
     theta_translate,
 )
+from frftkit import cli
 from frftkit.cli import CliParseError, main, read_signal, write_signal
 from helpers import banded_signal, make_s1_layers, random_signal
 
@@ -54,6 +60,149 @@ def test_signal_file_roundtrip(tmp_path):
     back2 = read_signal(path2)
     assert back2.grid == f2.grid
     assert np.array_equal(back2.values, f2.values)
+
+
+#: Samples that stress the 17-digit format: signed zeros, the smallest
+#: subnormal, magnitudes near the exponent limits and the largest float.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+           sys.float_info.max, -sys.float_info.max]
+
+
+def special_signal(grid, seed):
+    """Random samples over 600 decades, with SPECIAL in the first slots."""
+    r = np.random.default_rng(seed)
+    parts = r.standard_normal((2, grid.size)) * 10.0 ** r.integers(-300, 300, (2, grid.size))
+    k = min(grid.size, len(SPECIAL))
+    parts[0, :k] = SPECIAL[:k]
+    parts[1, :k] = SPECIAL[::-1][:k]
+    values = np.empty(grid.size, dtype=np.complex128)
+    values.real, values.imag = parts
+    return SampledSignal(grid, values)
+
+
+def reference_csv(signal):
+    """The signal CSV built one number at a time with format(x, ".17g")."""
+    g = signal.grid
+    lines = [f"# grid: {g.n_dims},{g.samples_per_dim},{format(g.extent, '.17g')}",
+             "index,re,im"]
+    lines += [f"{i},{format(float(v.real), '.17g')},{format(float(v.imag), '.17g')}"
+              for i, v in enumerate(signal.values)]
+    return "\n".join(lines) + "\n"
+
+
+def same_bits(a, b):
+    """Same grid and the same bit pattern in every sample."""
+    return a.grid == b.grid and np.array_equal(a.values.view(np.uint64),
+                                               b.values.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(1, 4, 2.0), Grid(1, 2048, 8.0), Grid(1, 4096, 8.0), Grid(1, 16384, 64.0),
+     Grid(2, 64, 4.0)],
+    ids=["1d-4", "1d-2048", "1d-4096", "1d-16384", "2d-64"],
+)
+def test_write_signal_bytes_match_format_reference(tmp_path, grid):
+    """Block formatting writes the bytes of the one-number-at-a-time format,
+    and the bulk reader takes those bytes back bit for bit."""
+    f = special_signal(grid, grid.size)
+    path = tmp_path / "f.csv"
+    write_signal(path, f)
+    text = reference_csv(f)
+    assert path.read_bytes() == text.encode()
+    fast = cli._read_canonical(text)
+    assert fast is not None and same_bits(fast, f)
+    assert same_bits(read_signal(path), f)
+
+
+#: Tokens that Python's int or float may read but a bulk parser must not
+#: read differently: underscores, signs, padding, non-ASCII digits,
+#: non-finite spellings, a float index, U+001F padding (which loadtxt
+#: takes as blank) and a Latin letter (which loadtxt reads as an index
+#: digit).
+TOKENS = ["1_0", "+5", " 7 ", "\u0661", "infinity", "nan", "1e400", "1.0", "-0",
+          "1\x1f", "1\u01fe"]
+#: Whole lines: blank, whitespace only, a comment, a grid header, one
+#: with a fourth field and one cut in two by a form feed (a line break to
+#: str.splitlines).
+LINES = ["", "   ", "# a comment", "# grid: {n_dims},{n},{extent}",
+         "# grid: {n_dims},{n},{extent},5", "# grid: {n_dims},{n}\f,{extent}"]
+
+mutations = st.one_of(
+    st.tuples(st.just("token"), st.integers(0, 15), st.integers(0, 2), st.sampled_from(TOKENS)),
+    st.tuples(st.just("fields"), st.integers(0, 15), st.sampled_from([",", "drop"])),
+    st.tuples(st.sampled_from(["insert", "replace"]), st.integers(0, 17), st.sampled_from(LINES)),
+    st.tuples(st.just("header"), st.sampled_from(LINES)),
+    st.tuples(st.just("crlf")),
+    st.tuples(st.just("shuffle"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("duplicate"), st.integers(0, 15), st.integers(0, 15)),
+    st.tuples(st.just("drop"), st.integers(0, 15)),
+    st.tuples(st.just("truncate"), st.integers(0, 1000)),
+)
+
+
+def mutate(text, grid, mutation):
+    """``text`` with one mutation applied; positions wrap onto the file."""
+    kind, *arg = mutation
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "truncate":
+        return text[: arg[0] % (len(text) + 1)]
+    lines = text.splitlines()
+    head, rows = lines[:2], lines[2:]
+    if not rows:  # truncated before the first row: nothing left to mutate
+        return text
+    if kind == "token":
+        fields = rows[arg[0] % len(rows)].split(",")
+        fields[arg[1] % len(fields)] = arg[2]
+        rows[arg[0] % len(rows)] = ",".join(fields)
+    elif kind == "fields":
+        i = arg[0] % len(rows)
+        rows[i] = rows[i] + "," if arg[1] == "," else rows[i].rsplit(",", 1)[0]
+    elif kind == "shuffle":
+        random.Random(arg[0]).shuffle(rows)
+    elif kind == "duplicate":
+        i, j = arg[0] % len(rows), arg[1] % len(rows)
+        rows[i] = rows[j].split(",")[0] + "," + rows[i].split(",", 1)[1]
+    elif kind == "drop":
+        del rows[arg[0] % len(rows)]
+    else:
+        lines = head + rows
+        line = arg[-1].format(n_dims=grid.n_dims, n=grid.samples_per_dim,
+                              extent=format(grid.extent, ".17g"))
+        if kind == "header":
+            lines[0] = line
+        elif kind == "insert":
+            lines.insert(arg[0] % (len(lines) + 1), line)
+        else:
+            lines[arg[0] % len(lines)] = line
+        return "\n".join(lines) + "\n"
+    return "\n".join(head + rows) + "\n"
+
+
+def read_outcome(reader):
+    """Bit pattern of what ``reader()`` returns, or the message it raises."""
+    try:
+        signal = reader()
+    except CliParseError as exc:
+        return "error", str(exc)
+    return "ok", signal.grid, signal.values.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 8, 2.0), Grid(2, 4, 2.0)], ids=["1d", "2d"])
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(steps=st.lists(mutations, min_size=1, max_size=2))
+def test_read_signal_matches_line_parser(grid, steps):
+    """On mutated canonical files, read_signal gives the line parser's
+    values bit for bit, or its error message."""
+    text = reference_csv(special_signal(grid, 1))
+    for step in steps:
+        text = mutate(text, grid, step)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        path.write_bytes(text.encode())
+        want = read_outcome(lambda: cli._read_lines(path, path.read_text()))
+        assert read_outcome(lambda: read_signal(path)) == want
 
 
 def test_frft_command_roundtrip_and_oracle(tmp_path):
@@ -249,6 +398,22 @@ def test_approx_fit(tmp_path):
     assert (out_dir / "model.json").read_bytes() == (out_dir2 / "model.json").read_bytes()
 
 
+def test_approx_fit_omega_samples_must_equal_the_period(tmp_path, capsys):
+    """Fewer cells than the period P would skip spectrum bins, so only W = P
+    is accepted, and it is the default."""
+    grid = Grid(1, 256, 8.0)
+    paths = [write_csv(tmp_path / f"m{i}.csv", banded_signal(grid, PI3, 0.5, s))
+             for i, s in enumerate((61, 62))]
+    args = ["approx", "fit", "--data", *paths, "--ell", "1", "--theta-frac", "1", "3"]
+    assert main([*args, "--omega-samples", "8", "--out-dir", str(tmp_path / "half")]) == 4
+    assert "period 16" in capsys.readouterr().err
+    assert main([*args, "--out-dir", str(tmp_path / "default")]) == 0
+    assert main([*args, "--omega-samples", "16", "--out-dir", str(tmp_path / "full")]) == 0
+    for name in ("model.json", "generator_0.csv"):
+        assert (tmp_path / "full" / name).read_bytes() == (
+            tmp_path / "default" / name).read_bytes()
+
+
 def test_approx_table(tmp_path):
     out = str(tmp_path / "table.csv")
     assert main(["approx", "table", "--family", "sinc1d",
@@ -301,8 +466,12 @@ def test_multitile_fit_and_check(tmp_path, capsys):
         ("top", "depth", True, "depth must be a nonnegative integer"),
         ("layer", "s", True, "s must be a number"),
         ("layer", "atoms", [5], "atoms must list at least one file"),
+        ("top", "theta", 10**400, "theta must be finite"),
+        ("nonlin", "b", 10**400, "nonlin b must be finite"),
+        ("layer", "s", 10**400, "s must be finite"),
     ],
-    ids=["b-null", "b-list", "theta-bool", "depth-bool", "s-bool", "atoms-number"],
+    ids=["b-null", "b-list", "theta-bool", "depth-bool", "s-bool", "atoms-number",
+         "theta-huge-int", "b-huge-int", "s-huge-int"],
 )
 def test_scatter_config_rejects_wrong_types(tmp_path, capsys, where, key, value, message):
     cfg, sig, _ = scatter_config(tmp_path)
