@@ -409,4 +409,4 @@ def synthesize_generator(
     _alternate(spectrum, fgrid.n_dims)
     spectrum /= signal_grid.spacing**fgrid.n_dims
     values = _chirp_plan(signal_grid, fgrid.theta).from_spectrum(spectrum)
-    return SampledSignal(grid=signal_grid, values=values.ravel())
+    return SampledSignal._owning(signal_grid, values)

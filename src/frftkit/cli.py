@@ -255,7 +255,7 @@ def _read_canonical(raw: str) -> SampledSignal | None:
     values.imag = table["im"]
     if not np.isfinite(values.view(np.float64)).all():
         return None
-    return SampledSignal(grid=grid, values=values)
+    return SampledSignal._owning(grid, values)
 
 
 def _read_lines(path: Path, raw: str) -> SampledSignal:
@@ -313,7 +313,7 @@ def _read_lines(path: Path, raw: str) -> SampledSignal:
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise CliParseError(f"{path}: missing sample index {missing}")
-    return SampledSignal(grid=grid, values=values)
+    return SampledSignal._owning(grid, values)
 
 
 def _write_table(path: Path | str, header: str, rows: list[str],
@@ -689,7 +689,7 @@ def cmd_multitile_fit(args: argparse.Namespace, config: RunConfig) -> None:
     rows = []
     for j, signal in enumerate(signals):
         projected = bandlimited_project(signal, model)
-        residual = signal.with_values(signal.values - projected.values)
+        residual = SampledSignal._owning(signal.grid, signal.values - projected.values)
         rows.append(f"{j},{_fmt(l2_norm(residual) ** 2)}")
     _write_table(out_dir / "errors.csv", "member,residual_sq", rows)
 
@@ -745,21 +745,13 @@ def cmd_multitile_check(args: argparse.Namespace, config: RunConfig) -> None:
 
 def cmd_plotdata(args: argparse.Namespace, config: RunConfig) -> None:
     signal = read_signal(args.in_path)
-    grid = signal.grid
-    if grid.n_dims == 1:
-        header = "coordinate,magnitude,re,im"
-        rows = [
-            f"{_fmt(grid.axis[i])},{_fmt(abs(v))},{_fmt(v.real)},{_fmt(v.imag)}"
-            for i, v in enumerate(signal.values)
-        ]
-    else:
-        header = "coordinate_0,coordinate_1,magnitude,re,im"
-        coords = grid.coordinates()
-        x0, x1 = coords[0].ravel(), coords[1].ravel()
-        rows = [
-            f"{_fmt(x0[i])},{_fmt(x1[i])},{_fmt(abs(v))},{_fmt(v.real)},{_fmt(v.imag)}"
-            for i, v in enumerate(signal.values)
-        ]
+    coords = signal.grid.coordinates()  # fresh arrays on each call: read once
+    names = ["coordinate"] if len(coords) == 1 else ["coordinate_0", "coordinate_1"]
+    header = ",".join(names + ["magnitude", "re", "im"])
+    rows = [
+        ",".join(_fmt(x) for x in (*xs, abs(v), v.real, v.imag))
+        for *xs, v in zip(*coords, signal.values)
+    ]
     _write_table(args.out, header, rows)
 
 

@@ -89,6 +89,15 @@ class Grid:
         return out
 
 
+class _Owned:
+    """A fresh array handed to :class:`SampledSignal` to keep as it is."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: NDArray[np.complex128]) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True, slots=True)
 class SampledSignal:
     """Complex samples attached to a :class:`Grid` (flattened row-major)."""
@@ -97,16 +106,32 @@ class SampledSignal:
     values: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128).reshape(-1)
+        values = self.values
+        owned = isinstance(values, _Owned)
+        if owned:
+            values = values.array
+        values = np.asarray(values, dtype=np.complex128).reshape(-1)
         if values.size != self.grid.size:
             raise ValueError(
                 f"expected {self.grid.size} samples, got {values.size}"
             )
         if not np.all(np.isfinite(values.view(np.float64))):
             raise ValueError("signal contains non-finite entries")
-        values = values.copy()
+        if not owned:
+            values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _owning(
+        cls, grid: Grid, values: NDArray[np.complex128]
+    ) -> "SampledSignal":
+        """Wrap an array the library has just allocated, without a copy.
+
+        For internal results only: nothing else may hold ``values`` or
+        share its memory.  The size and finiteness checks still run.
+        """
+        return cls(grid, _Owned(values))
 
     def with_values(self, values: NDArray[np.complex128]) -> "SampledSignal":
         """Same grid, new samples."""

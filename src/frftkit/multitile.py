@@ -237,7 +237,7 @@ def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSigna
 
     spectrum = frft(f, tile.theta)
     masked = np.where(keep, spectrum.as_nd(), 0.0)
-    return inverse_frft(spectrum.with_values(masked.ravel()), tile.theta)
+    return inverse_frft(SampledSignal._owning(spectrum.grid, masked), tile.theta)
 
 
 def partial_projection(
@@ -266,4 +266,4 @@ def partial_projection(
         for phi in generators:
             moved = theta_translate(phi, shift, theta)
             accum += inner_product(f, moved) * moved.values
-    return f.with_values(accum)
+    return SampledSignal._owning(f.grid, accum)

@@ -364,7 +364,7 @@ def u_path(
         if not 0 <= lam < layer.n_atoms:
             raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
         out = _step(out, layer, plan, slice(lam, lam + 1))
-    return f.with_values(out.ravel())
+    return SampledSignal._owning(f.grid, out)
 
 
 def extract_features(

@@ -65,7 +65,7 @@ def theta_translate(
     """Angle-covariant translation by the on-grid shift ``s``."""
     shift = as_shift(s, f.grid.n_dims)
     plan = _chirp_plan(f.grid, theta)
-    return f.with_values(_translate(f.as_nd(), shift, plan).ravel())
+    return SampledSignal._owning(f.grid, _translate(f.as_nd(), shift, plan))
 
 
 def theta_modulate(
@@ -79,7 +79,7 @@ def theta_modulate(
     coords = f.grid.coordinates()
     s_dot_t = sum(c * axis for c, axis in zip(shift.components, coords))
     phase = np.exp(1j * np.pi * (s_sq * theta.cot_t + 2.0 * theta.csc_t * s_dot_t))
-    return f.with_values(f.values * phase)
+    return SampledSignal._owning(f.grid, f.values * phase)
 
 
 def theta_convolve(f: SampledSignal, g: SampledSignal, theta: ThetaParam) -> SampledSignal:
@@ -87,7 +87,7 @@ def theta_convolve(f: SampledSignal, g: SampledSignal, theta: ThetaParam) -> Sam
     if f.grid != g.grid:
         raise GridMismatch("theta_convolve requires a common grid")
     plan = _chirp_plan(f.grid, theta)
-    return f.with_values(plan.convolve(f.as_nd(), plan.kernel(g.as_nd())).ravel())
+    return SampledSignal._owning(f.grid, plan.convolve(f.as_nd(), plan.kernel(g.as_nd())))
 
 
 def _as_fraction(s: float | Rational) -> Fraction:
@@ -139,7 +139,7 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
     if frac == 1:
         return f.with_values(f.values)
     plan = _chirp_plan(f.grid, theta)
-    return f.with_values(_dilate(f.as_nd(), frac, plan).ravel())
+    return SampledSignal._owning(f.grid, _dilate(f.as_nd(), frac, plan))
 
 
 def _dilate(

@@ -21,6 +21,14 @@ nothing else (``spacing`` is the input grid's):
     input:   e^{i*pi*‖t_j‖²*cot} * (-1)^(j_1+..+j_n)
     output:  e^{i*pi*‖w_l‖²*cot} * (-1)^(l_1+..+l_n) * |sin|^{-n/2} * spacing^n
 
+Each table is computed on the orthant ``[0..N/2]^n`` only, then mirrored in
+place, last axis first: ``table[..., N/2+1:] = table[..., N/2-1:0:-1]``.
+This is exact, not an approximation.  The sample ``t_j = (j - N/2) *
+spacing`` and its mirror ``t_{N-j} = -t_j`` have bit-identical squares, so
+the same operations on them give the same entry bit for bit; and N is even,
+so ``(-1)^j = (-1)^(N-j)``.  A table thus costs ``(N/2+1)^n`` cosine/sine
+pairs instead of ``N^n``, and no temporary of the full size is made.
+
 With N a power of two >= 4, N/2 is even, so
 ``e^{-2*pi*i*(l-N/2)*(j-N/2)/N} = (-1)^l * (-1)^j * e^{-2*pi*i*l*j/N}``: the
 sign tables stand in exactly for ``fftshift`` and ``ifftshift``, and the
@@ -95,10 +103,29 @@ def _mul_conj(
 
 
 def _signed_chirp(grid: Grid, cot: float, scale: float) -> NDArray[np.complex128]:
-    table = np.exp(1j * np.pi * cot * grid.radius_squared()).reshape(grid.shape)
+    """``scale * e^{i*pi*‖t‖²*cot} * (-1)^(j_1+..+j_n)``, read-only.
+
+    Built on the orthant ``[0..N/2]^n`` and mirrored; see the module
+    docstring.
+    """
+    half = grid.samples_per_dim // 2
+    # The long-lived table first: temporaries allocated after it are freed
+    # at the top of the heap, not left as a hole below it (peak RSS).
+    table = np.empty(grid.shape, dtype=np.complex128)
+    lower = table[(slice(None, half + 1),) * grid.n_dims]
+    phase = grid.axis[: half + 1] ** 2
+    if grid.n_dims == 2:
+        phase = phase[:, None] + phase[None, :]
+    phase *= np.pi * cot
+    np.cos(phase, out=lower.real)
+    np.sin(phase, out=lower.imag)
     if scale != 1.0:
-        table *= scale
-    _alternate(table, grid.n_dims)
+        lower *= scale
+    _alternate(lower, grid.n_dims)
+    # Last axis first, so each copy reads only entries already filled in.
+    for axis in reversed(range(grid.n_dims)):
+        lead = (slice(None, half + 1),) * axis
+        table[lead + (slice(half + 1, None),)] = table[lead + (slice(half - 1, 0, -1),)]
     table.setflags(write=False)
     return table
 
@@ -199,7 +226,7 @@ def chirp_modulate(f: SampledSignal, theta: ThetaParam, sign: int) -> SampledSig
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     table = _chirp_plan(f.grid, theta).chirp_in
     out = f.as_nd() * table if sign > 0 else _mul_conj(f.as_nd().copy(), table)
-    return f.with_values(_alternate(out, f.grid.n_dims).ravel())
+    return SampledSignal._owning(f.grid, _alternate(out, f.grid.n_dims))
 
 
 def frft_output_grid(grid: Grid, theta: ThetaParam) -> Grid:
@@ -230,7 +257,7 @@ def _reflect(values: NDArray[np.complex128]) -> NDArray[np.complex128]:
 def _axis_branch(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
     if theta.axis_parity == 0:
         return f.with_values(f.values)
-    return f.with_values(_reflect(f.as_nd()).ravel())
+    return SampledSignal._owning(f.grid, _reflect(f.as_nd()))
 
 
 def frft(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
@@ -238,7 +265,7 @@ def frft(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
     if theta.is_axis:
         return _axis_branch(f, theta)
     plan = _chirp_plan(f.grid, theta)
-    return SampledSignal(plan.out_grid, plan.forward(f.as_nd()).ravel())
+    return SampledSignal._owning(plan.out_grid, plan.forward(f.as_nd()))
 
 
 def inverse_frft(F: SampledSignal, theta: ThetaParam) -> SampledSignal:
@@ -246,7 +273,7 @@ def inverse_frft(F: SampledSignal, theta: ThetaParam) -> SampledSignal:
     if theta.is_axis:
         return _axis_branch(F, theta)
     plan = _chirp_plan(F.grid, theta, output=True)
-    return SampledSignal(plan.in_grid, plan.inverse(F.as_nd()).ravel())
+    return SampledSignal._owning(plan.in_grid, plan.inverse(F.as_nd()))
 
 
 def frft_direct_oracle(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
@@ -275,11 +302,11 @@ def frft_direct_oracle(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
     weight = grid.spacing * theta.abs_sin**-0.5
     if grid.n_dims == 1:
         out = weight * (kernel @ f.values)
-        return SampledSignal(out_grid, out)
+        return SampledSignal._owning(out_grid, out)
     # Separable product kernel: sum over both sample indices.
     values = f.as_nd()
     out = weight**2 * np.einsum("ap,bq,pq->ab", kernel, kernel, values)
-    return SampledSignal(out_grid, out.ravel())
+    return SampledSignal._owning(out_grid, out)
 
 
 def l2_norm(f: SampledSignal) -> float:

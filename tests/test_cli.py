@@ -557,6 +557,24 @@ def test_plotdata(tmp_path):
     assert float(first[1]) == pytest.approx(abs(f.values[0]), rel=1e-12)
 
 
+def test_plotdata_1d_bytes_match_format_reference(tmp_path):
+    """Every row of the 1-D table is the one-number-at-a-time format of the
+    coordinate (j - N/2) * spacing, the magnitude and both parts.  The
+    magnitude is the scalar ``abs``: NumPy's vectorized ``np.abs`` may differ
+    from it in the last ulp."""
+    grid = Grid(1, 4096, 8.0)
+    f = special_signal(grid, 4096)
+    src = write_csv(tmp_path / "f.csv", f)
+    out = tmp_path / "plot.csv"
+    assert main(["plotdata", "--in", src, "--out", str(out)]) == 0
+    half = grid.samples_per_dim // 2
+    lines = ["coordinate,magnitude,re,im"]
+    lines += [",".join(format(float(x), ".17g")
+                       for x in ((j - half) * grid.spacing, abs(v), v.real, v.imag))
+              for j, v in enumerate(f.values)]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_exit_code_2_parse_failures(tmp_path):
     assert main(["frft", "--in", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "o.csv"), "--theta", "1.0"]) == 2

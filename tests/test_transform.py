@@ -198,3 +198,51 @@ def test_plan_eviction_keeps_results_bit_identical():
     again = results()
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
+
+
+def _reflected(a):
+    """``a`` under j -> (N - j) mod N on every axis."""
+    for axis in range(a.ndim):
+        a = np.take(a, (-np.arange(a.shape[axis])) % a.shape[axis], axis=axis)
+    return a
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("cot", [1.7, -0.45])
+@pytest.mark.parametrize("extent", [4.0, 3.7])
+@pytest.mark.parametrize(
+    "n_dims,n", [(1, 4), (1, 8), (1, 256), (1, 16384), (2, 4), (2, 8), (2, 64)],
+    ids=["1d-4", "1d-8", "1d-256", "1d-16384", "2d-4", "2d-8", "2d-64"],
+)
+def test_signed_chirp_matches_direct_table(n_dims, n, extent, cot, scale):
+    """The orthant-and-mirror table is symmetric bit for bit, read-only, and
+    the directly evaluated signed chirp up to the last ulp of cos and sin."""
+    grid = Grid(n_dims, n, extent)
+    table = transform._signed_chirp(grid, cot, scale)
+    assert table.shape == grid.shape and not table.flags.writeable
+    assert table.tobytes() == _reflected(table).tobytes()
+    direct = np.exp(1j * np.pi * cot * grid.radius_squared()).reshape(grid.shape) * scale
+    signs = 1 - 2 * (np.indices(grid.shape).sum(axis=0) % 2)
+    assert np.max(np.abs(table - direct * signs)) <= 1e-15 * scale
+
+
+def test_overflowing_transform_is_rejected():
+    """A finite signal whose transform overflows raises; no inf is returned."""
+    f = SampledSignal(Grid(1, 1024, 4.0), np.full(1024, 1e307))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        frft(f, ThetaParam(0.7))
+
+
+def test_owned_results_keep_the_checks_and_skip_only_the_copy():
+    grid = Grid(1, 64, 4.0)
+    raw = random_signal(grid, 5).values.copy()
+    f = SampledSignal(grid, raw)
+    assert not np.shares_memory(f.values, raw) and not f.values.flags.writeable
+    assert not frft(f, ThetaParam(0.9)).values.flags.writeable
+    fresh = np.ones(64, dtype=np.complex128)
+    owned = SampledSignal._owning(grid, fresh)
+    assert np.shares_memory(owned.values, fresh) and not owned.values.flags.writeable
+    with pytest.raises(ValueError, match="non-finite"):
+        SampledSignal._owning(grid, np.full(64, complex(np.nan, 0.0)))
+    with pytest.raises(ValueError, match="expected 64 samples"):
+        SampledSignal._owning(grid, np.zeros(32, dtype=np.complex128))
