@@ -14,6 +14,13 @@ outputs) and writes atomically (temporary file plus rename).  Exit codes:
 contradiction.  The environment variable ``FRFTKIT_THREADS``, when set,
 must be a positive integer (else exit 4); every computation runs on a
 single worker, which satisfies any cap, so the value is not kept.
+
+Every JSON field is read through one field reader, :func:`_field`, which
+checks it against one of the kinds in ``_KINDS`` (a finite number, an
+integer, a list of file names, ...).  The schema picks the exit code of a
+missing or bad field: 4 for a cascade config, 2 for a tile file.  The angle
+flags and a cascade config's ``theta`` or ``theta_frac`` go through one
+angle resolver, :func:`_angle`.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import re
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -73,7 +80,7 @@ from .scatter import (
 from .theta_ops import theta_convolve, theta_dilate, theta_modulate, theta_translate
 from .transform import frft, frft_direct_oracle, inverse_frft, l2_norm
 
-__all__ = ["main", "RunConfig", "read_signal", "write_signal"]
+__all__ = ["main", "read_signal", "write_signal"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -81,7 +88,9 @@ EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
 #: Errors meaning the computation itself degenerated.
-_NUMERIC_ERRORS = (AngleDegenerate, NoDecay, TruncationLoss, NotHermitian, GridTooLarge)
+_NUMERIC_ERRORS = (
+    AngleDegenerate, NoDecay, TruncationLoss, NotHermitian, GridTooLarge, OverflowError
+)
 #: Errors meaning the request contradicts itself or its inputs.
 _CONFIG_ERRORS = (
     NonCommutingOps,
@@ -104,24 +113,6 @@ class CliConfigError(Exception):
     """Flags or configuration fields contradict each other."""
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Validated record of one command invocation.
-
-    ``theta`` is resolved from the angle flags when the command carries
-    them (scatter and tile commands read their angle from JSON instead).
-    """
-
-    command: str
-    theta: ThetaParam | None
-
-
-def _require_theta(config: RunConfig) -> ThetaParam:
-    if config.theta is None:
-        raise CliConfigError("an angle is required: --theta or --theta-frac")
-    return config.theta
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -131,14 +122,93 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _finite_real(value: object, what: str, error: type[Exception] = CliConfigError) -> float:
-    """``value`` as a float: a JSON number, not a bool, that a float holds."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise error(f"{what} must be a number")
+def _is_str(x: object) -> bool:
+    return isinstance(x, str)
+
+
+def _list_of(x: object, test: Callable[[object], bool]) -> bool:
+    return isinstance(x, list) and all(map(test, x))
+
+
+#: The kinds of JSON field: a test, and the words that end "<key> must ..."
+#: when a value fails it.
+_KINDS: dict[str, tuple[Callable[[object], bool], str]] = {
+    "number": (lambda x: _is_int(x) or isinstance(x, float), "be a number"),
+    "integer": (_is_int, "be an integer"),
+    "nonnegative integer": (lambda x: _is_int(x) and x >= 0, "be a nonnegative integer"),
+    "string": (_is_str, "be a string"),
+    "files": (lambda x: _list_of(x, _is_str) and len(x) > 0, "list at least one file"),
+    "objects": (
+        lambda x: _list_of(x, lambda e: isinstance(e, dict)) and len(x) > 0,
+        "be a non-empty list of objects",
+    ),
+    "pair": (lambda x: _list_of(x, _is_int) and len(x) == 2, "be a pair of integers"),
+    "cells": (
+        lambda x: _list_of(x, lambda cell: _list_of(cell, lambda k: _list_of(k, _is_int))),
+        "be a list of lists of integer lists",
+    ),
+}
+
+_REQUIRED = object()
+
+
+def _field(
+    data: dict,
+    key: str,
+    kind: str,
+    where: str,
+    error: type[Exception],
+    default: object = _REQUIRED,
+) -> object:
+    """``data[key]``, checked as a ``kind`` value, or ``default`` when the
+    key is absent.  A number comes back as a finite float.  Any defect
+    raises ``error`` with a message that starts with ``where``."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise error(f"{where}{key} is required")
+        return default
+    value = data[key]
+    test, words = _KINDS[kind]
+    if not test(value):
+        raise error(f"{where}{key} must {words}")
+    if kind != "number":
+        return value
     # False for nan and for numbers that float() cannot hold, inf included.
     if not abs(value) <= sys.float_info.max:
-        raise error(f"{what} must be finite")
+        raise error(f"{where}{key} must be finite")
     return float(value)
+
+
+def _angle(
+    theta: float | None,
+    frac: Sequence[int] | None,
+    where: str = "",
+    names: tuple[str, str] = ("--theta", "--theta-frac"),
+) -> ThetaParam:
+    """The angle of ``theta`` radians or of ``frac = (P, Q)``, meaning
+    ``P*pi/Q``; exactly one must be given.  Messages start with ``where``
+    and call the two ``names``."""
+    value, fraction = names
+    if theta is not None and frac is not None:
+        raise CliConfigError(f"{where}{value} and {fraction} contradict each other")
+    if frac is not None:
+        p, q = frac
+        if q == 0:
+            raise CliConfigError(f"{where}{fraction} denominator must be nonzero")
+        try:
+            theta = math.pi * p / q
+        except OverflowError as exc:  # P or Q too large for a float
+            raise CliConfigError(f"{where}{fraction} must be finite") from exc
+    if theta is None:
+        raise CliConfigError(f"{where}an angle is required: {value} or {fraction}")
+    return ThetaParam(theta)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -191,10 +261,7 @@ def read_signal(path: Path | str) -> SampledSignal:
     fault.  Both give the same values for every file they accept.
     """
     path = Path(path)
-    try:
-        raw = path.read_text()
-    except OSError as exc:
-        raise CliParseError(f"cannot read {path}: {exc}") from exc
+    raw = _read_text(path)
     signal = _read_canonical(raw)
     return signal if signal is not None else _read_lines(path, raw)
 
@@ -322,21 +389,6 @@ def _write_table(path: Path | str, header: str, rows: list[str],
     _atomic_write(Path(path), ["\n".join(lines) + "\n"])
 
 
-def _resolve_theta(args: argparse.Namespace) -> ThetaParam | None:
-    has_val = getattr(args, "theta", None) is not None
-    has_frac = getattr(args, "theta_frac", None) is not None
-    if has_val and has_frac:
-        raise CliConfigError("--theta and --theta-frac contradict each other")
-    if not has_val and not has_frac:
-        return None
-    if has_frac:
-        p, q = args.theta_frac
-        if q == 0:
-            raise CliConfigError("--theta-frac denominator must be nonzero")
-        return ThetaParam(math.pi * p / q)
-    return ThetaParam(args.theta)
-
-
 def _check_threads_env() -> None:
     """Reject a ``FRFTKIT_THREADS`` that is not a positive integer."""
     raw = os.environ.get("FRFTKIT_THREADS")
@@ -353,8 +405,8 @@ def _check_threads_env() -> None:
 # --------------------------------------------------------------------- frft
 
 
-def cmd_frft(args: argparse.Namespace, config: RunConfig) -> None:
-    theta = _require_theta(config)
+def cmd_frft(args: argparse.Namespace) -> None:
+    theta = _angle(args.theta, args.theta_frac)
     if args.inverse and args.oracle:
         raise CliConfigError("--oracle implements only the forward transform")
     signal = read_signal(args.in_path)
@@ -379,8 +431,8 @@ def _parse_shift(args: argparse.Namespace, n_dims: int) -> tuple[float, ...]:
     return shift
 
 
-def cmd_ops(args: argparse.Namespace, config: RunConfig) -> None:
-    theta = _require_theta(config)
+def cmd_ops(args: argparse.Namespace) -> None:
+    theta = _angle(args.theta, args.theta_frac)
     signal = read_signal(args.in_path)
     if args.operation == "translate":
         out = theta_translate(signal, _parse_shift(args, signal.grid.n_dims), theta)
@@ -405,8 +457,8 @@ def cmd_ops(args: argparse.Namespace, config: RunConfig) -> None:
 # ------------------------------------------------------------------- frames
 
 
-def cmd_frames(args: argparse.Namespace, config: RunConfig) -> None:
-    theta = _require_theta(config)
+def cmd_frames(args: argparse.Namespace) -> None:
+    theta = _angle(args.theta, args.theta_frac)
     atoms = tuple(read_signal(p) for p in args.atoms)
     bounds = frame_bounds(AtomBank(atoms, theta))
     grid = bounds.grid
@@ -415,55 +467,22 @@ def cmd_frames(args: argparse.Namespace, config: RunConfig) -> None:
         f"# lower: {_fmt(bounds.lower)}",
         f"# upper: {_fmt(bounds.upper)}",
     ]
-    if grid.n_dims == 1:
-        header = "omega,value"
-        rows = [
-            f"{_fmt(w)},{_fmt(v)}"
-            for w, v in zip(grid.axis, bounds.spectrum)
-        ]
-    else:
-        header = "omega_0,omega_1,value"
-        coords = grid.coordinates()
-        rows = [
-            f"{_fmt(coords[0].ravel()[i])},{_fmt(coords[1].ravel()[i])},{_fmt(v)}"
-            for i, v in enumerate(bounds.spectrum)
-        ]
-    _write_table(args.out, header, rows, preamble)
+    coords = grid.coordinates()
+    names = ["omega"] if len(coords) == 1 else ["omega_0", "omega_1"]
+    rows = [
+        ",".join(_fmt(x) for x in (*ws, v)) for *ws, v in zip(*coords, bounds.spectrum)
+    ]
+    _write_table(args.out, ",".join(names + ["value"]), rows, preamble)
 
 
 # ------------------------------------------------------------------ scatter
 
 
-def _scatter_theta(data: dict, where: str) -> ThetaParam:
-    has_val = "theta" in data
-    has_frac = "theta_frac" in data
-    if has_val and has_frac:
-        raise CliConfigError(f"{where}: theta and theta_frac contradict each other")
-    if has_frac:
-        frac = data["theta_frac"]
-        if (
-            not isinstance(frac, list)
-            or len(frac) != 2
-            or not all(_is_int(x) for x in frac)
-        ):
-            raise CliConfigError(f"{where}: theta_frac must be a pair of integers")
-        if frac[1] == 0:
-            raise CliConfigError(f"{where}: theta_frac denominator must be nonzero")
-        return ThetaParam(math.pi * frac[0] / frac[1])
-    if has_val:
-        return ThetaParam(_finite_real(data["theta"], f"{where}: theta"))
-    raise CliConfigError(f"{where}: an angle is required (theta or theta_frac)")
-
-
-def _load_json(path: Path | str) -> dict:
-    path = Path(path)
-    try:
-        raw = path.read_text()
-    except OSError as exc:
-        raise CliParseError(f"cannot read {path}: {exc}") from exc
+def _load_json(path: Path) -> dict:
+    raw = _read_text(path)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliParseError(f"{path}: expected a JSON object")
@@ -477,43 +496,37 @@ def _load_scatter_config(
 ) -> tuple[ThetaParam, list[LayerConfig], int]:
     path = Path(path)
     data = _load_json(path)
-    theta = _scatter_theta(data, str(path))
-    if not _is_int(data.get("depth")) or data["depth"] < 0:
-        raise CliConfigError(f"{path}: depth must be a nonnegative integer")
-    depth = data["depth"]
-    raw_layers = data.get("layers")
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise CliConfigError(f"{path}: layers must be a non-empty list")
+    field = partial(_field, error=CliConfigError)
+    where = f"{path}: "
+    theta = _angle(
+        field(data, "theta", "number", where, default=None),
+        field(data, "theta_frac", "pair", where, default=None),
+        where,
+        ("theta", "theta_frac"),
+    )
+    depth = field(data, "depth", "nonnegative integer", where)
+    raw_layers = field(data, "layers", "objects", where)
 
     base = path.parent
     layers = []
     for pos, entry in enumerate(raw_layers):
-        where = f"{path}: layers[{pos}]"
-        if not isinstance(entry, dict):
-            raise CliConfigError(f"{where}: expected an object")
-        atom_paths = entry.get("atoms")
-        if not isinstance(atom_paths, list) or not atom_paths or not all(
-            isinstance(p, str) for p in atom_paths
-        ):
-            raise CliConfigError(f"{where}: atoms must list at least one file")
-        out_path = entry.get("output_atom")
-        if not isinstance(out_path, str):
-            raise CliConfigError(f"{where}: output_atom file is required")
-        nonlin_spec = entry.get("nonlin", {"kind": "identity"})
+        where = f"{path}: layers[{pos}]: "
+        atom_paths = field(entry, "atoms", "files", where)
+        out_path = field(entry, "output_atom", "string", where)
+        nonlin_spec = entry.get("nonlin", "identity")
         if isinstance(nonlin_spec, str):
             nonlin_spec = {"kind": nonlin_spec}
-        if not isinstance(nonlin_spec, dict) or "kind" not in nonlin_spec:
-            raise CliConfigError(f"{where}: nonlin needs a kind")
-        threshold = _finite_real(nonlin_spec.get("b", 0.0), f"{where}: nonlin b")
-        pool_kind = entry.get("pool", "identity")
-        if not isinstance(pool_kind, str):
-            raise CliConfigError(f"{where}: pool must be a kind string")
-        s_factor = _finite_real(entry.get("s", 1.0), f"{where}: s")
+        if not isinstance(nonlin_spec, dict):
+            raise CliConfigError(f"{where}nonlin must be a kind string or an object")
+        kind = field(nonlin_spec, "kind", "string", f"{where}nonlin ")
+        threshold = field(nonlin_spec, "b", "number", f"{where}nonlin ", default=0.0)
+        pool_kind = field(entry, "pool", "string", where, default="identity")
+        s_factor = field(entry, "s", "number", where, default=1.0)
         try:
-            nonlin = Nonlinearity(str(nonlin_spec["kind"]), threshold)
+            nonlin = Nonlinearity(kind, threshold)
             pool = Pooling(pool_kind)
         except ValueError as exc:
-            raise CliConfigError(f"{where}: {exc}") from exc
+            raise CliConfigError(f"{where}{exc}") from exc
         atoms = tuple(read_signal(base / p) for p in atom_paths)
         output_atom = read_signal(base / out_path)
         try:
@@ -527,7 +540,7 @@ def _load_scatter_config(
                 )
             )
         except ValueError as exc:
-            raise CliConfigError(f"{where}: {exc}") from exc
+            raise CliConfigError(f"{where}{exc}") from exc
     if depth > len(layers):
         raise CliConfigError(
             f"{path}: depth {depth} exceeds the {len(layers)} configured layers"
@@ -539,7 +552,7 @@ def _path_label(path: tuple[int, ...]) -> str:
     return "-".join(str(i) for i in path) if path else "root"
 
 
-def cmd_scatter_extract(args: argparse.Namespace, config: RunConfig) -> None:
+def cmd_scatter_extract(args: argparse.Namespace) -> None:
     theta, layers, depth = _load_scatter_config(args.config)
     signal = read_signal(args.signal)
     tree = extract_features(signal, layers, depth, theta)
@@ -556,7 +569,7 @@ def cmd_scatter_extract(args: argparse.Namespace, config: RunConfig) -> None:
     _write_table(out_dir / "index.csv", "level,path,norm,file", rows, preamble)
 
 
-def cmd_scatter_invariance(args: argparse.Namespace, config: RunConfig) -> None:
+def cmd_scatter_invariance(args: argparse.Namespace) -> None:
     theta, layers, depth = _load_scatter_config(args.config)
     signal = read_signal(args.signal)
     norm_f = l2_norm(signal)
@@ -605,8 +618,8 @@ def _complex_pairs(block: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def cmd_approx_fit(args: argparse.Namespace, config: RunConfig) -> None:
-    theta = _require_theta(config)
+def cmd_approx_fit(args: argparse.Namespace) -> None:
+    theta = _angle(args.theta, args.theta_frac)
     if args.ell < 1:
         raise CliConfigError("--ell must be at least 1")
     signals = [read_signal(p) for p in args.data]
@@ -639,8 +652,8 @@ def cmd_approx_fit(args: argparse.Namespace, config: RunConfig) -> None:
         )
 
 
-def cmd_approx_table(args: argparse.Namespace, config: RunConfig) -> None:
-    theta = _require_theta(config)
+def cmd_approx_table(args: argparse.Namespace) -> None:
+    theta = _angle(args.theta, args.theta_frac)
     if args.m < 1:
         raise CliConfigError("--m must be at least 1")
     n_dims = 1 if args.family == "sinc1d" else 2
@@ -656,8 +669,8 @@ def cmd_approx_table(args: argparse.Namespace, config: RunConfig) -> None:
 # ---------------------------------------------------------------- multitile
 
 
-def cmd_multitile_fit(args: argparse.Namespace, config: RunConfig) -> None:
-    theta = _require_theta(config)
+def cmd_multitile_fit(args: argparse.Namespace) -> None:
+    theta = _angle(args.theta, args.theta_frac)
     if args.ell < 1:
         raise CliConfigError("--ell must be at least 1")
     if args.bound < 1:
@@ -695,40 +708,24 @@ def cmd_multitile_fit(args: argparse.Namespace, config: RunConfig) -> None:
 
 
 def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
-    data = _load_json(path)
-    required = ("theta", "n_dims", "omega_samples", "bound", "ell", "cells")
-    for key in required:
-        if key not in data:
-            raise CliConfigError(f"{path}: missing field {key!r}")
-    for key in ("n_dims", "omega_samples", "bound", "ell"):
-        if not _is_int(data[key]):
-            raise CliParseError(f"{path}: {key} must be an integer")
-    theta = _finite_real(data["theta"], f"{path}: theta", CliParseError)
-    raw = data["cells"]
-    if not (
-        isinstance(raw, list)
-        and all(
-            isinstance(cell, list)
-            and all(
-                isinstance(offset, list) and all(_is_int(c) for c in offset)
-                for offset in cell
-            )
-            for cell in raw
-        )
-    ):
-        raise CliParseError(f"{path}: cells must be a list of lists of integer lists")
-    cells = tuple(tuple(tuple(offset) for offset in cell) for cell in raw)
+    path = Path(path)
+    field = partial(_field, _load_json(path), where=f"{path}: ", error=CliParseError)
+    n_dims, omega_samples, bound, ell = (
+        field(key, "integer") for key in ("n_dims", "omega_samples", "bound", "ell")
+    )
+    theta = field("theta", "number")
+    cells = tuple(tuple(tuple(offset) for offset in cell) for cell in field("cells", "cells"))
     tile = TileSet(
         theta=ThetaParam(theta),
-        n_dims=data["n_dims"],
-        omega_samples=data["omega_samples"],
-        bound=data["bound"],
+        n_dims=n_dims,
+        omega_samples=omega_samples,
+        bound=bound,
         cells=cells,
     )
-    return tile, data["ell"]
+    return tile, ell
 
 
-def cmd_multitile_check(args: argparse.Namespace, config: RunConfig) -> None:
+def cmd_multitile_check(args: argparse.Namespace) -> None:
     tile, ell = _tile_from_json(args.tile)
     if not is_multitile(tile, ell):
         raise NotMultiTile(
@@ -743,7 +740,7 @@ def cmd_multitile_check(args: argparse.Namespace, config: RunConfig) -> None:
 # ----------------------------------------------------------------- plotdata
 
 
-def cmd_plotdata(args: argparse.Namespace, config: RunConfig) -> None:
+def cmd_plotdata(args: argparse.Namespace) -> None:
     signal = read_signal(args.in_path)
     coords = signal.grid.coordinates()  # fresh arrays on each call: read once
     names = ["coordinate"] if len(coords) == 1 else ["coordinate_0", "coordinate_1"]
@@ -870,10 +867,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_threads_env()
-        config = RunConfig(command=args.command, theta=_resolve_theta(args))
-        handler: Callable[[argparse.Namespace, RunConfig], None] = args.func
-        handler(args, config)
-    except CliParseError as exc:
+        handler: Callable[[argparse.Namespace], None] = args.func
+        handler(args)
+    except (CliParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except _NUMERIC_ERRORS as exc:
@@ -882,7 +878,4 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliConfigError, *_CONFIG_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     return EXIT_OK

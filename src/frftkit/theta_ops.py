@@ -179,7 +179,8 @@ def _dilate(
         # Without padding the resampler reads the chirped samples themselves.
         fine = _alternate(signed, grid.n_dims)
 
-    idx = (fine_n // 2 + p * (np.arange(n) - n // 2)) % fine_n
+    # p mod fine_n reads the same samples and keeps the product in int64.
+    idx = (fine_n // 2 + (p % fine_n) * (np.arange(n) - n // 2)) % fine_n
     out = fine
     for axis in axes:
         out = np.take(out, idx, axis=axis)

@@ -205,12 +205,14 @@ _live_plan: _ChirpPlan | None = None
 
 def _chirp_plan(grid: Grid, theta: ThetaParam, *, output: bool = False) -> _ChirpPlan:
     """The plan of ``theta`` whose input grid (output grid if ``output``)
-    is ``grid``; built on a miss after the previous plan is dropped."""
+    is ``grid``; built on a miss after the previous plan is dropped.
+    :func:`frft_output_grid` is its own inverse, so it gives the input grid
+    of an output grid too."""
     global _live_plan
     if theta.is_axis:
         raise AngleDegenerate(f"cot undefined at theta={theta.theta!r}")
     if output:
-        in_grid, out_grid = _input_grid(grid, theta), grid
+        in_grid, out_grid = frft_output_grid(grid, theta), grid
     else:
         in_grid, out_grid = grid, frft_output_grid(grid, theta)
     plan = _live_plan
@@ -233,13 +235,6 @@ def frft_output_grid(grid: Grid, theta: ThetaParam) -> Grid:
     """Canonical output grid: spacing ``|sin(theta)| / period``."""
     d_omega = theta.abs_sin / grid.period
     return Grid(grid.n_dims, grid.samples_per_dim, 0.5 * grid.samples_per_dim * d_omega)
-
-
-def _input_grid(out_grid: Grid, theta: ThetaParam) -> Grid:
-    """The grid that :func:`inverse_frft` maps ``out_grid`` back to."""
-    in_spacing = theta.abs_sin / out_grid.period
-    n = out_grid.samples_per_dim
-    return Grid(out_grid.n_dims, n, 0.5 * n * in_spacing)
 
 
 def _reverse_indices(n: int) -> NDArray[np.intp]:

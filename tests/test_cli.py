@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +542,120 @@ def test_multitile_check_rejects_malformed_cells(tmp_path, capsys, field, value,
     bad.write_text(json.dumps(doc))
     assert main(["multitile", "check", "--tile", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_multitile_check_missing_field_is_a_parse_failure(tmp_path, capsys):
+    doc = {"schema": 1, "n_dims": 1, "omega_samples": 2, "bound": 1, "ell": 1,
+           "cells": [[[0]], [[1]]]}
+    bad = tmp_path / "tile.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["multitile", "check", "--tile", str(bad)]) == 2
+    assert "theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,content",
+    [("f.csv", b"# grid: 1,4,1.0\nindex,re,im\n0,1.0,\xff\n"),
+     ("tile.json", b'{"schema": 1, "theta": "\xff"}'),
+     ("tile.json", b"[" * 200000)],
+    ids=["csv-not-utf8", "json-not-utf8", "json-too-deep"],
+)
+def test_unreadable_files_are_parse_failures(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    if name.endswith(".csv"):
+        argv = ["frft", "--in", str(path), "--out", str(tmp_path / "o.csv"), "--theta", "1.0"]
+    else:
+        argv = ["multitile", "check", "--tile", str(path)]
+    assert main(argv) == 2
+
+
+#: JSON texts that every input field is set to in turn.  The large finite
+#: values (a 401-digit integer, 1e300) pass the type checks and reach the
+#: arithmetic.
+HOSTILE = ["null", "true", '"x"', "[1]", '{"a": 1}', "NaN", "Infinity", "1e400",
+           "1" + "0" * 400, "-3", "1.5", "1e300"]
+
+
+def field_paths(doc, prefix=()):
+    """The key path of every value in a JSON document, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def with_field(doc, path, text):
+    """JSON text of ``doc`` with the value at ``path`` replaced by ``text``;
+    a top-level ``theta`` replaces ``theta_frac``."""
+    doc = json.loads(json.dumps(doc))
+    if path == ("theta",):
+        doc.pop("theta_frac", None)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@mutant@"
+    return json.dumps(doc).replace('"@mutant@"', text)
+
+
+@pytest.fixture(scope="module")
+def hostile_cases(tmp_path_factory):
+    """A directory with a valid cascade config and signal, and the argv
+    builders that run ``main`` on one mutated field or flag."""
+    tmp = tmp_path_factory.mktemp("hostile")
+    grid = Grid(1, 32, 4.0)
+    cfg, sig, _ = scatter_config(tmp, grid=grid)
+    cascade = json.loads(Path(cfg).read_text())
+    tile = {"schema": 1, "theta": 1.0, "n_dims": 1, "omega_samples": 2, "bound": 1,
+            "ell": 1, "cells": [[[0]], [[1]]]}
+    csv = Path(sig).read_text()
+    out = str(tmp / "out.csv")
+
+    def config(path, text):
+        (tmp / "mutant.json").write_text(with_field(cascade, path, text))
+        return ["scatter", "invariance", "--config", str(tmp / "mutant.json"),
+                "--signal", sig, "--t", repr(grid.spacing), "--out", out]
+
+    def tile_file(path, text):
+        (tmp / "tile.json").write_text(with_field(tile, path, text))
+        return ["multitile", "check", "--tile", str(tmp / "tile.json")]
+
+    def header(i, text):
+        head, rest = csv.split("\n", 1)
+        fields = head[len("# grid: "):].split(",")
+        fields[i] = text
+        (tmp / "mutant.csv").write_text("# grid: " + ",".join(fields) + "\n" + rest)
+        return ["frft", "--in", str(tmp / "mutant.csv"), "--out", out, "--theta", "1.0"]
+
+    def flag(which, text):
+        angle = {"theta": ["--theta", text], "P": ["--theta-frac", text, "3"],
+                 "Q": ["--theta-frac", "1", text]}.get(which, ["--theta", "1.0"])
+        command = ["ops", "dilate", "--factor", text] if which == "factor" else ["frft"]
+        return [*command, "--in", sig, "--out", out, *angle]
+
+    cases = [(config, p) for p in [("theta",), *field_paths(cascade)]]
+    cases += [(tile_file, p) for p in field_paths(tile)]
+    cases += [(header, i) for i in range(3)]
+    cases += [(flag, which) for which in ("theta", "P", "Q", "factor")]
+    return cases
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_every_hostile_input_gets_an_exit_code(hostile_cases, data):
+    """A hostile value in any field of a cascade config, a tile file or a
+    grid header, or in an angle or factor flag, ends in a documented exit
+    code and never in a traceback.  Some values are valid (``theta: 1e300``)."""
+    build, where = data.draw(st.sampled_from(hostile_cases))
+    value = data.draw(st.sampled_from(HOSTILE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(build(where, value)) in (0, 2, 3, 4)
 
 
 def test_plotdata(tmp_path):

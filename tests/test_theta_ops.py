@@ -202,6 +202,19 @@ def test_dilation_alias_warning_on_fullband_input():
         theta_dilate(f, 2, th)
 
 
+def test_dilation_by_a_huge_integer_reads_its_residue():
+    """A factor past int64 reads the samples of its residue mod the grid
+    size, exactly as a small factor with that residue does."""
+    grid = Grid(1, 64, 4.0)
+    th = ThetaParam(math.pi / 3)
+    f = random_signal(grid, 38)
+    with pytest.warns(AliasRiskWarning):
+        huge = theta_dilate(f, 10**30, th)
+    with pytest.warns(AliasRiskWarning):
+        small = theta_dilate(f, 10**30 % 64 + 64, th)
+    assert np.array_equal(huge.values, small.values)
+
+
 def test_dilation_rejects_irrational_factor():
     grid = Grid(1, 64, 4.0)
     th = ThetaParam(math.pi / 3)
