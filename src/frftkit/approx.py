@@ -258,9 +258,9 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     """
     layout = _FiberLayout(f.grid, fgrid)
 
-    # Centered transform of the chirped signal: the plan's spectrum with the
-    # sign table undone and the Riemann weight applied.
-    spectrum = _chirp_plan(f.grid, fgrid.theta).spectrum(f.as_nd())
+    # Centered transform of the chirped signal: the FFT of the plan's chirped
+    # samples with the sign table undone and the Riemann weight applied.
+    spectrum = np.fft.fftn(_chirp_plan(f.grid, fgrid.theta).chirp(f.as_nd()))
     _alternate(spectrum, fgrid.n_dims)
     spectrum *= f.grid.spacing**fgrid.n_dims
     data = np.where(layout.valid, spectrum.ravel()[layout.index], 0.0)
@@ -405,8 +405,9 @@ def synthesize_generator(
     spectrum = np.zeros(signal_grid.size, dtype=np.complex128)
     spectrum[layout.index[layout.valid]] = model.generators[i][layout.valid]
     spectrum = spectrum.reshape(signal_grid.shape)
-    # Into the plan's spectrum domain: sign table, no Riemann weight.
+    # Into the FFT domain of the plan's chirped samples: sign table, no
+    # Riemann weight.
     _alternate(spectrum, fgrid.n_dims)
     spectrum /= signal_grid.spacing**fgrid.n_dims
-    values = _chirp_plan(signal_grid, fgrid.theta).from_spectrum(spectrum)
+    values = _chirp_plan(signal_grid, fgrid.theta).unchirp(np.fft.ifftn(spectrum))
     return SampledSignal._owning(signal_grid, values)

@@ -482,7 +482,7 @@ def _load_json(path: Path) -> dict:
     raw = _read_text(path)
     try:
         data = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise CliParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliParseError(f"{path}: expected a JSON object")

@@ -9,15 +9,19 @@ twisted translation of the input, both in the invariant and the
 covariant sense.
 
 Every layer keeps the chirped spectra of its atoms, computed once at
-construction.  One engine propagates the cascade on the cached chirp plan
-of :mod:`frftkit.transform`, a level at a time: level ``k`` is one
-``(paths, *grid)`` ndarray whose rows are the length-``k`` paths in
+construction.  One engine propagates the cascade on the chirped samples of
+the cached plan of :mod:`frftkit.transform`, a level at a time: level ``k``
+is one ``(paths, *grid)`` ndarray whose rows are the length-``k`` paths in
 lexicographic order of their atom indices, the order of
 ``itertools.product``.  Each layer takes one spectrum of the whole stack,
-one broadcast product against the atom spectra and one inverse.  The
-deviations stack the shifted and the unshifted input as two roots, so
-both cascades run in one pass.  A public function builds
-:class:`SampledSignal` objects only for the signals it returns.
+one broadcast product against the atom spectra and one inverse.  Inputs
+are chirped once at the root and features unchirped once at the readout;
+energies and deviations ignore the unit-modulus chirp.  A modulus drops
+its phase (these networks are not translation invariant), and the engine
+multiplies it back in.  The deviations stack the shifted and the
+unshifted input as two roots, so both cascades run in one pass.  A public
+function builds :class:`SampledSignal` objects only for the signals it
+returns.
 """
 
 from __future__ import annotations
@@ -165,14 +169,8 @@ def atom_decay_constant(
     radius = np.sqrt(spectrum.grid.radius_squared())
     weighted = radius * magnitude
 
-    n = spectrum.grid.samples_per_dim
-    edge = np.zeros(spectrum.grid.shape, dtype=bool)
-    for axis in range(spectrum.grid.n_dims):
-        index = [slice(None)] * spectrum.grid.n_dims
-        index[axis] = 0
-        edge[tuple(index)] = True
-        index[axis] = n - 1
-        edge[tuple(index)] = True
+    edge = np.ones(spectrum.grid.shape, dtype=bool)
+    edge[(slice(1, -1),) * spectrum.grid.n_dims] = False
     worst_edge = float(weighted[edge.ravel()].max())
     if worst_edge > DECAY_EDGE_TOL:
         raise NoDecay(
@@ -288,32 +286,35 @@ def _cascade_plan(
 
 
 def _step(
-    x: NDArray[np.complex128], layer: LayerConfig, plan: _ChirpPlan, atoms: slice
+    y: NDArray[np.complex128], layer: LayerConfig, plan: _ChirpPlan, atoms: slice
 ) -> NDArray[np.complex128]:
-    """One layer on a ``(paths, *grid)`` stack: convolve every path with
-    each atom of ``layer.kernels[atoms]``, then nonlinearity, pooling and
-    dilation.  Row ``i * n + j`` of the ``(paths * n, *grid)`` result is
-    path ``i`` extended by the ``j``-th of the ``n`` selected atoms."""
-    spectra = plan.spectrum(x)[:, None] * layer.kernels[atoms]
-    out = plan.from_spectrum(spectra).reshape((-1,) + x.shape[1:])
-    out = layer.pool.apply(layer.nonlin.apply(out))
+    """One layer on a chirped ``(paths, *grid)`` stack: convolve every path
+    with each atom of ``layer.kernels[atoms]``, then nonlinearity, pooling
+    and dilation.  Row ``i * n + j`` of the ``(paths * n, *grid)`` result
+    is path ``i`` extended by the ``j``-th of the ``n`` selected atoms."""
+    out = plan.filter(y[:, None], layer.kernels[atoms]).reshape((-1,) + y.shape[1:])
+    for op in (layer.nonlin, layer.pool):
+        out = op.apply(out)
+        if op.kind == "modulus":
+            # |y| = |x| has lost the chirp's phase; put it back.
+            out *= plan.chirp_in
     if layer.pooling_factor != 1.0:
         out = _dilate(out, _as_fraction(layer.pooling_factor), plan)
     return out
 
 
 def _levels(
-    x: NDArray[np.complex128],
+    y: NDArray[np.complex128],
     plan: _ChirpPlan,
     layers: Sequence[LayerConfig],
     depth: int,
 ) -> Iterator[NDArray[np.complex128]]:
-    """Yield the propagated stack of each level ``0 .. depth`` of the
-    cascade whose roots are the rows of ``x``."""
-    yield x
+    """Yield the chirped stack of each level ``0 .. depth`` of the cascade
+    whose chirped roots are the rows of ``y``."""
+    yield y
     for layer in layers[:depth]:
-        x = _step(x, layer, plan, slice(None, -1))
-        yield x
+        y = _step(y, layer, plan, slice(None, -1))
+        yield y
 
 
 def _readout(
@@ -323,18 +324,18 @@ def _readout(
     plan: _ChirpPlan,
     level0_atom: SampledSignal | None,
 ) -> NDArray[np.complex128]:
-    """Level-``k`` features of a level-``k`` stack: its convolution with
-    the output atom of ``layers[k - 1]``; at level 0 with ``level0_atom``,
-    else with the first layer's output atom."""
+    """Chirped level-``k`` features of a chirped level-``k`` stack: its
+    convolution with the output atom of ``layers[k - 1]``; at level 0 with
+    ``level0_atom``, else with the first layer's output atom."""
     if k > 0:
-        return plan.convolve(stack, layers[k - 1].kernels[-1])
+        return plan.filter(stack, layers[k - 1].kernels[-1])
     if level0_atom is None:
         if not layers:
             raise ValueError("need either a level-0 output atom or at least one layer")
         level0_atom = layers[0].output_atom
     if level0_atom.grid != plan.in_grid:
         raise GridMismatch("level-0 output atom and signal live on different grids")
-    return plan.convolve(stack, plan.kernel(level0_atom.as_nd()))
+    return plan.filter(stack, plan.kernel(level0_atom.as_nd()))
 
 
 def u_layer(
@@ -363,7 +364,8 @@ def u_path(
     for lam, layer in zip(q, layers):
         if not 0 <= lam < layer.n_atoms:
             raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
-        out = _step(out, layer, plan, slice(lam, lam + 1))
+        # Out of the chirped domain after every step, as u_layer is.
+        out = plan.unchirp(_step(plan.chirp(out), layer, plan, slice(lam, lam + 1)))
     return SampledSignal._owning(f.grid, out)
 
 
@@ -394,9 +396,9 @@ def extract_features(
             stacklevel=2,
         )
     levels = []
-    for k, stack in enumerate(_levels(f.as_nd()[None], plan, layers, depth)):
+    for k, stack in enumerate(_levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)):
         paths = itertools.product(*(range(layer.n_atoms) for layer in layers[:k]))
-        features = _readout(stack, k, layers, plan, level0_atom)
+        features = plan.unchirp(_readout(stack, k, layers, plan, level0_atom))
         levels.append({path: f.with_values(v.ravel()) for path, v in zip(paths, features)})
     return FeatureTree(levels=tuple(levels), theta=theta, admissible=admissible)
 
@@ -440,8 +442,8 @@ def _deviation(
     _commutation_gate(layers, depth, theta)
     shift = as_shift(t, f.grid.n_dims)
     plan = _cascade_plan(f.grid, theta, layers, depth)
-    x = f.as_nd()
-    *_, stack = _levels(np.stack([_translate(x, shift, plan), x]), plan, layers, depth)
+    y = plan.chirp(f.as_nd())
+    *_, stack = _levels(np.stack([_translate(y, shift, plan), y]), plan, layers, depth)
     shifted, plain = np.split(_readout(stack, depth, layers, plan, level0_atom), 2)
     reference = _translate(plain, shift, plan) if covariant else plain
     norm_sq = sum(c * c for c in shift.components)
@@ -581,4 +583,4 @@ def energy_profile(
     this sequence is nonincreasing.
     """
     plan = _cascade_plan(f.grid, theta, layers, depth)
-    return [_energy(stack, f.grid) for stack in _levels(f.as_nd()[None], plan, layers, depth)]
+    return [_energy(y, f.grid) for y in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)]

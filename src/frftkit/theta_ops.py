@@ -12,11 +12,14 @@ exchange, convolution commutation, dilation exchange) exact on the periodic
 grid, wrap-around included.  On samples that do not wrap, the translate
 reduces to the pointwise form ``e^{-2 i pi s·(t-s) cot} f(t-s)``.
 
-The chirps come from the cached plan of :mod:`frftkit.transform`, whose
-input table is ``C`` times the sign table ``(-1)^(j_1+..+j_n)``.  The sign
-table stands in for the centering shifts, so the operators run on plain
-``fftn``/``ifftn``; a convolution kernel carries one more copy of it, and a
-translate by ``o`` samples picks up the factor ``(-1)^(o_1+..+o_n)``.  The
+The operators run on the chirped samples ``y = plan.chirp(x)`` of the
+cached plan of :mod:`frftkit.transform`: ``C x`` times the sign table
+``(-1)^(j_1+..+j_n)``, which stands in for the centering shifts.  Each
+public operator is ``plan.unchirp(op(plan.chirp(x)))``: a translate by ``o``
+samples rolls ``y`` and multiplies by ``(-1)^(o_1+..+o_n)`` and the phase; a
+convolution filters ``y`` with a kernel that carries one more sign table;
+a dilation contracts ``y``, resampling on a refined grid whose sign table
+is the same, so the spectrum of ``y`` is zero-padded as it is.  The
 operators work on ndarrays; the public functions build one
 :class:`SampledSignal`, for the value they return.
 """
@@ -33,7 +36,7 @@ from numpy.typing import NDArray
 
 from .errors import AliasRiskWarning, GridMismatch, GridTooLarge, IrrationalScale
 from .grids import SampledSignal, ShiftVector, ThetaParam, as_shift
-from .transform import _alternate, _chirp_plan, _ChirpPlan, _mul_conj
+from .transform import _alternate, _chirp_plan, _ChirpPlan
 
 __all__ = ["theta_translate", "theta_modulate", "theta_convolve", "theta_dilate"]
 
@@ -46,15 +49,15 @@ ALIAS_GUARD = 1e-12
 
 
 def _translate(
-    x: NDArray[np.complex128], shift: ShiftVector, plan: _ChirpPlan
+    y: NDArray[np.complex128], shift: ShiftVector, plan: _ChirpPlan
 ) -> NDArray[np.complex128]:
-    """:func:`theta_translate` on an ndarray of the plan's input grid."""
+    """:func:`theta_translate` on chirped samples of the plan's input grid."""
     offsets = shift.index_offsets(plan.in_grid)
     phase = np.exp(1j * np.pi * plan.theta.cot_t * sum(c * c for c in shift.components))
-    rolled = np.roll(x * plan.chirp_in, offsets, axis=plan.axes)
+    rolled = np.roll(y, offsets, axis=plan.axes)
     # Rolling the sign table by the offsets o multiplies it by (-1)^(o_1+..+o_n).
     rolled *= -phase if sum(offsets) % 2 else phase
-    return _mul_conj(rolled, plan.chirp_in)
+    return rolled
 
 
 def theta_translate(
@@ -65,7 +68,8 @@ def theta_translate(
     """Angle-covariant translation by the on-grid shift ``s``."""
     shift = as_shift(s, f.grid.n_dims)
     plan = _chirp_plan(f.grid, theta)
-    return SampledSignal._owning(f.grid, _translate(f.as_nd(), shift, plan))
+    y = _translate(plan.chirp(f.as_nd()), shift, plan)
+    return SampledSignal._owning(f.grid, plan.unchirp(y))
 
 
 def theta_modulate(
@@ -87,7 +91,8 @@ def theta_convolve(f: SampledSignal, g: SampledSignal, theta: ThetaParam) -> Sam
     if f.grid != g.grid:
         raise GridMismatch("theta_convolve requires a common grid")
     plan = _chirp_plan(f.grid, theta)
-    return SampledSignal._owning(f.grid, plan.convolve(f.as_nd(), plan.kernel(g.as_nd())))
+    y = plan.filter(plan.chirp(f.as_nd()), plan.kernel(g.as_nd()))
+    return SampledSignal._owning(f.grid, plan.unchirp(y))
 
 
 def _as_fraction(s: float | Rational) -> Fraction:
@@ -139,19 +144,20 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
     if frac == 1:
         return f.with_values(f.values)
     plan = _chirp_plan(f.grid, theta)
-    return SampledSignal._owning(f.grid, _dilate(f.as_nd(), frac, plan))
+    y = _dilate(plan.chirp(f.as_nd()), frac, plan)
+    return SampledSignal._owning(f.grid, plan.unchirp(y))
 
 
 def _dilate(
-    x: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan
+    y: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan
 ) -> NDArray[np.complex128]:
-    """:func:`theta_dilate` by ``frac != 1`` on an ndarray whose trailing
-    axes are the plan's input grid (leading axes are a batch); the alias
-    warning names the caller of the caller."""
+    """:func:`theta_dilate` by ``frac != 1`` on chirped samples whose
+    trailing axes are the plan's input grid (leading axes are a batch): the
+    classical contraction of ``y``.  The alias warning names the caller of
+    the caller."""
     p, q = frac.numerator, frac.denominator
-    grid, axes = plan.in_grid, plan.axes
-    signed = x * plan.chirp_in  # C x times the sign table
-    spectrum = np.fft.fftn(signed, axes=axes)  # centered bins of (C x)^, up to sign and spacing^n
+    n_dims, axes = plan.in_grid.n_dims, plan.axes
+    spectrum = np.fft.fftn(y, axes=axes)  # centered bins, up to the sign table and spacing^n
     if frac > 1 and np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
         warnings.warn(
             f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}",
@@ -159,29 +165,25 @@ def _dilate(
             stacklevel=3,
         )
 
-    n = grid.samples_per_dim
+    n = plan.in_grid.samples_per_dim
     fine_n = n * q
-    if fine_n**grid.n_dims > MAX_FINE_SIZE:
+    if fine_n**n_dims > MAX_FINE_SIZE:
         raise GridTooLarge(
             f"dilation by {frac} needs a refined grid of {fine_n} per dim"
         )
+    out = y
     if q > 1:
-        # centered_idft on the refined grid, over the grid axes only.
+        # N/2 and the padding (q-1)N/2 are even, so the refined grid has the
+        # same sign table and the spectrum is padded as it is.
         pad = (fine_n - n) // 2
-        batch = x.shape[:-grid.n_dims]
-        embedded = np.zeros(batch + (fine_n,) * grid.n_dims, dtype=np.complex128)
-        embedded[(...,) + (slice(pad, pad + n),) * grid.n_dims] = (
-            _alternate(spectrum, grid.n_dims) * grid.spacing**grid.n_dims
-        )
-        fine = np.fft.ifftn(np.fft.ifftshift(embedded, axes=axes), axes=axes)
-        fine = np.fft.fftshift(fine, axes=axes) / (grid.spacing / q) ** grid.n_dims
-    else:
-        # Without padding the resampler reads the chirped samples themselves.
-        fine = _alternate(signed, grid.n_dims)
+        padded = np.zeros(y.shape[:-n_dims] + (fine_n,) * n_dims, dtype=np.complex128)
+        padded[(...,) + (slice(pad, pad + n),) * n_dims] = spectrum
+        out = np.fft.ifftn(padded, axes=axes)
+        out *= q**n_dims  # the trigonometric interpolant on spacing/q
 
     # p mod fine_n reads the same samples and keeps the product in int64.
     idx = (fine_n // 2 + (p % fine_n) * (np.arange(n) - n // 2)) % fine_n
-    out = fine
     for axis in axes:
         out = np.take(out, idx, axis=axis)
-    return _mul_conj(_alternate(out, grid.n_dims), plan.chirp_in)
+    # Output sample m reads a refined sample signed (-1)^(p*m); it needs (-1)^m.
+    return out if p % 2 else _alternate(out, n_dims)

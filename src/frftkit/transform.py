@@ -12,11 +12,14 @@ that ``w*csc`` lands exactly on the FFT bins.  Angles at a multiple of pi
 skip the kernel: even multiples return the signal, odd multiples its
 reflection.
 
-The transforms, and every theta-operator that conjugates by the chirp,
-run on one ``_ChirpPlan`` per (input grid, output grid, angle), after the
-chirp-multiply/FFT algorithm of Ozaktas, Arikan, Kutay and Bozdagi (IEEE
-TSP 1996).  A plan holds two complex tables of the grid's shape and
-nothing else (``spacing`` is the input grid's):
+The transforms and the theta-operators run on one ``_ChirpPlan`` per
+(input grid, output grid, angle), after the chirp-multiply/FFT algorithm of
+Ozaktas, Arikan, Kutay and Bozdagi (IEEE TSP 1996).  Its chirped samples
+``y = chirp(x)``, the signal times the input table, are the one domain of
+the operator algebra: each theta-operator is ``unchirp(op(chirp(x)))`` for
+a classical ``op``, and ``filter`` is the circular convolution on ``y``.  A
+plan holds two complex tables of the grid's shape and nothing else
+(``spacing`` is the input grid's):
 
     input:   e^{i*pi*‖t_j‖²*cot} * (-1)^(j_1+..+j_n)
     output:  e^{i*pi*‖w_l‖²*cot} * (-1)^(l_1+..+l_n) * |sin|^{-n/2} * spacing^n
@@ -113,7 +116,7 @@ def _signed_chirp(grid: Grid, cot: float, scale: float) -> NDArray[np.complex128
     # at the top of the heap, not left as a hole below it (peak RSS).
     table = np.empty(grid.shape, dtype=np.complex128)
     lower = table[(slice(None, half + 1),) * grid.n_dims]
-    phase = grid.axis[: half + 1] ** 2
+    phase = (np.arange(-half, 1) * grid.spacing) ** 2
     if grid.n_dims == 2:
         phase = phase[:, None] + phase[None, :]
     phase *= np.pi * cot
@@ -149,39 +152,36 @@ class _ChirpPlan:
         n = self.in_grid.n_dims
         return self.theta.abs_sin ** (-0.5 * n) * self.in_grid.spacing**n
 
-    def spectrum(self, x: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """``fftn`` of the chirped, sign-alternated samples.
+    def chirp(self, x: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """``y = C_theta x`` times the sign table: the operators' domain."""
+        return x * self.chirp_in
 
-        Bin ``l`` is the centered spectrum of ``C_theta x`` at ``(l - N/2) /
-        period``, divided by ``spacing^n`` and by the sign table.
-        """
-        return np.fft.fftn(x * self.chirp_in, axes=self.axes)
+    def unchirp(self, y: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """Inverse of :meth:`chirp`, in place."""
+        return _mul_conj(y, self.chirp_in)
 
-    def from_spectrum(self, X: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """Inverse of :meth:`spectrum`."""
-        return _mul_conj(np.fft.ifftn(X, axes=self.axes), self.chirp_in)
+    def filter(
+        self, y: NDArray[np.complex128], kernel: NDArray[np.complex128]
+    ) -> NDArray[np.complex128]:
+        """Circular convolution of chirped samples ``y`` with the atom of
+        ``kernel``; leading axes of the two broadcast."""
+        return np.fft.ifftn(np.fft.fftn(y, axes=self.axes) * kernel, axes=self.axes)
 
     def kernel(self, g: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        """Spectrum of the atom ``g`` as a kernel for :meth:`convolve`.
+        """Spectrum of the atom ``g`` as a kernel for :meth:`filter`.
 
-        Both factors of a product of spectra carry the sign table, but its
-        inverse transform removes only one; the kernel takes the other.
+        ``fftn`` of chirped samples is the centered spectrum divided by
+        ``spacing^n`` and by the sign table.  Both factors of a product of
+        spectra carry the sign table, but its inverse transform removes only
+        one; the kernel takes the other.
         """
-        out = _alternate(self.spectrum(g), self.in_grid.n_dims)
+        out = _alternate(np.fft.fftn(self.chirp(g), axes=self.axes), self.in_grid.n_dims)
         out *= self.kernel_scale
         return out
 
-    def convolve(
-        self, x: NDArray[np.complex128], kernel: NDArray[np.complex128]
-    ) -> NDArray[np.complex128]:
-        """Angle-covariant convolution of ``x`` with the atom of ``kernel``."""
-        X = self.spectrum(x)
-        X *= kernel
-        return self.from_spectrum(X)
-
     def forward(self, x: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """The transform of ``x`` on the output grid."""
-        chirped = x * self.chirp_in
+        chirped = self.chirp(x)
         if self.theta.sign_sin > 0:
             out = np.fft.fftn(chirped, axes=self.axes)
         else:
@@ -197,7 +197,7 @@ class _ChirpPlan:
             out = np.fft.ifftn(scaled, axes=self.axes)
         else:
             out = np.fft.fftn(scaled, axes=self.axes, norm="forward")
-        return _mul_conj(out, self.chirp_in)
+        return self.unchirp(out)
 
 
 _live_plan: _ChirpPlan | None = None
@@ -237,16 +237,9 @@ def frft_output_grid(grid: Grid, theta: ThetaParam) -> Grid:
     return Grid(grid.n_dims, grid.samples_per_dim, 0.5 * grid.samples_per_dim * d_omega)
 
 
-def _reverse_indices(n: int) -> NDArray[np.intp]:
-    # j -> (N - j) mod N, the reflection that fixes the centered origin.
-    return (-np.arange(n)) % n
-
-
 def _reflect(values: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    out = values
-    for axis in range(values.ndim):
-        out = np.take(out, _reverse_indices(values.shape[axis]), axis=axis)
-    return out
+    # j -> (N - j) mod N on every axis, the reflection that fixes the centered origin.
+    return np.roll(np.flip(values), 1, axis=tuple(range(values.ndim)))
 
 
 def _axis_branch(f: SampledSignal, theta: ThetaParam) -> SampledSignal:

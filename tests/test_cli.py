@@ -557,14 +557,20 @@ def test_multitile_check_missing_field_is_a_parse_failure(tmp_path, capsys):
     "name,content",
     [("f.csv", b"# grid: 1,4,1.0\nindex,re,im\n0,1.0,\xff\n"),
      ("tile.json", b'{"schema": 1, "theta": "\xff"}'),
-     ("tile.json", b"[" * 200000)],
-    ids=["csv-not-utf8", "json-not-utf8", "json-too-deep"],
+     ("tile.json", b"[" * 200000),
+     ("tile.json", b'{"schema": 1, "n_dims": ' + b"1" * 5001 + b"}"),
+     ("config.json", b'{"schema": 1, "depth": ' + b"1" * 5001 + b"}")],
+    ids=["csv-not-utf8", "json-not-utf8", "json-too-deep", "tile-int-too-long",
+         "config-int-too-long"],
 )
 def test_unreadable_files_are_parse_failures(tmp_path, name, content):
     path = tmp_path / name
     path.write_bytes(content)
     if name.endswith(".csv"):
         argv = ["frft", "--in", str(path), "--out", str(tmp_path / "o.csv"), "--theta", "1.0"]
+    elif name == "config.json":
+        argv = ["scatter", "extract", "--config", str(path), "--signal", str(tmp_path / "f.csv"),
+                "--out-dir", str(tmp_path / "out")]
     else:
         argv = ["multitile", "check", "--tile", str(path)]
     assert main(argv) == 2

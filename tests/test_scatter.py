@@ -283,12 +283,17 @@ def test_invariance_bound_monotone_in_shift():
     assert all(b > 0 for b in bounds)
 
 
-@pytest.mark.filterwarnings("ignore:dilation by")  # the shrink widens the band
+@pytest.mark.filterwarnings("ignore:dilation by")  # the pointwise maps widen the band
+@pytest.mark.parametrize("pool", ["identity", "modulus"])
+@pytest.mark.parametrize("nonlin", ["phase_covariant_shrink", "modulus"])
 @pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0)])
-def test_u_layer_kernels_match_operator_composition(grid):
+def test_u_layer_kernels_match_operator_composition(grid, nonlin, pool):
+    """The engine against the public operators; a modulus drops the chirp's
+    phase, which the engine must put back before the dilation."""
     th = ThetaParam(math.pi / 3)
-    layers, _ = make_s1_layers(grid, th, (2.0,), ["phase_covariant_shrink"])
-    layer = layers[0]
+    layers, _ = make_s1_layers(grid, th, (2.0,), [nonlin])
+    layer = LayerConfig(layers[0].bank, layers[0].output_atom, layers[0].nonlin,
+                        Pooling(pool), layers[0].pooling_factor)
     f = banded_signal(grid, th, 0.4, 17)
     for lam in range(layer.n_atoms):
         want = theta_convolve(f, layer.bank.atoms[lam], th)

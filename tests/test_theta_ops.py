@@ -23,7 +23,7 @@ from frftkit import (
     theta_modulate,
     theta_translate,
 )
-from frftkit.transform import chirp_modulate
+from frftkit.transform import centered_dft, centered_idft, chirp_modulate
 from helpers import banded_signal, dft_matrix_oracle, gauss_profile, random_signal
 
 ANGLES = [ThetaParam(x) for x in (math.pi / 6, math.pi / 3, 2 * math.pi / 5,
@@ -187,6 +187,34 @@ def test_dilation_roundtrip_exact_for_reciprocal_factors():
     f = banded_signal(grid, th, 0.4, 34)
     back = theta_dilate(theta_dilate(f, 2, th), Fraction(1, 2), th)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+
+def contraction_reference(f, frac, th):
+    """Dilation by ``frac = p/q`` on the textbook route: chirp, centered
+    spectrum zero-padded to ``qN``, centered inverse on spacing/q, every
+    ``p``-th refined sample (periodically), inverse chirp."""
+    grid = f.grid
+    n, p, q = grid.samples_per_dim, frac.numerator, frac.denominator
+    spec = centered_dft(chirp_modulate(f, th, +1).as_nd(), grid.spacing)
+    pad = (q - 1) * n // 2
+    padded = np.pad(spec, [(pad, pad)] * grid.n_dims)
+    fine = centered_idft(padded, grid.spacing / q)
+    idx = (q * n // 2 + p * (np.arange(n) - n // 2)) % (q * n)
+    out = fine[np.ix_(*[idx] * grid.n_dims)]
+    return chirp_modulate(SampledSignal(grid, out.ravel()), th, -1).values
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # white noise folds; both sides alike
+@pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pi/3", "-2pi/5"])
+@pytest.mark.parametrize("frac", [Fraction(2, 3), Fraction(4, 3), Fraction(3, 2),
+                                  Fraction(1, 3), Fraction(5, 2)], ids=str)
+def test_fractional_dilation_matches_zero_padded_reference(grid, theta_val, frac):
+    th = ThetaParam(theta_val)
+    f = random_signal(grid, 39)
+    want = contraction_reference(f, frac, th)
+    got = theta_dilate(f, frac, th).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_dilation_alias_warning_on_fullband_input():
