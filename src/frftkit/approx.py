@@ -260,7 +260,8 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
 
     # Centered transform of the chirped signal: the FFT of the plan's chirped
     # samples with the sign table undone and the Riemann weight applied.
-    spectrum = np.fft.fftn(_chirp_plan(f.grid, fgrid.theta).chirp(f.as_nd()))
+    chirped = _chirp_plan(f.grid, fgrid.theta).chirp(f.as_nd())
+    spectrum = np.fft.fftn(chirped, out=chirped)
     _alternate(spectrum, fgrid.n_dims)
     spectrum *= f.grid.spacing**fgrid.n_dims
     data = np.where(layout.valid, spectrum.ravel()[layout.index], 0.0)
@@ -409,5 +410,5 @@ def synthesize_generator(
     # Riemann weight.
     _alternate(spectrum, fgrid.n_dims)
     spectrum /= signal_grid.spacing**fgrid.n_dims
-    values = _chirp_plan(signal_grid, fgrid.theta).unchirp(np.fft.ifftn(spectrum))
+    values = _chirp_plan(signal_grid, fgrid.theta).unchirp(np.fft.ifftn(spectrum, out=spectrum))
     return SampledSignal._owning(signal_grid, values)

@@ -294,8 +294,7 @@ def _read_canonical(raw: str) -> SampledSignal | None:
     ``grid.size`` rows of finite samples with the indices 0..N-1 in order.
     On rows of ``_CANONICAL_ROWS`` characters, ``loadtxt`` reads a subset of
     what ``int`` and ``float`` read, with the same values; any warning it
-    gives (NumPy 1.24 reads ``1.0`` as an index with a ``DeprecationWarning``)
-    means the file is not canonical.
+    gives means the file is not canonical.
     """
     parts = raw.split("\n", 2)
     if len(parts) != 3 or parts[1] != "index,re,im" or not parts[0].isprintable():

@@ -118,8 +118,10 @@ class Nonlinearity:
         if self.kind == "modulus":
             return np.abs(values).astype(np.complex128)
         mag = np.abs(values)
-        gain = np.zeros_like(mag)
-        np.divide(np.maximum(mag - self.b, 0.0), mag, out=gain, where=mag > 0.0)
+        # b >= 0, so the gain is already 0 where mag == 0.
+        gain = np.maximum(mag - self.b, 0.0)
+        np.divide(gain, mag, out=gain, where=mag > 0.0)
+        del mag  # before the product, for peak memory
         return values * gain
 
     def commutes_with_translation(self, theta: ThetaParam) -> bool:
@@ -443,7 +445,8 @@ def _deviation(
     shift = as_shift(t, f.grid.n_dims)
     plan = _cascade_plan(f.grid, theta, layers, depth)
     y = plan.chirp(f.as_nd())
-    *_, stack = _levels(np.stack([_translate(y, shift, plan), y]), plan, layers, depth)
+    for stack in _levels(np.stack([_translate(y, shift, plan), y]), plan, layers, depth):
+        pass  # keep only the last level alive, not a list of all of them
     shifted, plain = np.split(_readout(stack, depth, layers, plan, level0_atom), 2)
     reference = _translate(plain, shift, plan) if covariant else plain
     norm_sq = sum(c * c for c in shift.components)

@@ -120,7 +120,8 @@ def _alias_tail_fraction(
 ) -> NDArray[np.float64]:
     """Spectral mass (relative) that a contraction by p/q > 1 would fold,
     one value per leading index; the trailing ``axes`` hold centered bins."""
-    power = np.abs(spectrum) ** 2
+    power = np.abs(spectrum)
+    np.square(power, out=power)
     total = power.sum(axis=axes)
     half = spectrum.shape[-1] // 2
     # Bins with |l - N/2| >= (N/2) * q / p survive only as folded copies.
@@ -157,7 +158,8 @@ def _dilate(
     the caller."""
     p, q = frac.numerator, frac.denominator
     n_dims, axes = plan.in_grid.n_dims, plan.axes
-    spectrum = np.fft.fftn(y, axes=axes)  # centered bins, up to the sign table and spacing^n
+    # Centered bins, up to the sign table and spacing^n; y itself is kept.
+    spectrum = np.fft.fftn(y, axes=axes, out=np.empty(y.shape, dtype=np.complex128))
     if frac > 1 and np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
         warnings.warn(
             f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}",
@@ -178,12 +180,12 @@ def _dilate(
         pad = (fine_n - n) // 2
         padded = np.zeros(y.shape[:-n_dims] + (fine_n,) * n_dims, dtype=np.complex128)
         padded[(...,) + (slice(pad, pad + n),) * n_dims] = spectrum
-        out = np.fft.ifftn(padded, axes=axes)
+        del spectrum  # freed before the gather below allocates (peak memory)
+        out = np.fft.ifftn(padded, axes=axes, out=padded)
         out *= q**n_dims  # the trigonometric interpolant on spacing/q
 
     # p mod fine_n reads the same samples and keeps the product in int64.
     idx = (fine_n // 2 + (p % fine_n) * (np.arange(n) - n // 2)) % fine_n
-    for axis in axes:
-        out = np.take(out, idx, axis=axis)
+    out = out[(...,) + np.ix_(*(idx,) * n_dims)]
     # Output sample m reads a refined sample signed (-1)^(p*m); it needs (-1)^m.
     return out if p % 2 else _alternate(out, n_dims)

@@ -38,7 +38,9 @@ sign tables stand in exactly for ``fftshift`` and ``ifftshift``, and the
 forward transform is ``output * fftn(input * x)``.  When sin(theta) < 0,
 ``w*csc`` reverses the bin order; ``ifftn(..., norm="forward")`` computes
 that reversed, unnormalized spectrum directly.  The inverse divides the
-tables out again: it multiplies in place by their conjugates.  Only one
+tables out again: it multiplies in place by their conjugates.  Every FFT
+runs in place (``out=``, NumPy >= 2.0) on an array the plan has just
+allocated, never on an argument, so each stack is allocated once.  Only one
 plan is kept alive; asking for another key drops it before the new one is
 built, and a plan is a pure function of its key, so eviction never changes
 a result.
@@ -165,7 +167,9 @@ class _ChirpPlan:
     ) -> NDArray[np.complex128]:
         """Circular convolution of chirped samples ``y`` with the atom of
         ``kernel``; leading axes of the two broadcast."""
-        return np.fft.ifftn(np.fft.fftn(y, axes=self.axes) * kernel, axes=self.axes)
+        spectrum = np.fft.fftn(y, axes=self.axes, out=np.empty(y.shape, dtype=np.complex128))
+        prod = spectrum * kernel
+        return np.fft.ifftn(prod, axes=self.axes, out=prod)
 
     def kernel(self, g: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """Spectrum of the atom ``g`` as a kernel for :meth:`filter`.
@@ -175,7 +179,8 @@ class _ChirpPlan:
         spectra carry the sign table, but its inverse transform removes only
         one; the kernel takes the other.
         """
-        out = _alternate(np.fft.fftn(self.chirp(g), axes=self.axes), self.in_grid.n_dims)
+        chirped = self.chirp(g)
+        out = _alternate(np.fft.fftn(chirped, axes=self.axes, out=chirped), self.in_grid.n_dims)
         out *= self.kernel_scale
         return out
 
@@ -183,9 +188,9 @@ class _ChirpPlan:
         """The transform of ``x`` on the output grid."""
         chirped = self.chirp(x)
         if self.theta.sign_sin > 0:
-            out = np.fft.fftn(chirped, axes=self.axes)
+            out = np.fft.fftn(chirped, axes=self.axes, out=chirped)
         else:
-            out = np.fft.ifftn(chirped, axes=self.axes, norm="forward")
+            out = np.fft.ifftn(chirped, axes=self.axes, norm="forward", out=chirped)
         out *= self.chirp_out
         return out
 
@@ -194,9 +199,9 @@ class _ChirpPlan:
         # 1 / output table = its conjugate over kernel_scale².
         scaled = _mul_conj(y * self.kernel_scale**-2, self.chirp_out)
         if self.theta.sign_sin > 0:
-            out = np.fft.ifftn(scaled, axes=self.axes)
+            out = np.fft.ifftn(scaled, axes=self.axes, out=scaled)
         else:
-            out = np.fft.fftn(scaled, axes=self.axes, norm="forward")
+            out = np.fft.fftn(scaled, axes=self.axes, norm="forward", out=scaled)
         return self.unchirp(out)
 
 
