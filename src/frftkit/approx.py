@@ -10,7 +10,13 @@ synthesis back to signal grids.
 
 One layout maps each (cell, offset) slot to the spectrum bin it reads:
 fibers gather through it, generators scatter through it, and tile masks
-keep exactly the bins that their slots' fibers read.
+keep exactly the bins that their slots' fibers read.  The last layout built
+stays cached, keyed by (signal grid, fiber grid), so a family fitted on one
+grid builds it once; its tables are read-only.
+
+The fiber fields of :func:`fiber_map`, the Gramians and the models of
+:func:`fit_sis` keep the arrays that the library has just allocated for
+them, without a copy; arrays passed in by a caller are copied.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
     TruncationLoss,
     WindowTooSmall,
 )
-from .grids import Grid, SampledSignal, ThetaParam
+from .grids import Grid, SampledSignal, ThetaParam, _Owned
 from .transform import _alternate, _chirp_plan
 
 __all__ = [
@@ -105,8 +111,11 @@ class FiberGrid:
         )
 
 
-def _readonly(a: NDArray) -> NDArray:
-    a = a.copy()
+def _readonly(a: NDArray | _Owned, dtype: type | None = None) -> NDArray:
+    """``a`` as a read-only array of ``dtype``: kept as it is when it comes
+    wrapped in :class:`~frftkit.grids._Owned` (a fresh library array),
+    copied otherwise."""
+    a = a.array if isinstance(a, _Owned) else np.asarray(a, dtype=dtype).copy()
     a.flags.writeable = False
     return a
 
@@ -119,7 +128,7 @@ class FiberField:
     data: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.complex128)
+        data = _readonly(self.data, np.complex128)
         if data.shape != (self.grid.n_cells, self.grid.window_size):
             raise ValueError(
                 f"fiber data shape {data.shape} does not match the grid "
@@ -127,7 +136,7 @@ class FiberField:
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("fiber data must be finite")
-        object.__setattr__(self, "data", _readonly(data))
+        object.__setattr__(self, "data", data)
 
     @property
     def energy(self) -> float:
@@ -147,7 +156,7 @@ class GramianField:
     data: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.complex128)
+        data = _readonly(self.data, np.complex128)
         if data.ndim != 3 or data.shape[0] != self.grid.n_cells or data.shape[1] != data.shape[2]:
             raise ValueError(f"gramian data has unexpected shape {data.shape}")
         scale = max(float(np.linalg.norm(data)), 1e-300)
@@ -156,7 +165,7 @@ class GramianField:
             raise NotHermitian(
                 f"gramian field asymmetry {defect:.3e} exceeds 1e-10 of its norm"
             )
-        object.__setattr__(self, "data", _readonly(data))
+        object.__setattr__(self, "data", data)
 
     @property
     def family_size(self) -> int:
@@ -179,6 +188,8 @@ class SISModel:
     generators: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
+        for name in ("eigenvalues", "eigenvectors", "generators"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if self.eigenvalues.ndim != 2 or self.eigenvalues.shape[0] != self.grid.n_cells:
             raise ValueError("eigenvalue array has unexpected shape")
         m = self.eigenvalues.shape[1]
@@ -188,9 +199,6 @@ class SISModel:
             raise ValueError("generator array has unexpected shape")
         if not 1 <= self.ell <= m:
             raise BadRank(f"rank {self.ell} is not within 1..{m}")
-        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _readonly(self.eigenvectors))
-        object.__setattr__(self, "generators", _readonly(self.generators))
 
     @property
     def family_size(self) -> int:
@@ -212,25 +220,15 @@ class _FiberLayout:
     ``N/2 + sgn(sin θ) * stride * w + P * k``, with ``P`` the integer period
     and ``stride = P / omega_samples``.  ``index[cell, offset]`` is that bin
     flattened over the grid's shape, clipped onto it; ``valid[cell, offset]``
-    marks the slots whose bin lies on the grid.  Raises :class:`GridMismatch`
-    when the dimensions differ or the cells do not divide the period.
+    marks the slots whose bin lies on the grid.  Both are read-only.  Build
+    it through :func:`_fiber_layout`.
     """
 
-    __slots__ = ("index", "valid")
+    __slots__ = ("signal_grid", "fgrid", "index", "valid")
 
-    def __init__(self, signal_grid: Grid, fgrid: FiberGrid) -> None:
-        if signal_grid.n_dims != fgrid.n_dims:
-            raise GridMismatch(
-                f"signal is {signal_grid.n_dims}-dimensional but the fiber grid "
-                f"expects {fgrid.n_dims}"
-            )
-        period = _integer_period(signal_grid)
-        if period % fgrid.omega_samples != 0:
-            raise GridMismatch(
-                f"{fgrid.omega_samples} frequency cells do not divide the "
-                f"signal period {period}"
-            )
-        stride = period // fgrid.omega_samples
+    def __init__(self, signal_grid: Grid, fgrid: FiberGrid, stride: int) -> None:
+        self.signal_grid, self.fgrid = signal_grid, fgrid
+        period = stride * fgrid.omega_samples
         n, n_dims = signal_grid.samples_per_dim, fgrid.n_dims
         w = np.arange(fgrid.omega_samples, dtype=np.int64)[:, None]
         bins = n // 2 + fgrid.theta.sign_sin * stride * w + period * fgrid.offsets_1d
@@ -244,6 +242,40 @@ class _FiberLayout:
             valid = valid & ((bins >= 0) & (bins < n)).reshape(shape)
         self.index = index.reshape(fgrid.n_cells, fgrid.window_size)
         self.valid = valid.reshape(fgrid.n_cells, fgrid.window_size)
+        self.index.flags.writeable = self.valid.flags.writeable = False
+
+
+def _layout_stride(signal_grid: Grid, fgrid: FiberGrid) -> int:
+    """Bins between neighbouring cells, ``P / omega_samples``; raises
+    :class:`GridMismatch` when the dimensions differ or the cells do not
+    divide the integer period ``P``."""
+    if signal_grid.n_dims != fgrid.n_dims:
+        raise GridMismatch(
+            f"signal is {signal_grid.n_dims}-dimensional but the fiber grid "
+            f"expects {fgrid.n_dims}"
+        )
+    period = _integer_period(signal_grid)
+    if period % fgrid.omega_samples != 0:
+        raise GridMismatch(
+            f"{fgrid.omega_samples} frequency cells do not divide the "
+            f"signal period {period}"
+        )
+    return period // fgrid.omega_samples
+
+
+_live_layout: _FiberLayout | None = None
+
+
+def _fiber_layout(signal_grid: Grid, fgrid: FiberGrid) -> _FiberLayout:
+    """The layout of ``fgrid`` on ``signal_grid``; built on a miss, after the
+    grids are checked and the previous layout is dropped."""
+    global _live_layout
+    layout = _live_layout
+    if layout is None or (layout.signal_grid, layout.fgrid) != (signal_grid, fgrid):
+        stride = _layout_stride(signal_grid, fgrid)
+        layout = _live_layout = None  # free the old tables before allocating new ones
+        layout = _live_layout = _FiberLayout(signal_grid, fgrid, stride)
+    return layout
 
 
 def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
@@ -256,7 +288,7 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     :class:`TruncationLoss` when more than ``1e-6`` of the spectrum
     energy falls outside the offset window.
     """
-    layout = _FiberLayout(f.grid, fgrid)
+    layout = _fiber_layout(f.grid, fgrid)
 
     # Centered transform of the chirped signal: the FFT of the plan's chirped
     # samples with the sign table undone and the Riemann weight applied.
@@ -273,7 +305,7 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
             f"offset window captures only {captured / total:.9f} of the "
             "spectrum energy"
         )
-    return FiberField(grid=fgrid, data=data)
+    return FiberField(grid=fgrid, data=_Owned(data))
 
 
 def analytic_sinc_fibers(m: int, fgrid: FiberGrid) -> tuple[FiberField, ...]:
@@ -316,17 +348,25 @@ def analytic_sinc_fibers(m: int, fgrid: FiberGrid) -> tuple[FiberField, ...]:
     return tuple(fields)
 
 
-def gramian_field(fibers: Sequence[FiberField]) -> GramianField:
-    """Per-cell Gramian ``G[w]_{ij} = <fiber_i(w), fiber_j(w)>``."""
+def _stack(fibers: Sequence[FiberField]) -> tuple[FiberGrid, NDArray[np.complex128]]:
+    """The family's shared fiber grid and its ``(member, cell, offset)`` stack."""
     if len(fibers) == 0:
         raise ValueError("need at least one fiber field")
     grid = fibers[0].grid
     for fib in fibers[1:]:
         if fib.grid != grid:
             raise GridMismatch("all fiber fields must share one fiber grid")
-    stack = np.stack([fib.data for fib in fibers])
+    return grid, np.stack([fib.data for fib in fibers])
+
+
+def _gramian(grid: FiberGrid, stack: NDArray[np.complex128]) -> GramianField:
     data = np.einsum("iwt,jwt->wij", stack, np.conj(stack))
-    return GramianField(grid=grid, data=data)
+    return GramianField(grid=grid, data=_Owned(data))
+
+
+def gramian_field(fibers: Sequence[FiberField]) -> GramianField:
+    """Per-cell Gramian ``G[w]_{ij} = <fiber_i(w), fiber_j(w)>``."""
+    return _gramian(*_stack(fibers))
 
 
 def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
@@ -341,8 +381,8 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
     m = len(fibers)
     if not 1 <= ell <= m:
         raise BadRank(f"rank {ell} is not within 1..{m}")
-    gram = gramian_field(fibers)
-    stack = np.stack([fib.data for fib in fibers])  # (member, cell, offset)
+    grid, stack = _stack(fibers)
+    gram = _gramian(grid, stack)
 
     eigenvalues, eigenvectors = hermitian_eig(gram.data)
     top = eigenvalues[:, 0]
@@ -357,13 +397,13 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
     live = kept > ZERO_EIGENVALUE_TOL * np.maximum(top, 0.0)[:, None]
     scale = np.where(live, 1.0 / np.sqrt(np.where(live, kept, 1.0)), 0.0)
     weights = np.conj(eigenvectors[:, :, :ell]) * scale[:, None, :]
-    generators = np.einsum("wji,jwt->iwt", weights, stack)
+    generators = np.einsum("wji,jwt->iwt", weights, stack, order="C")
     return SISModel(
-        grid=gram.grid,
+        grid=grid,
         ell=ell,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        generators=generators,
+        eigenvalues=_Owned(eigenvalues),
+        eigenvectors=_Owned(eigenvectors),
+        generators=_Owned(generators),
     )
 
 
@@ -402,7 +442,7 @@ def synthesize_generator(
     if not 0 <= i < model.ell:
         raise IndexError(f"generator index {i} out of range for rank {model.ell}")
     fgrid = model.grid
-    layout = _FiberLayout(signal_grid, fgrid)
+    layout = _fiber_layout(signal_grid, fgrid)
     spectrum = np.zeros(signal_grid.size, dtype=np.complex128)
     spectrum[layout.index[layout.valid]] = model.generators[i][layout.valid]
     spectrum = spectrum.reshape(signal_grid.shape)

@@ -90,7 +90,8 @@ class Grid:
 
 
 class _Owned:
-    """A fresh array handed to :class:`SampledSignal` to keep as it is."""
+    """A fresh array handed to :class:`SampledSignal` (or to a fiber field,
+    Gramian or model of :mod:`frftkit.approx`) to keep as it is."""
 
     __slots__ = ("array",)
 

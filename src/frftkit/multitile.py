@@ -7,7 +7,10 @@ partitions, support bandlimited projection of signals, and can be chosen
 optimally for a family of signals by ranking per-cell offset energies.
 
 Tile masks come from the fiber layout of :mod:`frftkit.approx`: a projection
-keeps exactly the bins that the fibers of the tile's slots read.
+keeps exactly the bins that the fibers of the tile's slots read, through the
+layout that module keeps cached.  Tiles are checked, ranked and masked on
+one integer array of all their offsets, ``(offset, axis)`` in cell order;
+the nested ``cells`` tuples are built from it only for the result.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .approx import (
     FiberField,
     FiberGrid,
     SISModel,
-    _FiberLayout,
+    _fiber_layout,
     _integer_period,
     synthesize_generator,
 )
@@ -66,14 +70,14 @@ class TileSet:
                 f"expected {self.omega_samples ** self.n_dims} cells, "
                 f"got {len(self.cells)}"
             )
-        for w, offsets in enumerate(self.cells):
-            if list(offsets) != sorted(set(offsets)):
-                raise ValueError(f"cell {w} offsets must be sorted and unique")
-            for k in offsets:
-                if len(k) != self.n_dims:
-                    raise ValueError(f"cell {w} has an offset of wrong arity")
-                if max(abs(c) for c in k) > self.bound:
-                    raise ValueError(f"cell {w} offset {k} exceeds bound {self.bound}")
+        flat = _flat_offsets(self.cells, self.n_dims)
+        if flat is None or flat[1].dtype.kind not in "iu":
+            suspects = range(len(self.cells))  # no integer array: check every cell
+        else:
+            cell, offsets = flat
+            suspects = np.unique(cell[_defects(cell, offsets, self.bound)]).tolist()
+        for w in suspects:
+            _check_cell(w, self.cells[w], self.n_dims, self.bound)
 
     @property
     def n_cells(self) -> int:
@@ -82,6 +86,50 @@ class TileSet:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
+
+
+def _flat_offsets(
+    cells: Sequence[Sequence[Sequence[int]]], n_dims: int
+) -> tuple[NDArray[np.intp], NDArray] | None:
+    """The cell of every offset and all offsets as one ``(offset, axis)``
+    array, in cell order; ``None`` unless every offset has ``n_dims``
+    components."""
+    try:
+        counts = [len(c) for c in cells]
+        flat = list(itertools.chain.from_iterable(cells))
+        if set(map(len, flat)) - {n_dims}:
+            return None
+        values = list(itertools.chain.from_iterable(flat))
+        offsets = np.array(values) if values else np.zeros(0, dtype=np.int64)
+        offsets = offsets.reshape(len(flat), n_dims)
+    except (TypeError, ValueError):
+        return None
+    return np.repeat(np.arange(len(cells)), counts), offsets
+
+
+def _defects(
+    cell: NDArray[np.intp], offsets: NDArray[np.integer], bound: int
+) -> NDArray[np.bool_]:
+    """Which offsets break the rules of :class:`TileSet`: out of ``bound``,
+    or not lexicographically above the previous offset of their cell."""
+    bad = np.any((offsets > bound) | (offsets < -bound), axis=1)
+    prev, this = offsets[:-1], offsets[1:]
+    above = prev[:, -1] < this[:, -1]
+    for d in range(offsets.shape[1] - 2, -1, -1):
+        above = (prev[:, d] < this[:, d]) | ((prev[:, d] == this[:, d]) & above)
+    bad[1:] |= (cell[1:] == cell[:-1]) & ~above
+    return bad
+
+
+def _check_cell(w: int, offsets: Sequence[Sequence[int]], n_dims: int, bound: int) -> None:
+    """Raise the ``ValueError`` that names the first rule cell ``w`` breaks."""
+    if list(offsets) != sorted(set(offsets)):
+        raise ValueError(f"cell {w} offsets must be sorted and unique")
+    for k in offsets:
+        if len(k) != n_dims:
+            raise ValueError(f"cell {w} has an offset of wrong arity")
+        if max(abs(c) for c in k) > bound:
+            raise ValueError(f"cell {w} offset {k} exceeds bound {bound}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,23 +222,28 @@ def optimal_multitile(
     for fib in fibers[1:]:
         if fib.grid != grid:
             raise GridMismatch("all fiber fields must share one fiber grid")
-    candidates = list(
-        itertools.product(range(-bound, bound + 1), repeat=grid.n_dims)
-    )
-    if not 1 <= ell <= len(candidates):
-        raise BadRank(f"rank {ell} is not within 1..{len(candidates)}")
+    n_candidates = max(2 * bound + 1, 0) ** grid.n_dims
+    if not 1 <= ell <= n_candidates:
+        raise BadRank(f"rank {ell} is not within 1..{n_candidates}")
+    # Every offset of max norm <= bound, ascending lexicographic.
+    axes = np.indices((2 * bound + 1,) * grid.n_dims) - bound
+    candidates = axes.reshape(grid.n_dims, -1).T
 
     # Energy of every candidate per cell; candidates outside the window score 0.
-    slot, in_window = _window_slots(grid, np.array(candidates, dtype=np.int64))
-    stack = np.stack([fib.data for fib in fibers])
-    energy = np.sum(np.abs(stack) ** 2, axis=0)  # (cell, window slot)
-    table = np.where(in_window, energy[:, slot], 0.0)  # (cell, candidate)
+    slot, in_window = _window_slots(grid, candidates)
+    energy = np.sum(np.abs(np.stack([fib.data[:, slot] for fib in fibers])) ** 2, axis=0)
+    table = np.where(in_window, energy, 0.0)  # (cell, candidate)
 
-    # Candidates are listed in ascending lexicographic order, so a stable
-    # sort of the negated energies breaks ties toward smaller offsets.
-    ranked = np.argsort(-table, axis=1, kind="stable")[:, :ell]
-    selection = tuple(tuple(candidates[j] for j in row) for row in ranked)
-    cells = tuple(tuple(sorted(chosen)) for chosen in selection)
+    # The top ell per cell, best first: argmax returns the first maximum, so
+    # ties go to the lexicographically smaller offset.
+    ranked = np.empty((grid.n_cells, ell), dtype=np.intp)
+    rows = np.arange(grid.n_cells)
+    for r in range(ell):
+        ranked[:, r] = best = np.argmax(table, axis=1)
+        table[rows, best] = -np.inf
+    offsets = list(map(tuple, candidates.tolist()))
+    selection = _nested(offsets, ranked)
+    cells = _nested(offsets, np.sort(ranked, axis=1))
     tile = TileSet(
         theta=grid.theta,
         n_dims=grid.n_dims,
@@ -199,6 +252,13 @@ def optimal_multitile(
         cells=cells,
     )
     return MultiTileModel(tile=tile, ell=ell, selection=selection)
+
+
+def _nested(
+    offsets: list[tuple[int, ...]], index: NDArray[np.intp]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per cell ``w``, the tuple of ``offsets[j]`` for ``j`` in ``index[w]``."""
+    return tuple(tuple([offsets[j] for j in row]) for row in index.tolist())
 
 
 def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSignal:
@@ -220,12 +280,11 @@ def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSigna
         )
     window = f.grid.samples_per_dim // (2 * period) + 1
     fgrid = FiberGrid(tile.theta, tile.n_dims, tile.omega_samples, window)
-    layout = _FiberLayout(f.grid, fgrid)
+    layout = _fiber_layout(f.grid, fgrid)
 
     # member[cell, slot] says whether the tile carries that slot's offset.
-    cells = np.repeat(np.arange(tile.n_cells), tile.counts)
-    offsets = np.array([k for cell in tile.cells for k in cell], dtype=np.int64)
-    slot, in_window = _window_slots(fgrid, offsets.reshape(-1, tile.n_dims))
+    cells, offsets = _flat_offsets(tile.cells, tile.n_dims)
+    slot, in_window = _window_slots(fgrid, offsets.astype(np.int64, copy=False))
     member = np.zeros((tile.n_cells, fgrid.window_size), dtype=bool)
     member[cells[in_window], slot[in_window]] = True
 

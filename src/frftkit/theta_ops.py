@@ -26,6 +26,7 @@ operators work on ndarrays; the public functions build one
 
 from __future__ import annotations
 
+import sys
 import warnings
 from fractions import Fraction
 from numbers import Rational
@@ -46,6 +47,8 @@ MAX_DENOMINATOR = 256
 MAX_FINE_SIZE = 1 << 24
 #: Relative spectral mass beyond the folding edge that triggers a warning.
 ALIAS_GUARD = 1e-12
+#: Modules whose public functions dilate through :func:`_dilate`.
+_DILATING_MODULES = (__name__, f"{__package__}.scatter")
 
 
 def _translate(
@@ -155,17 +158,13 @@ def _dilate(
     """:func:`theta_dilate` by ``frac != 1`` on chirped samples whose
     trailing axes are the plan's input grid (leading axes are a batch): the
     classical contraction of ``y``.  The alias warning names the caller of
-    the caller."""
+    the public function that dilates (see :func:`_warn_at_caller`)."""
     p, q = frac.numerator, frac.denominator
     n_dims, axes = plan.in_grid.n_dims, plan.axes
     # Centered bins, up to the sign table and spacing^n; y itself is kept.
     spectrum = np.fft.fftn(y, axes=axes, out=np.empty(y.shape, dtype=np.complex128))
     if frac > 1 and np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
-        warnings.warn(
-            f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}",
-            AliasRiskWarning,
-            stacklevel=3,
-        )
+        _warn_at_caller(f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}")
 
     n = plan.in_grid.samples_per_dim
     fine_n = n * q
@@ -189,3 +188,14 @@ def _dilate(
     out = out[(...,) + np.ix_(*(idx,) * n_dims)]
     # Output sample m reads a refined sample signed (-1)^(p*m); it needs (-1)^m.
     return out if p % 2 else _alternate(out, n_dims)
+
+
+def _warn_at_caller(message: str) -> None:
+    """Issue an :class:`AliasRiskWarning` at the first frame outside the
+    dilating modules: the line that called :func:`theta_dilate` or a
+    cascade function, however deep the cascade's own frames go (what
+    ``skip_file_prefixes`` does from Python 3.12 on)."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") in _DILATING_MODULES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, AliasRiskWarning, stacklevel=level)

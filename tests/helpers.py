@@ -161,3 +161,17 @@ def random_fiber_fields(fgrid: FiberGrid, n_members: int, rng) -> list[FiberFiel
         FiberField(fgrid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         for _ in range(n_members)
     ]
+
+
+def tile_cells_reference(cells, n_dims: int, bound: int) -> None:
+    """The per-offset loop that ``TileSet`` once ran on its cells: raises
+    the ``ValueError`` of the first rule that the first defective cell
+    breaks."""
+    for w, offsets in enumerate(cells):
+        if list(offsets) != sorted(set(offsets)):
+            raise ValueError(f"cell {w} offsets must be sorted and unique")
+        for k in offsets:
+            if len(k) != n_dims:
+                raise ValueError(f"cell {w} has an offset of wrong arity")
+            if max(abs(c) for c in k) > bound:
+                raise ValueError(f"cell {w} offset {k} exceeds bound {bound}")

@@ -13,19 +13,23 @@ from frftkit import (
     GridMismatch,
     NotHermitian,
     SampledSignal,
+    SISModel,
     ThetaParam,
     TruncationLoss,
     WindowTooSmall,
     analytic_sinc_fibers,
     approximation_error,
+    bandlimited_project,
     fiber_map,
     fit_sis,
     gramian_field,
     l2_norm,
+    optimal_multitile,
     project,
     synthesize_generator,
     theta_translate,
 )
+from frftkit import approx
 from frftkit.transform import centered_idft, chirp_modulate
 from helpers import banded_signal, gauss_profile, random_fiber_fields, random_signal
 
@@ -310,3 +314,71 @@ def test_fiber_field_shape_validation():
     fg = FiberGrid(PI3, 1, 8, 3)
     with pytest.raises(ValueError):
         FiberField(fg, np.zeros((8, 6), dtype=np.complex128))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64).tobytes()
+
+
+def test_layout_eviction_keeps_fibers_and_generators_bit_identical():
+    """Fibers and generators come out the same whether their layout was
+    cached, evicted by a bandlimited projection, or evicted by another grid."""
+    grid, fg = Grid(2, 32, 4.0), FiberGrid(PI3, 2, 8, 2)
+    members = [banded_signal(grid, PI3, 0.5, seed) for seed in (81, 82, 83)]
+
+    def run():
+        fibers = [fiber_map(m, fg) for m in members]
+        model = fit_sis(fibers, 2)
+        gen = synthesize_generator(model, 1, grid)
+        return [_bits(f.data) for f in fibers] + [_bits(gen.values)]
+
+    first = run()
+    assert run() == first  # cached layout
+    tiles = optimal_multitile([fiber_map(m, fg) for m in members], 2, 1)
+    bandlimited_project(members[0], tiles)  # caches the projection's own layout
+    assert run() == first
+    other = Grid(2, 64, 4.0)
+    fiber_map(banded_signal(other, PI3, 0.5, 84), FiberGrid(PI3, 2, 8, 4))
+    assert run() == first
+
+
+def test_cached_layout_tables_are_read_only():
+    grid, fg = Grid(1, 128, 4.0), FiberGrid(PI3, 1, 8, 8)  # the window covers every bin
+    fiber_map(random_signal(grid, 85), fg)
+    layout = approx._fiber_layout(grid, fg)
+    assert approx._live_layout is layout
+    for table in (layout.index, layout.valid):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+def test_grid_mismatch_keeps_the_cached_layout():
+    grid, fg = Grid(1, 128, 4.0), FiberGrid(PI3, 1, 8, 8)
+    f = random_signal(grid, 86)
+    before = fiber_map(f, fg)
+    layout = approx._live_layout
+    with pytest.raises(GridMismatch):
+        fiber_map(f, FiberGrid(PI3, 1, 3, 8))  # 3 cells do not divide the period 8
+    with pytest.raises(GridMismatch):
+        fiber_map(random_signal(Grid(2, 16, 2.0), 87), fg)  # wrong dimension
+    assert approx._live_layout is layout
+    assert _bits(fiber_map(f, fg).data) == _bits(before.data)
+
+
+def test_results_never_share_a_callers_array():
+    fg = FiberGrid(PI3, 1, 4, 1)
+    rng = np.random.default_rng(88)
+    data = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    fib = FiberField(fg, data)
+    assert not np.shares_memory(fib.data, data)
+    gram = GramianField(fg, np.einsum("wi,wj->wij", data, data.conj()))
+    assert not gram.data.flags.writeable
+    model = fit_sis([fib, FiberField(fg, data[::-1])], 1)
+    arrays = (model.eigenvalues, model.eigenvectors, model.generators)
+    copied = SISModel(fg, 1, *arrays)
+    for mine, theirs in zip(arrays, (copied.eigenvalues, copied.eigenvectors, copied.generators)):
+        assert not np.shares_memory(mine, theirs)
+        assert not theirs.flags.writeable
+    data[:] = 0.0  # the caller's array changes; the field does not
+    assert np.all(fib.data != 0.0)

@@ -29,8 +29,14 @@ from frftkit import (
     synthesize_generator,
     theta_translate,
 )
+from frftkit import multitile
 from frftkit.transform import centered_idft, chirp_modulate
-from helpers import banded_signal, gauss_profile, random_fiber_fields
+from helpers import (
+    banded_signal,
+    gauss_profile,
+    random_fiber_fields,
+    tile_cells_reference,
+)
 
 PI3 = ThetaParam(math.pi / 3)
 
@@ -46,6 +52,71 @@ def test_tileset_validation():
         TileSet(PI3, 1, 2, 1, (((0,), (2,)), ((-1,), (0,))))  # offset out of bound
     with pytest.raises(ValueError):
         TileSet(PI3, 1, 2, 1, (((0,), (0,)), ((-1,), (0,))))  # duplicate offset
+
+
+def _outcome(call):
+    """``(type, message)`` of what ``call()`` raises, or ``None``."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc), str(exc)
+    return None
+
+
+# Cells that break the rules, named by the first rule each breaks in 2-D.
+_DEFECTS = {
+    "unsorted": ((1, 0), (0, 1)),
+    "duplicate": ((0, 1), (0, 1)),
+    "short": ((0, 0), (1,)),
+    "long": ((0, 0), (0, 1, 2)),
+    "short-first": ((1,), (0, 0)),
+    "out-of-bound": ((0, 0), (0, 3)),
+    "below-bound": ((-3, 0), (0, 0)),
+    "bound-then-short": ((0, 3), (1,)),
+}
+
+
+def _ragged_tile(seed):
+    """``(n_dims, cells)`` with bound 2 and 3 cells per axis: up to 3 random
+    offsets per cell, then defects planted in ``seed % 4`` cells."""
+    rng = np.random.default_rng(seed)
+    n_dims = 1 + seed % 2
+    cands = list(itertools.product(range(-2, 3), repeat=n_dims))
+    cells = []
+    for _ in range(3**n_dims):
+        picks = rng.choice(len(cands), size=rng.integers(0, 4), replace=False)
+        cells.append(tuple(cands[j] for j in sorted(picks)))
+    for _ in range(seed % 4):
+        kind = list(_DEFECTS)[int(rng.integers(len(_DEFECTS)))]
+        # In 1-D the pairs are cut to one component; the triple keeps its wrong arity.
+        cells[int(rng.integers(len(cells)))] = tuple(
+            k[:1] if n_dims == 1 and len(k) == 2 else k for k in _DEFECTS[kind]
+        )
+    return n_dims, tuple(cells)
+
+
+@pytest.mark.parametrize(
+    "n_dims, cells",
+    [_ragged_tile(seed) for seed in range(40)]
+    + [
+        (1, ((), (), ())),
+        (2, (((-2, 2), (0, 0), (0, 1)), (), ((2, -2),), ((-1, 0), (0, -1), (1, 1)), (), (), (), (), ())),
+        (1, (((0,), (1.5,)), ((True,),), ((2,),))),  # not all ints: no integer array
+        (1, (((2**70,),), (), ())),  # past int64
+    ],
+    ids=[f"ragged-{seed}" for seed in range(40)] + ["empty", "2d-valid", "non-int", "huge"],
+)
+def test_tileset_validation_matches_the_reference_loop(n_dims, cells):
+    """Every tile, valid (one ragged tile in four, and the edge cases) or
+    with defects in several cells, meets the same outcome as the loop the
+    array validation replaced: no error, or one type and message."""
+    want = _outcome(lambda: tile_cells_reference(cells, n_dims, 2))
+    got = _outcome(lambda: TileSet(PI3, n_dims, 3, 2, cells))
+    assert got == want
+    flat = multitile._flat_offsets(cells, n_dims)
+    if want is None and flat is not None and flat[1].dtype.kind == "i":
+        # A valid tile flags no offset, so the per-cell check never runs.
+        assert not multitile._defects(*flat, 2).any()
 
 
 def test_is_multitile_and_partition():
@@ -251,16 +322,37 @@ def sorted_key_selection(fibers, ell, bound):
 
 
 @pytest.mark.parametrize(
-    "n_dims,window,one_sided,bound,ell",
-    [(1, 2, False, 3, 3), (1, 2, True, 2, 4), (2, 1, False, 2, 5), (2, 2, True, 1, 6)],
+    "n_dims,window,one_sided,bound,ell,zeros",
+    [
+        (1, 2, False, 3, 3, 0.4),
+        (1, 2, True, 2, 4, 0.4),
+        (2, 1, False, 2, 5, 0.4),
+        (2, 2, True, 1, 6, 0.4),
+        # An all-zero family: every candidate ties, and all of them are kept.
+        (1, 2, False, 2, 5, 1.0),
+        (2, 1, True, 1, 9, 1.0),
+        # A bound beyond the window, with more picks than in-window offsets.
+        (1, 1, True, 4, 7, 0.4),
+        (2, 1, False, 3, 12, 0.4),
+    ],
+    ids=[
+        "1-2-False-3-3",
+        "1-2-True-2-4",
+        "2-1-False-2-5",
+        "2-2-True-1-6",
+        "all-zero-1d",
+        "all-zero-2d",
+        "bound-past-window-1d",
+        "bound-past-window-2d",
+    ],
 )
-def test_optimal_multitile_matches_sorted_key_ranking(n_dims, window, one_sided, bound, ell):
+def test_optimal_multitile_matches_sorted_key_ranking(n_dims, window, one_sided, bound, ell, zeros):
     fg = FiberGrid(PI3, n_dims, 3, window, one_sided)
     rng = np.random.default_rng(318 + ell)
     fibers = []
     for fib in random_fiber_fields(fg, 2, rng):
         data = fib.data.copy()
-        data[rng.random(data.shape) < 0.4] = 0.0  # zero-energy candidates tie at 0
+        data[rng.random(data.shape) < zeros] = 0.0  # zero-energy candidates tie at 0
         fibers.append(FiberField(fg, data))
     model = optimal_multitile(fibers, ell, bound)
     expected = sorted_key_selection(fibers, ell, bound)

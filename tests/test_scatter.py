@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frftkit import (
+    AliasRiskWarning,
     Grid,
     InadmissibleBankWarning,
     KeyMismatch,
@@ -39,7 +40,7 @@ from frftkit import (
     u_layer,
     u_path,
 )
-from helpers import banded_signal, gauss_profile, make_s1_layers, nonlin_plan
+from helpers import banded_signal, gauss_profile, make_s1_layers, nonlin_plan, random_signal
 
 GOLDEN_PEAK = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 
@@ -409,3 +410,27 @@ def test_deviations_match_feature_trees(grid, steps, seed, theta_val, depth):
     got_c = covariance_deviation(f, shift, layers, depth, th)
     assert got_i == pytest.approx(want_i, rel=1e-12, abs=1e-25)
     assert got_c == pytest.approx(want_c, rel=1e-12, abs=1e-25)
+
+
+@pytest.mark.parametrize(
+    "entry", ["theta_dilate", "energy_profile", "extract_features", "invariance_deviation"]
+)
+def test_alias_warning_names_the_caller(entry):
+    """The dilation's alias warning points at the line that called the
+    public function, not into the cascade's own frames."""
+    grid, th = Grid(1, 128, 4.0), ThetaParam(math.pi / 3)
+    f = random_signal(grid, 35)  # full band: a contraction by 2 folds it
+    # Wide atoms pass the full band on to the dilation after layer 0.
+    layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "identity"], widths=(8.0, 8.0))
+    calls = {
+        "theta_dilate": lambda: theta_dilate(f, 2, th),
+        "energy_profile": lambda: energy_profile(f, layers, 2, th),
+        "extract_features": lambda: extract_features(f, layers, 2, th),
+        "invariance_deviation": lambda: invariance_deviation(f, 2 * grid.spacing, layers, 2, th),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        calls[entry]()
+    alias = [w for w in caught if issubclass(w.category, AliasRiskWarning)]
+    assert alias
+    assert {w.filename for w in alias} == {__file__}
