@@ -73,9 +73,9 @@ from .scatter import (
     LayerConfig,
     Nonlinearity,
     Pooling,
+    _deviations,
     extract_features,
     invariance_bound,
-    invariance_deviation,
 )
 from .theta_ops import theta_convolve, theta_dilate, theta_modulate, theta_translate
 from .transform import frft, frft_direct_oracle, inverse_frft, l2_norm
@@ -577,10 +577,10 @@ def cmd_scatter_invariance(args: argparse.Namespace) -> None:
         (layer.decay_constants[2] for layer in layers[:depth]),
         default=layers[0].decay_constants[2],
     )
+    shifts = [as_shift(t, signal.grid.n_dims) for t in args.t]
+    deviations = _deviations(signal, shifts, layers, depth, theta, None, covariant=False)
     rows = []
-    for t in args.t:
-        shift = as_shift(t, signal.grid.n_dims)
-        deviation = invariance_deviation(signal, shift, layers, depth, theta)
+    for t, shift, deviation in zip(args.t, shifts, deviations):
         bound = invariance_bound(shift, theta, s_factors, decay, norm_f)
         rows.append(f"{_fmt(t)},{_fmt(theta.theta)},{_fmt(deviation)},{_fmt(bound)}")
     _write_table(args.out, "t,theta,deviation,bound", rows)

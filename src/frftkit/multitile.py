@@ -31,7 +31,7 @@ from .approx import (
     synthesize_generator,
 )
 from .errors import BadRank, GridMismatch, NotMultiTile
-from .grids import SampledSignal, ThetaParam
+from .grids import Grid, SampledSignal, ThetaParam
 from .theta_ops import theta_translate
 from .transform import _reflect, frft, inner_product, inverse_frft
 
@@ -261,6 +261,25 @@ def _nested(
     return tuple(tuple([offsets[j] for j in row]) for row in index.tolist())
 
 
+def _support_mask(grid: Grid, tile: TileSet, window: int) -> NDArray[np.bool_]:
+    """The transform bins of ``grid`` that the fibers of the tile's slots
+    read, through the fiber layout of ``window``; every bin that lies in
+    the window is read by exactly one slot."""
+    fgrid = FiberGrid(tile.theta, tile.n_dims, tile.omega_samples, window)
+    layout = _fiber_layout(grid, fgrid)
+
+    # member[cell, slot] says whether the tile carries that slot's offset.
+    cells, offsets = _flat_offsets(tile.cells, tile.n_dims)
+    slot, in_window = _window_slots(fgrid, offsets.astype(np.int64, copy=False))
+    member = np.zeros((tile.n_cells, fgrid.window_size), dtype=bool)
+    member[cells[in_window], slot[in_window]] = True
+
+    keep = np.zeros(grid.size, dtype=bool)
+    keep[layout.index[member & layout.valid]] = True
+    keep = keep.reshape(grid.shape)
+    return _reflect(keep) if tile.theta.sign_sin < 0 else keep
+
+
 def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSignal:
     """Orthogonal projection onto the model's frequency support.
 
@@ -278,22 +297,9 @@ def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSigna
             f"bandlimited projection needs one cell per spectrum column: "
             f"period {period} != {tile.omega_samples} cells"
         )
-    window = f.grid.samples_per_dim // (2 * period) + 1
-    fgrid = FiberGrid(tile.theta, tile.n_dims, tile.omega_samples, window)
-    layout = _fiber_layout(f.grid, fgrid)
-
-    # member[cell, slot] says whether the tile carries that slot's offset.
-    cells, offsets = _flat_offsets(tile.cells, tile.n_dims)
-    slot, in_window = _window_slots(fgrid, offsets.astype(np.int64, copy=False))
-    member = np.zeros((tile.n_cells, fgrid.window_size), dtype=bool)
-    member[cells[in_window], slot[in_window]] = True
-
-    keep = np.zeros(f.grid.size, dtype=bool)
-    keep[layout.index[member & layout.valid]] = True
-    keep = keep.reshape(f.grid.shape)
-    if tile.theta.sign_sin < 0:
-        keep = _reflect(keep)
-
+    # The fiber window that reaches the grid's edge bins, which a fiber map
+    # on this grid uses too when P divides N/2: one cached layout serves both.
+    keep = _support_mask(f.grid, tile, -(-(f.grid.samples_per_dim // 2) // period))
     spectrum = frft(f, tile.theta)
     masked = np.where(keep, spectrum.as_nd(), 0.0)
     return inverse_frft(SampledSignal._owning(spectrum.grid, masked), tile.theta)

@@ -18,10 +18,19 @@ one broadcast product against the atom spectra and one inverse.  Inputs
 are chirped once at the root and features unchirped once at the readout;
 energies and deviations ignore the unit-modulus chirp.  A modulus drops
 its phase (these networks are not translation invariant), and the engine
-multiplies it back in.  The deviations stack the shifted and the
-unshifted input as two roots, so both cascades run in one pass.  A public
-function builds :class:`SampledSignal` objects only for the signals it
-returns.
+multiplies it back in.  A layer whose maps are both identities dilates the
+filter's own output, so the dilation's alias check reads the spectrum the
+filter already has, and an integer dilation transforms nothing.
+
+The deviations stack the input and its shifted copies as the roots of one
+cascade, so ``k`` shifts run ``k + 1`` root cascades.  They never read the
+features out: the readout is a linear filter that commutes with the
+chirped-domain translate (a roll times a phase), so the features' distance
+is the filtered difference of the two last-level stacks, and by Parseval
+its energy is that of the difference's spectrum times the readout kernel.
+One forward transform of the difference replaces the readout's two.  A
+public function builds :class:`SampledSignal` objects only for the signals
+it returns.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .errors import (
 )
 from .frames import AtomBank, check_admissibility, frame_bounds
 from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, as_shift
-from .theta_ops import _as_fraction, _dilate, _translate
+from .theta_ops import _as_fraction, _check_alias, _dilate, _translate
 from .theta_ops import theta_convolve  # noqa: F401  (bench/test_smoke.py reads this name)
 from .transform import _chirp_plan, _ChirpPlan, frft
 
@@ -119,7 +128,8 @@ class Nonlinearity:
             return np.abs(values).astype(np.complex128)
         mag = np.abs(values)
         # b >= 0, so the gain is already 0 where mag == 0.
-        gain = np.maximum(mag - self.b, 0.0)
+        gain = mag - self.b
+        np.maximum(gain, 0.0, out=gain)
         np.divide(gain, mag, out=gain, where=mag > 0.0)
         del mag  # before the product, for peak memory
         return values * gain
@@ -294,14 +304,19 @@ def _step(
     with each atom of ``layer.kernels[atoms]``, then nonlinearity, pooling
     and dilation.  Row ``i * n + j`` of the ``(paths * n, *grid)`` result
     is path ``i`` extended by the ``j``-th of the ``n`` selected atoms."""
-    out = plan.filter(y[:, None], layer.kernels[atoms]).reshape((-1,) + y.shape[1:])
+    frac = _as_fraction(layer.pooling_factor) if layer.pooling_factor != 1.0 else None
+    # With identity maps the dilation contracts the filter's own output, so
+    # its alias check can read the filter's spectrum instead of a new one.
+    early = frac is not None and layer.nonlin.kind == layer.pool.kind == "identity"
+    inspect = (lambda spectrum: _check_alias(spectrum, frac, plan.axes)) if early else None
+    out = plan.filter(y[:, None], layer.kernels[atoms], inspect).reshape((-1,) + y.shape[1:])
     for op in (layer.nonlin, layer.pool):
         out = op.apply(out)
         if op.kind == "modulus":
             # |y| = |x| has lost the chirp's phase; put it back.
             out *= plan.chirp_in
-    if layer.pooling_factor != 1.0:
-        out = _dilate(out, _as_fraction(layer.pooling_factor), plan)
+    if frac is not None:
+        out = _dilate(out, frac, plan, alias_checked=early)
     return out
 
 
@@ -319,25 +334,25 @@ def _levels(
         yield y
 
 
-def _readout(
-    stack: NDArray[np.complex128],
+def _readout_kernel(
     k: int,
     layers: Sequence[LayerConfig],
     plan: _ChirpPlan,
     level0_atom: SampledSignal | None,
 ) -> NDArray[np.complex128]:
-    """Chirped level-``k`` features of a chirped level-``k`` stack: its
-    convolution with the output atom of ``layers[k - 1]``; at level 0 with
-    ``level0_atom``, else with the first layer's output atom."""
+    """The kernel that reads chirped level-``k`` features out of a chirped
+    level-``k`` stack (see :meth:`_ChirpPlan.filter`): the output atom of
+    ``layers[k - 1]``; at level 0 ``level0_atom``, else the first layer's
+    output atom."""
     if k > 0:
-        return plan.filter(stack, layers[k - 1].kernels[-1])
+        return layers[k - 1].kernels[-1]
     if level0_atom is None:
         if not layers:
             raise ValueError("need either a level-0 output atom or at least one layer")
         level0_atom = layers[0].output_atom
     if level0_atom.grid != plan.in_grid:
         raise GridMismatch("level-0 output atom and signal live on different grids")
-    return plan.filter(stack, plan.kernel(level0_atom.as_nd()))
+    return plan.kernel(level0_atom.as_nd())
 
 
 def u_layer(
@@ -400,7 +415,8 @@ def extract_features(
     levels = []
     for k, stack in enumerate(_levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)):
         paths = itertools.product(*(range(layer.n_atoms) for layer in layers[:k]))
-        features = plan.unchirp(_readout(stack, k, layers, plan, level0_atom))
+        kernel = _readout_kernel(k, layers, plan, level0_atom)
+        features = plan.unchirp(plan.filter(stack, kernel))
         levels.append({path: f.with_values(v.ravel()) for path, v in zip(paths, features)})
     return FeatureTree(levels=tuple(levels), theta=theta, admissible=admissible)
 
@@ -429,29 +445,43 @@ def _commutation_gate(layers: Sequence[LayerConfig], depth: int, theta: ThetaPar
                 )
 
 
-def _deviation(
+def _deviations(
     f: SampledSignal,
-    t: object,
+    shifts: Sequence[object],
     layers: Sequence[LayerConfig],
     depth: int,
     theta: ThetaParam,
     level0_atom: SampledSignal | None,
     covariant: bool,
-) -> float:
-    """Sum over level-``depth`` paths of the squared distance between the
-    phase-corrected features of the shifted input and the features of
-    ``f``, themselves shifted when ``covariant``."""
+) -> list[float]:
+    """Per shift ``t``, the sum over level-``depth`` paths of the squared
+    distance between the phase-corrected features of the input shifted by
+    ``t`` and the features of ``f``, themselves shifted when ``covariant``.
+
+    ``f`` and its shifts are the roots of one cascade.  The readout filter
+    is linear and commutes with translates, so each distance is the energy
+    of the filtered difference of two level-``depth`` stacks; by Parseval
+    that is the energy of the difference's spectrum times the kernel, over
+    the ``N^n`` bins."""
     _commutation_gate(layers, depth, theta)
-    shift = as_shift(t, f.grid.n_dims)
+    shifts = [as_shift(t, f.grid.n_dims) for t in shifts]
     plan = _cascade_plan(f.grid, theta, layers, depth)
+    kernel = _readout_kernel(depth, layers, plan, level0_atom)
     y = plan.chirp(f.as_nd())
-    for stack in _levels(np.stack([_translate(y, shift, plan), y]), plan, layers, depth):
+    levels = _levels(np.stack([y] + [_translate(y, s, plan) for s in shifts]), plan, layers, depth)
+    del y  # the generator alone holds the roots, and drops them after layer 1
+    for stack in levels:
         pass  # keep only the last level alive, not a list of all of them
-    shifted, plain = np.split(_readout(stack, depth, layers, plan, level0_atom), 2)
-    reference = _translate(plain, shift, plan) if covariant else plain
-    norm_sq = sum(c * c for c in shift.components)
-    phase = np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
-    return _energy(phase * shifted - reference, f.grid)
+    plain, *moved = np.split(stack, len(shifts) + 1)
+    deviations = []
+    for shift, shifted in zip(shifts, moved):
+        norm_sq = sum(c * c for c in shift.components)
+        diff = shifted * np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
+        diff -= _translate(plain, shift, plan) if covariant else plain
+        spectrum = np.fft.fftn(diff, axes=plan.axes, out=diff)
+        spectrum *= kernel
+        deviations.append(_energy(spectrum, f.grid) / f.grid.size)
+    return deviations
 
 
 def invariance_deviation(
@@ -470,7 +500,7 @@ def invariance_deviation(
     when some layer's pointwise maps do not commute with twisted
     translations at this angle.
     """
-    return _deviation(f, t, layers, depth, theta, level0_atom, covariant=False)
+    return _deviations(f, (t,), layers, depth, theta, level0_atom, covariant=False)[0]
 
 
 def covariance_deviation(
@@ -486,7 +516,7 @@ def covariance_deviation(
     Compares the phase-corrected features of the shifted input against the
     twisted translate of the original features.
     """
-    return _deviation(f, t, layers, depth, theta, level0_atom, covariant=True)
+    return _deviations(f, (t,), layers, depth, theta, level0_atom, covariant=True)[0]
 
 
 def _shift(t: ShiftVector | Sequence[float] | float) -> ShiftVector:

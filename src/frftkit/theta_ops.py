@@ -47,8 +47,9 @@ MAX_DENOMINATOR = 256
 MAX_FINE_SIZE = 1 << 24
 #: Relative spectral mass beyond the folding edge that triggers a warning.
 ALIAS_GUARD = 1e-12
-#: Modules whose public functions dilate through :func:`_dilate`.
-_DILATING_MODULES = (__name__, f"{__package__}.scatter")
+#: Modules whose frames lie between a dilating public function and the alias
+#: check: the cascade checks the spectrum inside ``_ChirpPlan.filter``.
+_DILATING_MODULES = (__name__, f"{__package__}.scatter", f"{__package__}.transform")
 
 
 def _translate(
@@ -133,6 +134,17 @@ def _alias_tail_fraction(
     return np.divide(total - kept, total, out=np.zeros_like(total), where=total > 0.0)
 
 
+def _check_alias(
+    spectrum: NDArray[np.complex128], frac: Fraction, axes: tuple[int, ...]
+) -> None:
+    """Warn at the caller (see :func:`_warn_at_caller`) when a contraction
+    by ``frac`` would fold measurable mass of ``spectrum``: ``fftn`` of the
+    chirped samples to be dilated, over ``axes``."""
+    p, q = frac.numerator, frac.denominator
+    if frac > 1 and np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
+        _warn_at_caller(f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}")
+
+
 def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> SampledSignal:
     """Angle-covariant dilation by a rational factor ``s = p/q > 0``.
 
@@ -153,18 +165,21 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
 
 
 def _dilate(
-    y: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan
+    y: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan, alias_checked: bool = False
 ) -> NDArray[np.complex128]:
     """:func:`theta_dilate` by ``frac != 1`` on chirped samples whose
     trailing axes are the plan's input grid (leading axes are a batch): the
-    classical contraction of ``y``.  The alias warning names the caller of
-    the public function that dilates (see :func:`_warn_at_caller`)."""
+    classical contraction of ``y``.  The alias check (see
+    :func:`_check_alias`) runs on the spectrum of ``y`` unless
+    ``alias_checked`` says the caller ran it already; an integer factor then
+    transforms nothing, as it only gathers samples."""
     p, q = frac.numerator, frac.denominator
     n_dims, axes = plan.in_grid.n_dims, plan.axes
-    # Centered bins, up to the sign table and spacing^n; y itself is kept.
-    spectrum = np.fft.fftn(y, axes=axes, out=np.empty(y.shape, dtype=np.complex128))
-    if frac > 1 and np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
-        _warn_at_caller(f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}")
+    if q > 1 or not alias_checked:
+        # Centered bins, up to the sign table and spacing^n; y itself is kept.
+        spectrum = np.fft.fftn(y, axes=axes, out=np.empty(y.shape, dtype=np.complex128))
+        if not alias_checked:
+            _check_alias(spectrum, frac, axes)
 
     n = plan.in_grid.samples_per_dim
     fine_n = n * q

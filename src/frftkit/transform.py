@@ -48,6 +48,8 @@ a result.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -163,12 +165,19 @@ class _ChirpPlan:
         return _mul_conj(y, self.chirp_in)
 
     def filter(
-        self, y: NDArray[np.complex128], kernel: NDArray[np.complex128]
+        self,
+        y: NDArray[np.complex128],
+        kernel: NDArray[np.complex128],
+        inspect: Callable[[NDArray[np.complex128]], None] | None = None,
     ) -> NDArray[np.complex128]:
         """Circular convolution of chirped samples ``y`` with the atom of
-        ``kernel``; leading axes of the two broadcast."""
+        ``kernel``; leading axes of the two broadcast.  ``inspect``, when
+        given, reads the spectrum of the result (``fftn`` of the returned
+        samples) before it is inverted in place."""
         spectrum = np.fft.fftn(y, axes=self.axes, out=np.empty(y.shape, dtype=np.complex128))
         prod = spectrum * kernel
+        if inspect is not None:
+            inspect(prod)
         return np.fft.ifftn(prod, axes=self.axes, out=prod)
 
     def kernel(self, g: NDArray[np.complex128]) -> NDArray[np.complex128]:

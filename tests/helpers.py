@@ -4,7 +4,9 @@ Everything here is deterministic: signal factories take explicit seeds and
 the reference oracles are straightforward quadratic-cost computations that
 do not share code with the package internals.
 """
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -21,6 +23,27 @@ from frftkit import (
     l2_norm,
 )
 from frftkit.approx import FiberField, FiberGrid
+
+
+@contextlib.contextmanager
+def fft_rows():
+    """Count the rows that ``np.fft.fftn`` and ``np.fft.ifftn`` transform
+    inside the block: one per index of the axes they do not transform.
+    Yields a one-entry list that holds the running count."""
+    rows = [0]
+
+    def counting(transform):
+        def wrapper(a, s=None, axes=None, *args, **kwargs):
+            shape = np.shape(a)
+            axes_ = range(len(shape)) if axes is None else axes
+            rows[0] += math.prod(shape) // math.prod(shape[ax] for ax in axes_)
+            return transform(a, s, axes, *args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.object(np.fft, "fftn", counting(np.fft.fftn)), \
+            mock.patch.object(np.fft, "ifftn", counting(np.fft.ifftn)):
+        yield rows
 
 
 def random_signal(grid: Grid, seed: int) -> SampledSignal:

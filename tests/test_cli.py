@@ -342,25 +342,31 @@ def test_scatter_invariance(tmp_path):
 
 
 def test_scatter_invariance_2d_scalar_shift_is_diagonal(tmp_path):
+    """Each bare shift t is read as (t, t), and the k shifts, run as one
+    cascade of k + 1 roots, give the bits of one library call per shift."""
     grid = Grid(2, 32, 4.0)
     cfg, sig, f = scatter_config(tmp_path, grid=grid)
+    # Level 2 must clear the shrink threshold, or every deviation is 0.
+    sig = write_csv(tmp_path / "signal.csv", f.with_values(100.0 * f.values))
     out = str(tmp_path / "inv.csv")
-    t = 2 * grid.spacing
+    ts = (2 * grid.spacing, -grid.spacing, 3 * grid.spacing)
     assert main(["scatter", "invariance", "--config", cfg, "--signal", sig,
-                 "--t", repr(t), "--out", out]) == 0
-    row = open(out).read().splitlines()[1]
-    _, _, dev, bound = map(float, row.split(","))
+                 "--t", *map(repr, ts), "--out", out]) == 0
+    rows = open(out).read().splitlines()[1:]
+    assert len(rows) == len(ts)
 
     layers, _ = make_s1_layers(grid, PI3, (1.0, 1.0), ["identity", "identity"])
     layers = [LayerConfig(bank=layer.bank, output_atom=layer.output_atom,
                           nonlin=Nonlinearity("phase_covariant_shrink", 0.01))
               for layer in layers]
     signal = read_signal(sig)
-    shift = ShiftVector((t, t))
     decay = max(layer.decay_constants[2] for layer in layers)
-    assert bound == invariance_bound(shift, PI3, (1.0, 1.0), decay, l2_norm(signal))
-    assert dev == invariance_deviation(signal, shift, layers, 2, PI3)
-    assert 0.0 <= dev <= bound
+    for t, row in zip(ts, rows):
+        _, _, dev, bound = map(float, row.split(","))
+        shift = ShiftVector((t, t))
+        assert bound == invariance_bound(shift, PI3, (1.0, 1.0), decay, l2_norm(signal))
+        assert dev == invariance_deviation(signal, shift, layers, 2, PI3)
+        assert 0.0 < dev <= bound
 
 
 def test_approx_fit(tmp_path):

@@ -29,7 +29,7 @@ from frftkit import (
     synthesize_generator,
     theta_translate,
 )
-from frftkit import multitile
+from frftkit import approx, multitile
 from frftkit.transform import centered_idft, chirp_modulate
 from helpers import (
     banded_signal,
@@ -168,6 +168,76 @@ def test_multitile_model_validation():
     ragged = TileSet(PI3, 1, 2, 1, (((-1,), (1,)), ((0,),)))
     with pytest.raises(NotMultiTile):
         MultiTileModel(ragged, 2, ragged.cells)
+
+
+def test_multitile_model_names_the_first_wrong_cell():
+    """A selection wrong in several cells is refused at the first of them,
+    whether it is missing, gains or swaps an offset."""
+    rng = np.random.default_rng(318)
+    cands = list(itertools.product(range(-2, 3), repeat=2))
+    cells = tuple(
+        tuple(sorted(cands[j] for j in rng.choice(len(cands), 3, replace=False)))
+        for _ in range(9)
+    )
+    tile = TileSet(PI3, 2, 3, 2, cells)
+    selection = [cell[::-1] for cell in cells]  # any order of the right offsets
+    MultiTileModel(tile, 3, tuple(selection))
+    spare = {w: next(k for k in cands if k not in cell) for w, cell in enumerate(cells)}
+    wrongs = {
+        4: cells[4][:2],
+        6: cells[6] + (spare[6],),
+        7: (spare[7],) + cells[7][1:],
+    }
+    for first in sorted(wrongs):
+        bad = list(selection)
+        for w in wrongs:
+            if w >= first:
+                bad[w] = wrongs[w]
+        with pytest.raises(ValueError, match=f"selection at cell {first} disagrees"):
+            MultiTileModel(tile, 3, tuple(bad))
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+@pytest.mark.parametrize("theta", [PI3, ThetaParam(-2 * math.pi / 5)], ids=["pi/3", "-2pi/5"])
+@pytest.mark.parametrize("n_dims,samples", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("period", [6, 8, 10, 12, 16])
+def test_bandlimited_project_matches_the_wider_window(period, n_dims, samples, theta, bound):
+    """The projection's window ceil((N/2)/P) reaches every bin that the
+    window N/(2P) + 1 reaches, so the projection keeps its bits."""
+    grid = Grid(n_dims, samples, period / 2)
+    rng = np.random.default_rng(period + samples + bound)
+    cands = list(itertools.product(range(-bound, bound + 1), repeat=n_dims))
+    cells = tuple(
+        tuple(sorted(cands[j] for j in rng.choice(len(cands), 2, replace=False)))
+        for _ in range(period**n_dims)
+    )
+    model = MultiTileModel(TileSet(theta, n_dims, period, bound, cells), 2, cells)
+    f = SampledSignal(grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+    keep = multitile._support_mask(grid, model.tile, samples // (2 * period) + 1)
+    spectrum = frft(f, theta)
+    masked = np.where(keep.ravel(), spectrum.values, 0.0)
+    expected = inverse_frft(spectrum.with_values(masked), theta)
+    assert np.array_equal(bandlimited_project(f, model).values, expected.values)
+
+
+def test_fibers_and_projection_share_one_layout(monkeypatch):
+    """With P dividing N/2, a projection reads the fiber layout that the
+    fiber maps of the same grid built."""
+    grid = Grid(2, 32, 4.0)  # P = 8, window N/(2P) = 2
+    fg = FiberGrid(PI3, 2, 8, 2)
+    builds = []
+    init = approx._FiberLayout.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(approx, "_live_layout", None)
+    monkeypatch.setattr(approx._FiberLayout, "__init__", counting)
+    members = [banded_signal(grid, PI3, 1.0, s) for s in (5, 6)]
+    model = optimal_multitile([fiber_map(m, fg) for m in members], 2, 2)
+    bandlimited_project(members[0], model)
+    assert len(builds) == 1
 
 
 def test_bandlimited_projection_properties():

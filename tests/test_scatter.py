@@ -1,5 +1,6 @@
 """Convolutional feature cascade: decay constants, energy accounting,
 translation deviations against their closed-form bounds."""
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from frftkit import (
     AliasRiskWarning,
     Grid,
+    GridMismatch,
     InadmissibleBankWarning,
     KeyMismatch,
     LayerConfig,
@@ -40,7 +42,14 @@ from frftkit import (
     u_layer,
     u_path,
 )
-from helpers import banded_signal, gauss_profile, make_s1_layers, nonlin_plan, random_signal
+from helpers import (
+    banded_signal,
+    fft_rows,
+    gauss_profile,
+    make_s1_layers,
+    nonlin_plan,
+    random_signal,
+)
 
 GOLDEN_PEAK = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 
@@ -106,6 +115,16 @@ def test_shrink_apply():
     vals = np.array([3.0, 0.5j, 0.0, -2.0], dtype=np.complex128)
     out = nl.apply(vals)
     assert np.allclose(out, [2.0, 0.0, 0.0, -1.0])
+    # Bit for bit, signs of zero included, the gain np.maximum(|z| - b, 0) / |z|.
+    rng = np.random.default_rng(104)
+    z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    z[:4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    mag = np.abs(z)
+    gain = np.maximum(mag - 1.0, 0.0)
+    np.divide(gain, mag, out=gain, where=mag > 0.0)
+    got, want = nl.apply(z).view(np.float64), (z * gain).view(np.float64)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
     mod = Nonlinearity("modulus").apply(vals)
     assert np.allclose(mod, [3.0, 0.5, 0.0, 2.0])
 
@@ -412,25 +431,94 @@ def test_deviations_match_feature_trees(grid, steps, seed, theta_val, depth):
     assert got_c == pytest.approx(want_c, rel=1e-12, abs=1e-25)
 
 
+_ALIAS_ENTRIES = ("theta_dilate", "energy_profile", "extract_features", "invariance_deviation")
+
+
 @pytest.mark.parametrize(
-    "entry", ["theta_dilate", "energy_profile", "extract_features", "invariance_deviation"]
+    "entry,b",
+    [(e, None) for e in _ALIAS_ENTRIES] + [(e, 0.0) for e in _ALIAS_ENTRIES[1:]],
+    ids=list(_ALIAS_ENTRIES) + [f"{e}-shrink" for e in _ALIAS_ENTRIES[1:]],
 )
-def test_alias_warning_names_the_caller(entry):
+def test_alias_warning_names_the_caller(entry, b):
     """The dilation's alias warning points at the line that called the
-    public function, not into the cascade's own frames."""
+    public function, not into the cascade's own frames.  With identity maps
+    the cascade checks the filter's spectrum; after a shrink the dilation
+    checks its own.  A band-limited input warns on neither path."""
     grid, th = Grid(1, 128, 4.0), ThetaParam(math.pi / 3)
-    f = random_signal(grid, 35)  # full band: a contraction by 2 folds it
     # Wide atoms pass the full band on to the dilation after layer 0.
     layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "identity"], widths=(8.0, 8.0))
-    calls = {
-        "theta_dilate": lambda: theta_dilate(f, 2, th),
-        "energy_profile": lambda: energy_profile(f, layers, 2, th),
-        "extract_features": lambda: extract_features(f, layers, 2, th),
-        "invariance_deviation": lambda: invariance_deviation(f, 2 * grid.spacing, layers, 2, th),
+    if b is not None:
+        # A zero threshold keeps every value, and so the band of the input.
+        shrink = Nonlinearity("phase_covariant_shrink", b)
+        layers[0] = dataclasses.replace(layers[0], nonlin=shrink)
+    band = 0.4 * float(np.max(frft_output_grid(grid, th).axis))
+    inputs = {
+        True: random_signal(grid, 35),  # full band: a contraction by 2 folds it
+        False: banded_signal(grid, th, band, 35),  # inside the band a contraction by 2 keeps
     }
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        calls[entry]()
-    alias = [w for w in caught if issubclass(w.category, AliasRiskWarning)]
-    assert alias
-    assert {w.filename for w in alias} == {__file__}
+    shift = 2 * grid.spacing
+    for folds, f in inputs.items():
+        calls = {
+            "theta_dilate": lambda: theta_dilate(f, 2, th),
+            "energy_profile": lambda: energy_profile(f, layers, 2, th),
+            "extract_features": lambda: extract_features(f, layers, 2, th),
+            "invariance_deviation": lambda: invariance_deviation(f, shift, layers, 2, th),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calls[entry]()
+        alias = [w for w in caught if issubclass(w.category, AliasRiskWarning)]
+        assert bool(alias) == folds
+        assert {w.filename for w in alias} <= {__file__}
+
+
+def test_cascade_fft_rows():
+    """The FFT rows of the benchmark's cascade (2-D 64², two atoms, pooling
+    (2, 1), identity then shrink): an integer dilation after identity maps
+    transforms nothing, and a deviation reads its energy off one spectrum
+    of the level-2 difference."""
+    grid, th = Grid(2, 64, 4.0), ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
+    f = banded_signal(grid, th, 0.4, 41)
+    shift = (grid.spacing, -2 * grid.spacing)
+    # Layer 1 filters 1 row into 2 (1 + 2 FFT rows) and dilates them with
+    # none; layer 2 filters 2 rows into 4 (2 + 4).
+    with fft_rows() as rows:
+        energy_profile(f, layers, 2, th)
+    assert rows[0] == 9
+    # Twice that for two roots, and one spectrum of the 4 path differences.
+    for deviation in (invariance_deviation, covariance_deviation):
+        with fft_rows() as rows:
+            deviation(f, shift, layers, 2, th)
+        assert rows[0] == 2 * 9 + 4
+
+
+@pytest.mark.parametrize("covariant", [False, True], ids=["invariance", "covariance"])
+def test_deviations_read_level0_with_the_given_atom(covariant):
+    """At depth 0 both deviations read out with ``level0_atom``, as the
+    feature trees do, and reject an atom on another grid."""
+    grid, th = Grid(1, 128, 8.0), ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (1.0,), ["identity"])
+    atom = inverse_frft(gauss_profile(frft_output_grid(grid, th), 0.3, 0.4), th)
+    f = banded_signal(grid, th, 0.8, 43)
+    shift = 3 * grid.spacing
+    deviation = covariance_deviation if covariant else invariance_deviation
+
+    def drift(level0_atom):
+        moved = extract_features(theta_translate(f, shift, th), layers, 0, th, level0_atom)
+        plain = extract_features(f, layers, 0, th, level0_atom).levels[0][()]
+        if covariant:
+            plain = theta_translate(plain, shift, th)
+        diff = moved.levels[0][()].values - plain.values
+        return l2_norm(f.with_values(diff)) ** 2
+
+    for level0_atom in (None, atom):
+        got = deviation(f, shift, layers, 0, th, level0_atom)
+        assert got == pytest.approx(drift(level0_atom), rel=1e-12, abs=1e-25)
+    if not covariant:
+        assert deviation(f, shift, layers, 0, th, atom) != deviation(f, shift, layers, 0, th)
+    elsewhere = SampledSignal(Grid(1, 64, 8.0), np.ones(64, dtype=np.complex128))
+    with pytest.raises(GridMismatch):
+        deviation(f, shift, layers, 0, th, elsewhere)
+    with pytest.raises(ValueError, match="level-0 output atom"):
+        deviation(f, shift, [], 0, th)
