@@ -22,15 +22,16 @@ multiplies it back in.  A layer whose maps are both identities dilates the
 filter's own output, so the dilation's alias check reads the spectrum the
 filter already has, and an integer dilation transforms nothing.
 
-The deviations stack the input and its shifted copies as the roots of one
-cascade, so ``k`` shifts run ``k + 1`` root cascades.  They never read the
-features out: the readout is a linear filter that commutes with the
-chirped-domain translate (a roll times a phase), so the features' distance
-is the filtered difference of the two last-level stacks, and by Parseval
-its energy is that of the difference's spectrum times the readout kernel.
-One forward transform of the difference replaces the readout's two.  A
-public function builds :class:`SampledSignal` objects only for the signals
-it returns.
+The deviations run the input once, with its first shifted copy, and each
+further shifted copy alone against the input's last level, so ``k``
+shifts run ``k + 1`` root cascades in memory that does not grow with ``k``.
+They never read the features out: the readout is a linear filter that
+commutes with the chirped-domain translate (a roll times a phase), so the
+features' distance is the filtered difference of the two last-level
+stacks, and by Parseval its energy is that of the difference's spectrum
+times the readout kernel.  One forward transform of the difference
+replaces the readout's two.  A public function builds
+:class:`SampledSignal` objects only for the signals it returns.
 """
 
 from __future__ import annotations
@@ -458,25 +459,33 @@ def _deviations(
     distance between the phase-corrected features of the input shifted by
     ``t`` and the features of ``f``, themselves shifted when ``covariant``.
 
-    ``f`` and its shifts are the roots of one cascade.  The readout filter
-    is linear and commutes with translates, so each distance is the energy
-    of the filtered difference of two level-``depth`` stacks; by Parseval
-    that is the energy of the difference's spectrum times the kernel, over
-    the ``N^n`` bins."""
+    ``f`` runs as one cascade with its first shift; every later shift runs
+    alone against the level-``depth`` stack of ``f`` kept from then, so
+    ``k`` shifts take ``k + 1`` root cascades, in memory that does not grow
+    with ``k``.  The readout filter is linear and commutes with translates,
+    so each distance is the energy of the filtered difference of two
+    level-``depth`` stacks; by Parseval that is the energy of the
+    difference's spectrum times the kernel, over the ``N^n`` bins."""
     _commutation_gate(layers, depth, theta)
     shifts = [as_shift(t, f.grid.n_dims) for t in shifts]
     plan = _cascade_plan(f.grid, theta, layers, depth)
     kernel = _readout_kernel(depth, layers, plan, level0_atom)
-    y = plan.chirp(f.as_nd())
-    levels = _levels(np.stack([y] + [_translate(y, s, plan) for s in shifts]), plan, layers, depth)
-    del y  # the generator alone holds the roots, and drops them after layer 1
-    for stack in levels:
-        pass  # keep only the last level alive, not a list of all of them
-    plain, *moved = np.split(stack, len(shifts) + 1)
+    y = plan.chirp(f.as_nd()[None])
     deviations = []
-    for shift, shifted in zip(shifts, moved):
+    for i, shift in enumerate(shifts):
+        roots = _translate(y, shift, plan)
+        if i == 0:
+            roots = np.concatenate([y, roots])
+        if i == len(shifts) - 1:
+            del y  # no later shift needs the input
+        levels = _levels(roots, plan, layers, depth)
+        del roots  # the generator alone holds the roots, and drops them after layer 1
+        for diff in levels:
+            pass  # keep only the last level alive, not a list of all of them
+        if i == 0:
+            plain, diff = np.split(diff, 2)
         norm_sq = sum(c * c for c in shift.components)
-        diff = shifted * np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
+        diff *= np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
         diff -= _translate(plain, shift, plan) if covariant else plain
         spectrum = np.fft.fftn(diff, axes=plan.axes, out=diff)
         spectrum *= kernel

@@ -342,8 +342,8 @@ def test_scatter_invariance(tmp_path):
 
 
 def test_scatter_invariance_2d_scalar_shift_is_diagonal(tmp_path):
-    """Each bare shift t is read as (t, t), and the k shifts, run as one
-    cascade of k + 1 roots, give the bits of one library call per shift."""
+    """Each bare shift t is read as (t, t), and the k shifts, run as k + 1
+    root cascades, give the bits of one library call per shift."""
     grid = Grid(2, 32, 4.0)
     cfg, sig, f = scatter_config(tmp_path, grid=grid)
     # Level 2 must clear the shrink threshold, or every deviation is 0.

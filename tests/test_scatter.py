@@ -42,6 +42,7 @@ from frftkit import (
     u_layer,
     u_path,
 )
+from frftkit.scatter import _deviations
 from helpers import (
     banded_signal,
     fft_rows,
@@ -491,6 +492,31 @@ def test_cascade_fft_rows():
         with fft_rows() as rows:
             deviation(f, shift, layers, 2, th)
         assert rows[0] == 2 * 9 + 4
+    # k shifts run k + 1 root cascades and one spectrum per shift.
+    with fft_rows() as rows:
+        _deviations(f, [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0)], layers, 2, th,
+                    None, covariant=False)
+    assert rows[0] == 4 * 9 + 3 * 4
+
+
+def test_deviation_peak_memory_does_not_grow_with_shifts():
+    """Shifts after the first run one at a time against the input's kept
+    last level, so six shifts trace the peak of one, plus the input kept
+    for the later shifts."""
+    grid, th = Grid(2, 64, 4.0), ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["phase_covariant_shrink"] * 2)
+    f = banded_signal(grid, th, 0.4, 41)
+    shifts = [(i * grid.spacing, -grid.spacing) for i in range(1, 7)]
+    _deviations(f, shifts[:1], layers, 2, th, None, covariant=False)  # builds the plan
+    peaks = []
+    for k in (1, 6):
+        tracemalloc.start()
+        try:
+            _deviations(f, shifts[:k], layers, 2, th, None, covariant=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 * f.values.nbytes
 
 
 @pytest.mark.parametrize("covariant", [False, True], ids=["invariance", "covariance"])
