@@ -12,7 +12,8 @@ One layout maps each (cell, offset) slot to the spectrum bin it reads:
 fibers gather through it, generators scatter through it, and tile masks
 keep exactly the bins that their slots' fibers read.  The last layout built
 stays cached, keyed by (signal grid, fiber grid), so a family fitted on one
-grid builds it once; its tables are read-only.
+grid builds it once; its tables are read-only.  One gather and one scatter
+through it serve fiber maps, generator synthesis and the frame expansion.
 
 The fiber fields of :func:`fiber_map`, the Gramians and the models of
 :func:`fit_sis` keep the arrays that the library has just allocated for
@@ -278,6 +279,30 @@ def _fiber_layout(signal_grid: Grid, fgrid: FiberGrid) -> _FiberLayout:
     return layout
 
 
+def _gather(f: SampledSignal, layout: _FiberLayout) -> tuple[NDArray, NDArray]:
+    """The centered transform of the chirped ``f`` (the FFT of the plan's
+    chirped samples, sign table undone, Riemann weight applied) and the
+    fiber data that ``layout`` reads from it, zero off the grid."""
+    chirped = _chirp_plan(f.grid, layout.fgrid.theta).chirp(f.as_nd())
+    spectrum = _alternate(np.fft.fftn(chirped, out=chirped), f.grid.n_dims)
+    spectrum *= f.grid.spacing**f.grid.n_dims
+    return spectrum, np.where(layout.valid, spectrum.ravel()[layout.index], 0.0)
+
+
+def _synthesize(data: NDArray[np.complex128], layout: _FiberLayout) -> SampledSignal:
+    """The signal whose fibers are ``data`` and whose spectrum is zero off
+    their bins: the inverse of :func:`_gather`."""
+    grid = layout.signal_grid
+    spectrum = np.zeros(grid.size, dtype=np.complex128)
+    spectrum[layout.index[layout.valid]] = data[layout.valid]
+    # Into the FFT domain of the plan's chirped samples: sign table, no
+    # Riemann weight.
+    spectrum = _alternate(spectrum.reshape(grid.shape), grid.n_dims)
+    spectrum /= grid.spacing**grid.n_dims
+    values = _chirp_plan(grid, layout.fgrid.theta).unchirp(np.fft.ifftn(spectrum, out=spectrum))
+    return SampledSignal._owning(grid, values)
+
+
 def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     """Fibers of a signal: twisted spectrum sampled on the offset lattice.
 
@@ -288,16 +313,7 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     :class:`TruncationLoss` when more than ``1e-6`` of the spectrum
     energy falls outside the offset window.
     """
-    layout = _fiber_layout(f.grid, fgrid)
-
-    # Centered transform of the chirped signal: the FFT of the plan's chirped
-    # samples with the sign table undone and the Riemann weight applied.
-    chirped = _chirp_plan(f.grid, fgrid.theta).chirp(f.as_nd())
-    spectrum = np.fft.fftn(chirped, out=chirped)
-    _alternate(spectrum, fgrid.n_dims)
-    spectrum *= f.grid.spacing**fgrid.n_dims
-    data = np.where(layout.valid, spectrum.ravel()[layout.index], 0.0)
-
+    spectrum, data = _gather(f, _fiber_layout(f.grid, fgrid))
     total = float(np.sum(np.abs(spectrum) ** 2))
     captured = float(np.sum(np.abs(data) ** 2))
     if total > 0.0 and (total - captured) > TRUNCATION_TOL * total:
@@ -441,14 +457,4 @@ def synthesize_generator(
     """
     if not 0 <= i < model.ell:
         raise IndexError(f"generator index {i} out of range for rank {model.ell}")
-    fgrid = model.grid
-    layout = _fiber_layout(signal_grid, fgrid)
-    spectrum = np.zeros(signal_grid.size, dtype=np.complex128)
-    spectrum[layout.index[layout.valid]] = model.generators[i][layout.valid]
-    spectrum = spectrum.reshape(signal_grid.shape)
-    # Into the FFT domain of the plan's chirped samples: sign table, no
-    # Riemann weight.
-    _alternate(spectrum, fgrid.n_dims)
-    spectrum /= signal_grid.spacing**fgrid.n_dims
-    values = _chirp_plan(signal_grid, fgrid.theta).unchirp(np.fft.ifftn(spectrum, out=spectrum))
-    return SampledSignal._owning(signal_grid, values)
+    return _synthesize(model.generators[i], _fiber_layout(signal_grid, model.grid))

@@ -10,7 +10,9 @@ Tile masks come from the fiber layout of :mod:`frftkit.approx`: a projection
 keeps exactly the bins that the fibers of the tile's slots read, through the
 layout that module keeps cached.  Tiles are checked, ranked and masked on
 one integer array of all their offsets, ``(offset, axis)`` in cell order;
-the nested ``cells`` tuples are built from it only for the result.
+the nested ``cells`` tuples are built from it only for the result.  The
+truncated frame expansion is computed on fibers too, where a twisted
+integer shift is one phase per cell.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from .approx import (
     FiberGrid,
     SISModel,
     _fiber_layout,
+    _gather,
     _integer_period,
-    synthesize_generator,
+    _synthesize,
 )
 from .errors import BadRank, GridMismatch, NotMultiTile
-from .grids import Grid, SampledSignal, ThetaParam
-from .theta_ops import theta_translate
-from .transform import _reflect, frft, inner_product, inverse_frft
+from .grids import Grid, SampledSignal, ShiftVector, ThetaParam
+from .transform import _reflect, frft, inverse_frft
 
 __all__ = [
     "TileSet",
@@ -315,20 +317,25 @@ def partial_projection(
     integer shift vectors with max norm at most ``n_shifts``.  Converges
     to the subspace projection of ``f`` as ``n_shifts`` grows when the
     generators form a tight frame under integer shifts.
+
+    ``T_k`` multiplies the fibers of cell ``w`` by ``e^{-2 pi i sgn(sin θ)
+    w·k / W}``, with ``W`` cells per axis, and by a constant that cancels in
+    each term.  So the sum is the fiber projection with its per-cell
+    coefficients convolved over the cells with the Dirichlet kernel of the
+    shifts, which an FFT over the cells applies as ``(W/P)^n`` times the
+    number of shifts in each residue class mod ``W``.
     """
     if n_shifts < 0:
         raise ValueError("the shift range must be nonnegative")
-    theta = model.grid.theta
-    accum = np.zeros(f.grid.size, dtype=np.complex128)
-    shifts = itertools.product(
-        range(-n_shifts, n_shifts + 1), repeat=f.grid.n_dims
-    )
-    generators = [
-        synthesize_generator(model, i, f.grid) for i in range(model.ell)
-    ]
-    for k in shifts:
-        shift = tuple(float(c) for c in k)
-        for phi in generators:
-            moved = theta_translate(phi, shift, theta)
-            accum += inner_product(f, moved) * moved.values
-    return SampledSignal._owning(f.grid, accum)
+    layout = _fiber_layout(f.grid, model.grid)
+    if n_shifts:
+        ShiftVector((1.0,) * f.grid.n_dims).index_offsets(f.grid)  # OffGridShift
+    W, axes = model.grid.omega_samples, tuple(range(1, f.grid.n_dims + 1))
+    r = np.arange(W)
+    weight = ((n_shifts - r) // W - (-n_shifts - 1 - r) // W) * (W / f.grid.period)
+    weight = np.multiply.outer(weight, weight) if len(axes) == 2 else weight
+    q = model.generators
+    coeff = np.einsum("wt,iwt->iw", _gather(f, layout)[1], np.conj(q))
+    coeff = np.fft.fftn(coeff.reshape((model.ell,) + weight.shape), axes=axes) * weight
+    coeff = np.fft.ifftn(coeff, axes=axes, out=coeff).reshape(model.ell, -1)
+    return _synthesize(np.einsum("iw,iwt->wt", coeff, q), layout)

@@ -81,42 +81,16 @@ MODULUS_COT_TOL = 1e-9
 #: Largest tolerated boundary value of ``|ω| |F_θ φ(ω)|`` for output atoms.
 DECAY_EDGE_TOL = 1e-6
 
-_NONLINEARITY_KINDS = ("identity", "modulus", "phase_covariant_shrink")
-_POOLING_KINDS = ("identity", "modulus")
 
+class _PointwiseMap:
+    """The code of :class:`Nonlinearity` and :class:`Pooling`: slotted
+    dataclasses with a ``kind`` field among their ``_kinds``."""
 
-def _phase_commutes(kind: str, theta: ThetaParam) -> bool:
-    """Whether a pointwise map of this kind passes through twisted shifts.
-
-    Identity and the phase-covariant shrink commute at every angle since
-    they act on the modulus only through a phase-preserving gain.  The
-    plain modulus discards phase, which is harmless only when the chirp
-    factor is flat, i.e. when ``cot θ`` vanishes.
-    """
-    if kind in ("identity", "phase_covariant_shrink"):
-        return True
-    return (not theta.is_axis) and abs(theta.cot_t) <= MODULUS_COT_TOL
-
-
-@dataclass(frozen=True, slots=True)
-class Nonlinearity:
-    """Pointwise layer nonlinearity with unit Lipschitz constant.
-
-    ``identity`` leaves values alone; ``modulus`` takes absolute values;
-    ``phase_covariant_shrink`` shrinks the modulus by the threshold ``b``
-    while keeping the phase, ``z -> z · max(0, |z| - b) / |z|``.
-    :meth:`apply` returns a new array, except that ``identity`` returns
-    its argument itself.
-    """
-
-    kind: str = "identity"
-    b: float = 0.0
+    __slots__ = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _NONLINEARITY_KINDS:
-            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == "phase_covariant_shrink" and self.b < 0.0:
-            raise ValueError("shrink threshold must be nonnegative")
+        if self.kind not in self._kinds:
+            raise ValueError(f"unknown {type(self).__name__.lower()} kind {self.kind!r}")
 
     @property
     def lipschitz(self) -> float:
@@ -136,11 +110,37 @@ class Nonlinearity:
         return values * gain
 
     def commutes_with_translation(self, theta: ThetaParam) -> bool:
-        return _phase_commutes(self.kind, theta)
+        """Whether the map passes through twisted shifts: identity and the
+        shrink keep the phase at every angle; the modulus drops it, which is
+        harmless only where the chirp is flat (``cot θ`` vanishes)."""
+        if self.kind in ("identity", "phase_covariant_shrink"):
+            return True
+        return (not theta.is_axis) and abs(theta.cot_t) <= MODULUS_COT_TOL
 
 
 @dataclass(frozen=True, slots=True)
-class Pooling:
+class Nonlinearity(_PointwiseMap):
+    """Pointwise layer nonlinearity with unit Lipschitz constant.
+
+    ``identity`` leaves values alone; ``modulus`` takes absolute values;
+    ``phase_covariant_shrink`` shrinks the modulus by the threshold ``b``
+    while keeping the phase, ``z -> z · max(0, |z| - b) / |z|``.
+    :meth:`apply` returns a new array, except that ``identity`` returns
+    its argument itself.
+    """
+
+    kind: str = "identity"
+    b: float = 0.0
+    _kinds = ("identity", "modulus", "phase_covariant_shrink")
+
+    def __post_init__(self) -> None:
+        _PointwiseMap.__post_init__(self)
+        if self.kind == "phase_covariant_shrink" and self.b < 0.0:
+            raise ValueError("shrink threshold must be nonnegative")
+
+
+@dataclass(frozen=True, slots=True)
+class Pooling(_PointwiseMap):
     """Pointwise pooling map applied before the layer dilation.
 
     :meth:`apply` returns a new array, except that ``identity`` returns its
@@ -148,22 +148,7 @@ class Pooling:
     """
 
     kind: str = "identity"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _POOLING_KINDS:
-            raise ValueError(f"unknown pooling kind {self.kind!r}")
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
-
-    def apply(self, values: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        if self.kind == "identity":
-            return values
-        return np.abs(values).astype(np.complex128)
-
-    def commutes_with_translation(self, theta: ThetaParam) -> bool:
-        return _phase_commutes(self.kind, theta)
+    _kinds = ("identity", "modulus")
 
 
 def atom_decay_constant(

@@ -18,10 +18,10 @@ cached plan of :mod:`frftkit.transform`: ``C x`` times the sign table
 public operator is ``plan.unchirp(op(plan.chirp(x)))``: a translate by ``o``
 samples rolls ``y`` and multiplies by ``(-1)^(o_1+..+o_n)`` and the phase; a
 convolution filters ``y`` with a kernel that carries one more sign table;
-a dilation contracts ``y``, resampling on a refined grid whose sign table
-is the same, so the spectrum of ``y`` is zero-padded as it is.  The
-operators work on ndarrays; the public functions build one
-:class:`SampledSignal`, for the value they return.
+a dilation by ``p/q`` contracts ``y``, reading its trigonometric interpolant
+on spacing/q one axis and one residue class mod ``q`` at a time (polyphase),
+with no refined grid.  The operators work on ndarrays; the public functions
+build one :class:`SampledSignal`, for the value they return.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import AliasRiskWarning, GridMismatch, GridTooLarge, IrrationalScale
+from .errors import AliasRiskWarning, GridMismatch, IrrationalScale
 from .grids import SampledSignal, ShiftVector, ThetaParam, as_shift
 from .transform import _alternate, _chirp_plan, _ChirpPlan
 
@@ -43,8 +43,6 @@ __all__ = ["theta_translate", "theta_modulate", "theta_convolve", "theta_dilate"
 
 #: Largest denominator accepted for a dilation factor.
 MAX_DENOMINATOR = 256
-#: Cap on the refined-grid size used by the dilation resampler.
-MAX_FINE_SIZE = 1 << 24
 #: Relative spectral mass beyond the folding edge that triggers a warning.
 ALIAS_GUARD = 1e-12
 #: Modules whose frames lie between a dilating public function and the alias
@@ -138,10 +136,10 @@ def _check_alias(
     spectrum: NDArray[np.complex128], frac: Fraction, axes: tuple[int, ...]
 ) -> None:
     """Warn at the caller (see :func:`_warn_at_caller`) when a contraction
-    by ``frac`` would fold measurable mass of ``spectrum``: ``fftn`` of the
+    by ``frac > 1`` would fold measurable mass of ``spectrum``: ``fftn`` of the
     chirped samples to be dilated, over ``axes``."""
     p, q = frac.numerator, frac.denominator
-    if frac > 1 and np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
+    if np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
         _warn_at_caller(f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}")
 
 
@@ -150,11 +148,12 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
 
     The inner classical contraction is carried out by exact trigonometric
     resampling: the chirped signal's spectrum is zero-padded by ``q`` and the
-    refined samples are read with stride ``p``, so rational factors are
-    resolved without interpolation error.  Factors above 1 narrow the usable
-    band to ``Nyquist/s``; if the input holds measurable spectral mass beyond
-    that edge an :class:`AliasRiskWarning` is emitted (the folded copies then
-    corrupt the output).
+    interpolant is read with stride ``p``, so rational factors are resolved
+    without interpolation error.  That costs about ``q`` transforms of ``N``
+    points per axis, whatever the grid size.  Factors above 1 narrow the
+    usable band to ``Nyquist/s``; if the input holds measurable spectral mass
+    beyond that edge an :class:`AliasRiskWarning` is emitted (the folded
+    copies then corrupt the output).
     """
     frac = _as_fraction(s)
     if frac == 1:
@@ -169,40 +168,41 @@ def _dilate(
 ) -> NDArray[np.complex128]:
     """:func:`theta_dilate` by ``frac != 1`` on chirped samples whose
     trailing axes are the plan's input grid (leading axes are a batch): the
-    classical contraction of ``y``.  The alias check (see
-    :func:`_check_alias`) runs on the spectrum of ``y`` unless
-    ``alias_checked`` says the caller ran it already; an integer factor then
-    transforms nothing, as it only gathers samples."""
+    classical contraction of ``y``, which is kept.  For ``frac > 1`` the
+    alias check (see :func:`_check_alias`) runs on the spectrum of ``y``
+    unless ``alias_checked`` says the caller ran it already; an integer
+    factor then transforms nothing, as it only gathers samples.
+
+    Output sample ``m`` reads sample ``q j_m + c_m`` of the interpolant on
+    spacing/q, whose spectrum is that of ``y`` padded by ``(q-1)N/2`` zero
+    bins a side (N/2 and the padding are even: the sign table carries over).
+    Per axis that sample is ``(-1)^((q-1) j_m)`` times sample ``j_m`` of
+    ``ifft(fft(y) * e^{2 pi i (k + (q-1)N/2) c_m / (qN)})``: one ``N``-point
+    inverse per residue ``c_m``, none for 0, which reads ``y`` itself."""
     p, q = frac.numerator, frac.denominator
-    n_dims, axes = plan.in_grid.n_dims, plan.axes
-    if q > 1 or not alias_checked:
-        # Centered bins, up to the sign table and spacing^n; y itself is kept.
-        spectrum = np.fft.fftn(y, axes=axes, out=np.empty(y.shape, dtype=np.complex128))
-        if not alias_checked:
-            _check_alias(spectrum, frac, axes)
-
-    n = plan.in_grid.samples_per_dim
-    fine_n = n * q
-    if fine_n**n_dims > MAX_FINE_SIZE:
-        raise GridTooLarge(
-            f"dilation by {frac} needs a refined grid of {fine_n} per dim"
-        )
-    out = y
-    if q > 1:
-        # N/2 and the padding (q-1)N/2 are even, so the refined grid has the
-        # same sign table and the spectrum is padded as it is.
-        pad = (fine_n - n) // 2
-        padded = np.zeros(y.shape[:-n_dims] + (fine_n,) * n_dims, dtype=np.complex128)
-        padded[(...,) + (slice(pad, pad + n),) * n_dims] = spectrum
-        del spectrum  # freed before the gather below allocates (peak memory)
-        out = np.fft.ifftn(padded, axes=axes, out=padded)
-        out *= q**n_dims  # the trigonometric interpolant on spacing/q
-
-    # p mod fine_n reads the same samples and keeps the product in int64.
-    idx = (fine_n // 2 + (p % fine_n) * (np.arange(n) - n // 2)) % fine_n
-    out = out[(...,) + np.ix_(*(idx,) * n_dims)]
+    n, axes = plan.in_grid.samples_per_dim, plan.axes
+    if frac > 1 and not alias_checked:
+        # Centered bins, up to the sign table and spacing^n.
+        _check_alias(np.fft.fftn(y, axes=axes, out=np.empty(y.shape, dtype=np.complex128)),
+                     frac, axes)
+    # p mod qN reads the same samples and keeps the product in int64.
+    j, c = np.divmod((q * n // 2 + (p % (q * n)) * (np.arange(n) - n // 2)) % (q * n), q)
+    out = y[(...,) + np.ix_(*(j,) * len(axes))] if q == 1 else y
+    for axis in axes if q > 1 else ():
+        tail = (slice(None),) * (-axis - 1)
+        bins = (np.arange(n) + (q - 1) * n // 2)[(slice(None),) + (None,) * len(tail)]
+        x, spectrum, out = out, np.fft.fft(out, axis=axis), np.empty_like(out)
+        for residue in np.unique(c):
+            rows, source = c == residue, x
+            if residue:
+                source = spectrum * np.exp(2j * np.pi * (bins * residue % (q * n)) / (q * n))
+                np.fft.ifft(source, axis=axis, out=source)
+            out[(..., rows) + tail] = source[(..., j[rows]) + tail]
+        if q % 2 == 0:
+            out[(..., j % 2 == 1) + tail] *= -1
+        del spectrum, source  # before the next axis allocates (peak memory)
     # Output sample m reads a refined sample signed (-1)^(p*m); it needs (-1)^m.
-    return out if p % 2 else _alternate(out, n_dims)
+    return out if p % 2 else _alternate(out, len(axes))
 
 
 def _warn_at_caller(message: str) -> None:

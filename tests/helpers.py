@@ -19,8 +19,11 @@ from frftkit import (
     SampledSignal,
     ThetaParam,
     frft_output_grid,
+    inner_product,
     inverse_frft,
     l2_norm,
+    synthesize_generator,
+    theta_translate,
 )
 from frftkit.approx import FiberField, FiberGrid
 
@@ -198,3 +201,19 @@ def tile_cells_reference(cells, n_dims: int, bound: int) -> None:
                 raise ValueError(f"cell {w} has an offset of wrong arity")
             if max(abs(c) for c in k) > bound:
                 raise ValueError(f"cell {w} offset {k} exceeds bound {bound}")
+
+
+def frame_expansion_reference(f: SampledSignal, model, shifts) -> np.ndarray:
+    """The loop that ``partial_projection`` once ran: the sum of
+    ``<f, T_k phi_i> T_k phi_i`` over the integer shift vectors ``k`` in
+    ``shifts`` and the model's generators ``phi_i``, one twisted translate
+    and one inner product per term.  Returns the samples."""
+    theta = model.grid.theta
+    generators = [synthesize_generator(model, i, f.grid) for i in range(model.ell)]
+    accum = np.zeros(f.grid.size, dtype=np.complex128)
+    for k in shifts:
+        shift = tuple(float(c) for c in k)
+        for phi in generators:
+            moved = theta_translate(phi, shift, theta)
+            accum += inner_product(f, moved) * moved.values
+    return accum

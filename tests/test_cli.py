@@ -233,12 +233,12 @@ def test_frft_outputs_are_byte_deterministic(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["frft", "--in", src, "--out", a, "--theta-frac", "2", "5"]) == 0
     assert main(["frft", "--in", src, "--out", b, "--theta-frac", "2", "5"]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     # the fraction form and the equivalent float produce identical bytes
     c = str(tmp_path / "c.csv")
     assert main(["frft", "--in", src, "--out", c, "--theta",
                  repr(2 * math.pi / 5)]) == 0
-    assert open(a, "rb").read() == open(c, "rb").read()
+    assert Path(a).read_bytes() == Path(c).read_bytes()
 
 
 def test_ops_commands(tmp_path):
@@ -274,7 +274,7 @@ def test_frames_command(tmp_path):
     out = str(tmp_path / "spec.csv")
     assert main(["frames", "--atoms", *paths, "--out", out,
                  "--theta-frac", "1", "3"]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("# grid: 1,128,")
     lower = float(lines[1].split(":")[1])
     upper = float(lines[2].split(":")[1])
@@ -332,7 +332,7 @@ def test_scatter_invariance(tmp_path):
     spacing = 16.0 / 128.0
     assert main(["scatter", "invariance", "--config", cfg, "--signal", sig,
                  "--t", str(spacing), str(4 * spacing), "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "t,theta,deviation,bound"
     assert len(lines) == 3
     for ln in lines[1:]:
@@ -352,7 +352,7 @@ def test_scatter_invariance_2d_scalar_shift_is_diagonal(tmp_path):
     ts = (2 * grid.spacing, -grid.spacing, 3 * grid.spacing)
     assert main(["scatter", "invariance", "--config", cfg, "--signal", sig,
                  "--t", *map(repr, ts), "--out", out]) == 0
-    rows = open(out).read().splitlines()[1:]
+    rows = Path(out).read_text().splitlines()[1:]
     assert len(rows) == len(ts)
 
     layers, _ = make_s1_layers(grid, PI3, (1.0, 1.0), ["identity", "identity"])
@@ -425,7 +425,7 @@ def test_approx_table(tmp_path):
     out = str(tmp_path / "table.csv")
     assert main(["approx", "table", "--family", "sinc1d",
                  "--theta-frac", "1", "2", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "ell,error"
     rows = dict(
         (int(ln.split(",")[0]), float(ln.split(",")[1])) for ln in lines[1:]
@@ -482,7 +482,7 @@ def test_multitile_fit_and_check(tmp_path, capsys):
 )
 def test_scatter_config_rejects_wrong_types(tmp_path, capsys, where, key, value, message):
     cfg, sig, _ = scatter_config(tmp_path)
-    doc = json.loads(open(cfg).read())
+    doc = json.loads(Path(cfg).read_text())
     if key == "theta":
         del doc["theta_frac"]
     layer = doc["layers"][0]
@@ -676,7 +676,7 @@ def test_plotdata(tmp_path):
     src = write_csv(tmp_path / "f.csv", f)
     out = str(tmp_path / "plot.csv")
     assert main(["plotdata", "--in", src, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "coordinate,magnitude,re,im"
     assert len(lines) == 1 + grid.size
     first = lines[1].split(",")
@@ -795,7 +795,7 @@ def test_exit_code_4_config_failures(tmp_path, monkeypatch):
     assert main(["scatter", "invariance", "--config", cfg3, "--signal", sig3,
                  "--t", str(spacing), "--out", str(tmp_path / "i.csv")]) == 4
 
-    doc = json.loads(open(cfg3).read())
+    doc = json.loads(Path(cfg3).read_text())
     doc["schema"] = 2
     bad_schema = tmp_path / "bad_schema.json"
     bad_schema.write_text(json.dumps(doc))
@@ -839,4 +839,4 @@ def test_module_entry_point_matches_in_process(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert open(in_proc, "rb").read() == open(sub_out, "rb").read()
+    assert Path(in_proc).read_bytes() == Path(sub_out).read_bytes()

@@ -19,6 +19,7 @@ from frftkit import (
     frft,
     inverse_frft,
     invariance_deviation,
+    partial_projection,
     theta_convolve,
     theta_dilate,
 )
@@ -73,6 +74,8 @@ def test_fibers_and_synthesis_leave_inputs_unchanged(grid, fgrid, ell):
     model = fit_sis(fibers, ell)
     for i in range(ell):
         _unchanged(lambda: synthesize_generator(model, i, grid), model.generators)
+    f = members[0]
+    _unchanged(lambda: partial_projection(f, model, 2), f.values, model.generators)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])

@@ -11,6 +11,7 @@ from frftkit import (
     Grid,
     MultiTileModel,
     NotMultiTile,
+    OffGridShift,
     SampledSignal,
     ThetaParam,
     TileSet,
@@ -33,8 +34,10 @@ from frftkit import approx, multitile
 from frftkit.transform import centered_idft, chirp_modulate
 from helpers import (
     banded_signal,
+    frame_expansion_reference,
     gauss_profile,
     random_fiber_fields,
+    random_signal,
     tile_cells_reference,
 )
 
@@ -492,3 +495,68 @@ def test_partial_projection_converges_for_varying_fibers():
     assert residuals[-1] - target < 0.05
     with pytest.raises(ValueError):
         partial_projection(f, model, -1)
+
+
+def _random_model(grid, fgrid, ell=2):
+    """A model fitted to the fibers of three white-noise members; they are
+    read through the layout, so no window needs to hold their spectra."""
+    layout = approx._fiber_layout(grid, fgrid)
+    fibers = [FiberField(fgrid, approx._gather(random_signal(grid, s), layout)[1])
+              for s in (1, 2, 3)]
+    return fit_sis(fibers, ell)
+
+
+_EXPANSION_CASES = [  # (grid, cells W < P, window)
+    (Grid(1, 256, 8.0), 8, 8),
+    (Grid(2, 32, 4.0), 4, 2),
+]
+
+
+@pytest.mark.parametrize("grid, cells, window", _EXPANSION_CASES, ids=["1d", "2d"])
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -math.pi / 4], ids=["sin+", "sin-"])
+@pytest.mark.parametrize("n_of_cells", [lambda w: 0, lambda w: 1, lambda w: 3, lambda w: w,
+                                        lambda w: 2 * w + 1], ids=["0", "1", "3", "W", "2W+1"])
+def test_partial_projection_matches_the_shift_loop(grid, cells, window, theta_val, n_of_cells):
+    """The fiber-domain expansion against the loop over every shift and
+    generator, shifts past the period included."""
+    th = ThetaParam(theta_val)
+    model = _random_model(grid, FiberGrid(th, grid.n_dims, cells, window))
+    f = random_signal(grid, 9)
+    n = n_of_cells(cells)
+    want = frame_expansion_reference(
+        f, model, itertools.product(range(-n, n + 1), repeat=grid.n_dims))
+    got = partial_projection(f, model, n).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -math.pi / 4], ids=["sin+", "sin-"])
+def test_full_period_expansion_is_the_fiber_projection(grid, theta_val):
+    """Over one whole period of shifts, ``k_d`` in ``[-P/2, P/2)``, the
+    generators form a Parseval frame of their span: the expansion, summed
+    in the signal domain, equals the projection of the fibers, computed
+    in the fiber domain, on a generic (not band-limited) signal."""
+    th = ThetaParam(theta_val)
+    period = int(grid.period)
+    fgrid = FiberGrid(th, grid.n_dims, period, grid.samples_per_dim // (2 * period))
+    model = _random_model(grid, fgrid)
+    f = random_signal(grid, 10)
+    edge = [k for k in itertools.product(range(-period // 2, period // 2 + 1),
+                                         repeat=grid.n_dims) if -period // 2 in k]
+    got = partial_projection(f, model, period // 2).values
+    got = got - frame_expansion_reference(f, model, edge)
+    want = approx._synthesize(project(fiber_map(f, fgrid), model).data,
+                              approx._fiber_layout(grid, fgrid)).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_partial_projection_rejects_off_grid_unit_shifts():
+    """Period 6 on 256 samples: a unit shift is 42.7 samples."""
+    grid = Grid(1, 256, 3.0)
+    model = fit_sis(random_fiber_fields(FiberGrid(PI3, 1, 6, 22), 2,
+                                        np.random.default_rng(11)), 1)
+    f = random_signal(grid, 12)
+    partial_projection(f, model, 0)
+    for n in (1, 3):
+        with pytest.raises(OffGridShift):
+            partial_projection(f, model, n)

@@ -378,6 +378,18 @@ def test_cascade_levels_match_per_path_composition(grid, theta_val, s_factors):
     assert profile[2] > 0.0
 
 
+def _traced_peak(call):
+    """The traced peak of ``call()``, after one untraced call that builds
+    the chirp plan."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.filterwarnings("ignore:dilation by")
 def test_energy_profile_peak_memory():
     """A depth-3 cascade on 128² with fractional pooling keeps its traced
@@ -388,14 +400,28 @@ def test_energy_profile_peak_memory():
     s_factors = (1.5, 1.5, 1.0)
     layers, _ = make_s1_layers(grid, th, s_factors, nonlin_plan(s_factors))
     f = banded_signal(grid, th, 1.0, 3)
-    energy_profile(f, layers, 3, th)  # the chirp plan is built outside the measurement
-    tracemalloc.start()
-    try:
-        energy_profile(f, layers, 3, th)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9 * 2**20
+    assert _traced_peak(lambda: energy_profile(f, layers, 3, th)) <= 9 * 2**20
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")
+@pytest.mark.parametrize("name, limit_mib", [("energy_profile", 7), ("invariance_deviation", 13)])
+def test_fractional_pooling_peak_memory(name, limit_mib):
+    """Pooling by 4/3 resamples each axis on its N-point grid, so the
+    traced peak of the 128² depth-3 cascade stays near that of an integer
+    factor.  At ten times the norm the last level clears the shrink
+    threshold, so the cascade runs every level."""
+    grid = Grid(2, 128, 16.0)
+    th = ThetaParam(math.pi / 3)
+    s_factors = (4 / 3, 4 / 3, 1.0)
+    layers, _ = make_s1_layers(grid, th, s_factors, nonlin_plan(s_factors))
+    f = banded_signal(grid, th, 1.0, 3)
+    f = f.with_values(10.0 * f.values)
+    assert energy_profile(f, layers, 3, th)[3] > 0.0
+    calls = {
+        "energy_profile": lambda: energy_profile(f, layers, 3, th),
+        "invariance_deviation": lambda: invariance_deviation(f, grid.spacing, layers, 3, th),
+    }
+    assert _traced_peak(calls[name]) <= limit_mib * 2**20
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])

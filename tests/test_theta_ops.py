@@ -23,8 +23,9 @@ from frftkit import (
     theta_modulate,
     theta_translate,
 )
-from frftkit.transform import centered_dft, centered_idft, chirp_modulate
-from helpers import banded_signal, dft_matrix_oracle, gauss_profile, random_signal
+from frftkit.theta_ops import _dilate
+from frftkit.transform import _chirp_plan, centered_dft, centered_idft, chirp_modulate
+from helpers import banded_signal, dft_matrix_oracle, fft_rows, gauss_profile, random_signal
 
 ANGLES = [ThetaParam(x) for x in (math.pi / 6, math.pi / 3, 2 * math.pi / 5,
                                   -math.pi / 3, 2.0, 4.0)]
@@ -208,13 +209,57 @@ def contraction_reference(f, frac, th):
 @pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
 @pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pi/3", "-2pi/5"])
 @pytest.mark.parametrize("frac", [Fraction(2, 3), Fraction(4, 3), Fraction(3, 2),
-                                  Fraction(1, 3), Fraction(5, 2)], ids=str)
+                                  Fraction(1, 3), Fraction(5, 2), Fraction(7, 4)], ids=str)
 def test_fractional_dilation_matches_zero_padded_reference(grid, theta_val, frac):
     th = ThetaParam(theta_val)
     f = random_signal(grid, 39)
     want = contraction_reference(f, frac, th)
     got = theta_dilate(f, frac, th).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("frac", [Fraction(255, 256), Fraction(3, 256)], ids=str)
+def test_dilation_by_the_largest_denominator_matches_zero_padded_reference(frac):
+    """q = 256 against the same reference, on its 16384-point refined grid."""
+    grid, th = Grid(1, 64, 4.0), ThetaParam(math.pi / 3)
+    f = random_signal(grid, 40)
+    want = contraction_reference(f, frac, th)
+    got = theta_dilate(f, frac, th).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("frac", [Fraction(255, 256), Fraction(3, 256)], ids=str)
+def test_dilation_by_the_largest_denominator_is_separable_in_2d(frac):
+    """On 128² (a 32768² refined grid, past the reach of the reference),
+    the dilation of a tensor product u ⊗ v is the tensor product of the
+    1-D dilations: chirp, sign table and resampling all factor by axis."""
+    th = ThetaParam(-2 * math.pi / 5)
+    line, plane = Grid(1, 128, 8.0), Grid(2, 128, 8.0)
+    u, v = random_signal(line, 41), random_signal(line, 42)
+    got = theta_dilate(SampledSignal(plane, np.outer(u.values, v.values).ravel()), frac, th)
+    want = np.outer(theta_dilate(u, frac, th).values, theta_dilate(v, frac, th).values)
+    assert np.max(np.abs(got.as_nd() - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+@pytest.mark.parametrize("p", [2, 3, 5, 64, 10**30])
+def test_integer_dilation_is_the_plain_gather(grid, p):
+    """An integer factor gathers sample N/2 + p (m - N/2) mod N of the
+    chirped samples, signed (-1)^m when p is even, with no transform once
+    the alias check has run."""
+    plan = _chirp_plan(grid, ThetaParam(math.pi / 3))
+    y = plan.chirp(random_signal(grid, 43).as_nd())
+    n = grid.samples_per_dim
+    m = np.arange(n)
+    idx = (n // 2 + (p % n) * (m - n // 2)) % n
+    want = y[np.ix_(*(idx,) * grid.n_dims)]
+    if p % 2 == 0:
+        sign = (-1.0) ** m
+        want = want * (sign if grid.n_dims == 1 else np.outer(sign, sign))
+    with fft_rows() as rows:
+        got = _dilate(y, Fraction(p), plan, alias_checked=True)
+    assert rows[0] == 0
+    assert np.array_equal(got, want)
 
 
 def test_dilation_alias_warning_on_fullband_input():
