@@ -22,6 +22,19 @@ multiplies it back in.  A layer whose maps are both identities dilates the
 filter's own output, so the dilation's alias check reads the spectrum the
 filter already has, and an integer dilation transforms nothing.
 
+Levels after a power-of-two pooling are held as one period.  A dilation
+by the integer ``p`` reads sample ``N/2 + p (m - N/2) mod N``, so it leaves
+a level that repeats after ``P = N / gcd(p, N)`` samples per axis (at
+least 2), and the stack keeps only ``(paths, P, .., P)``; a later even
+factor shortens ``P`` again.  The ``N``-point spectrum of a ``P``-periodic
+signal lives on every ``(N / P)``-th bin, so a layer filters the period
+exactly with its kernels read at that stride, and energies count each
+period ``(N / P)^n`` times.  Pointwise maps and translates (rolls mod
+``P``) act on the period as they are.  Only a modulus, which multiplies
+the chirp back in, a fractional dilation and the readouts of
+:func:`extract_features` and :func:`u_path` tile the period back to the
+whole grid.
+
 The deviations run the input once, with its first shifted copy, and each
 further shifted copy alone against the input's last level, so ``k``
 shifts run ``k + 1`` root cascades in memory that does not grow with ``k``.
@@ -29,8 +42,8 @@ They never read the features out: the readout is a linear filter that
 commutes with the chirped-domain translate (a roll times a phase), so the
 features' distance is the filtered difference of the two last-level
 stacks, and by Parseval its energy is that of the difference's spectrum
-times the readout kernel.  One forward transform of the difference
-replaces the readout's two.  A public function builds
+times the readout kernel.  One forward transform of the difference (of
+one period) replaces the readout's two.  A public function builds
 :class:`SampledSignal` objects only for the signals it returns.
 """
 
@@ -55,7 +68,7 @@ from .errors import (
 )
 from .frames import AtomBank, check_admissibility, frame_bounds
 from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, as_shift
-from .theta_ops import _as_fraction, _check_alias, _dilate, _translate
+from .theta_ops import _as_fraction, _check_alias, _dilate_period, _tile, _translate
 from .theta_ops import theta_convolve  # noqa: F401  (bench/test_smoke.py reads this name)
 from .transform import _chirp_plan, _ChirpPlan, frft
 
@@ -266,6 +279,21 @@ def _energy(values: NDArray[np.complex128], grid: Grid) -> float:
     return float(grid.spacing**grid.n_dims * np.vdot(values, values).real)
 
 
+def _copies(y: NDArray[np.complex128], plan: _ChirpPlan) -> int:
+    """How many periods of the stack ``y`` tile the grid: ``(N / P)^n``."""
+    return (plan.in_grid.samples_per_dim // y.shape[-1]) ** len(plan.axes)
+
+
+def _on_period(kernel: NDArray[np.complex128], y: NDArray[np.complex128],
+               plan: _ChirpPlan) -> NDArray[np.complex128]:
+    """``kernel`` for :meth:`_ChirpPlan.filter` on the stack ``y`` of one
+    period, ``P`` samples per axis: every ``(N / P)``-th bin, the only bins
+    where the ``N``-point spectrum of a ``P``-periodic signal is not zero
+    (a view)."""
+    stride = plan.in_grid.samples_per_dim // y.shape[-1]
+    return kernel[(...,) + (slice(None, None, stride),) * len(plan.axes)]
+
+
 def _cascade_plan(
     grid: Grid, theta: ThetaParam, layers: Sequence[LayerConfig], depth: int
 ) -> _ChirpPlan:
@@ -286,23 +314,28 @@ def _cascade_plan(
 def _step(
     y: NDArray[np.complex128], layer: LayerConfig, plan: _ChirpPlan, atoms: slice
 ) -> NDArray[np.complex128]:
-    """One layer on a chirped ``(paths, *grid)`` stack: convolve every path
-    with each atom of ``layer.kernels[atoms]``, then nonlinearity, pooling
-    and dilation.  Row ``i * n + j`` of the ``(paths * n, *grid)`` result
-    is path ``i`` extended by the ``j``-th of the ``n`` selected atoms."""
+    """One layer on a chirped ``(paths, P, .., P)`` stack of periods:
+    convolve every path with each atom of ``layer.kernels[atoms]``, then
+    nonlinearity, pooling and dilation.  Row ``i * n + j`` of the
+    ``(paths * n, P', .., P')`` result is path ``i`` extended by the
+    ``j``-th of the ``n`` selected atoms; its period ``P'`` is ``P`` unless
+    a modulus or a fractional dilation needs the whole grid, or an integer
+    dilation shortens it."""
     frac = _as_fraction(layer.pooling_factor) if layer.pooling_factor != 1.0 else None
     # With identity maps the dilation contracts the filter's own output, so
     # its alias check can read the filter's spectrum instead of a new one.
     early = frac is not None and layer.nonlin.kind == layer.pool.kind == "identity"
     inspect = (lambda spectrum: _check_alias(spectrum, frac, plan.axes)) if early else None
-    out = plan.filter(y[:, None], layer.kernels[atoms], inspect).reshape((-1,) + y.shape[1:])
+    kernels = _on_period(layer.kernels[atoms], y, plan)
+    out = plan.filter(y[:, None], kernels, inspect).reshape((-1,) + y.shape[1:])
     for op in (layer.nonlin, layer.pool):
         out = op.apply(out)
         if op.kind == "modulus":
-            # |y| = |x| has lost the chirp's phase; put it back.
+            # |y| = |x| has lost the chirp's phase; put it back, on the whole grid.
+            out = _tile(out, plan)
             out *= plan.chirp_in
     if frac is not None:
-        out = _dilate(out, frac, plan, alias_checked=early)
+        out = _dilate_period(out, frac, plan, alias_checked=early)
     return out
 
 
@@ -313,7 +346,8 @@ def _levels(
     depth: int,
 ) -> Iterator[NDArray[np.complex128]]:
     """Yield the chirped stack of each level ``0 .. depth`` of the cascade
-    whose chirped roots are the rows of ``y``."""
+    whose chirped roots are the rows of ``y``, one period per path (see
+    :func:`_step`)."""
     yield y
     for layer in layers[:depth]:
         y = _step(y, layer, plan, slice(None, -1))
@@ -368,7 +402,7 @@ def u_path(
         if not 0 <= lam < layer.n_atoms:
             raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
         # Out of the chirped domain after every step, as u_layer is.
-        out = plan.unchirp(_step(plan.chirp(out), layer, plan, slice(lam, lam + 1)))
+        out = plan.unchirp(_tile(_step(plan.chirp(out), layer, plan, slice(lam, lam + 1)), plan))
     return SampledSignal._owning(f.grid, out)
 
 
@@ -401,9 +435,11 @@ def extract_features(
     levels = []
     for k, stack in enumerate(_levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)):
         paths = itertools.product(*(range(layer.n_atoms) for layer in layers[:k]))
-        kernel = _readout_kernel(k, layers, plan, level0_atom)
-        features = plan.unchirp(plan.filter(stack, kernel))
-        levels.append({path: f.with_values(v.ravel()) for path, v in zip(paths, features)})
+        kernel = _on_period(_readout_kernel(k, layers, plan, level0_atom), stack, plan)
+        features = plan.unchirp(_tile(plan.filter(stack, kernel), plan))
+        # Fresh, disjoint rows of the unchirped stack: no copy.
+        levels.append({path: SampledSignal._owning(f.grid, v.ravel())
+                       for path, v in zip(paths, features)})
     return FeatureTree(levels=tuple(levels), theta=theta, admissible=admissible)
 
 
@@ -450,7 +486,9 @@ def _deviations(
     with ``k``.  The readout filter is linear and commutes with translates,
     so each distance is the energy of the filtered difference of two
     level-``depth`` stacks; by Parseval that is the energy of the
-    difference's spectrum times the kernel, over the ``N^n`` bins."""
+    difference's spectrum times the kernel, over the ``N^n`` bins.  Those
+    of a stack of periods are its own ``P^n`` bins, each ``(N / P)^n``
+    times as large."""
     _commutation_gate(layers, depth, theta)
     shifts = [as_shift(t, f.grid.n_dims) for t in shifts]
     plan = _cascade_plan(f.grid, theta, layers, depth)
@@ -473,8 +511,9 @@ def _deviations(
         diff *= np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
         diff -= _translate(plain, shift, plan) if covariant else plain
         spectrum = np.fft.fftn(diff, axes=plan.axes, out=diff)
-        spectrum *= kernel
-        deviations.append(_energy(spectrum, f.grid) / f.grid.size)
+        spectrum *= _on_period(kernel, spectrum, plan)
+        # An N-point bin of a P-periodic stack is (N/P)^n times its P-point bin.
+        deviations.append(_energy(spectrum, f.grid) * _copies(spectrum, plan) ** 2 / f.grid.size)
     return deviations
 
 
@@ -610,4 +649,7 @@ def energy_profile(
     this sequence is nonincreasing.
     """
     plan = _cascade_plan(f.grid, theta, layers, depth)
-    return [_energy(y, f.grid) for y in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)]
+    return [
+        _energy(y, f.grid) * _copies(y, plan)
+        for y in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)
+    ]

@@ -20,12 +20,16 @@ samples rolls ``y`` and multiplies by ``(-1)^(o_1+..+o_n)`` and the phase; a
 convolution filters ``y`` with a kernel that carries one more sign table;
 a dilation by ``p/q`` contracts ``y``, reading its trigonometric interpolant
 on spacing/q one axis and one residue class mod ``q`` at a time (polyphase),
-with no refined grid.  The operators work on ndarrays; the public functions
-build one :class:`SampledSignal`, for the value they return.
+with no refined grid.  An integer dilation only gathers samples, and its
+result repeats with a period that divides ``N``; the cascade of
+:mod:`frftkit.scatter` keeps just that period.  The operators work on
+ndarrays; the public functions build one :class:`SampledSignal`, for the
+value they return.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from fractions import Fraction
@@ -168,15 +172,32 @@ def _dilate(
 ) -> NDArray[np.complex128]:
     """:func:`theta_dilate` by ``frac != 1`` on chirped samples whose
     trailing axes are the plan's input grid (leading axes are a batch): the
-    classical contraction of ``y``, which is kept.  For ``frac > 1`` the
-    alias check (see :func:`_check_alias`) runs on the spectrum of ``y``
-    unless ``alias_checked`` says the caller ran it already; an integer
-    factor then transforms nothing, as it only gathers samples.
+    classical contraction of ``y``, which is kept, on all ``N`` samples per
+    axis.  See :func:`_dilate_period`."""
+    return _tile(_dilate_period(y, frac, plan, alias_checked), plan)
 
-    Output sample ``m`` reads sample ``q j_m + c_m`` of the interpolant on
-    spacing/q, whose spectrum is that of ``y`` padded by ``(q-1)N/2`` zero
-    bins a side (N/2 and the padding are even: the sign table carries over).
-    Per axis that sample is ``(-1)^((q-1) j_m)`` times sample ``j_m`` of
+
+def _dilate_period(
+    y: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan, alias_checked: bool = False
+) -> NDArray[np.complex128]:
+    """:func:`_dilate` on a stack that holds one period of the chirped
+    samples, ``P`` of them per axis (``P`` divides ``N``), returned as one
+    period of the result.  For ``frac > 1`` the alias check (see
+    :func:`_check_alias`) runs on the spectrum of ``y`` unless
+    ``alias_checked`` says the caller ran it already; an integer factor then
+    transforms nothing, as it only gathers samples.
+
+    An integer factor ``p`` reads output sample ``m`` from sample
+    ``N/2 + p (m - N/2) mod P``, so the result repeats after
+    ``P / gcd(p, P)`` samples; an even ``p`` then signs it ``(-1)^m``, so
+    one period is ``max(P / gcd(p, P), 2)`` samples (``P`` is a power of
+    two).
+
+    A fraction ``p/q`` needs all ``N`` samples.  Output sample ``m`` reads
+    sample ``q j_m + c_m`` of the interpolant on spacing/q, whose spectrum is
+    that of ``y`` padded by ``(q-1)N/2`` zero bins a side (N/2 and the
+    padding are even: the sign table carries over).  Per axis that sample is
+    ``(-1)^((q-1) j_m)`` times sample ``j_m`` of
     ``ifft(fft(y) * e^{2 pi i (k + (q-1)N/2) c_m / (qN)})``: one ``N``-point
     inverse per residue ``c_m``, none for 0, which reads ``y`` itself."""
     p, q = frac.numerator, frac.denominator
@@ -185,24 +206,40 @@ def _dilate(
         # Centered bins, up to the sign table and spacing^n.
         _check_alias(np.fft.fftn(y, axes=axes, out=np.empty(y.shape, dtype=np.complex128)),
                      frac, axes)
-    # p mod qN reads the same samples and keeps the product in int64.
-    j, c = np.divmod((q * n // 2 + (p % (q * n)) * (np.arange(n) - n // 2)) % (q * n), q)
-    out = y[(...,) + np.ix_(*(j,) * len(axes))] if q == 1 else y
-    for axis in axes if q > 1 else ():
-        tail = (slice(None),) * (-axis - 1)
-        bins = (np.arange(n) + (q - 1) * n // 2)[(slice(None),) + (None,) * len(tail)]
-        x, spectrum, out = out, np.fft.fft(out, axis=axis), np.empty_like(out)
-        for residue in np.unique(c):
-            rows, source = c == residue, x
-            if residue:
-                source = spectrum * np.exp(2j * np.pi * (bins * residue % (q * n)) / (q * n))
-                np.fft.ifft(source, axis=axis, out=source)
-            out[(..., rows) + tail] = source[(..., j[rows]) + tail]
-        if q % 2 == 0:
-            out[(..., j % 2 == 1) + tail] *= -1
-        del spectrum, source  # before the next axis allocates (peak memory)
+    if q == 1:
+        period = y.shape[-1]
+        m = np.arange(max(period // math.gcd(p, period), 2))
+        # p mod P reads the same samples and keeps the product in int64.
+        j = (n // 2 + (p % period) * (m - n // 2)) % period
+        out = y[(...,) + np.ix_(*(j,) * len(axes))]
+    else:
+        out = _tile(y, plan)
+        # p mod qN reads the same samples and keeps the product in int64.
+        j, c = np.divmod((q * n // 2 + (p % (q * n)) * (np.arange(n) - n // 2)) % (q * n), q)
+        for axis in axes:
+            tail = (slice(None),) * (-axis - 1)
+            bins = (np.arange(n) + (q - 1) * n // 2)[(slice(None),) + (None,) * len(tail)]
+            x, spectrum, out = out, np.fft.fft(out, axis=axis), np.empty_like(out)
+            for residue in np.unique(c):
+                rows, source = c == residue, x
+                if residue:
+                    source = spectrum * np.exp(2j * np.pi * (bins * residue % (q * n)) / (q * n))
+                    np.fft.ifft(source, axis=axis, out=source)
+                out[(..., rows) + tail] = source[(..., j[rows]) + tail]
+            if q % 2 == 0:
+                out[(..., j % 2 == 1) + tail] *= -1
+            del spectrum, source  # before the next axis allocates (peak memory)
     # Output sample m reads a refined sample signed (-1)^(p*m); it needs (-1)^m.
     return out if p % 2 else _alternate(out, len(axes))
+
+
+def _tile(y: NDArray[np.complex128], plan: _ChirpPlan) -> NDArray[np.complex128]:
+    """All ``N`` samples per axis of a stack that holds one period of them:
+    ``y`` itself when the period is the whole grid, else a new array."""
+    reps = plan.in_grid.samples_per_dim // y.shape[-1]
+    if reps == 1:
+        return y
+    return np.tile(y, (1,) * (y.ndim - len(plan.axes)) + (reps,) * len(plan.axes))
 
 
 def _warn_at_caller(message: str) -> None:

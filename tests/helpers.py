@@ -2,7 +2,9 @@
 
 Everything here is deterministic: signal factories take explicit seeds and
 the reference oracles are straightforward quadratic-cost computations that
-do not share code with the package internals.
+do not share code with the package internals.  The cascade references are
+the exception: they keep the full-grid engine that ``scatter`` once ran, on
+the package's own chirp plan, filters and dilation.
 """
 import contextlib
 import math
@@ -26,27 +28,46 @@ from frftkit import (
     theta_translate,
 )
 from frftkit.approx import FiberField, FiberGrid
+from frftkit.grids import as_shift
+from frftkit.scatter import _energy, _readout_kernel
+from frftkit.theta_ops import _as_fraction, _check_alias, _dilate, _translate
+from frftkit.transform import _chirp_plan
 
 
 @contextlib.contextmanager
 def fft_rows():
-    """Count the rows that ``np.fft.fftn`` and ``np.fft.ifftn`` transform
-    inside the block: one per index of the axes they do not transform.
-    Yields a one-entry list that holds the running count."""
-    rows = [0]
+    """Count the work of ``np.fft.fftn``/``ifftn`` and of the one-axis
+    ``np.fft.fft``/``ifft`` inside the block: the rows they transform (one
+    per index of the axes they leave alone) and the samples of those rows.
+    Yields a two-entry list, ``[rows, samples]``, that holds the running
+    counts."""
+    counts = [0, 0]
 
-    def counting(transform):
+    def add(shape, axes):
+        size = math.prod(shape)
+        counts[0] += size // math.prod(shape[ax] for ax in axes)
+        counts[1] += size
+
+    def counting_n(transform):
         def wrapper(a, s=None, axes=None, *args, **kwargs):
             shape = np.shape(a)
-            axes_ = range(len(shape)) if axes is None else axes
-            rows[0] += math.prod(shape) // math.prod(shape[ax] for ax in axes_)
+            add(shape, range(len(shape)) if axes is None else axes)
             return transform(a, s, axes, *args, **kwargs)
 
         return wrapper
 
-    with mock.patch.object(np.fft, "fftn", counting(np.fft.fftn)), \
-            mock.patch.object(np.fft, "ifftn", counting(np.fft.ifftn)):
-        yield rows
+    def counting_1(transform):
+        def wrapper(a, n=None, axis=-1, *args, **kwargs):
+            add(np.shape(a), (axis,))
+            return transform(a, n, axis, *args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.object(np.fft, "fftn", counting_n(np.fft.fftn)), \
+            mock.patch.object(np.fft, "ifftn", counting_n(np.fft.ifftn)), \
+            mock.patch.object(np.fft, "fft", counting_1(np.fft.fft)), \
+            mock.patch.object(np.fft, "ifft", counting_1(np.fft.ifft)):
+        yield counts
 
 
 def random_signal(grid: Grid, seed: int) -> SampledSignal:
@@ -217,3 +238,76 @@ def frame_expansion_reference(f: SampledSignal, model, shifts) -> np.ndarray:
             moved = theta_translate(phi, shift, theta)
             accum += inner_product(f, moved) * moved.values
     return accum
+
+
+def cascade_step_reference(y, layer, plan, atoms):
+    """One layer of the full-grid cascade engine that ``scatter`` ran before
+    it held the levels after a power-of-two pooling as one period: every
+    stack keeps all ``N`` samples per axis.  Arguments as for
+    ``scatter._step``."""
+    frac = _as_fraction(layer.pooling_factor) if layer.pooling_factor != 1.0 else None
+    early = frac is not None and layer.nonlin.kind == layer.pool.kind == "identity"
+    inspect = (lambda spectrum: _check_alias(spectrum, frac, plan.axes)) if early else None
+    out = plan.filter(y[:, None], layer.kernels[atoms], inspect).reshape((-1,) + y.shape[1:])
+    for op in (layer.nonlin, layer.pool):
+        out = op.apply(out)
+        if op.kind == "modulus":
+            out *= plan.chirp_in
+    if frac is not None:
+        out = _dilate(out, frac, plan, alias_checked=early)
+    return out
+
+
+def cascade_levels_reference(f, layers, depth, theta, roots=None):
+    """The full-grid chirped stacks of levels ``0 .. depth``, as a list;
+    ``roots`` (chirped, ``(paths, *grid)``) replace the chirped ``f``."""
+    plan = _chirp_plan(f.grid, theta)
+    y = plan.chirp(f.as_nd()[None]) if roots is None else roots
+    levels = [y]
+    for layer in layers[:depth]:
+        levels.append(cascade_step_reference(levels[-1], layer, plan, slice(None, -1)))
+    return levels
+
+
+def energy_profile_reference(f, layers, depth, theta):
+    """``energy_profile`` on the full-grid engine."""
+    return [_energy(y, f.grid) for y in cascade_levels_reference(f, layers, depth, theta)]
+
+
+def features_reference(f, layers, depth, theta, level0_atom=None):
+    """Per level, the ``(paths, grid size)`` array of the features that
+    ``extract_features`` returns, in path order."""
+    plan = _chirp_plan(f.grid, theta)
+    levels = cascade_levels_reference(f, layers, depth, theta)
+    kernels = [_readout_kernel(k, layers, plan, level0_atom) for k in range(len(levels))]
+    return [plan.unchirp(plan.filter(y, kernel)).reshape(len(y), -1)
+            for y, kernel in zip(levels, kernels)]
+
+
+def u_path_reference(f, q, layers, theta):
+    """The samples of ``u_path`` on the full-grid engine."""
+    plan = _chirp_plan(f.grid, theta)
+    out = f.as_nd()[None]
+    for lam, layer in zip(q, layers):
+        out = cascade_step_reference(plan.chirp(out), layer, plan, slice(lam, lam + 1))
+        out = plan.unchirp(out)
+    return out.ravel()
+
+
+def deviations_reference(f, shifts, layers, depth, theta, covariant, level0_atom=None):
+    """``scatter._deviations`` on the full-grid engine: one cascade of ``f``
+    and one per shifted copy, each distance read off the spectrum of the
+    level-``depth`` difference over the ``N^n`` bins."""
+    plan = _chirp_plan(f.grid, theta)
+    kernel = _readout_kernel(depth, layers, plan, level0_atom)
+    y = plan.chirp(f.as_nd()[None])
+    plain = cascade_levels_reference(f, layers, depth, theta)[-1]
+    deviations = []
+    for t in shifts:
+        shift = as_shift(t, f.grid.n_dims)
+        diff = cascade_levels_reference(f, layers, depth, theta, _translate(y, shift, plan))[-1]
+        diff *= np.exp(-1j * np.pi * depth * sum(c * c for c in shift.components) * theta.cot_t)
+        diff -= _translate(plain, shift, plan) if covariant else plain
+        spectrum = np.fft.fftn(diff, axes=plan.axes) * kernel
+        deviations.append(_energy(spectrum, f.grid) / f.grid.size)
+    return deviations

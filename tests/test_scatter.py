@@ -43,13 +43,21 @@ from frftkit import (
     u_path,
 )
 from frftkit.scatter import _deviations
+from frftkit.theta_ops import ALIAS_GUARD, _alias_tail_fraction
+from frftkit.transform import _chirp_plan
 from helpers import (
     banded_signal,
+    cascade_levels_reference,
+    cascade_step_reference,
+    deviations_reference,
+    energy_profile_reference,
+    features_reference,
     fft_rows,
     gauss_profile,
     make_s1_layers,
     nonlin_plan,
     random_signal,
+    u_path_reference,
 )
 
 GOLDEN_PEAK = 1.0 / math.sqrt(2.0 * math.pi * math.e)
@@ -509,20 +517,22 @@ def test_cascade_fft_rows():
     f = banded_signal(grid, th, 0.4, 41)
     shift = (grid.spacing, -2 * grid.spacing)
     # Layer 1 filters 1 row into 2 (1 + 2 FFT rows) and dilates them with
-    # none; layer 2 filters 2 rows into 4 (2 + 4).
-    with fft_rows() as rows:
+    # none; layer 2 filters 2 rows into 4 (2 + 4).  The dilation by 2 leaves
+    # a 32² period, so layer 2 transforms rows of a quarter of the samples:
+    # 64² (1 + 2) + 32² (2 + 4).
+    with fft_rows() as counts:
         energy_profile(f, layers, 2, th)
-    assert rows[0] == 9
+    assert counts == [9, 18432]
     # Twice that for two roots, and one spectrum of the 4 path differences.
     for deviation in (invariance_deviation, covariance_deviation):
-        with fft_rows() as rows:
+        with fft_rows() as counts:
             deviation(f, shift, layers, 2, th)
-        assert rows[0] == 2 * 9 + 4
+        assert counts == [2 * 9 + 4, 2 * 18432 + 4 * 32**2]
     # k shifts run k + 1 root cascades and one spectrum per shift.
-    with fft_rows() as rows:
+    with fft_rows() as counts:
         _deviations(f, [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0)], layers, 2, th,
                     None, covariant=False)
-    assert rows[0] == 4 * 9 + 3 * 4
+    assert counts == [4 * 9 + 3 * 4, 4 * 18432 + 3 * 4 * 32**2]
 
 
 def test_deviation_peak_memory_does_not_grow_with_shifts():
@@ -574,3 +584,185 @@ def test_deviations_read_level0_with_the_given_atom(covariant):
         deviation(f, shift, layers, 0, th, elsewhere)
     with pytest.raises(ValueError, match="level-0 output atom"):
         deviation(f, shift, [], 0, th)
+
+
+# Poolings with an even integer factor, which shorten the period of later
+# levels, and poolings without one, which keep every level on the whole grid.
+_SHORTENING_POOLINGS = [(2.0, 1.0), (2.0, 2.0), (4.0, 1.0), (6.0, 1.0), (2.0, 1.5), (1.5, 2.0)]
+_WHOLE_GRID_POOLINGS = [(1.0, 1.0), (3.0, 1.0), (1.5, 4 / 3)]
+
+
+def _close_to(got, want, scale, rel):
+    """Whether ``got`` is ``want`` within ``rel`` times ``scale``."""
+    return np.max(np.abs(got - want), initial=0.0) <= rel * scale
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # the shrink widens the band
+@pytest.mark.parametrize("s_factors", _SHORTENING_POOLINGS + _WHOLE_GRID_POOLINGS,
+                         ids=lambda s: "-".join(f"{x:.3g}" for x in s))
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pi/3", "-2pi/5"])
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0), Grid(2, 64, 4.0)],
+                         ids=["1d", "2d-32", "2d-64"])
+def test_cascade_matches_full_grid_reference(grid, theta_val, s_factors):
+    """Levels after a power-of-two pooling run on one period of the grid;
+    everything read out of them matches the full-grid engine in the last
+    digits.  Features are held to their level's largest propagated sample,
+    the scale of the readout filter's rounding.  Without an even integer
+    factor every level keeps the whole grid, and every result is bit for bit
+    the reference's.  ``u_path`` leaves the chirped domain after each
+    step, so it is bit for bit the reference's in every case."""
+    th = ThetaParam(theta_val)
+    layers, _ = make_s1_layers(grid, th, s_factors, ["identity", "phase_covariant_shrink"])
+    # At norm 100 this threshold leaves level 2 live after every pooling.
+    layers[1] = dataclasses.replace(layers[1], nonlin=Nonlinearity("phase_covariant_shrink", 1e-3))
+    exact = s_factors in _WHOLE_GRID_POOLINGS
+    base = banded_signal(grid, th, 0.8, 47)
+    shifts = [(grid.spacing,) * grid.n_dims, (-3 * grid.spacing, 2 * grid.spacing)[: grid.n_dims],
+              (5 * grid.spacing,) * grid.n_dims]
+    for norm in (1.0, 10.0, 100.0):
+        f = base.with_values(norm * base.values)
+        tree = extract_features(f, layers, 2, th)
+        want = features_reference(f, layers, 2, th)
+        stacks = cascade_levels_reference(f, layers, 2, th)
+        for k, level in enumerate(tree.levels):
+            got = np.stack([feature.values for feature in level.values()])
+            if exact:
+                assert np.array_equal(got, want[k])
+            else:
+                assert _close_to(got, want[k], np.max(np.abs(stacks[k])), 1e-13)
+        got, want = energy_profile(f, layers, 2, th), energy_profile_reference(f, layers, 2, th)
+        assert got == want if exact else got == pytest.approx(want, rel=1e-13)
+        for path in itertools.product(range(2), repeat=2):
+            assert np.array_equal(u_path(f, path, layers, th).values,
+                                  u_path_reference(f, path, layers, th))
+        for covariant in (False, True):
+            one = (covariance_deviation if covariant else invariance_deviation)(
+                f, shifts[0], layers, 2, th)
+            several = _deviations(f, shifts, layers, 2, th, None, covariant)
+            want = deviations_reference(f, shifts, layers, 2, th, covariant)
+            if exact:
+                assert [one] + several == want[:1] + want
+            else:
+                assert [one] + several == pytest.approx(want[:1] + want, rel=1e-12, abs=1e-25)
+    assert energy_profile(f, layers, 2, th)[2] > 0.0
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # the modulus widens the band
+@pytest.mark.parametrize("where", ["nonlin", "pool"])
+@pytest.mark.parametrize("s_factors", [(2.0, 1.0), (2.0, 2.0)])
+@pytest.mark.parametrize("theta_val", [math.pi / 3, math.pi / 2])
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])
+def test_pooled_modulus_matches_full_grid_reference(grid, theta_val, s_factors, where):
+    """A modulus after a dilation by 2 multiplies the chirp back in on the
+    whole grid; a later dilation by 2 halves that grid again.  The
+    deviations run at pi/2, where the modulus commutes with translates."""
+    th = ThetaParam(theta_val)
+    layers, _ = make_s1_layers(grid, th, s_factors, ["identity", "identity"])
+    modulus = {"nonlin": Nonlinearity("modulus"), "pool": Pooling("modulus")}[where]
+    layers[1] = dataclasses.replace(layers[1], **{where: modulus})
+    base = banded_signal(grid, th, 0.8, 53)
+    shifts = [(2 * grid.spacing,) * grid.n_dims, (-grid.spacing,) * grid.n_dims]
+    for norm in (1.0, 10.0, 100.0):
+        f = base.with_values(norm * base.values)
+        tree = extract_features(f, layers, 2, th)
+        want = features_reference(f, layers, 2, th)
+        stacks = cascade_levels_reference(f, layers, 2, th)
+        for k, level in enumerate(tree.levels):
+            got = np.stack([feature.values for feature in level.values()])
+            assert _close_to(got, want[k], np.max(np.abs(stacks[k])), 1e-13)
+        assert energy_profile(f, layers, 2, th) == pytest.approx(
+            energy_profile_reference(f, layers, 2, th), rel=1e-13)
+        for path in itertools.product(range(2), repeat=2):
+            assert np.array_equal(u_path(f, path, layers, th).values,
+                                  u_path_reference(f, path, layers, th))
+        if theta_val != math.pi / 2:
+            continue
+        for covariant in (False, True):
+            got = _deviations(f, shifts, layers, 2, th, None, covariant)
+            want = deviations_reference(f, shifts, layers, 2, th, covariant)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-25)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.01])
+@pytest.mark.parametrize("grid", [Grid(1, 128, 4.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])
+def test_pooled_alias_warning_matches_full_grid_reference(grid, b):
+    """Pooling (2, 2) with a shrink in layer 2: the second dilation checks
+    the spectrum of a 2-periodic level's own period, where the full-grid
+    engine checked all N bins.  It warns on exactly the inputs where the
+    full-grid tail fraction of either dilation passes ``ALIAS_GUARD``, and
+    at the line that called the public function."""
+    th = ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (2.0, 2.0), ["identity", "identity"], widths=(8.0, 8.0))
+    layers[1] = dataclasses.replace(layers[1], nonlin=Nonlinearity("phase_covariant_shrink", b))
+    plan = _chirp_plan(grid, th)
+    edge = float(np.max(frft_output_grid(grid, th).axis))
+    tails = []
+    for band in (0.2, 0.4, None):  # inside both bands; inside the first only; full band
+        f = random_signal(grid, 35) if band is None else banded_signal(grid, th, band * edge, 35)
+        # The two full-grid tail fractions: the filter's spectrum in layer 1,
+        # the shrunk stack's own spectrum in layer 2.
+        y = plan.chirp(f.as_nd()[None])
+        first = _alias_tail_fraction(np.fft.fftn(y[:, None], axes=plan.axes)
+                                     * layers[0].kernels[:-1], 2, 1, plan.axes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasRiskWarning)
+            level1 = cascade_step_reference(y, layers[0], plan, slice(None, -1))
+        shrunk = layers[1].nonlin.apply(plan.filter(level1[:, None], layers[1].kernels[:-1]))
+        second = _alias_tail_fraction(np.fft.fftn(shrunk, axes=plan.axes), 2, 1, plan.axes)
+        folds = [bool(np.max(tail) > ALIAS_GUARD) for tail in (first, second)]
+        tails.append(folds)
+        calls = [
+            lambda: energy_profile(f, layers, 2, th),
+            lambda: extract_features(f, layers, 2, th),
+            lambda: invariance_deviation(f, 2 * grid.spacing, layers, 2, th),
+        ]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            alias = [w for w in caught if issubclass(w.category, AliasRiskWarning)]
+            assert len(alias) == sum(folds)
+            assert {w.filename for w in alias} <= {__file__}
+    # Every case is met: the second check alone decides one input.
+    assert tails[2] == [True, True]
+    assert tails[1] == [False, True]
+    assert tails[0] == [False, b > 0.0]
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")
+@pytest.mark.parametrize("name, limit_mib", [("energy_profile", 2), ("invariance_deviation", 4)])
+def test_pooled_levels_peak_memory(name, limit_mib):
+    """Pooling (2, 2, 1) holds level 1 as a 64² period and levels 2 and 3 as
+    32² periods of the 128² grid, so the traced peak of the depth-3 cascade
+    is about a fifth of that of the full-grid stacks (6.13 and 12.13 MiB)."""
+    grid = Grid(2, 128, 16.0)
+    th = ThetaParam(math.pi / 3)
+    s_factors = (2.0, 2.0, 1.0)
+    layers, _ = make_s1_layers(grid, th, s_factors, nonlin_plan(s_factors))
+    f = banded_signal(grid, th, 1.0, 3)
+    f = f.with_values(10.0 * f.values)
+    calls = {
+        "energy_profile": lambda: energy_profile(f, layers, 3, th),
+        "invariance_deviation": lambda: invariance_deviation(f, grid.spacing, layers, 3, th),
+    }
+    assert _traced_peak(calls[name]) <= limit_mib * 2**20
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 128, 8.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])
+def test_feature_rows_share_no_callers_array(grid):
+    """The features of a level are read-only rows of the one unchirped stack
+    the library has just made, not copies of it: disjoint from each other
+    and from every array of the caller."""
+    th = ThetaParam(math.pi / 3)
+    layers, phi = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
+    f = banded_signal(grid, th, 0.4, 59)
+    f = f.with_values(10.0 * f.values)
+    tree = extract_features(f, layers, 2, th, level0_atom=phi)
+    callers = [f.values, phi.values, *(layer.kernels for layer in layers),
+               *(atom.values for atom in layers[0].bank.atoms)]
+    for level in tree.levels:
+        rows = [feature.values for feature in level.values()]
+        assert len({id(np.asarray(row).base) for row in rows}) == 1  # one stack, no copies
+        for i, row in enumerate(rows):
+            assert not row.flags.writeable
+            assert not any(np.shares_memory(row, other) for other in rows[:i] + callers)

@@ -23,7 +23,7 @@ from frftkit import (
     theta_modulate,
     theta_translate,
 )
-from frftkit.theta_ops import _dilate
+from frftkit.theta_ops import _dilate, _dilate_period
 from frftkit.transform import _chirp_plan, centered_dft, centered_idft, chirp_modulate
 from helpers import banded_signal, dft_matrix_oracle, fft_rows, gauss_profile, random_signal
 
@@ -260,6 +260,28 @@ def test_integer_dilation_is_the_plain_gather(grid, p):
         got = _dilate(y, Fraction(p), plan, alias_checked=True)
     assert rows[0] == 0
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 2.0)], ids=["1d", "2d"])
+@pytest.mark.parametrize("frac", [Fraction(p) for p in (2, 3, 4, 6, 64, 10**30)] + [Fraction(3, 2)],
+                         ids=str)
+def test_dilation_of_a_period_is_a_period_of_the_dilation(grid, frac):
+    """On a stack that holds one period of P samples per axis, an integer
+    dilation gathers one period of the full-grid result, max(P / gcd(p, P),
+    2) samples per axis, with no transform; a fraction returns all N."""
+    plan = _chirp_plan(grid, ThetaParam(math.pi / 3))
+    n, n_dims = grid.samples_per_dim, grid.n_dims
+    rng = np.random.default_rng(44)
+    for period in (n, n // 2, n // 8, 2):
+        shape = (2,) + (period,) * n_dims
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = _dilate(np.tile(y, (1,) + (n // period,) * n_dims), frac, plan, alias_checked=True)
+        with fft_rows() as counts:
+            got = _dilate_period(y, frac, plan, alias_checked=True)
+        size = max(period // math.gcd(frac.numerator, period), 2) if frac.denominator == 1 else n
+        assert got.shape == (2,) + (size,) * n_dims
+        assert counts[0] == 0 or frac.denominator > 1
+        assert np.array_equal(np.tile(got, (1,) + (n // size,) * n_dims), want)
 
 
 def test_dilation_alias_warning_on_fullband_input():
