@@ -1,156 +1,22 @@
 """frftkit: chirp-angle transform algebra, cascaded feature extraction,
-and optimal shift-invariant approximation on periodic sample grids."""
+and optimal shift-invariant approximation on periodic sample grids.
 
-from .errors import (
-    AliasRiskWarning,
-    AngleDegenerate,
-    BadRank,
-    FrftkitError,
-    GridMismatch,
-    GridTooLarge,
-    InadmissibleBankWarning,
-    IrrationalScale,
-    KeyMismatch,
-    NoDecay,
-    NonCommutingOps,
-    NotHermitian,
-    NotMultiTile,
-    OffGridShift,
-    PathArityMismatch,
-    TruncationLoss,
-    WindowTooSmall,
-)
-from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, as_shift
-from .transform import (
-    frft,
-    frft_direct_oracle,
-    frft_output_grid,
-    inner_product,
-    inverse_frft,
-    l2_norm,
-)
-from .theta_ops import theta_convolve, theta_dilate, theta_modulate, theta_translate
-from .frames import AtomBank, FrameBounds, check_admissibility, frame_bounds
-from .eig import hermitian_eig
-from .scatter import (
-    FeatureTree,
-    LayerConfig,
-    Nonlinearity,
-    Pooling,
-    atom_decay_constant,
-    covariance_bound,
-    covariance_deviation,
-    energy_profile,
-    extract_features,
-    feature_distance,
-    invariance_bound,
-    invariance_deviation,
-    u_layer,
-    u_path,
-)
-from .approx import (
-    FiberField,
-    FiberGrid,
-    GramianField,
-    SISModel,
-    analytic_sinc_fibers,
-    approximation_error,
-    fiber_map,
-    fit_sis,
-    gramian_field,
-    project,
-    synthesize_generator,
-)
-from .multitile import (
-    MultiTileModel,
-    TileSet,
-    bandlimited_project,
-    is_multitile,
-    optimal_multitile,
-    partial_projection,
-    partition_multitile,
-)
+The package republishes the public names of its library modules: each
+module's ``__all__`` is the one list of what it exports."""
+
+from . import approx, eig, errors, frames, grids, multitile, scatter, theta_ops, transform
+from .errors import *
+from .grids import *
+from .transform import *
+from .theta_ops import *
+from .frames import *
+from .eig import *
+from .scatter import *
+from .approx import *
+from .multitile import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors and warnings
-    "FrftkitError",
-    "AngleDegenerate",
-    "GridTooLarge",
-    "GridMismatch",
-    "OffGridShift",
-    "IrrationalScale",
-    "NonCommutingOps",
-    "PathArityMismatch",
-    "KeyMismatch",
-    "NoDecay",
-    "TruncationLoss",
-    "WindowTooSmall",
-    "NotHermitian",
-    "BadRank",
-    "NotMultiTile",
-    "AliasRiskWarning",
-    "InadmissibleBankWarning",
-    # grids and signals
-    "Grid",
-    "SampledSignal",
-    "ShiftVector",
-    "ThetaParam",
-    "as_shift",
-    # transform
-    "frft",
-    "inverse_frft",
-    "frft_direct_oracle",
-    "frft_output_grid",
-    "l2_norm",
-    "inner_product",
-    # operator algebra
-    "theta_translate",
-    "theta_modulate",
-    "theta_convolve",
-    "theta_dilate",
-    # frames
-    "AtomBank",
-    "FrameBounds",
-    "frame_bounds",
-    "check_admissibility",
-    # eigensolver
-    "hermitian_eig",
-    # feature extraction
-    "Nonlinearity",
-    "Pooling",
-    "LayerConfig",
-    "FeatureTree",
-    "u_layer",
-    "u_path",
-    "extract_features",
-    "feature_distance",
-    "invariance_deviation",
-    "covariance_deviation",
-    "invariance_bound",
-    "covariance_bound",
-    "atom_decay_constant",
-    "energy_profile",
-    # approximation
-    "FiberGrid",
-    "FiberField",
-    "GramianField",
-    "SISModel",
-    "fiber_map",
-    "analytic_sinc_fibers",
-    "gramian_field",
-    "fit_sis",
-    "approximation_error",
-    "project",
-    "synthesize_generator",
-    # multi-tile supports
-    "TileSet",
-    "MultiTileModel",
-    "is_multitile",
-    "partition_multitile",
-    "optimal_multitile",
-    "bandlimited_project",
-    "partial_projection",
-]
+_MODULES = (errors, grids, transform, theta_ops, frames, eig, scatter, approx, multitile)
+
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

@@ -375,14 +375,11 @@ def _stack(fibers: Sequence[FiberField]) -> tuple[FiberGrid, NDArray[np.complex1
     return grid, np.stack([fib.data for fib in fibers])
 
 
-def _gramian(grid: FiberGrid, stack: NDArray[np.complex128]) -> GramianField:
-    data = np.einsum("iwt,jwt->wij", stack, np.conj(stack))
-    return GramianField(grid=grid, data=_Owned(data))
-
-
 def gramian_field(fibers: Sequence[FiberField]) -> GramianField:
     """Per-cell Gramian ``G[w]_{ij} = <fiber_i(w), fiber_j(w)>``."""
-    return _gramian(*_stack(fibers))
+    grid, stack = _stack(fibers)
+    data = np.einsum("iwt,jwt->wij", stack, np.conj(stack))
+    return GramianField(grid=grid, data=_Owned(data))
 
 
 def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
@@ -398,9 +395,8 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
     if not 1 <= ell <= m:
         raise BadRank(f"rank {ell} is not within 1..{m}")
     grid, stack = _stack(fibers)
-    gram = _gramian(grid, stack)
-
-    eigenvalues, eigenvectors = hermitian_eig(gram.data)
+    # The per-cell Gramians; hermitian_eig checks each one for symmetry.
+    eigenvalues, eigenvectors = hermitian_eig(np.einsum("iwt,jwt->wij", stack, np.conj(stack)))
     top = eigenvalues[:, 0]
     indefinite = eigenvalues[:, -1] < -ZERO_EIGENVALUE_TOL * np.maximum(top, 1.0)
     if np.any(indefinite):

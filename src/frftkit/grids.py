@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .errors import AngleDegenerate, OffGridShift
 
-__all__ = ["Grid", "SampledSignal", "ThetaParam", "ShiftVector"]
+__all__ = ["Grid", "SampledSignal", "ThetaParam", "ShiftVector", "as_shift"]
 
 #: Angles with |sin(theta)| at or below this are unusable by the kernel.
 SIN_FLOOR = 1e-9

@@ -7,12 +7,12 @@ partitions, support bandlimited projection of signals, and can be chosen
 optimally for a family of signals by ranking per-cell offset energies.
 
 Tile masks come from the fiber layout of :mod:`frftkit.approx`: a projection
-keeps exactly the bins that the fibers of the tile's slots read, through the
-layout that module keeps cached.  Tiles are checked, ranked and masked on
-one integer array of all their offsets, ``(offset, axis)`` in cell order;
-the nested ``cells`` tuples are built from it only for the result.  The
-truncated frame expansion is computed on fibers too, where a twisted
-integer shift is one phase per cell.
+filters the chirped samples, keeping exactly the bins of their FFT that the
+fibers of the tile's slots read, through the layout that module keeps
+cached.  Tiles are checked, ranked and masked on one integer array of all
+their offsets, ``(offset, axis)`` in cell order; the nested ``cells`` tuples
+are built from it only for the result.  The truncated frame expansion is
+computed on fibers too, where a twisted integer shift is one phase per cell.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .approx import (
 )
 from .errors import BadRank, GridMismatch, NotMultiTile
 from .grids import Grid, SampledSignal, ShiftVector, ThetaParam
-from .transform import _reflect, frft, inverse_frft
+from .transform import _chirp_plan
 
 __all__ = [
     "TileSet",
@@ -264,9 +264,9 @@ def _nested(
 
 
 def _support_mask(grid: Grid, tile: TileSet, window: int) -> NDArray[np.bool_]:
-    """The transform bins of ``grid`` that the fibers of the tile's slots
-    read, through the fiber layout of ``window``; every bin that lies in
-    the window is read by exactly one slot."""
+    """The bins of the chirped samples' FFT on ``grid`` that the fibers of
+    the tile's slots read, through the fiber layout of ``window``; every bin
+    that lies in the window is read by exactly one slot."""
     fgrid = FiberGrid(tile.theta, tile.n_dims, tile.omega_samples, window)
     layout = _fiber_layout(grid, fgrid)
 
@@ -278,19 +278,17 @@ def _support_mask(grid: Grid, tile: TileSet, window: int) -> NDArray[np.bool_]:
 
     keep = np.zeros(grid.size, dtype=bool)
     keep[layout.index[member & layout.valid]] = True
-    keep = keep.reshape(grid.shape)
-    return _reflect(keep) if tile.theta.sign_sin < 0 else keep
+    return keep.reshape(grid.shape)
 
 
 def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSignal:
     """Orthogonal projection onto the model's frequency support.
 
-    Keeps exactly the transform bins that the fibers of the tile's slots
-    read, on a fiber grid whose window covers every bin, and inverts the
-    transform.  The signal period must equal the cell count, so that every
-    bin belongs to exactly one slot.  When sin θ < 0 the transform lists
-    the centered bins in reverse order, so the mask is mirrored about the
-    origin bin before it is applied.
+    Filters the chirped samples by the tile's band: keeps exactly the bins
+    of their FFT that the fibers of the tile's slots read, on a fiber grid
+    whose window covers every bin, and removes the chirp.  The signal
+    period must equal the cell count, so that every bin belongs to exactly
+    one slot.
     """
     tile = model.tile
     period = _integer_period(f.grid)
@@ -302,9 +300,8 @@ def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSigna
     # The fiber window that reaches the grid's edge bins, which a fiber map
     # on this grid uses too when P divides N/2: one cached layout serves both.
     keep = _support_mask(f.grid, tile, -(-(f.grid.samples_per_dim // 2) // period))
-    spectrum = frft(f, tile.theta)
-    masked = np.where(keep, spectrum.as_nd(), 0.0)
-    return inverse_frft(SampledSignal._owning(spectrum.grid, masked), tile.theta)
+    plan = _chirp_plan(f.grid, tile.theta)
+    return SampledSignal._owning(f.grid, plan.unchirp(plan.filter(plan.chirp(f.as_nd()), keep)))
 
 
 def partial_projection(

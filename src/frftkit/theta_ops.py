@@ -163,26 +163,18 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
     if frac == 1:
         return f.with_values(f.values)
     plan = _chirp_plan(f.grid, theta)
-    y = _dilate(plan.chirp(f.as_nd()), frac, plan)
+    y = _tile(_dilate_period(plan.chirp(f.as_nd()), frac, plan), plan)
     return SampledSignal._owning(f.grid, plan.unchirp(y))
-
-
-def _dilate(
-    y: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan, alias_checked: bool = False
-) -> NDArray[np.complex128]:
-    """:func:`theta_dilate` by ``frac != 1`` on chirped samples whose
-    trailing axes are the plan's input grid (leading axes are a batch): the
-    classical contraction of ``y``, which is kept, on all ``N`` samples per
-    axis.  See :func:`_dilate_period`."""
-    return _tile(_dilate_period(y, frac, plan, alias_checked), plan)
 
 
 def _dilate_period(
     y: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan, alias_checked: bool = False
 ) -> NDArray[np.complex128]:
-    """:func:`_dilate` on a stack that holds one period of the chirped
-    samples, ``P`` of them per axis (``P`` divides ``N``), returned as one
-    period of the result.  For ``frac > 1`` the alias check (see
+    """:func:`theta_dilate` by ``frac != 1`` on chirped samples (leading
+    axes are a batch), which are kept: the classical contraction of a stack
+    that holds one period of them, ``P`` samples per axis (``P`` divides
+    ``N``), returned as one period of the result; :func:`_tile` gives all
+    ``N`` samples per axis.  For ``frac > 1`` the alias check (see
     :func:`_check_alias`) runs on the spectrum of ``y`` unless
     ``alias_checked`` says the caller ran it already; an integer factor then
     transforms nothing, as it only gathers samples.

@@ -30,7 +30,7 @@ from frftkit import (
 from frftkit.approx import FiberField, FiberGrid
 from frftkit.grids import as_shift
 from frftkit.scatter import _energy, _readout_kernel
-from frftkit.theta_ops import _as_fraction, _check_alias, _dilate, _translate
+from frftkit.theta_ops import _as_fraction, _check_alias, _dilate_period, _tile, _translate
 from frftkit.transform import _chirp_plan
 
 
@@ -254,7 +254,7 @@ def cascade_step_reference(y, layer, plan, atoms):
         if op.kind == "modulus":
             out *= plan.chirp_in
     if frac is not None:
-        out = _dilate(out, frac, plan, alias_checked=early)
+        out = _tile(_dilate_period(out, frac, plan, alias_checked=early), plan)
     return out
 
 

@@ -4,7 +4,8 @@ The hot paths run their FFTs in place (``out=``) on arrays they have just
 allocated.  These tests copy the bytes of each input before a call and
 compare them after it, so an in-place transform that lands on an argument
 fails here.  Public inputs are read-only ``SampledSignal`` values, kernels and
-generators; the plan methods and ``_dilate`` take plain, writable ndarrays.
+generators; the plan methods and ``_dilate_period`` take plain, writable
+ndarrays.
 """
 import math
 from fractions import Fraction
@@ -24,7 +25,7 @@ from frftkit import (
     theta_dilate,
 )
 from frftkit.approx import FiberGrid, fiber_map, fit_sis, synthesize_generator
-from frftkit.theta_ops import _dilate
+from frftkit.theta_ops import _dilate_period, _tile
 from frftkit.transform import _chirp_plan
 from helpers import banded_signal, make_s1_layers, random_signal
 
@@ -101,4 +102,4 @@ def test_plan_methods_leave_writable_arguments_unchanged(grid, theta):
     kernel = _unchanged(lambda: plan.kernel(g), g)
     _unchanged(lambda: plan.filter(x[:, None], kernel), x, kernel)
     for s in FACTORS:
-        _unchanged(lambda: _dilate(x, Fraction(s), plan), x)
+        _unchanged(lambda: _tile(_dilate_period(x, Fraction(s), plan), plan), x)

@@ -31,7 +31,7 @@ from frftkit import (
     theta_translate,
 )
 from frftkit import approx, multitile
-from frftkit.transform import centered_idft, chirp_modulate
+from frftkit.transform import _chirp_plan, centered_idft, chirp_modulate
 from helpers import (
     banded_signal,
     frame_expansion_reference,
@@ -206,8 +206,9 @@ def test_multitile_model_names_the_first_wrong_cell():
 @pytest.mark.parametrize("period", [4, 8, 16])
 def test_bandlimited_project_matches_the_wider_window(period, n_dims, samples, theta, bound):
     """The projection's window ceil((N/2)/P) reaches every bin that the
-    window N/(2P) + 1 reaches, so the projection keeps its bits.  Every
-    period here divides N/2, where the two windows differ."""
+    window N/(2P) + 1 reaches: the two masks agree, and the projection is
+    the filter with the wider mask, bit for bit.  Every period here divides
+    N/2, where the two windows differ."""
     assert -(-(samples // 2) // period) == samples // (2 * period)
     grid = Grid(n_dims, samples, period / 2)
     rng = np.random.default_rng(period + samples + bound)
@@ -219,10 +220,11 @@ def test_bandlimited_project_matches_the_wider_window(period, n_dims, samples, t
     model = MultiTileModel(TileSet(theta, n_dims, period, bound, cells), 2, cells)
     f = SampledSignal(grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
     keep = multitile._support_mask(grid, model.tile, samples // (2 * period) + 1)
-    spectrum = frft(f, theta)
-    masked = np.where(keep.ravel(), spectrum.values, 0.0)
-    expected = inverse_frft(spectrum.with_values(masked), theta)
-    assert np.array_equal(bandlimited_project(f, model).values, expected.values)
+    narrow = multitile._support_mask(grid, model.tile, -(-(samples // 2) // period))
+    assert np.array_equal(narrow, keep)
+    plan = _chirp_plan(grid, theta)
+    expected = plan.unchirp(plan.filter(plan.chirp(f.as_nd()), keep))
+    assert np.array_equal(bandlimited_project(f, model).as_nd(), expected)
 
 
 def test_fibers_and_projection_share_one_layout(monkeypatch):
@@ -320,10 +322,13 @@ def test_bandlimited_project_matches_membership_loop(n_dims, samples, extent, bo
     f = SampledSignal(
         grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
     )
+    # The transform route, which does not go through the chirped filter; a
+    # wrong bin would be off by O(1).
     spectrum = frft(f, theta)
     masked = np.where(keep, spectrum.values.reshape(grid.shape), 0.0)
     expected = inverse_frft(spectrum.with_values(masked.ravel()), theta)
-    assert np.array_equal(bandlimited_project(f, model).values, expected.values)
+    got = bandlimited_project(f, model).values
+    assert np.max(np.abs(got - expected.values)) <= 1e-13 * np.max(np.abs(f.values))
 
 
 def tile_slot_mask(fg, tile):
