@@ -31,6 +31,7 @@ from numpy.typing import NDArray
 
 from .eig import hermitian_eig
 from .errors import (
+    AngleDegenerate,
     BadRank,
     GridMismatch,
     NotHermitian,
@@ -66,7 +67,8 @@ class FiberGrid:
 
     ``omega_samples`` base frequency cells per dimension cover one period
     of width ``|sin θ|``; offsets run over ``{-window .. window}`` per
-    dimension, or ``{0 .. window}`` when ``one_sided``.
+    dimension, or ``{0 .. window}`` when ``one_sided``.  The period
+    vanishes at a multiple of pi, which raises :class:`AngleDegenerate`.
     """
 
     theta: ThetaParam
@@ -82,6 +84,8 @@ class FiberGrid:
             raise ValueError("need at least one base frequency cell per dimension")
         if self.window < 1:
             raise ValueError("the offset window must contain at least offset 1")
+        if self.theta.is_axis:
+            raise AngleDegenerate(f"cot undefined at theta={self.theta.theta!r}")
 
     @property
     def offsets_1d(self) -> NDArray[np.int64]:
@@ -129,6 +133,7 @@ class FiberField:
     data: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
+        owned = isinstance(self.data, _Owned)
         data = _readonly(self.data, np.complex128)
         if data.shape != (self.grid.n_cells, self.grid.window_size):
             raise ValueError(
@@ -136,7 +141,7 @@ class FiberField:
                 f"({self.grid.n_cells} cells x {self.grid.window_size} offsets)"
             )
         if not np.all(np.isfinite(data)):
-            raise ValueError("fiber data must be finite")
+            raise (OverflowError if owned else ValueError)("fiber data must be finite")
         object.__setattr__(self, "data", data)
 
     @property

@@ -9,11 +9,13 @@ given in radians via ``--theta`` or exactly as ``--theta-frac P Q``
 meaning ``P*pi/Q``.
 
 Every command is deterministic (identical inputs produce byte-identical
-outputs) and writes atomically (temporary file plus rename).  Exit codes:
-0 success, 2 input parse failure, 3 numeric degeneracy, 4 configuration
-contradiction.  The environment variable ``FRFTKIT_THREADS``, when set,
-must be a positive integer (else exit 4); every computation runs on a
-single worker, which satisfies any cap, so the value is not kept.
+outputs) and writes atomically (temporary file plus rename).  Exit codes: 0
+success, 2 input parse failure, 3 numeric degeneracy, 4 configuration
+contradiction.  Exit 3 takes ``_NUMERIC_ERRORS`` (an angle that is a
+multiple of pi outside ``frft``, a non-finite result, a failed allocation);
+other library errors exit 4.  The environment variable ``FRFTKIT_THREADS``,
+when set, must be a positive integer (else exit 4); every computation runs
+on a single worker, which satisfies any cap, so the value is not kept.
 
 Every JSON field is read through one field reader, :func:`_field`, which
 checks it against one of the kinds in ``_KINDS`` (a finite number, an
@@ -51,20 +53,13 @@ from .approx import (
 )
 from .errors import (
     AngleDegenerate,
-    BadRank,
     FrftkitError,
     GridMismatch,
     GridTooLarge,
-    IrrationalScale,
-    KeyMismatch,
     NoDecay,
-    NonCommutingOps,
     NotHermitian,
     NotMultiTile,
-    OffGridShift,
-    PathArityMismatch,
     TruncationLoss,
-    WindowTooSmall,
 )
 from .frames import AtomBank, frame_bounds
 from .grids import Grid, SampledSignal, ThetaParam, as_shift
@@ -87,21 +82,10 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
 
-#: Errors meaning the computation itself degenerated.
+#: Errors meaning the computation itself degenerated; other library errors exit 4.
 _NUMERIC_ERRORS = (
-    AngleDegenerate, NoDecay, TruncationLoss, NotHermitian, GridTooLarge, OverflowError
-)
-#: Errors meaning the request contradicts itself or its inputs.
-_CONFIG_ERRORS = (
-    NonCommutingOps,
-    GridMismatch,
-    BadRank,
-    NotMultiTile,
-    WindowTooSmall,
-    PathArityMismatch,
-    KeyMismatch,
-    OffGridShift,
-    IrrationalScale,
+    AngleDegenerate, NoDecay, TruncationLoss, NotHermitian, GridTooLarge,
+    OverflowError, MemoryError,
 )
 
 
@@ -874,7 +858,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CliConfigError, *_CONFIG_ERRORS, ValueError) as exc:
+    except (CliConfigError, FrftkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

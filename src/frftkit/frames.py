@@ -89,7 +89,8 @@ def frame_bounds(bank: AtomBank) -> FrameBounds:
 
     The spectrum at frequency ``ω`` is ``|sin θ|^n`` times the sum over
     atoms of ``|F_θ g(ω)|²``; the bounds are its minimum and maximum over
-    the transform output grid.
+    the transform output grid.  Raises :class:`AngleDegenerate` at a
+    multiple of pi, where that grid does not exist.
     """
     theta = bank.theta
     weight = theta.abs_sin ** bank.grid.n_dims

@@ -117,7 +117,7 @@ class SampledSignal:
                 f"expected {self.grid.size} samples, got {values.size}"
             )
         if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("signal contains non-finite entries")
+            raise (OverflowError if owned else ValueError)("signal contains non-finite entries")
         if not owned:
             values = values.copy()
         values.setflags(write=False)
@@ -130,7 +130,8 @@ class SampledSignal:
         """Wrap an array the library has just allocated, without a copy.
 
         For internal results only: nothing else may hold ``values`` or
-        share its memory.  The size and finiteness checks still run.
+        share its memory.  The checks still run; a non-finite result raises
+        :class:`OverflowError`.
         """
         return cls(grid, _Owned(values))
 

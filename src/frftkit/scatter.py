@@ -200,10 +200,10 @@ class LayerConfig:
     Construction computes and caches the layer's upper frame bound (over
     the bank together with the output atom), the output atom's decay
     constants, and ``kernels``: the chirped spectra of the bank atoms
-    followed by the output atom, ready for convolution on the chirp plan
-    (``None`` at multiples of pi, where no convolution is defined).  The
-    decay constants raise :class:`NoDecay` for atoms whose transform does
-    not vanish toward the grid boundary.
+    followed by the output atom, ready for convolution on the chirp plan.
+    The decay constants raise :class:`NoDecay` for atoms whose transform
+    does not vanish toward the grid boundary; at a multiple of pi, where no
+    convolution exists, construction raises :class:`AngleDegenerate`.
     """
 
     bank: AtomBank
@@ -213,7 +213,7 @@ class LayerConfig:
     pooling_factor: float = 1.0
     frame_bound: float = field(init=False, repr=False)
     decay_constants: tuple[float, float, float] = field(init=False, repr=False)
-    kernels: NDArray[np.complex128] | None = field(init=False, repr=False, compare=False)
+    kernels: NDArray[np.complex128] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.output_atom.grid != self.bank.grid:
@@ -227,11 +227,9 @@ class LayerConfig:
             "decay_constants",
             atom_decay_constant(self.output_atom, self.bank.theta),
         )
-        kernels = None
-        if not self.theta.is_axis:
-            plan = _chirp_plan(self.bank.grid, self.theta)
-            kernels = plan.kernel(np.stack([atom.as_nd() for atom in extended.atoms]))
-            kernels.setflags(write=False)
+        plan = _chirp_plan(self.bank.grid, self.theta)
+        kernels = plan.kernel(np.stack([atom.as_nd() for atom in extended.atoms]))
+        kernels.setflags(write=False)
         object.__setattr__(self, "kernels", kernels)
 
     @property

@@ -219,12 +219,10 @@ _live_plan: _ChirpPlan | None = None
 
 def _chirp_plan(grid: Grid, theta: ThetaParam, *, output: bool = False) -> _ChirpPlan:
     """The plan of ``theta`` whose input grid (output grid if ``output``)
-    is ``grid``; built on a miss after the previous plan is dropped.
-    :func:`frft_output_grid` is its own inverse, so it gives the input grid
-    of an output grid too."""
+    is ``grid``; built on a miss after the previous plan is dropped.  An
+    output grid's input grid is :func:`frft_output_grid` of it, which is not
+    exact: at ``theta=0.1`` extent 12.5 comes back as 12.500000000000002."""
     global _live_plan
-    if theta.is_axis:
-        raise AngleDegenerate(f"cot undefined at theta={theta.theta!r}")
     if output:
         in_grid, out_grid = frft_output_grid(grid, theta), grid
     else:
@@ -246,7 +244,10 @@ def chirp_modulate(f: SampledSignal, theta: ThetaParam, sign: int) -> SampledSig
 
 
 def frft_output_grid(grid: Grid, theta: ThetaParam) -> Grid:
-    """Canonical output grid: spacing ``|sin(theta)| / period``."""
+    """Canonical output grid: spacing ``|sin(theta)| / period``; raises
+    :class:`AngleDegenerate` at a multiple of pi, where the spacing vanishes."""
+    if theta.is_axis:
+        raise AngleDegenerate(f"cot undefined at theta={theta.theta!r}")
     d_omega = theta.abs_sin / grid.period
     return Grid(grid.n_dims, grid.samples_per_dim, 0.5 * grid.samples_per_dim * d_omega)
 

@@ -316,6 +316,19 @@ def test_fiber_field_shape_validation():
         FiberField(fg, np.zeros((8, 6), dtype=np.complex128))
 
 
+def test_non_finite_fibers_overflow_only_when_computed():
+    """A caller's non-finite fibers are a ValueError; fibers the library
+    computed from finite samples that overflowed are an OverflowError."""
+    fg = FiberGrid(PI3, 1, 16, 8)
+    data = np.ones((16, 17), dtype=np.complex128)
+    data[2, 5] = np.inf
+    with pytest.raises(ValueError, match="fiber data must be finite"):
+        FiberField(fg, data)
+    huge = SampledSignal(Grid(1, 256, 8.0), np.full(256, 1e308))
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="must be finite"):
+        fiber_map(huge, fg)
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64).tobytes()
 

@@ -821,6 +821,100 @@ def test_exit_code_4_config_failures(tmp_path, monkeypatch):
     assert main(["frft", "--in", src, "--out", out, "--theta", "1.0"]) == 0
 
 
+LIBRARY_ERRORS = [cls for cls in map(vars(frftkit.errors).get, frftkit.errors.__all__)
+                  if issubclass(cls, frftkit.errors.FrftkitError)]
+NUMERIC_LIBRARY_ERRORS = {"AngleDegenerate", "NoDecay", "TruncationLoss",
+                          "NotHermitian", "GridTooLarge"}
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [(cls, 3 if cls.__name__ in NUMERIC_LIBRARY_ERRORS else 4) for cls in LIBRARY_ERRORS]
+    + [(OverflowError, 3), (MemoryError, 3), (ValueError, 4), (OSError, 2)],
+    ids=lambda x: x.__name__ if isinstance(x, type) else str(x),
+)
+def test_exit_code_rule(tmp_path, monkeypatch, capsys, error, code):
+    """Exit codes follow from the error class: numeric failures (a failed
+    allocation included) exit 3, every other library error 4."""
+
+    def handler(args):
+        raise error("boom")  # a MemoryError made here allocates nothing
+
+    monkeypatch.setattr(cli, "cmd_plotdata", handler)
+    assert main(["plotdata", "--in", str(tmp_path / "f.csv"),
+                 "--out", str(tmp_path / "o.csv")]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def reflected(f):
+    idx = (-np.arange(f.grid.samples_per_dim)) % f.grid.samples_per_dim
+    return f.with_values(f.as_nd()[np.ix_(*[idx] * f.grid.n_dims)].ravel())
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 2])
+def test_multiple_of_pi_exits_3_everywhere_but_frft(tmp_path, capsys, k):
+    grid = Grid(1, 256, 8.0)
+    cfg, sig, f = scatter_config(tmp_path, theta_key={"theta_frac": [k, 1]}, grid=grid)
+    other = write_csv(tmp_path / "g.csv", banded_signal(grid, PI3, 0.5, 12))
+    atoms = [str(tmp_path / "atom0.csv"), str(tmp_path / "atom1.csv")]
+    th = ["--theta-frac", str(k), "1"]
+    out = str(tmp_path / "o.csv")
+    refused = [
+        ["frames", "--atoms", *atoms, "--out", out, *th],
+        ["scatter", "extract", "--config", cfg, "--signal", sig,
+         "--out-dir", str(tmp_path / "features")],
+        ["scatter", "invariance", "--config", cfg, "--signal", sig,
+         "--t", "0.0625", "--out", out],
+        ["approx", "fit", "--data", sig, other, "--ell", "1", *th,
+         "--out-dir", str(tmp_path / "fit")],
+        ["approx", "table", "--family", "sinc1d", *th, "--out", out],
+        ["approx", "table", "--family", "sinc2d", *th, "--out", out],
+        ["multitile", "fit", "--data", sig, other, "--ell", "1", "--N", "2", *th,
+         "--out-dir", str(tmp_path / "tiles")],
+        ["ops", "translate", "--in", sig, "--out", out, *th, "--shift", "0.0625"],
+        ["ops", "modulate", "--in", sig, "--out", out, *th, "--shift", "0.5"],
+        ["ops", "convolve", "--in", sig, "--with", other, "--out", out, *th],
+        ["ops", "dilate", "--in", sig, "--out", out, *th, "--factor", "2"],
+    ]
+    theta = ThetaParam(k * math.pi).theta
+    for argv in refused:
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: cot undefined at theta={theta!r}\n"
+    assert not Path(out).exists()
+
+    # The transform itself is the identity or a reflection, bit for bit.
+    want = tmp_path / "want.csv"
+    write_signal(want, f if k % 2 == 0 else reflected(f))
+    for flag in ([], ["--inverse"], ["--oracle"]):
+        assert main(["frft", *flag, "--in", sig, "--out", out, *th]) == 0
+        assert Path(out).read_bytes() == want.read_bytes()
+
+
+def test_overflowing_result_exits_3(tmp_path, capsys):
+    """Finite 1e308 samples whose results overflow: exit 3, not 4."""
+    grid = Grid(1, 256, 8.0)
+    big = write_csv(tmp_path / "big.csv", SampledSignal(grid, np.full(256, 1e308)))
+    low = write_csv(tmp_path / "low.csv", SampledSignal(grid, np.full(256, -1e308)))
+    th = ["--theta-frac", "1", "3"]
+    out = str(tmp_path / "o.csv")
+    cases = [
+        (["frft", "--in", big, "--out", out, *th], "signal contains non-finite entries"),
+        (["ops", "convolve", "--in", big, "--with", big, "--out", out, *th],
+         "signal contains non-finite entries"),
+        (["ops", "dilate", "--in", big, "--out", out, *th, "--factor", "3/2"],
+         "signal contains non-finite entries"),
+        (["frames", "--atoms", big, "--out", out, *th], "signal contains non-finite entries"),
+        (["approx", "fit", "--data", big, low, "--ell", "1", *th,
+          "--out-dir", str(tmp_path / "fit")], "fiber data must be finite"),
+        (["multitile", "fit", "--data", big, low, "--ell", "1", "--N", "2", *th,
+          "--out-dir", str(tmp_path / "tiles")], "fiber data must be finite"),
+    ]
+    for argv, message in cases:
+        with np.errstate(all="ignore"):
+            assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_module_entry_point_matches_in_process(tmp_path):
     f = random_signal(Grid(1, 64, 4.0), 16)
     src = write_csv(tmp_path / "f.csv", f)

@@ -1,5 +1,6 @@
 """Transform-level checks: unitarity, oracle agreement, axis handling."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,14 @@ import pytest
 
 from frftkit import (
     AngleDegenerate,
+    AtomBank,
+    FiberGrid,
     Grid,
     GridTooLarge,
+    LayerConfig,
     SampledSignal,
     ThetaParam,
+    frame_bounds,
     frft,
     frft_direct_oracle,
     frft_output_grid,
@@ -124,6 +129,27 @@ def test_output_grid_geometry():
         assert og.spacing == pytest.approx(th.abs_sin / grid.period, rel=1e-15)
 
 
+@pytest.mark.parametrize("k", [0, 1, -1, 2])
+def test_multiples_of_pi_are_refused_past_the_transform(k):
+    """At theta = k*pi the transform is the identity or a reflection; every
+    object built on the chirp refuses the angle with the one message."""
+    th = ThetaParam(k * math.pi)
+    grid = Grid(1, 64, 4.0)
+    f = random_signal(grid, 19)
+    message = re.escape(f"cot undefined at theta={th.theta!r}")
+    with pytest.raises(AngleDegenerate, match=message):
+        frft_output_grid(grid, th)
+    with pytest.raises(AngleDegenerate, match=message):
+        frame_bounds(AtomBank((f,), th))
+    with pytest.raises(AngleDegenerate, match=message):
+        LayerConfig(bank=AtomBank((f,), th), output_atom=f)
+    with pytest.raises(AngleDegenerate, match=message):
+        FiberGrid(th, 1, 8, 4)
+    want = f.values if k % 2 == 0 else f.values[(-np.arange(grid.size)) % grid.size]
+    for transform_fn in (frft, inverse_frft, frft_direct_oracle):
+        assert np.array_equal(transform_fn(f, th).values, want)
+
+
 def test_theta_param_degeneracy_window():
     with pytest.raises(AngleDegenerate):
         ThetaParam(1e-10)
@@ -229,7 +255,7 @@ def test_signed_chirp_matches_direct_table(n_dims, n, extent, cot, scale):
 def test_overflowing_transform_is_rejected():
     """A finite signal whose transform overflows raises; no inf is returned."""
     f = SampledSignal(Grid(1, 1024, 4.0), np.full(1024, 1e307))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="non-finite"):
         frft(f, ThetaParam(0.7))
 
 
@@ -242,7 +268,19 @@ def test_owned_results_keep_the_checks_and_skip_only_the_copy():
     fresh = np.ones(64, dtype=np.complex128)
     owned = SampledSignal._owning(grid, fresh)
     assert np.shares_memory(owned.values, fresh) and not owned.values.flags.writeable
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(OverflowError, match="non-finite"):
         SampledSignal._owning(grid, np.full(64, complex(np.nan, 0.0)))
     with pytest.raises(ValueError, match="expected 64 samples"):
         SampledSignal._owning(grid, np.zeros(32, dtype=np.complex128))
+
+
+def test_non_finite_caller_samples_stay_a_value_error():
+    """Only a library result that is not finite counts as an overflow."""
+    grid = Grid(1, 64, 4.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones(64, dtype=np.complex128)
+        values[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SampledSignal(grid, values)
+        with pytest.raises(OverflowError, match="non-finite"):
+            SampledSignal._owning(grid, values)
