@@ -144,10 +144,6 @@ class FiberField:
             raise (OverflowError if owned else ValueError)("fiber data must be finite")
         object.__setattr__(self, "data", data)
 
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
-
 
 @dataclass(frozen=True, slots=True)
 class GramianField:
@@ -369,15 +365,20 @@ def analytic_sinc_fibers(m: int, fgrid: FiberGrid) -> tuple[FiberField, ...]:
     return tuple(fields)
 
 
-def _stack(fibers: Sequence[FiberField]) -> tuple[FiberGrid, NDArray[np.complex128]]:
-    """The family's shared fiber grid and its ``(member, cell, offset)`` stack."""
+def _family_grid(fibers: Sequence[FiberField]) -> FiberGrid:
+    """The fiber grid that every member of a non-empty family shares."""
     if len(fibers) == 0:
         raise ValueError("need at least one fiber field")
     grid = fibers[0].grid
     for fib in fibers[1:]:
         if fib.grid != grid:
             raise GridMismatch("all fiber fields must share one fiber grid")
-    return grid, np.stack([fib.data for fib in fibers])
+    return grid
+
+
+def _stack(fibers: Sequence[FiberField]) -> tuple[FiberGrid, NDArray[np.complex128]]:
+    """The family's shared fiber grid and its ``(member, cell, offset)`` stack."""
+    return _family_grid(fibers), np.stack([fib.data for fib in fibers])
 
 
 def gramian_field(fibers: Sequence[FiberField]) -> GramianField:

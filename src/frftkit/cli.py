@@ -6,7 +6,8 @@ Subcommands: ``frft``, ``ops``, ``frames``, ``scatter``, ``approx``,
 ``# grid: n_dims,N,extent`` header followed by ``index,re,im`` rows;
 configuration files are JSON with a ``"schema": 1`` field.  Angles are
 given in radians via ``--theta`` or exactly as ``--theta-frac P Q``
-meaning ``P*pi/Q``.
+meaning ``P*pi/Q``; :func:`main` resolves them once, into ``args.theta``,
+for every subcommand that takes them.
 
 Every command is deterministic (identical inputs produce byte-identical
 outputs) and writes atomically (temporary file plus rename).  Exit codes: 0
@@ -16,6 +17,8 @@ multiple of pi outside ``frft``, a non-finite result, a failed allocation);
 other library errors exit 4.  The environment variable ``FRFTKIT_THREADS``,
 when set, must be a positive integer (else exit 4); every computation runs
 on a single worker, which satisfies any cap, so the value is not kept.
+A warning goes to stderr as one ``warning: <Category>: <message>`` line,
+without the source path; the caller's warning filters still apply.
 
 Every JSON field is read through one field reader, :func:`_field`, which
 checks it against one of the kinds in ``_KINDS`` (a finite number, an
@@ -389,43 +392,32 @@ def _check_threads_env() -> None:
 
 
 def cmd_frft(args: argparse.Namespace) -> None:
-    theta = _angle(args.theta, args.theta_frac)
     if args.inverse and args.oracle:
         raise CliConfigError("--oracle implements only the forward transform")
     signal = read_signal(args.in_path)
     if args.oracle:
-        out = frft_direct_oracle(signal, theta)
+        out = frft_direct_oracle(signal, args.theta)
     elif args.inverse:
-        out = inverse_frft(signal, theta)
+        out = inverse_frft(signal, args.theta)
     else:
-        out = frft(signal, theta)
+        out = frft(signal, args.theta)
     write_signal(args.out, out)
 
 
 # ---------------------------------------------------------------------- ops
 
 
-def _parse_shift(args: argparse.Namespace, n_dims: int) -> tuple[float, ...]:
-    shift = tuple(float(c) for c in args.shift)
-    if len(shift) != n_dims:
-        raise CliConfigError(
-            f"--shift has {len(shift)} components for a {n_dims}-dimensional grid"
-        )
-    return shift
-
-
 def cmd_ops(args: argparse.Namespace) -> None:
-    theta = _angle(args.theta, args.theta_frac)
     signal = read_signal(args.in_path)
     if args.operation == "translate":
-        out = theta_translate(signal, _parse_shift(args, signal.grid.n_dims), theta)
+        out = theta_translate(signal, args.shift, args.theta)
     elif args.operation == "modulate":
-        out = theta_modulate(signal, _parse_shift(args, signal.grid.n_dims), theta)
+        out = theta_modulate(signal, args.shift, args.theta)
     elif args.operation == "convolve":
         if args.with_path is None:
             raise CliConfigError("convolve needs a second signal via --with")
         other = read_signal(args.with_path)
-        out = theta_convolve(signal, other, theta)
+        out = theta_convolve(signal, other, args.theta)
     else:
         if args.factor is None:
             raise CliConfigError("dilate needs --factor")
@@ -433,7 +425,7 @@ def cmd_ops(args: argparse.Namespace) -> None:
             factor = Fraction(args.factor)
         except (ValueError, ZeroDivisionError) as exc:
             raise CliConfigError(f"--factor {args.factor!r} is not a rational") from exc
-        out = theta_dilate(signal, factor, theta)
+        out = theta_dilate(signal, factor, args.theta)
     write_signal(args.out, out)
 
 
@@ -441,9 +433,8 @@ def cmd_ops(args: argparse.Namespace) -> None:
 
 
 def cmd_frames(args: argparse.Namespace) -> None:
-    theta = _angle(args.theta, args.theta_frac)
     atoms = tuple(read_signal(p) for p in args.atoms)
-    bounds = frame_bounds(AtomBank(atoms, theta))
+    bounds = frame_bounds(AtomBank(atoms, args.theta))
     grid = bounds.grid
     preamble = [
         f"# grid: {grid.n_dims},{grid.samples_per_dim},{_fmt(grid.extent)}",
@@ -540,7 +531,6 @@ def cmd_scatter_extract(args: argparse.Namespace) -> None:
     signal = read_signal(args.signal)
     tree = extract_features(signal, layers, depth, theta)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for level, features in enumerate(tree.levels):
@@ -602,21 +592,19 @@ def _complex_pairs(block: np.ndarray) -> list:
 
 
 def cmd_approx_fit(args: argparse.Namespace) -> None:
-    theta = _angle(args.theta, args.theta_frac)
     if args.ell < 1:
         raise CliConfigError("--ell must be at least 1")
     signals = [read_signal(p) for p in args.data]
     fgrid = _fiber_grid_for(
-        [s.grid for s in signals], theta, args.omega_samples, args.window
+        [s.grid for s in signals], args.theta, args.omega_samples, args.window
     )
     fibers = [fiber_map(s, fgrid) for s in signals]
     model = fit_sis(fibers, args.ell)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "schema": 1,
-        "theta": theta.theta,
+        "theta": args.theta.theta,
         "ell": model.ell,
         "family_size": model.family_size,
         "omega_samples": fgrid.omega_samples,
@@ -636,11 +624,10 @@ def cmd_approx_fit(args: argparse.Namespace) -> None:
 
 
 def cmd_approx_table(args: argparse.Namespace) -> None:
-    theta = _angle(args.theta, args.theta_frac)
     if args.m < 1:
         raise CliConfigError("--m must be at least 1")
     n_dims = 1 if args.family == "sinc1d" else 2
-    fgrid = FiberGrid(theta, n_dims, args.omega_samples, window=args.m)
+    fgrid = FiberGrid(args.theta, n_dims, args.omega_samples, window=args.m)
     fibers = analytic_sinc_fibers(args.m, fgrid)
     rows = []
     for ell in range(1, args.m + 1):
@@ -653,13 +640,12 @@ def cmd_approx_table(args: argparse.Namespace) -> None:
 
 
 def cmd_multitile_fit(args: argparse.Namespace) -> None:
-    theta = _angle(args.theta, args.theta_frac)
     if args.ell < 1:
         raise CliConfigError("--ell must be at least 1")
     if args.bound < 1:
         raise CliConfigError("--N must be at least 1")
     signals = [read_signal(p) for p in args.data]
-    fgrid = _fiber_grid_for([s.grid for s in signals], theta, None, None)
+    fgrid = _fiber_grid_for([s.grid for s in signals], args.theta, None, None)
     if args.bound > fgrid.window:
         raise CliConfigError(
             f"--N {args.bound} exceeds the grid's offset window {fgrid.window}"
@@ -668,7 +654,6 @@ def cmd_multitile_fit(args: argparse.Namespace) -> None:
     model = optimal_multitile(fibers, args.ell, args.bound)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tile = model.tile
     tile_doc = {
         "schema": 1,
@@ -842,6 +827,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, *_where, **_file_and_line) -> None:
+    """A warning as one stderr line that names no source path."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -850,8 +840,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_threads_env()
+        if hasattr(args, "theta_frac"):  # the parser took _add_theta_flags
+            args.theta = _angle(args.theta, args.theta_frac)
         handler: Callable[[argparse.Namespace], None] = args.func
-        handler(args)
+        with warnings.catch_warnings():  # keeps the caller's filters
+            warnings.showwarning = _show_warning
+            handler(args)
     except (CliParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -189,14 +189,6 @@ class ThetaParam:
         return parity
 
     @property
-    def sin_t(self) -> float:
-        return math.sin(self.theta)
-
-    @property
-    def cos_t(self) -> float:
-        return math.cos(self.theta)
-
-    @property
     def cot_t(self) -> float:
         if self.is_axis:
             raise AngleDegenerate(f"cot undefined at theta={self.theta!r}")

@@ -28,6 +28,7 @@ from .approx import (
     FiberField,
     FiberGrid,
     SISModel,
+    _family_grid,
     _fiber_layout,
     _gather,
     _integer_period,
@@ -218,12 +219,7 @@ def optimal_multitile(
     break toward lexicographically smaller offsets.  Raises
     :class:`BadRank` when ``ell`` exceeds the number of candidates.
     """
-    if len(fibers) == 0:
-        raise ValueError("need at least one fiber field")
-    grid = fibers[0].grid
-    for fib in fibers[1:]:
-        if fib.grid != grid:
-            raise GridMismatch("all fiber fields must share one fiber grid")
+    grid = _family_grid(fibers)
     n_candidates = max(2 * bound + 1, 0) ** grid.n_dims
     if not 1 <= ell <= n_candidates:
         raise BadRank(f"rank {ell} is not within 1..{n_candidates}")

@@ -125,10 +125,12 @@ class _PointwiseMap:
     def commutes_with_translation(self, theta: ThetaParam) -> bool:
         """Whether the map passes through twisted shifts: identity and the
         shrink keep the phase at every angle; the modulus drops it, which is
-        harmless only where the chirp is flat (``cot θ`` vanishes)."""
+        harmless only where the chirp is flat (``cot θ`` vanishes).  At a
+        multiple of pi, where there is no chirp, a modulus raises
+        :class:`AngleDegenerate`."""
         if self.kind in ("identity", "phase_covariant_shrink"):
             return True
-        return (not theta.is_axis) and abs(theta.cot_t) <= MODULUS_COT_TOL
+        return abs(theta.cot_t) <= MODULUS_COT_TOL
 
 
 @dataclass(frozen=True, slots=True)
@@ -487,9 +489,9 @@ def _deviations(
     difference's spectrum times the kernel, over the ``N^n`` bins.  Those
     of a stack of periods are its own ``P^n`` bins, each ``(N / P)^n``
     times as large."""
-    _commutation_gate(layers, depth, theta)
-    shifts = [as_shift(t, f.grid.n_dims) for t in shifts]
     plan = _cascade_plan(f.grid, theta, layers, depth)
+    _commutation_gate(layers, depth, theta)  # at the angle the layers pinned
+    shifts = [as_shift(t, f.grid.n_dims) for t in shifts]
     kernel = _readout_kernel(depth, layers, plan, level0_atom)
     y = plan.chirp(f.as_nd()[None])
     deviations = []

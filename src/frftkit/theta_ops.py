@@ -144,19 +144,20 @@ def _check_alias(
     chirped samples to be dilated, over ``axes``."""
     p, q = frac.numerator, frac.denominator
     if np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
-        _warn_at_caller(f"dilation by {frac} folds spectral mass beyond Nyquist/{frac}")
+        _warn_at_caller(f"dilation by {frac} folds spectral mass beyond {1 / frac} of Nyquist")
 
 
 def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> SampledSignal:
     """Angle-covariant dilation by a rational factor ``s = p/q > 0``.
 
     The inner classical contraction is carried out by exact trigonometric
-    resampling: the chirped signal's spectrum is zero-padded by ``q`` and the
-    interpolant is read with stride ``p``, so rational factors are resolved
+    resampling of the chirped signal, polyphase on the ``N``-point grid with
+    no padded array (see :func:`_dilate_period`): the interpolant on
+    spacing/q is read with stride ``p``, so rational factors are resolved
     without interpolation error.  That costs about ``q`` transforms of ``N``
     points per axis, whatever the grid size.  Factors above 1 narrow the
-    usable band to ``Nyquist/s``; if the input holds measurable spectral mass
-    beyond that edge an :class:`AliasRiskWarning` is emitted (the folded
+    usable band to ``1/s`` of Nyquist; if the input holds measurable spectral
+    mass beyond that edge an :class:`AliasRiskWarning` is emitted (the folded
     copies then corrupt the output).
     """
     frac = _as_fraction(s)

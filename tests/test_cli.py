@@ -1,8 +1,10 @@
 """Command-line interface: file formats, exit codes, determinism."""
+import argparse
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -934,3 +936,142 @@ def test_module_entry_point_matches_in_process(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert Path(in_proc).read_bytes() == Path(sub_out).read_bytes()
+
+
+def alias_config(tmp_path):
+    """A depth-1 cascade that contracts by 3/2 after identity maps, with wide
+    atoms that pass the full band of the white-noise signal it returns."""
+    grid = Grid(1, 128, 4.0)
+    layers, phi = make_s1_layers(grid, PI3, (1.5,), ["identity"], widths=(8.0, 8.0))
+    names = [f"atom{i}.csv" for i in range(layers[0].n_atoms)]
+    for name, atom in zip(names, layers[0].bank.atoms):
+        write_csv(tmp_path / name, atom)
+    write_csv(tmp_path / "phi.csv", phi)
+    doc = {"schema": 1, "depth": 1, "theta_frac": [1, 3],
+           "layers": [{"atoms": names, "output_atom": "phi.csv", "s": 1.5}]}
+    cfg = tmp_path / "alias.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg), write_csv(tmp_path / "noise.csv", random_signal(grid, 35))
+
+
+ALIAS_LINE = ("warning: AliasRiskWarning: "
+              "dilation by 3/2 folds spectral mass beyond 2/3 of Nyquist\n")
+
+
+def test_warning_is_one_line_that_names_no_path(tmp_path):
+    """The same warning line, whichever directory the package runs from."""
+    cfg, sig = alias_config(tmp_path)
+    package = Path(frftkit.__file__).parent
+    copy = tmp_path / "copy"
+    shutil.copytree(package, copy / "frftkit", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("FRFTKIT_THREADS", "PYTHONWARNINGS")}
+    stderrs = []
+    for label, root in (("installed", package.parent), ("copy", copy)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frftkit", "scatter", "extract", "--config", cfg,
+             "--signal", sig, "--out-dir", str(tmp_path / label)],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": str(root)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        stderrs.append(proc.stderr)
+    assert stderrs == [ALIAS_LINE, ALIAS_LINE]
+
+
+def test_warning_line_keeps_the_callers_filters(tmp_path, capsys):
+    cfg, sig = alias_config(tmp_path)
+    argv = ["scatter", "extract", "--config", cfg, "--signal", sig]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main([*argv, "--out-dir", str(tmp_path / "shown")]) == 0
+    assert capsys.readouterr().err == ALIAS_LINE
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([*argv, "--out-dir", str(tmp_path / "ignored")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("operation", ["translate", "modulate"])
+@pytest.mark.parametrize(
+    "n_dims,shift,message",
+    [
+        (1, [], "shift needs at least one component"),
+        (1, ["0.125", "0.125"], "shift arity 2 does not match grid dimension 1"),
+        (2, [], "shift needs at least one component"),
+        (2, ["0.5"], "shift arity 1 does not match grid dimension 2"),
+        (2, ["0.5", "0.5", "0.5"], "shift arity 3 does not match grid dimension 2"),
+    ],
+    ids=["1d-missing", "1d-long", "2d-missing", "2d-short", "2d-long"],
+)
+def test_shift_arity_is_checked_by_the_library(tmp_path, capsys, operation, n_dims, shift,
+                                               message):
+    grid = Grid(n_dims, 64 if n_dims == 1 else 16, 4.0)
+    src = write_csv(tmp_path / "f.csv", random_signal(grid, 17))
+    out = tmp_path / "o.csv"
+    flags = ["--shift", *shift] if shift else []
+    assert main(["ops", operation, "--in", src, "--out", str(out),
+                 "--theta-frac", "1", "3", *flags]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_output_directories_are_made_by_the_writer(tmp_path):
+    """A new nested --out-dir is made on the first write; one that is an
+    existing file is an OS error, exit 2."""
+    cfg, sig, _ = scatter_config(tmp_path)
+    grid = Grid(1, 256, 8.0)
+    members = [write_csv(tmp_path / f"m{i}.csv", banded_signal(grid, PI3, 0.5, 90 + i))
+               for i in range(2)]
+    th = ["--theta-frac", "1", "3"]
+    commands = {
+        "scatter": ["scatter", "extract", "--config", cfg, "--signal", sig],
+        "approx": ["approx", "fit", "--data", *members, "--ell", "1", *th],
+        "multitile": ["multitile", "fit", "--data", *members, "--ell", "1", "--N", "1", *th],
+    }
+    afile = tmp_path / "afile"
+    afile.write_text("a file\n")
+    for name, argv in commands.items():
+        nested = tmp_path / name / "new" / "deeper"
+        assert main([*argv, "--out-dir", str(nested)]) == 0, name
+        assert any(nested.iterdir()), name
+        assert main([*argv, "--out-dir", str(afile)]) == 2, name
+    assert afile.read_text() == "a file\n"
+
+
+def _angle_subcommands(parser, words=()):
+    """The command words of every (sub)parser that declares ``--theta-frac``."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found |= _angle_subcommands(sub, (*words, name))
+        elif "--theta-frac" in action.option_strings:
+            found.add(words)
+    return found
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--theta", "1", "--theta-frac", "1", "3"],
+      "--theta and --theta-frac contradict each other"),
+     ([], "an angle is required: --theta or --theta-frac")],
+    ids=["both", "neither"],
+)
+def test_every_angle_subcommand_resolves_its_flags(tmp_path, capsys, flags, message):
+    grid = Grid(1, 256, 8.0)
+    sig = write_csv(tmp_path / "f.csv", banded_signal(grid, PI3, 0.5, 95))
+    other = write_csv(tmp_path / "g.csv", banded_signal(grid, PI3, 0.5, 96))
+    out = str(tmp_path / "o.csv")
+    commands = {
+        ("frft",): ["--in", sig, "--out", out],
+        ("ops",): ["translate", "--in", sig, "--out", out, "--shift", "0.0625"],
+        ("frames",): ["--atoms", sig, other, "--out", out],
+        ("approx", "fit"): ["--data", sig, other, "--ell", "1", "--out-dir", out],
+        ("approx", "table"): ["--family", "sinc1d", "--out", out],
+        ("multitile", "fit"): ["--data", sig, other, "--ell", "1", "--N", "1", "--out-dir", out],
+    }
+    assert set(commands) == _angle_subcommands(cli.build_parser())
+    for words, rest in commands.items():
+        assert main([*words, *rest, *flags]) == 4, words
+        assert capsys.readouterr().err == f"error: {message}\n", words
+    assert not Path(out).exists()

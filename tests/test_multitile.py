@@ -9,6 +9,7 @@ from frftkit import (
     FiberField,
     FiberGrid,
     Grid,
+    GridMismatch,
     MultiTileModel,
     NotMultiTile,
     OffGridShift,
@@ -162,6 +163,11 @@ def test_optimal_multitile_guards():
 
     with pytest.raises(BadRank):
         optimal_multitile(fibers, 6, 2)  # only 5 candidate offsets
+    with pytest.raises(ValueError, match="^need at least one fiber field$"):
+        optimal_multitile([], 1, 1)
+    mixed = [fibers[0], *random_fiber_fields(FiberGrid(PI3, 1, 4, 3), 1, rng)]
+    with pytest.raises(GridMismatch, match="^all fiber fields must share one fiber grid$"):
+        optimal_multitile(mixed, 1, 1)
 
 
 def test_multitile_model_validation():

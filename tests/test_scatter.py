@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from frftkit import (
     AliasRiskWarning,
+    AngleDegenerate,
     Grid,
     GridMismatch,
     InadmissibleBankWarning,
@@ -117,6 +118,19 @@ def test_phase_commutation_rules():
     assert Nonlinearity("modulus").commutes_with_translation(quarter)
     assert not Pooling("modulus").commutes_with_translation(oblique)
     assert Pooling("modulus").commutes_with_translation(quarter)
+
+
+def test_modulus_commutation_is_undefined_on_an_axis_angle():
+    """At a multiple of pi there is no chirp: a modulus raises
+    AngleDegenerate, as every chirp-based routine does, while the maps that
+    keep the phase still commute."""
+    for theta in (ThetaParam(0.0), ThetaParam(math.pi)):
+        assert Nonlinearity("identity").commutes_with_translation(theta)
+        assert Nonlinearity("phase_covariant_shrink", 0.1).commutes_with_translation(theta)
+        assert Pooling("identity").commutes_with_translation(theta)
+        for op in (Nonlinearity("modulus"), Pooling("modulus")):
+            with pytest.raises(AngleDegenerate):
+                op.commutes_with_translation(theta)
 
 
 def test_shrink_apply():
@@ -270,6 +284,41 @@ def test_modulus_blocks_oblique_deviation_but_not_quarter_turn():
         nonlin=Nonlinearity("modulus"),
     )
     invariance_deviation(f, 4 * grid.spacing, [qmod], 1, quarter)
+
+
+def _one_layer(grid, built, kind):
+    """One layer of make_s1_layers built at ``built`` with nonlinearity ``kind``."""
+    layers, _ = make_s1_layers(grid, ThetaParam(built), (1.0,), ["identity"])
+    return [dataclasses.replace(layers[0], nonlin=Nonlinearity(kind))]
+
+
+@pytest.mark.parametrize("called", [0.0, math.pi, -math.pi], ids=["0", "pi", "-pi"])
+@pytest.mark.parametrize("built", [math.pi / 3, math.pi / 2], ids=["pi/3", "pi/2"])
+@pytest.mark.parametrize("kind", ["identity", "modulus"])
+def test_deviations_on_an_axis_angle_raise_angle_degenerate(kind, built, called):
+    """The cascade's plan is built before the commutation gate, so a caller
+    angle that is a multiple of pi fails the same way for every layer kind."""
+    grid = Grid(1, 128, 4.0)
+    layers = _one_layer(grid, built, kind)
+    f = random_signal(grid, 51)
+    for deviation in (invariance_deviation, covariance_deviation):
+        with pytest.raises(AngleDegenerate):
+            deviation(f, grid.spacing, layers, 1, ThetaParam(called))
+
+
+def test_modulus_layers_at_another_angle_are_an_angle_mismatch():
+    """Layers pin the angle before the gate reads it: a modulus built at pi/2
+    and called at pi/3 is a mismatch, not a non-commuting map."""
+    grid = Grid(1, 128, 4.0)
+    layers = _one_layer(grid, math.pi / 2, "modulus")
+    f = random_signal(grid, 52)
+    with pytest.raises(ValueError, match="configured for a different angle") as caught:
+        invariance_deviation(f, grid.spacing, layers, 1, ThetaParam(math.pi / 3))
+    assert not isinstance(caught.value, NonCommutingOps)
+    with pytest.raises(NonCommutingOps):
+        invariance_deviation(f, grid.spacing, _one_layer(grid, math.pi / 3, "modulus"), 1,
+                             ThetaParam(math.pi / 3))
+    invariance_deviation(f, grid.spacing, layers, 1, ThetaParam(math.pi / 2))
 
 
 @pytest.mark.parametrize("theta_val", [math.pi / 6, 2 * math.pi / 5])

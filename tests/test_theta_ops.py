@@ -1,5 +1,6 @@
 """Operator algebra: translation, modulation, convolution, dilation."""
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -296,6 +297,16 @@ def test_dilation_alias_warning_on_fullband_input():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         theta_dilate(f, 2, th)
+
+
+@pytest.mark.parametrize("factor,edge", [(Fraction(3, 2), "2/3"), (2, "1/2")], ids=str)
+def test_alias_warning_names_the_kept_fraction_of_nyquist(factor, edge):
+    """A contraction by ``s`` keeps the band below ``1/s`` of Nyquist, and the
+    warning names that fraction."""
+    grid, th = Grid(1, 128, 4.0), ThetaParam(math.pi / 3)
+    message = f"dilation by {factor} folds spectral mass beyond {edge} of Nyquist"
+    with pytest.warns(AliasRiskWarning, match=f"^{re.escape(message)}$"):
+        theta_dilate(random_signal(grid, 35), factor, th)
 
 
 def test_dilation_by_a_huge_integer_reads_its_residue():
