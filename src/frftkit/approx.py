@@ -67,15 +67,14 @@ class FiberGrid:
 
     ``omega_samples`` base frequency cells per dimension cover one period
     of width ``|sin θ|``; offsets run over ``{-window .. window}`` per
-    dimension, or ``{0 .. window}`` when ``one_sided``.  The period
-    vanishes at a multiple of pi, which raises :class:`AngleDegenerate`.
+    dimension.  The period vanishes at a multiple of pi, which raises
+    :class:`AngleDegenerate`.
     """
 
     theta: ThetaParam
     n_dims: int
     omega_samples: int
     window: int
-    one_sided: bool = False
 
     def __post_init__(self) -> None:
         if self.n_dims not in (1, 2):
@@ -89,14 +88,12 @@ class FiberGrid:
 
     @property
     def offsets_1d(self) -> NDArray[np.int64]:
-        lo = 0 if self.one_sided else -self.window
-        return np.arange(lo, self.window + 1, dtype=np.int64)
+        return np.arange(-self.window, self.window + 1, dtype=np.int64)
 
     @property
     def offsets(self) -> tuple[tuple[int, ...], ...]:
         """All offset tuples, ascending lexicographic."""
-        per_dim = [tuple(int(k) for k in self.offsets_1d)] * self.n_dims
-        return tuple(itertools.product(*per_dim))
+        return tuple(itertools.product(range(-self.window, self.window + 1), repeat=self.n_dims))
 
     @property
     def n_cells(self) -> int:
@@ -104,7 +101,7 @@ class FiberGrid:
 
     @property
     def window_size(self) -> int:
-        return len(self.offsets_1d) ** self.n_dims
+        return (2 * self.window + 1) ** self.n_dims
 
     @property
     def omega_axis(self) -> NDArray[np.float64]:
@@ -213,6 +210,12 @@ def _integer_period(grid: Grid) -> int:
     if abs(grid.period - period) > 1e-9 * max(grid.period, 1.0):
         raise GridMismatch(f"signal period {grid.period} is not an integer")
     return period
+
+
+def _covering_window(grid: Grid) -> int:
+    """The least offset window whose fibers read every spectrum bin of
+    ``grid``: ``ceil((N/2) / P)`` for the integer period ``P``, at least 1."""
+    return -(-(grid.samples_per_dim // 2) // _integer_period(grid))
 
 
 class _FiberLayout:

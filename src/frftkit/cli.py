@@ -47,6 +47,7 @@ import numpy as np
 
 from .approx import (
     FiberGrid,
+    _covering_window,
     _integer_period,
     analytic_sinc_fibers,
     approximation_error,
@@ -580,9 +581,7 @@ def _fiber_grid_for(
             f"--omega-samples {omega_samples} must equal the signal period {period}"
         )
     if window is None:
-        window = grid.samples_per_dim // (2 * period)
-    if window < 1:
-        raise CliConfigError("the signal grid leaves no room for fiber offsets")
+        window = _covering_window(grid)
     return FiberGrid(theta, grid.n_dims, period, window)
 
 

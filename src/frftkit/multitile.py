@@ -28,6 +28,7 @@ from .approx import (
     FiberField,
     FiberGrid,
     SISModel,
+    _covering_window,
     _family_grid,
     _fiber_layout,
     _gather,
@@ -197,16 +198,12 @@ def partition_multitile(tile: TileSet, ell: int) -> list[TileSet]:
 def _window_slots(fg: FiberGrid, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Window slot of each offset row of ``offsets`` and whether it exists.
 
-    Slots flatten row-major over ``offsets_1d`` per dimension; offsets
-    outside the window get a clipped slot and ``False``.
+    Slots flatten row-major over ``-window .. window`` per dimension;
+    offsets outside the window get a clipped slot and ``False``.
     """
-    lo = int(fg.offsets_1d[0])
-    n_off = len(fg.offsets_1d)
-    in_window = np.all((offsets >= lo) & (offsets <= fg.window), axis=1)
-    slot = np.ravel_multi_index(
-        tuple(np.clip(offsets - lo, 0, n_off - 1).T), (n_off,) * fg.n_dims
-    )
-    return slot, in_window
+    shape = (2 * fg.window + 1,) * fg.n_dims
+    slot = np.ravel_multi_index(tuple((offsets + fg.window).T), shape, mode="clip")
+    return slot, np.all(np.abs(offsets) <= fg.window, axis=1)
 
 
 def optimal_multitile(
@@ -293,9 +290,8 @@ def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSigna
             f"bandlimited projection needs one cell per spectrum column: "
             f"period {period} != {tile.omega_samples} cells"
         )
-    # The fiber window that reaches the grid's edge bins, which a fiber map
-    # on this grid uses too when P divides N/2: one cached layout serves both.
-    keep = _support_mask(f.grid, tile, -(-(f.grid.samples_per_dim // 2) // period))
+    # The window of the CLI's fiber maps too: one cached layout serves both.
+    keep = _support_mask(f.grid, tile, _covering_window(f.grid))
     plan = _chirp_plan(f.grid, tile.theta)
     return SampledSignal._owning(f.grid, plan.unchirp(plan.filter(plan.chirp(f.as_nd()), keep)))
 

@@ -272,7 +272,9 @@ def frft(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
 
 
 def inverse_frft(F: SampledSignal, theta: ThetaParam) -> SampledSignal:
-    """Inverse of :func:`frft`, mapping the canonical output grid back."""
+    """Inverse of :func:`frft`, onto ``frft_output_grid(F.grid, theta)``, which
+    can miss the forward's input grid by an ulp of the extent: extent 12.5 at
+    θ = 0.1 comes back as 12.500000000000002."""
     if theta.is_axis:
         return _axis_branch(F, theta)
     plan = _chirp_plan(F.grid, theta, output=True)

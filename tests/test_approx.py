@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frftkit import (
     BadRank,
@@ -56,12 +58,24 @@ def test_fiber_grid_geometry():
     assert list(fg.offsets_1d) == list(range(-4, 5))
     assert len(fg.omega_axis) == 16
     assert fg.omega_axis[1] - fg.omega_axis[0] == pytest.approx(PI3.abs_sin / 16)
-    one_sided = FiberGrid(PI3, 1, 16, 4, one_sided=True)
-    assert list(one_sided.offsets_1d) == list(range(0, 5))
     fg2 = FiberGrid(PI3, 2, 8, 2)
     assert fg2.n_cells == 64
     assert fg2.window_size == 25
     assert len(fg2.offsets) == 25
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n_dims=st.sampled_from([1, 2]), sign=st.sampled_from([1, -1]), data=st.data())
+def test_covering_window_reads_every_bin_once(n_dims, sign, data):
+    """With ceil(N/2P) offsets each way, the fiber slots of the P cells read
+    every spectrum bin exactly once, whatever the integer period P."""
+    n = 2 ** data.draw(st.integers(2, 5 if n_dims == 2 else 9), label="log2 N")
+    period = data.draw(st.integers(1, 2 * n), label="period")
+    grid = Grid(n_dims, n, period / 2)
+    fg = FiberGrid(ThetaParam(sign * math.pi / 3), n_dims, period, approx._covering_window(grid))
+    layout = approx._fiber_layout(grid, fg)
+    reads = np.bincount(layout.index[layout.valid], minlength=grid.size)
+    assert np.all(reads == 1)
 
 
 def test_fiber_energy_accounting_1d():

@@ -423,6 +423,34 @@ def test_approx_fit_omega_samples_must_equal_the_period(tmp_path, capsys):
             tmp_path / "default" / name).read_bytes()
 
 
+@pytest.mark.parametrize("frac", [("1", "3"), ("-2", "5")], ids=["pi/3", "-2pi/5"])
+@pytest.mark.parametrize(
+    "grid,window",
+    # The last grid is shorter than one period: P = 32 > N/2 = 8.
+    [(Grid(1, 128, 6.0), 6), (Grid(2, 32, 3.0), 3), (Grid(1, 16, 16.0), 1)],
+    ids=["1d-P12", "2d-P6", "1d-P32"],
+)
+def test_fits_run_where_the_period_does_not_divide_half_the_grid(tmp_path, grid, window, frac):
+    """The default window ceil(N/2P) reads every spectrum bin, so a generic
+    family fits on a grid whose period P does not divide N/2."""
+    paths = [write_csv(tmp_path / f"m{s}.csv", random_signal(grid, s)) for s in (71, 72)]
+    common = ["--data", *paths, "--ell", "2", "--theta-frac", *frac]
+    assert main(["approx", "fit", *common, "--out-dir", str(tmp_path / "fit")]) == 0
+    assert json.loads((tmp_path / "fit" / "model.json").read_text())["window"] == window
+    assert main(["multitile", "fit", *common, "--N", "1",
+                 "--out-dir", str(tmp_path / "tiles")]) == 0
+    rows = (tmp_path / "tiles" / "errors.csv").read_text().splitlines()
+    assert len(rows) == 3
+
+
+def test_approx_fit_refuses_an_empty_window(tmp_path, capsys):
+    paths = [write_csv(tmp_path / "m.csv", random_signal(Grid(1, 64, 4.0), 75))]
+    assert main(["approx", "fit", "--data", *paths, "--ell", "1", "--window", "0",
+                 "--theta-frac", "1", "3", "--out-dir", str(tmp_path / "fit")]) == 4
+    assert capsys.readouterr().err == (
+        "error: the offset window must contain at least offset 1\n")
+
+
 def test_approx_table(tmp_path):
     out = str(tmp_path / "table.csv")
     assert main(["approx", "table", "--family", "sinc1d",

@@ -32,6 +32,7 @@ from frftkit import (
     theta_translate,
 )
 from frftkit import approx, multitile
+from frftkit.cli import main, write_signal
 from frftkit.transform import _chirp_plan, centered_idft, chirp_modulate
 from helpers import (
     banded_signal,
@@ -233,9 +234,10 @@ def test_bandlimited_project_matches_the_wider_window(period, n_dims, samples, t
     assert np.array_equal(bandlimited_project(f, model).as_nd(), expected)
 
 
-def test_fibers_and_projection_share_one_layout(monkeypatch):
-    """With P dividing N/2, a projection reads the fiber layout that the
-    fiber maps of the same grid built."""
+def test_fibers_and_projection_share_one_layout(monkeypatch, tmp_path):
+    """A projection reads the fiber layout that the fiber maps of the same
+    grid built: with P dividing N/2, and through ``multitile fit`` also where
+    it does not."""
     grid = Grid(2, 32, 4.0)  # P = 8, window N/(2P) = 2
     fg = FiberGrid(PI3, 2, 8, 2)
     builds = []
@@ -250,6 +252,16 @@ def test_fibers_and_projection_share_one_layout(monkeypatch):
     members = [banded_signal(grid, PI3, 1.0, s) for s in (5, 6)]
     model = optimal_multitile([fiber_map(m, fg) for m in members], 2, 2)
     bandlimited_project(members[0], model)
+    assert len(builds) == 1
+
+    grid = Grid(1, 128, 6.0)  # P = 12, covering window ceil(64/12) = 6
+    paths = []
+    for s in (5, 6):
+        paths.append(str(tmp_path / f"m{s}.csv"))
+        write_signal(paths[-1], banded_signal(grid, PI3, 1.0, s))
+    builds.clear()
+    assert main(["multitile", "fit", "--data", *paths, "--ell", "2", "--N", "1",
+                 "--theta-frac", "1", "3", "--out-dir", str(tmp_path / "tiles")]) == 0
     assert len(builds) == 1
 
 
@@ -393,6 +405,19 @@ def test_bandlimited_project_keeps_the_nyquist_bin(theta_val):
     assert l2_norm(f.with_values(f.values - proj.values)) <= 1e-12 * l2_norm(f)
 
 
+def test_bandlimited_project_grid_guards():
+    cells = (((0,),),) * 4
+    model = MultiTileModel(TileSet(PI3, 1, 4, 1, cells), 1, cells)
+    # W = 4 cells divide the period P = 8, but each would stand for two columns.
+    f = random_signal(Grid(1, 64, 4.0), 320)
+    with pytest.raises(GridMismatch, match=r"^bandlimited projection needs one cell per "
+                       r"spectrum column: period 8 != 4 cells$"):
+        bandlimited_project(f, model)
+    f = random_signal(Grid(1, 64, 4.25), 321)
+    with pytest.raises(GridMismatch, match=r"^signal period 8\.5 is not an integer$"):
+        bandlimited_project(f, model)
+
+
 def sorted_key_selection(fibers, ell, bound):
     """Per-cell ranking with a Python sort key, the reference for ties."""
     grid = fibers[0].grid
@@ -408,32 +433,32 @@ def sorted_key_selection(fibers, ell, bound):
 
 
 @pytest.mark.parametrize(
-    "n_dims,window,one_sided,bound,ell,zeros",
+    "n_dims,window,bound,ell,zeros",
     [
-        (1, 2, False, 3, 3, 0.4),
-        (1, 2, True, 2, 4, 0.4),
-        (2, 1, False, 2, 5, 0.4),
-        (2, 2, True, 1, 6, 0.4),
+        (1, 2, 3, 3, 0.4),
+        (1, 2, 2, 4, 0.4),
+        (2, 1, 2, 5, 0.4),
+        (2, 2, 1, 6, 0.4),
         # An all-zero family: every candidate ties, and all of them are kept.
-        (1, 2, False, 2, 5, 1.0),
-        (2, 1, True, 1, 9, 1.0),
+        (1, 2, 2, 5, 1.0),
+        (2, 1, 1, 9, 1.0),
         # A bound beyond the window, with more picks than in-window offsets.
-        (1, 1, True, 4, 7, 0.4),
-        (2, 1, False, 3, 12, 0.4),
+        (1, 1, 4, 7, 0.4),
+        (2, 1, 3, 12, 0.4),
     ],
     ids=[
-        "1-2-False-3-3",
-        "1-2-True-2-4",
-        "2-1-False-2-5",
-        "2-2-True-1-6",
+        "1-2-3-3",
+        "1-2-2-4",
+        "2-1-2-5",
+        "2-2-1-6",
         "all-zero-1d",
         "all-zero-2d",
         "bound-past-window-1d",
         "bound-past-window-2d",
     ],
 )
-def test_optimal_multitile_matches_sorted_key_ranking(n_dims, window, one_sided, bound, ell, zeros):
-    fg = FiberGrid(PI3, n_dims, 3, window, one_sided)
+def test_optimal_multitile_matches_sorted_key_ranking(n_dims, window, bound, ell, zeros):
+    fg = FiberGrid(PI3, n_dims, 3, window)
     rng = np.random.default_rng(318 + ell)
     fibers = []
     for fib in random_fiber_fields(fg, 2, rng):
@@ -444,6 +469,15 @@ def test_optimal_multitile_matches_sorted_key_ranking(n_dims, window, one_sided,
     expected = sorted_key_selection(fibers, ell, bound)
     assert model.selection == expected
     assert model.tile.cells == tuple(tuple(sorted(c)) for c in expected)
+
+
+def test_window_slots_clip_offsets_past_the_window():
+    fg = FiberGrid(PI3, 2, 3, 1)
+    offsets = np.array([[-3, 0], [2, 1], [0, 0], [1, -1], [-1, 5], [-2, -4]])
+    slot, in_window = multitile._window_slots(fg, offsets)
+    # Each axis clips onto -1 .. 1, slots flatten row-major over 3 x 3.
+    assert slot.tolist() == [1, 8, 4, 6, 2, 0]
+    assert in_window.tolist() == [False, False, True, True, False, False]
 
 
 def test_partial_projection_exact_for_nested_band_family():
