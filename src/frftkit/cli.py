@@ -15,8 +15,9 @@ success, 2 input parse failure, 3 numeric degeneracy, 4 configuration
 contradiction.  Exit 3 takes ``_NUMERIC_ERRORS`` (an angle that is a
 multiple of pi outside ``frft``, a non-finite result, a failed allocation);
 other library errors exit 4.  The environment variable ``FRFTKIT_THREADS``,
-when set, must be a positive integer (else exit 4); every computation runs
-on a single worker, which satisfies any cap, so the value is not kept.
+when set, must be a positive integer (else exit 4).  It caps the threads a
+computation uses, together with the CPUs the process may run on; at 1 no
+thread is started (see :mod:`frftkit.transform`).
 A warning goes to stderr as one ``warning: <Category>: <message>`` line,
 without the source path; the caller's warning filters still apply.
 
@@ -77,7 +78,7 @@ from .scatter import (
     invariance_bound,
 )
 from .theta_ops import theta_convolve, theta_dilate, theta_modulate, theta_translate
-from .transform import frft, frft_direct_oracle, inverse_frft, l2_norm
+from .transform import _thread_cap, frft, frft_direct_oracle, inverse_frft, l2_norm
 
 __all__ = ["main", "read_signal", "write_signal"]
 
@@ -374,19 +375,6 @@ def _write_table(path: Path | str, header: str, rows: list[str],
                  preamble: Sequence[str] = ()) -> None:
     lines = list(preamble) + [header] + rows
     _atomic_write(Path(path), ["\n".join(lines) + "\n"])
-
-
-def _check_threads_env() -> None:
-    """Reject a ``FRFTKIT_THREADS`` that is not a positive integer."""
-    raw = os.environ.get("FRFTKIT_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise CliConfigError(f"FRFTKIT_THREADS={raw!r} is not an integer") from exc
-    if n < 1:
-        raise CliConfigError("FRFTKIT_THREADS must be at least 1")
 
 
 # --------------------------------------------------------------------- frft
@@ -838,7 +826,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_threads_env()
+        _thread_cap()  # a bad FRFTKIT_THREADS exits 4 before any work
         if hasattr(args, "theta_frac"):  # the parser took _add_theta_flags
             args.theta = _angle(args.theta, args.theta_frac)
         handler: Callable[[argparse.Namespace], None] = args.func

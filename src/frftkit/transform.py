@@ -44,10 +44,24 @@ allocated, never on an argument, so each stack is allocated once.  Only one
 plan is kept alive; asking for another key drops it before the new one is
 built, and a plan is a pure function of its key, so eviction never changes
 a result.
+
+A plan on a grid of at least ``2**16`` samples builds its output table on a
+second thread while the caller builds the input table, when
+:func:`_thread_cap` allows two threads (``FRFTKIT_THREADS`` and the CPUs
+the process may run on).  NumPy's ``cos``, ``sin`` and multiply loops
+release the GIL, so the two tables' trig work overlaps.  The caller
+allocates the output table, the worker fills it through the same
+:func:`_signed_chirp`, and the caller joins before the plan is published: a
+table is a pure function of its key, so every table and every result is
+bit-identical to a serial build, and eviction is unchanged.  The worker
+lives for one build only, so no frftkit thread outlives a call, and an
+error in the worker is raised to the caller with no plan kept.  Smaller
+grids and cached plans start no thread.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import numpy as np
@@ -69,6 +83,10 @@ __all__ = [
 #: Size caps for the O(N^2)-per-dim quadrature oracle.
 ORACLE_MAX_1D = 512
 ORACLE_MAX_2D = 64
+
+#: Grids of at least this many samples build a plan's two tables on two
+#: threads; below it, starting a thread costs more than it saves.
+_THREADED_BUILD_MIN = 1 << 16
 
 
 def centered_dft(values: NDArray[np.complex128], spacing: float) -> NDArray[np.complex128]:
@@ -109,8 +127,31 @@ def _mul_conj(
     return a
 
 
-def _signed_chirp(grid: Grid, cot: float, scale: float) -> NDArray[np.complex128]:
-    """``scale * e^{i*pi*‖t‖²*cot} * (-1)^(j_1+..+j_n)``, read-only.
+def _thread_cap() -> int:
+    """Threads frftkit may use: the CPUs this process may run on, capped by
+    ``FRFTKIT_THREADS`` when it is set; raises :class:`ValueError` when that
+    is not a positive integer."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    raw = os.environ.get("FRFTKIT_THREADS")
+    if raw is None:
+        return cpus
+    try:
+        n = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"FRFTKIT_THREADS={raw!r} is not an integer") from exc
+    if n < 1:
+        raise ValueError("FRFTKIT_THREADS must be at least 1")
+    return min(n, cpus)
+
+
+def _signed_chirp(
+    grid: Grid, cot: float, scale: float, out: NDArray[np.complex128] | None = None
+) -> NDArray[np.complex128]:
+    """``scale * e^{i*pi*‖t‖²*cot} * (-1)^(j_1+..+j_n)``, read-only, written
+    into ``out`` (of the grid's shape) when given.
 
     Built on the orthant ``[0..N/2]^n`` and mirrored; see the module
     docstring.
@@ -118,9 +159,13 @@ def _signed_chirp(grid: Grid, cot: float, scale: float) -> NDArray[np.complex128
     half = grid.samples_per_dim // 2
     # The long-lived table first: temporaries allocated after it are freed
     # at the top of the heap, not left as a hole below it (peak RSS).
-    table = np.empty(grid.shape, dtype=np.complex128)
+    table = np.empty(grid.shape, dtype=np.complex128) if out is None else out
     lower = table[(slice(None, half + 1),) * grid.n_dims]
-    phase = (np.arange(-half, 1) * grid.spacing) ** 2
+    # One temporary of the orthant's side, squared in place (the worker that
+    # builds an output table keeps its freed memory in an arena of its own).
+    phase = np.arange(-half, 1, dtype=np.float64)
+    phase *= grid.spacing
+    np.square(phase, out=phase)
     if grid.n_dims == 2:
         phase = phase[:, None] + phase[None, :]
     phase *= np.pi * cot
@@ -147,8 +192,22 @@ class _ChirpPlan:
     def __init__(self, in_grid: Grid, out_grid: Grid, theta: ThetaParam) -> None:
         self.in_grid, self.out_grid, self.theta = in_grid, out_grid, theta
         self.axes = tuple(range(-in_grid.n_dims, 0))
-        self.chirp_in = _signed_chirp(in_grid, theta.cot_t, 1.0)
-        self.chirp_out = _signed_chirp(out_grid, theta.cot_t, self.kernel_scale)
+        cot, scale = theta.cot_t, self.kernel_scale
+        if in_grid.size >= _THREADED_BUILD_MIN and _thread_cap() >= 2:
+            # Imported here: it loads logging (about 5 ms and 1 MiB), which a
+            # process that builds only small plans never needs.
+            from concurrent.futures import ThreadPoolExecutor
+
+            # One short-lived worker per build: a pool kept between calls
+            # would leave a thread running after the call and across a fork.
+            chirp_out = np.empty(out_grid.shape, dtype=np.complex128)
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                filled = worker.submit(_signed_chirp, out_grid, cot, scale, chirp_out)
+                self.chirp_in = _signed_chirp(in_grid, cot, 1.0)
+                self.chirp_out = filled.result()
+        else:
+            self.chirp_in = _signed_chirp(in_grid, cot, 1.0)
+            self.chirp_out = _signed_chirp(out_grid, cot, scale)
 
     @property
     def kernel_scale(self) -> float:

@@ -787,7 +787,7 @@ def test_exit_code_3_numeric_failures(tmp_path):
                  "--theta-frac", "1", "3", "--out-dir", str(tmp_path / "d")]) == 3
 
 
-def test_exit_code_4_config_failures(tmp_path, monkeypatch):
+def test_exit_code_4_config_failures(tmp_path, monkeypatch, capsys):
     f = banded_signal(Grid(1, 128, 8.0), PI3, 0.4, 15)
     src = write_csv(tmp_path / "f.csv", f)
     out = str(tmp_path / "o.csv")
@@ -843,10 +843,13 @@ def test_exit_code_4_config_failures(tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "d5")]) == 4
 
     # environment misconfiguration
+    capsys.readouterr()
     monkeypatch.setenv("FRFTKIT_THREADS", "0")
     assert main(["frft", "--in", src, "--out", out, "--theta", "1.0"]) == 4
+    assert capsys.readouterr().err == "error: FRFTKIT_THREADS must be at least 1\n"
     monkeypatch.setenv("FRFTKIT_THREADS", "abc")
     assert main(["frft", "--in", src, "--out", out, "--theta", "1.0"]) == 4
+    assert capsys.readouterr().err == "error: FRFTKIT_THREADS='abc' is not an integer\n"
     monkeypatch.setenv("FRFTKIT_THREADS", "2")
     assert main(["frft", "--in", src, "--out", out, "--theta", "1.0"]) == 0
 

@@ -1,6 +1,8 @@
 """Transform-level checks: unitarity, oracle agreement, axis handling."""
 import math
+import os
 import re
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from frftkit import (
     theta_translate,
 )
 from frftkit import transform
+from frftkit.cli import main, write_signal
 from frftkit.transform import chirp_modulate
 from helpers import dft_matrix_oracle, random_signal
 
@@ -192,38 +195,169 @@ def test_transform_preserves_inner_products():
 
 
 @pytest.mark.filterwarnings("ignore:dilation by")  # white noise folds; only bits matter
-def test_plan_eviction_keeps_results_bit_identical():
-    grid = Grid(2, 32, 4.0)
-    th = ThetaParam(-2 * math.pi / 5)
-    f = random_signal(grid, 41)
-    g = random_signal(grid, 42)
-    other = random_signal(Grid(1, 64, 2.0), 43)
+def test_plan_eviction_keeps_results_bit_identical(two_cpus):
+    # The 2^16-sample grid builds its plans on two threads.
+    for grid in (Grid(2, 32, 4.0), Grid(1, 1 << 16, 8.0)):
+        th = ThetaParam(-2 * math.pi / 5)
+        f = random_signal(grid, 41)
+        g = random_signal(grid, 42)
+        other = random_signal(Grid(1, 64, 2.0), 43)
+        shift = (3 * grid.spacing, -grid.spacing)[:grid.n_dims]
 
-    def results():
+        def results():
+            F = frft(f, th)
+            plan = transform._live_plan
+            back = inverse_frft(F, th)
+            assert transform._live_plan is plan  # the inverse reuses the forward plan
+            return [
+                F.values,
+                back.values,
+                chirp_modulate(f, th, -1).values,
+                theta_convolve(f, g, th).values,
+                theta_translate(f, shift, th).values,
+                theta_dilate(f, 2, th).values,
+                theta_dilate(f, Fraction(3, 2), th).values,
+            ]
+
+        first = results()
         F = frft(f, th)
-        plan = transform._live_plan
-        back = inverse_frft(F, th)
-        assert transform._live_plan is plan  # the inverse reuses the forward plan
-        return [
-            F.values,
-            back.values,
-            chirp_modulate(f, th, -1).values,
-            theta_convolve(f, g, th).values,
-            theta_translate(f, (3 * grid.spacing, -grid.spacing), th).values,
-            theta_dilate(f, 2, th).values,
-            theta_dilate(f, Fraction(3, 2), th).values,
-        ]
+        frft(other, ThetaParam(1.0))  # evicts the plan of (grid, th)
+        assert transform._live_plan.in_grid == other.grid
+        cold_back = inverse_frft(F, th)  # rebuilt from the output grid
+        assert np.array_equal(cold_back.values, first[1])
+        frft(other, ThetaParam(-1.0))
+        again = results()
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
 
-    first = results()
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A process that may run on two CPUs, with no ``FRFTKIT_THREADS`` cap."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("FRFTKIT_THREADS", raising=False)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """A list that gets one entry per thread started while the test runs."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+def _theta_results(f, g, th):
+    """What ``frft``, ``inverse_frft`` and three operators make of ``f``; the
+    first call builds the plan."""
     F = frft(f, th)
-    frft(other, ThetaParam(1.0))  # evicts the plan of (grid, th)
-    assert transform._live_plan.in_grid == other.grid
-    cold_back = inverse_frft(F, th)  # rebuilt from the output grid
-    assert np.array_equal(cold_back.values, first[1])
-    frft(other, ThetaParam(-1.0))
-    again = results()
-    for a, b in zip(first, again):
+    return [
+        F.values,
+        inverse_frft(F, th).values,
+        chirp_modulate(f, th, 1).values,
+        theta_convolve(f, g, th).values,
+        theta_dilate(f, Fraction(3, 2), th).values,
+    ]
+
+
+THRESHOLD_GRIDS = [Grid(1, 1 << 15, 3.7), Grid(1, 1 << 16, 3.7), Grid(1, 1 << 17, 3.7),
+                   Grid(2, 256, 3.7)]
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # white noise folds; only bits matter
+@pytest.mark.parametrize("theta_val", [2 * math.pi / 5, -2 * math.pi / 5], ids=["pos", "neg"])
+@pytest.mark.parametrize("grid", THRESHOLD_GRIDS, ids=["1d-2^15", "1d-2^16", "1d-2^17", "2d-256"])
+def test_threaded_plan_build_is_bit_identical(grid, theta_val, two_cpus, thread_starts,
+                                              monkeypatch):
+    """From 2^16 samples up a fresh plan starts one worker for its output
+    table; tables and results are those of a serial build, bit for bit."""
+    th = ThetaParam(theta_val)
+    f, g = random_signal(grid, 44), random_signal(grid, 45)
+    monkeypatch.setattr(transform, "_live_plan", None)
+    threaded = _theta_results(f, g, th)
+    # At extent 3.7 the inverse's input grid misses the forward's by an ulp,
+    # so a few plans are built.
+    assert bool(thread_starts) == (grid.size >= 1 << 16)
+    started = len(thread_starts)
+    plan = transform._live_plan
+    assert np.array_equal(plan.chirp_in, transform._signed_chirp(grid, th.cot_t, 1.0))
+    assert np.array_equal(plan.chirp_out, transform._signed_chirp(
+        frft_output_grid(grid, th), th.cot_t, plan.kernel_scale))
+    assert not plan.chirp_out.flags.writeable
+
+    monkeypatch.setenv("FRFTKIT_THREADS", "1")
+    monkeypatch.setattr(transform, "_live_plan", None)
+    serial = _theta_results(f, g, th)
+    assert len(thread_starts) == started
+    for a, b in zip(threaded, serial):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")
+def test_no_thread_outlives_a_call(two_cpus, thread_starts, monkeypatch):
+    grid = Grid(1, 1 << 16, 3.7)
+    th = ThetaParam(2 * math.pi / 5)
+    f, g = random_signal(grid, 46), random_signal(grid, 47)
+    F = frft(f, th)
+    calls = [lambda: frft(f, th), lambda: inverse_frft(F, th),
+             lambda: chirp_modulate(f, th, -1), lambda: theta_convolve(f, g, th),
+             lambda: theta_dilate(f, Fraction(3, 2), th)]
+    for call in calls:
+        monkeypatch.setattr(transform, "_live_plan", None)  # each call builds a plan
+        alive = threading.enumerate()
+        started = len(thread_starts)
+        call()
+        assert len(thread_starts) == started + 1
+        assert threading.enumerate() == alive
+
+
+@pytest.mark.parametrize("cap", ["env", "affinity", "cpu_count"])
+def test_one_thread_cap_starts_no_thread(cap, two_cpus, thread_starts, monkeypatch):
+    if cap == "env":
+        monkeypatch.setenv("FRFTKIT_THREADS", "1")
+    elif cap == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:  # a platform without CPU affinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert transform._thread_cap() == 1
+    monkeypatch.setattr(transform, "_live_plan", None)
+    frft(random_signal(Grid(1, 1 << 16, 3.7), 48), ThetaParam(1.0))
+    assert thread_starts == []
+
+
+def test_worker_failure_reaches_the_caller(two_cpus, monkeypatch, tmp_path, capsys):
+    grid = Grid(1, 1 << 16, 3.7)
+    th = ThetaParam(1.0)
+    out_grid = frft_output_grid(grid, th)
+    signed_chirp, failed_in = transform._signed_chirp, []
+
+    def failing(table_grid, *args):
+        if table_grid == out_grid:
+            failed_in.append(threading.current_thread())
+            raise MemoryError("no room for the output table")
+        return signed_chirp(table_grid, *args)
+
+    monkeypatch.setattr(transform, "_signed_chirp", failing)
+    monkeypatch.setattr(transform, "_live_plan", None)
+    f = random_signal(grid, 49)
+    alive = threading.active_count()
+    with pytest.raises(MemoryError, match="no room"):
+        frft(f, th)
+    assert failed_in and failed_in[0] is not threading.main_thread()
+    assert transform._live_plan is None
+    assert threading.active_count() == alive
+
+    src, dst = tmp_path / "f.csv", tmp_path / "F.csv"
+    write_signal(str(src), f)
+    assert main(["frft", "--in", str(src), "--out", str(dst), "--theta", "1.0"]) == 3
+    assert "no room for the output table" in capsys.readouterr().err
+    assert not dst.exists() and transform._live_plan is None
 
 
 def _reflected(a):
