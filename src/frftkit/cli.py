@@ -15,9 +15,9 @@ success, 2 input parse failure, 3 numeric degeneracy, 4 configuration
 contradiction.  Exit 3 takes ``_NUMERIC_ERRORS`` (an angle that is a
 multiple of pi outside ``frft``, a non-finite result, a failed allocation);
 other library errors exit 4.  The environment variable ``FRFTKIT_THREADS``,
-when set, must be a positive integer (else exit 4).  It caps the threads a
-computation uses, together with the CPUs the process may run on; at 1 no
-thread is started (see :mod:`frftkit.transform`).
+when set, must be a positive integer (else exit 4).  It caps the threads
+frftkit starts (see :mod:`frftkit.transform`); BLAS calls follow their own
+variables, which can move the last bits of the cascade's energies.
 A warning goes to stderr as one ``warning: <Category>: <message>`` line,
 without the source path; the caller's warning filters still apply.
 

@@ -3,10 +3,11 @@
 A bank of atoms ``g_1 .. g_m`` analyzes signals through chirp-twisted
 convolutions at a fixed angle.  Its stability is read off a single
 nonnegative spectrum: the weighted sum of squared transform magnitudes of
-the atoms over the output grid.  The extreme values of that spectrum are
-the frame bounds; banks whose upper bounds stay at or below one (after
-accounting for nonlinearity and pooling constants) are admissible for
-cascaded feature extraction.
+the atoms over the output grid, all atoms transformed in one batched
+forward on the chirp plan of :mod:`frftkit.transform`.  The extreme values
+of that spectrum are the frame bounds; banks whose upper bounds stay at or
+below one (after accounting for nonlinearity and pooling constants) are
+admissible for cascaded feature extraction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grids import Grid, SampledSignal, ThetaParam
-from .transform import frft, frft_output_grid
+from .transform import _chirp_plan, _ChirpPlan
 
 __all__ = [
     "AtomBank",
@@ -44,10 +45,8 @@ class AtomBank:
             object.__setattr__(self, "atoms", tuple(self.atoms))
         if len(self.atoms) == 0:
             raise ValueError("an atom bank needs at least one atom")
-        grid = self.atoms[0].grid
-        for atom in self.atoms[1:]:
-            if atom.grid != grid:
-                raise ValueError("all atoms in a bank must share one grid")
+        if any(atom.grid != self.atoms[0].grid for atom in self.atoms[1:]):
+            raise ValueError("all atoms in a bank must share one grid")
 
     @property
     def grid(self) -> Grid:
@@ -76,10 +75,9 @@ class FrameBounds:
             raise ValueError("frame bounds must satisfy 0 <= lower <= upper")
         if not np.isfinite(self.upper):
             raise ValueError("upper frame bound must be finite")
-        spectrum = np.asarray(self.spectrum, dtype=np.float64)
+        spectrum = np.array(self.spectrum, dtype=np.float64)  # a copy
         if spectrum.shape != (self.grid.size,):
             raise ValueError("spectrum length must match the grid size")
-        spectrum = spectrum.copy()
         spectrum.flags.writeable = False
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -89,22 +87,21 @@ def frame_bounds(bank: AtomBank) -> FrameBounds:
 
     The spectrum at frequency ``ω`` is ``|sin θ|^n`` times the sum over
     atoms of ``|F_θ g(ω)|²``; the bounds are its minimum and maximum over
-    the transform output grid.  Raises :class:`AngleDegenerate` at a
-    multiple of pi, where that grid does not exist.
+    the transform output grid, from one batched forward of the atoms.
+    Raises :class:`AngleDegenerate` at a multiple of pi, where that grid
+    does not exist, and :class:`OverflowError` for a non-finite spectrum.
     """
-    theta = bank.theta
-    weight = theta.abs_sin ** bank.grid.n_dims
-    out_grid = frft_output_grid(bank.grid, theta)
-    spectrum = np.zeros(out_grid.size, dtype=np.float64)
-    for atom in bank.atoms:
-        spectrum += np.abs(frft(atom, theta).values) ** 2
-    spectrum *= weight
-    return FrameBounds(
-        lower=float(spectrum.min()),
-        upper=float(spectrum.max()),
-        spectrum=spectrum,
-        grid=out_grid,
-    )
+    plan = _chirp_plan(bank.grid, bank.theta)
+    return _frames(plan.forward(np.stack([atom.as_nd() for atom in bank.atoms])), plan)
+
+
+def _frames(spectra: NDArray[np.complex128], plan: _ChirpPlan) -> FrameBounds:
+    """:class:`FrameBounds` of the rows of ``spectra``, atoms transformed on ``plan``."""
+    spectrum = np.sum(np.abs(spectra.reshape(len(spectra), -1)) ** 2, axis=0)
+    spectrum *= plan.theta.abs_sin ** plan.out_grid.n_dims
+    if not np.isfinite(spectrum).all():
+        raise OverflowError("frame spectrum contains non-finite entries")
+    return FrameBounds(float(spectrum.min()), float(spectrum.max()), spectrum, plan.out_grid)
 
 
 def check_admissibility(

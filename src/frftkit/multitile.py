@@ -56,8 +56,8 @@ class TileSet:
 
     ``cells[w]`` lists the offset tuples attached to flattened cell ``w``
     (cells flatten row-major over ``omega_samples`` per dimension); each
-    list is stored sorted and duplicate-free, with every offset bounded by
-    ``bound`` in the max norm.
+    list is stored sorted and duplicate-free, with every offset a vector of
+    integers (not bools) bounded by ``bound`` in the max norm.
     """
 
     theta: ThetaParam
@@ -97,13 +97,15 @@ def _flat_offsets(
 ) -> tuple[NDArray[np.intp], NDArray] | None:
     """The cell of every offset and all offsets as one ``(offset, axis)``
     array, in cell order; ``None`` unless every offset has ``n_dims``
-    components."""
+    components, each an integer."""
     try:
         counts = [len(c) for c in cells]
         flat = list(itertools.chain.from_iterable(cells))
         if set(map(len, flat)) - {n_dims}:
             return None
         values = list(itertools.chain.from_iterable(flat))
+        if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, values))):
+            return None
         offsets = np.array(values) if values else np.zeros(0, dtype=np.int64)
         offsets = offsets.reshape(len(flat), n_dims)
     except (TypeError, ValueError):
@@ -132,6 +134,8 @@ def _check_cell(w: int, offsets: Sequence[Sequence[int]], n_dims: int, bound: in
     for k in offsets:
         if len(k) != n_dims:
             raise ValueError(f"cell {w} has an offset of wrong arity")
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in k):
+            raise ValueError(f"cell {w} offset {k} is not an integer vector")
         if max(abs(c) for c in k) > bound:
             raise ValueError(f"cell {w} offset {k} exceeds bound {bound}")
 
@@ -229,13 +233,9 @@ def optimal_multitile(
     energy = np.sum(np.abs(np.stack([fib.data[:, slot] for fib in fibers])) ** 2, axis=0)
     table = np.where(in_window, energy, 0.0)  # (cell, candidate)
 
-    # The top ell per cell, best first: argmax returns the first maximum, so
-    # ties go to the lexicographically smaller offset.
-    ranked = np.empty((grid.n_cells, ell), dtype=np.intp)
-    rows = np.arange(grid.n_cells)
-    for r in range(ell):
-        ranked[:, r] = best = np.argmax(table, axis=1)
-        table[rows, best] = -np.inf
+    # The top ell per cell, best first: a stable sort keeps tied candidates
+    # in order, so ties go to the lexicographically smaller offset.
+    ranked = np.argsort(-table, axis=1, kind="stable")[:, :ell]
     offsets = list(map(tuple, candidates.tolist()))
     selection = _nested(offsets, ranked)
     cells = _nested(offsets, np.sort(ranked, axis=1))

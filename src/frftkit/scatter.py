@@ -9,7 +9,8 @@ twisted translation of the input, both in the invariant and the
 covariant sense.
 
 Every layer keeps the chirped spectra of its atoms, computed once at
-construction.  One engine propagates the cascade on the chirped samples of
+construction; one batched forward of the atoms gives its frame bound and
+decay constants.  One engine propagates the cascade on the chirped samples of
 the cached plan of :mod:`frftkit.transform`, a level at a time: level ``k``
 is one ``(paths, *grid)`` ndarray whose rows are the length-``k`` paths in
 lexicographic order of their atom indices, the order of
@@ -66,7 +67,7 @@ from .errors import (
     NonCommutingOps,
     PathArityMismatch,
 )
-from .frames import AtomBank, check_admissibility, frame_bounds
+from .frames import AtomBank, _frames, check_admissibility
 from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, as_shift
 from .theta_ops import _as_fraction, _check_alias, _dilate_period, _tile, _translate
 from .theta_ops import theta_convolve  # noqa: F401  (bench/test_smoke.py reads this name)
@@ -178,12 +179,16 @@ def atom_decay_constant(
     since then the maximum is not trusted to dominate the tail.
     """
     spectrum = frft(phi, theta)
-    magnitude = np.abs(spectrum.values)
-    radius = np.sqrt(spectrum.grid.radius_squared())
-    weighted = radius * magnitude
+    return _decay_constants(spectrum.values, spectrum.grid)
 
-    edge = np.ones(spectrum.grid.shape, dtype=bool)
-    edge[(slice(1, -1),) * spectrum.grid.n_dims] = False
+
+def _decay_constants(spectrum: NDArray[np.complex128], grid: Grid) -> tuple[float, float, float]:
+    """:func:`atom_decay_constant` read off the atom's transform on ``grid``."""
+    magnitude = np.abs(spectrum.reshape(-1))
+    weighted = np.sqrt(grid.radius_squared()) * magnitude
+
+    edge = np.ones(grid.shape, dtype=bool)
+    edge[(slice(1, -1),) * grid.n_dims] = False
     worst_edge = float(weighted[edge.ravel()].max())
     if worst_edge > DECAY_EDGE_TOL:
         raise NoDecay(
@@ -199,13 +204,13 @@ def atom_decay_constant(
 class LayerConfig:
     """One analysis layer: atom bank, output atom, nonlinearity, pooling.
 
-    Construction computes and caches the layer's upper frame bound (over
-    the bank together with the output atom), the output atom's decay
-    constants, and ``kernels``: the chirped spectra of the bank atoms
-    followed by the output atom, ready for convolution on the chirp plan.
-    The decay constants raise :class:`NoDecay` for atoms whose transform
-    does not vanish toward the grid boundary; at a multiple of pi, where no
-    convolution exists, construction raises :class:`AngleDegenerate`.
+    Construction transforms the bank atoms and the output atom in one
+    batched forward, for the upper frame bound of them all and the output
+    atom's decay constants, then caches ``kernels``: their chirped spectra,
+    ready for convolution on the chirp plan.  It raises, in this order,
+    :class:`AngleDegenerate` at a multiple of pi, :class:`OverflowError`
+    for a spectrum that is not finite, and :class:`NoDecay` for an output
+    atom whose transform does not vanish toward the grid boundary.
     """
 
     bank: AtomBank
@@ -222,15 +227,13 @@ class LayerConfig:
             raise ValueError("output atom must live on the bank's grid")
         if not self.pooling_factor >= 1.0:
             raise ValueError("pooling factor must be at least 1")
-        extended = AtomBank(self.bank.atoms + (self.output_atom,), self.bank.theta)
-        object.__setattr__(self, "frame_bound", frame_bounds(extended).upper)
-        object.__setattr__(
-            self,
-            "decay_constants",
-            atom_decay_constant(self.output_atom, self.bank.theta),
-        )
         plan = _chirp_plan(self.bank.grid, self.theta)
-        kernels = plan.kernel(np.stack([atom.as_nd() for atom in extended.atoms]))
+        atoms = np.stack([atom.as_nd() for atom in self.bank.atoms + (self.output_atom,)])
+        spectra = plan.forward(atoms)
+        object.__setattr__(self, "frame_bound", _frames(spectra, plan).upper)
+        object.__setattr__(self, "decay_constants", _decay_constants(spectra[-1], plan.out_grid))
+        del spectra  # before the kernels, for peak memory
+        kernels = plan.kernel(atoms)
         kernels.setflags(write=False)
         object.__setattr__(self, "kernels", kernels)
 

@@ -20,6 +20,7 @@ from frftkit import (
     Pooling,
     SampledSignal,
     ThetaParam,
+    frft,
     frft_output_grid,
     inner_product,
     inverse_frft,
@@ -156,6 +157,16 @@ def tight_bank(grid: Grid, theta: ThetaParam, n_atoms: int, seed: int):
     return AtomBank(atoms, theta)
 
 
+def frame_spectrum_reference(atoms, theta: ThetaParam) -> np.ndarray:
+    """The loop that ``frame_bounds`` once ran: one ``frft`` per atom, the
+    squared magnitudes summed in atom order, then the ``|sin θ|^n`` weight."""
+    spectrum = np.zeros(frft_output_grid(atoms[0].grid, theta).size)
+    for atom in atoms:
+        spectrum += np.abs(frft(atom, theta).values) ** 2
+    spectrum *= theta.abs_sin ** atoms[0].grid.n_dims
+    return spectrum
+
+
 def reflected_atom(atom: SampledSignal, theta: ThetaParam) -> SampledSignal:
     """Conjugate time reversal with the quadratic-phase correction.
 
@@ -220,6 +231,8 @@ def tile_cells_reference(cells, n_dims: int, bound: int) -> None:
         for k in offsets:
             if len(k) != n_dims:
                 raise ValueError(f"cell {w} has an offset of wrong arity")
+            if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in k):
+                raise ValueError(f"cell {w} offset {k} is not an integer vector")
             if max(abs(c) for c in k) > bound:
                 raise ValueError(f"cell {w} offset {k} exceeds bound {bound}")
 

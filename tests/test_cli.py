@@ -936,7 +936,7 @@ def test_overflowing_result_exits_3(tmp_path, capsys):
          "signal contains non-finite entries"),
         (["ops", "dilate", "--in", big, "--out", out, *th, "--factor", "3/2"],
          "signal contains non-finite entries"),
-        (["frames", "--atoms", big, "--out", out, *th], "signal contains non-finite entries"),
+        (["frames", "--atoms", big, "--out", out, *th], "frame spectrum contains non-finite entries"),
         (["approx", "fit", "--data", big, low, "--ell", "1", *th,
           "--out-dir", str(tmp_path / "fit")], "fiber data must be finite"),
         (["multitile", "fit", "--data", big, low, "--ell", "1", "--N", "2", *th,
@@ -946,6 +946,18 @@ def test_overflowing_result_exits_3(tmp_path, capsys):
         with np.errstate(all="ignore"):
             assert main(argv) == 3, argv
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_scatter_extract_with_an_overflowing_atom_exits_3(tmp_path, capsys):
+    """A finite 1e308 atom whose frame spectrum overflows: exit 3, no output."""
+    cfg, sig, _ = scatter_config(tmp_path)
+    write_csv(tmp_path / "atom0.csv", SampledSignal(Grid(1, 128, 8.0), np.full(128, 1e308)))
+    out_dir = tmp_path / "features"
+    with np.errstate(all="ignore"):
+        assert main(["scatter", "extract", "--config", cfg, "--signal", sig,
+                     "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err == "error: frame spectrum contains non-finite entries\n"
+    assert not out_dir.exists()
 
 
 def test_module_entry_point_matches_in_process(tmp_path):

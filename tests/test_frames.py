@@ -95,6 +95,16 @@ def test_frame_bounds_scale_quadratically_with_atoms():
     assert pair.upper == pytest.approx(2.0 * one.upper, rel=1e-12)
 
 
+@pytest.mark.parametrize("value", [1e155, 1e308], ids=["square-overflows", "transform-overflows"])
+def test_overflowing_frame_spectrum_is_an_overflow(value):
+    """Finite atoms whose frame spectrum is not finite raise OverflowError,
+    whether the transform or only its squared magnitude overflows."""
+    grid = Grid(1, 64, 4.0)
+    atom = SampledSignal(grid, np.full(grid.size, value, dtype=np.complex128))
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="frame spectrum"):
+        frame_bounds(AtomBank((atom,), ThetaParam(math.pi / 3)))
+
+
 def test_check_admissibility_gates():
     assert check_admissibility([(0.9, 1.0, 1.0), (1.0, 1.0, 1.0)])
     assert not check_admissibility([(1.2, 1.0, 1.0)])

@@ -124,6 +124,19 @@ def test_tileset_validation_matches_the_reference_loop(n_dims, cells):
         assert not multitile._defects(*flat, 2).any()
 
 
+def test_tileset_refuses_offsets_that_are_not_integers():
+    """A fractional or bool component is refused, also where the rest of
+    the tile makes an integer array; NumPy integers are accepted."""
+    with pytest.raises(ValueError, match=r"cell 0 offset \(0.5,\) is not an integer vector"):
+        TileSet(PI3, 1, 4, 1, (((0.5,),),) * 4)
+    with pytest.raises(ValueError, match=r"cell 1 offset \(True,\) is not an integer vector"):
+        TileSet(PI3, 1, 2, 1, (((0,), (1,)), ((True,),)))
+    with pytest.raises(ValueError, match="cell 0 offset"):
+        TileSet(PI3, 2, 1, 1, (((0, np.float64(1.0)),),))
+    tile = TileSet(PI3, 1, 2, 1, (((np.int64(-1),), (np.int32(1),)), ((0,),)))
+    assert tile.cells[0] == ((-1,), (1,))
+
+
 def test_is_multitile_and_partition():
     cells = (((-1,), (1,)), ((0,), (1,)))
     tile = TileSet(PI3, 1, 2, 1, cells)

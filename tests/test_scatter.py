@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from frftkit import (
     AliasRiskWarning,
     AngleDegenerate,
+    AtomBank,
     Grid,
     GridMismatch,
     InadmissibleBankWarning,
@@ -32,6 +33,7 @@ from frftkit import (
     energy_profile,
     extract_features,
     feature_distance,
+    frame_bounds,
     frft_output_grid,
     invariance_bound,
     invariance_deviation,
@@ -54,10 +56,12 @@ from helpers import (
     energy_profile_reference,
     features_reference,
     fft_rows,
+    frame_spectrum_reference,
     gauss_profile,
     make_s1_layers,
     nonlin_plan,
     random_signal,
+    tight_bank,
     u_path_reference,
 )
 
@@ -167,6 +171,89 @@ def test_layer_config_validation_and_cache():
     )
     with pytest.raises(ValueError):
         LayerConfig(bank=layer.bank, output_atom=other_grid_atom)
+
+
+# (grid, bank atoms m, θ): 1-D and 2-D, both signs of sin θ, m = 1, 2, 3, 4, 9.
+_LAYER_MATRIX = [
+    (Grid(1, 256, 8.0), 1, math.pi / 3),
+    (Grid(1, 256, 8.0), 4, -2 * math.pi / 5),
+    (Grid(2, 64, 8.0), 2, math.pi / 3),
+    (Grid(2, 32, 8.0), 9, -1.2),
+    (Grid(1, 2**16, 64.0), 3, math.pi / 3),
+]
+_LAYER_IDS = ["1d-256-m1", "1d-256-m4", "2d-64-m2", "2d-32-m9", "1d-2^16-m3"]
+
+
+def _layer_atoms(grid, m, th):
+    """A tight bank of ``m`` atoms and a Gaussian-spectrum output atom."""
+    bank = tight_bank(grid, th, m, seed=m)
+    og = frft_output_grid(grid, th)
+    return bank, inverse_frft(gauss_profile(og, 0.0, 0.2 * og.extent), th)
+
+
+@pytest.mark.parametrize("grid, m, theta_val", _LAYER_MATRIX, ids=_LAYER_IDS)
+def test_layer_constants_match_the_per_atom_route(grid, m, theta_val):
+    """The constants read off one batched forward are bit-identical to one
+    ``frft`` per atom and a second transform of the output atom."""
+    th = ThetaParam(theta_val)
+    bank, phi = _layer_atoms(grid, m, th)
+    layer = LayerConfig(bank=bank, output_atom=phi)
+    atoms = bank.atoms + (phi,)
+    assert layer.frame_bound == float(frame_spectrum_reference(atoms, th).max())
+    assert layer.decay_constants == atom_decay_constant(phi, th)
+    kernels = _chirp_plan(grid, th).kernel(np.stack([a.as_nd() for a in atoms]))
+    assert np.array_equal(layer.kernels, kernels)
+    bounds, want = frame_bounds(bank), frame_spectrum_reference(bank.atoms, th)
+    assert np.array_equal(bounds.spectrum, want)
+    assert (bounds.lower, bounds.upper) == (float(want.min()), float(want.max()))
+    assert bounds.grid == frft_output_grid(grid, th)
+
+
+@pytest.mark.parametrize("grid, m, theta_val", _LAYER_MATRIX, ids=_LAYER_IDS)
+def test_layer_config_transforms_its_atoms_once(monkeypatch, grid, m, theta_val):
+    """One forward and one kernel stack of the m + 1 atoms: 2(m + 1) FFT
+    rows, no ``frft`` and no :class:`SampledSignal`."""
+    th = ThetaParam(theta_val)
+    bank, phi = _layer_atoms(grid, m, th)
+    built = []
+    post_init = SampledSignal.__post_init__
+
+    def counting(signal):
+        built.append(signal)
+        post_init(signal)
+
+    def no_frft(*args):
+        raise AssertionError("LayerConfig called frft")
+
+    monkeypatch.setattr(SampledSignal, "__post_init__", counting)
+    monkeypatch.setattr("frftkit.scatter.frft", no_frft)
+    monkeypatch.setattr("frftkit.transform.frft", no_frft)
+    with fft_rows() as counts:
+        LayerConfig(bank=bank, output_atom=phi)
+    assert counts[0] == 2 * (m + 1)
+    assert built == []
+
+
+def test_layer_config_errors_keep_their_order():
+    """Grid and pooling checks, then AngleDegenerate at a multiple of pi,
+    then OverflowError for a spectrum that is not finite, then NoDecay."""
+    grid = Grid(1, 128, 8.0)
+    th = ThetaParam(math.pi / 3)
+    huge = SampledSignal(grid, np.full(grid.size, 1e308, dtype=np.complex128))
+    flat = inverse_frft(SampledSignal(frft_output_grid(grid, th), np.ones(grid.size)), th)
+    other = SampledSignal(Grid(1, 64, 8.0), np.ones(64))
+    for theta in (ThetaParam(math.pi), th):
+        bank = AtomBank((huge,), theta)
+        with pytest.raises(ValueError, match="bank's grid"):
+            LayerConfig(bank=bank, output_atom=other)
+        with pytest.raises(ValueError, match="pooling factor"):
+            LayerConfig(bank=bank, output_atom=flat, pooling_factor=0.5)
+    with pytest.raises(AngleDegenerate):
+        LayerConfig(bank=AtomBank((huge,), ThetaParam(math.pi)), output_atom=flat)
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="frame spectrum"):
+        LayerConfig(bank=AtomBank((huge,), th), output_atom=flat)
+    with pytest.raises(NoDecay):
+        LayerConfig(bank=AtomBank((flat,), th), output_atom=flat)
 
 
 def test_feature_tree_structure_and_energy():
