@@ -10,10 +10,12 @@ synthesis back to signal grids.
 
 One layout maps each (cell, offset) slot to the spectrum bin it reads:
 fibers gather through it, generators scatter through it, and tile masks
-keep exactly the bins that their slots' fibers read.  The last layout built
-stays cached, keyed by (signal grid, fiber grid), so a family fitted on one
-grid builds it once; its tables are read-only.  One gather and one scatter
-through it serve fiber maps, generator synthesis and the frame expansion.
+keep exactly the bins that their slots' fibers read; its weight table
+applies the sign table and the Riemann weight at the bins read only.  The
+last layout built stays cached, keyed by (signal grid, fiber grid), so a
+family fitted on one grid builds it once; its tables are read-only.  One
+gather and one scatter through it serve fiber maps, generator synthesis and
+the frame expansion.
 
 The fiber fields of :func:`fiber_map`, the Gramians and the models of
 :func:`fit_sis` keep the arrays that the library has just allocated for
@@ -39,7 +41,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .grids import Grid, SampledSignal, ThetaParam, _Owned
-from .transform import _alternate, _chirp_plan
+from .transform import _chirp_plan
 
 __all__ = [
     "FiberGrid",
@@ -225,11 +227,13 @@ class _FiberLayout:
     ``N/2 + sgn(sin θ) * stride * w + P * k``, with ``P`` the integer period
     and ``stride = P / omega_samples``.  ``index[cell, offset]`` is that bin
     flattened over the grid's shape, clipped onto it; ``valid[cell, offset]``
-    marks the slots whose bin lies on the grid.  Both are read-only.  Build
-    it through :func:`_fiber_layout`.
+    marks the slots whose bin lies on the grid; ``weight[cell, offset]``, 0
+    off it, is the sign table times the Riemann weight at the bin,
+    ``(-1)^(sum of its coordinates) * spacing^n``.  All three are read-only.
+    Build it through :func:`_fiber_layout`.
     """
 
-    __slots__ = ("signal_grid", "fgrid", "index", "valid")
+    __slots__ = ("signal_grid", "fgrid", "index", "valid", "weight")
 
     def __init__(self, signal_grid: Grid, fgrid: FiberGrid, stride: int) -> None:
         self.signal_grid, self.fgrid = signal_grid, fgrid
@@ -239,15 +243,18 @@ class _FiberLayout:
         bins = n // 2 + fgrid.theta.sign_sin * stride * w + period * fgrid.offsets_1d
         # Axes (w_1 .. w_n, k_1 .. k_n): flattening them row-major gives the
         # cell index w_1 W + w_2 and the offset index k_1 n_off + k_2.
-        index, valid = 0, True
+        index, valid, sign = 0, True, 1.0
         for d in range(n_dims):
             shape = [1] * (2 * n_dims)
             shape[d], shape[n_dims + d] = bins.shape
             index = index * n + np.clip(bins, 0, n - 1).reshape(shape)
             valid = valid & ((bins >= 0) & (bins < n)).reshape(shape)
-        self.index = index.reshape(fgrid.n_cells, fgrid.window_size)
-        self.valid = valid.reshape(fgrid.n_cells, fgrid.window_size)
-        self.index.flags.writeable = self.valid.flags.writeable = False
+            sign = sign * (1.0 - 2.0 * (bins % 2)).reshape(shape)
+        size = (fgrid.n_cells, fgrid.window_size)
+        self.index, self.valid = index.reshape(size), valid.reshape(size)
+        self.weight = np.where(valid, sign * signal_grid.spacing**n_dims, 0.0).reshape(size)
+        for table in (self.index, self.valid, self.weight):
+            table.flags.writeable = False
 
 
 def _layout_stride(signal_grid: Grid, fgrid: FiberGrid) -> int:
@@ -284,25 +291,23 @@ def _fiber_layout(signal_grid: Grid, fgrid: FiberGrid) -> _FiberLayout:
 
 
 def _gather(f: SampledSignal, layout: _FiberLayout) -> tuple[NDArray, NDArray]:
-    """The centered transform of the chirped ``f`` (the FFT of the plan's
-    chirped samples, sign table undone, Riemann weight applied) and the
-    fiber data that ``layout`` reads from it, zero off the grid."""
+    """The FFT of the plan's chirped ``f``, and the fiber data that
+    ``layout`` reads from it: the centered transform at each slot's bin
+    (sign table and Riemann weight applied there only), +0.0 off the grid."""
     chirped = _chirp_plan(f.grid, layout.fgrid.theta).chirp(f.as_nd())
-    spectrum = _alternate(np.fft.fftn(chirped, out=chirped), f.grid.n_dims)
-    spectrum *= f.grid.spacing**f.grid.n_dims
-    return spectrum, np.where(layout.valid, spectrum.ravel()[layout.index], 0.0)
+    spectrum = np.fft.fftn(chirped, out=chirped)
+    data = spectrum.ravel()[layout.index]
+    data *= layout.weight
+    data[~layout.valid] = 0.0  # a zero weight can leave -0.0
+    return spectrum, data
 
 
 def _synthesize(data: NDArray[np.complex128], layout: _FiberLayout) -> SampledSignal:
     """The signal whose fibers are ``data`` and whose spectrum is zero off
     their bins: the inverse of :func:`_gather`."""
-    grid = layout.signal_grid
-    spectrum = np.zeros(grid.size, dtype=np.complex128)
-    spectrum[layout.index[layout.valid]] = data[layout.valid]
-    # Into the FFT domain of the plan's chirped samples: sign table, no
-    # Riemann weight.
-    spectrum = _alternate(spectrum.reshape(grid.shape), grid.n_dims)
-    spectrum /= grid.spacing**grid.n_dims
+    grid, valid = layout.signal_grid, layout.valid
+    spectrum = np.zeros(grid.shape, dtype=np.complex128)  # the FFT of the chirped samples
+    spectrum.ravel()[layout.index[valid]] = data[valid] / layout.weight[valid]
     values = _chirp_plan(grid, layout.fgrid.theta).unchirp(np.fft.ifftn(spectrum, out=spectrum))
     return SampledSignal._owning(grid, values)
 
@@ -318,8 +323,9 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     energy falls outside the offset window.
     """
     spectrum, data = _gather(f, _fiber_layout(f.grid, fgrid))
-    total = float(np.sum(np.abs(spectrum) ** 2))
-    captured = float(np.sum(np.abs(data) ** 2))
+    raw = spectrum.view(np.float64)
+    total = float(np.square(raw, out=raw).sum()) * f.grid.spacing ** (2 * f.grid.n_dims)
+    captured = float(np.square(data.view(np.float64)).sum())
     if total > 0.0 and (total - captured) > TRUNCATION_TOL * total:
         raise TruncationLoss(
             f"offset window captures only {captured / total:.9f} of the "

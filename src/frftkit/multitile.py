@@ -9,16 +9,17 @@ optimally for a family of signals by ranking per-cell offset energies.
 Tile masks come from the fiber layout of :mod:`frftkit.approx`: a projection
 filters the chirped samples, keeping exactly the bins of their FFT that the
 fibers of the tile's slots read, through the layout that module keeps
-cached.  Tiles are checked, ranked and masked on one integer array of all
-their offsets, ``(offset, axis)`` in cell order; the nested ``cells`` tuples
-are built from it only for the result.  The truncated frame expansion is
-computed on fibers too, where a twisted integer shift is one phase per cell.
+cached.  Tiles are checked and masked on one integer array of all their
+offsets, ``(offset, axis)`` in cell order, kept from the check; the nested
+``cells`` tuples are built only for the result, ranked by ``ell`` rounds of
+``argmax``.  The truncated frame expansion is computed on fibers too, where
+a twisted integer shift is one phase per cell.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +66,8 @@ class TileSet:
     omega_samples: int
     bound: int
     cells: tuple[tuple[tuple[int, ...], ...], ...]
+    # The (cell, offsets) arrays of _flat_offsets, kept from validation.
+    _flat: tuple[NDArray[np.intp], NDArray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_dims not in (1, 2):
@@ -82,6 +85,7 @@ class TileSet:
             suspects = np.unique(cell[_defects(cell, offsets, self.bound)]).tolist()
         for w in suspects:
             _check_cell(w, self.cells[w], self.n_dims, self.bound)
+        object.__setattr__(self, "_flat", flat)
 
     @property
     def n_cells(self) -> int:
@@ -230,12 +234,15 @@ def optimal_multitile(
 
     # Energy of every candidate per cell; candidates outside the window score 0.
     slot, in_window = _window_slots(grid, candidates)
-    energy = np.sum(np.abs(np.stack([fib.data[:, slot] for fib in fibers])) ** 2, axis=0)
+    energy = sum(np.abs(fib.data[:, slot]) ** 2 for fib in fibers)
     table = np.where(in_window, energy, 0.0)  # (cell, candidate)
 
-    # The top ell per cell, best first: a stable sort keeps tied candidates
-    # in order, so ties go to the lexicographically smaller offset.
-    ranked = np.argsort(-table, axis=1, kind="stable")[:, :ell]
+    # The top ell per cell, best first: argmax returns the first maximum, so
+    # ties go to the lexicographically smaller offset; a pick leaves the race.
+    ranked = np.empty((grid.n_cells, ell), dtype=np.intp)
+    for r in range(ell):
+        ranked[:, r] = np.argmax(table, axis=1)
+        table[np.arange(grid.n_cells), ranked[:, r]] = -np.inf
     offsets = list(map(tuple, candidates.tolist()))
     selection = _nested(offsets, ranked)
     cells = _nested(offsets, np.sort(ranked, axis=1))
@@ -264,7 +271,7 @@ def _support_mask(grid: Grid, tile: TileSet, window: int) -> NDArray[np.bool_]:
     layout = _fiber_layout(grid, fgrid)
 
     # member[cell, slot] says whether the tile carries that slot's offset.
-    cells, offsets = _flat_offsets(tile.cells, tile.n_dims)
+    cells, offsets = tile._flat
     slot, in_window = _window_slots(fgrid, offsets.astype(np.int64, copy=False))
     member = np.zeros((tile.n_cells, fgrid.window_size), dtype=bool)
     member[cells[in_window], slot[in_window]] = True

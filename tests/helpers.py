@@ -32,7 +32,7 @@ from frftkit.approx import FiberField, FiberGrid
 from frftkit.grids import as_shift
 from frftkit.scatter import _energy, _readout_kernel
 from frftkit.theta_ops import _as_fraction, _check_alias, _dilate_period, _tile, _translate
-from frftkit.transform import _chirp_plan
+from frftkit.transform import _alternate, _chirp_plan
 
 
 @contextlib.contextmanager
@@ -219,6 +219,16 @@ def random_fiber_fields(fgrid: FiberGrid, n_members: int, rng) -> list[FiberFiel
         FiberField(fgrid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         for _ in range(n_members)
     ]
+
+
+def gather_reference(f: SampledSignal, layout) -> np.ndarray:
+    """The fiber data that ``layout`` reads from ``f``, gathered as
+    ``approx._gather`` once did: the sign table undone and the Riemann weight
+    applied on the whole spectrum, then the slots read, +0.0 off the grid."""
+    chirped = _chirp_plan(f.grid, layout.fgrid.theta).chirp(f.as_nd())
+    spectrum = _alternate(np.fft.fftn(chirped, out=chirped), f.grid.n_dims)
+    spectrum *= f.grid.spacing**f.grid.n_dims
+    return np.where(layout.valid, spectrum.ravel()[layout.index], 0.0)
 
 
 def tile_cells_reference(cells, n_dims: int, bound: int) -> None:

@@ -33,7 +33,13 @@ from frftkit import (
 )
 from frftkit import approx
 from frftkit.transform import centered_idft, chirp_modulate
-from helpers import banded_signal, gauss_profile, random_fiber_fields, random_signal
+from helpers import (
+    banded_signal,
+    gather_reference,
+    gauss_profile,
+    random_fiber_fields,
+    random_signal,
+)
 
 PI3 = ThetaParam(math.pi / 3)
 
@@ -374,7 +380,7 @@ def test_cached_layout_tables_are_read_only():
     fiber_map(random_signal(grid, 85), fg)
     layout = approx._fiber_layout(grid, fg)
     assert approx._live_layout is layout
-    for table in (layout.index, layout.valid):
+    for table in (layout.index, layout.valid, layout.weight):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
@@ -409,3 +415,25 @@ def test_results_never_share_a_callers_array():
         assert not theirs.flags.writeable
     data[:] = 0.0  # the caller's array changes; the field does not
     assert np.all(fib.data != 0.0)
+
+
+@pytest.mark.parametrize(
+    "grid, cells, window",
+    [(Grid(1, 256, 8.0), 16, 8), (Grid(2, 32, 4.0), 8, 2), (Grid(2, 128, 8.0), 16, 4)],
+    ids=["1d", "2d-32", "2d-128"],
+)
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -math.pi / 3], ids=["sin+", "sin-"])
+def test_gather_matches_the_full_spectrum_reference(grid, cells, window, theta_val):
+    """The layout's weight table applies the sign table and the Riemann
+    weight at the slots only.  Every nonzero component keeps the bits of the
+    reference, which applies both to the whole spectrum; a zero component may
+    differ from it only in its sign, and off the grid it is +0.0."""
+    th = ThetaParam(theta_val)
+    layout = approx._fiber_layout(grid, FiberGrid(th, grid.n_dims, cells, window))
+    assert not np.all(layout.valid)  # the window reaches past the grid
+    for f in (random_signal(grid, 90), banded_signal(grid, th, 0.5, 91)):
+        got, want = approx._gather(f, layout)[1], gather_reference(f, layout)
+        assert np.array_equal(got, want)
+        nonzero = want.view(np.float64) != 0.0
+        assert got.view(np.float64)[nonzero].tobytes() == want.view(np.float64)[nonzero].tobytes()
+        assert not np.any(np.signbit(got[~layout.valid].view(np.float64)))

@@ -484,6 +484,25 @@ def test_optimal_multitile_matches_sorted_key_ranking(n_dims, window, bound, ell
     assert model.tile.cells == tuple(tuple(sorted(c)) for c in expected)
 
 
+def test_optimal_multitile_ties_overflowing_energies_toward_smaller_offsets():
+    """Slots of 1e200-scale fibers have energies that overflow to +inf, so
+    they all tie at the top; the ties still go to the smaller offsets."""
+    fg = FiberGrid(PI3, 2, 3, 2)
+    rng = np.random.default_rng(320)
+    fibers = []
+    for fib in random_fiber_fields(fg, 2, rng):
+        data = fib.data.copy()
+        data[rng.random(data.shape) < 0.3] *= 1e200
+        fibers.append(FiberField(fg, data))
+    with np.errstate(over="ignore"):
+        energy = sum(np.abs(f.data) ** 2 for f in fibers)
+        model = optimal_multitile(fibers, 6, 2)
+        expected = sorted_key_selection(fibers, 6, 2)
+    assert np.all(np.sum(np.isinf(energy), axis=1) >= 2)  # ties at +inf in every cell
+    assert model.selection == expected
+    assert model.tile.cells == tuple(tuple(sorted(c)) for c in expected)
+
+
 def test_window_slots_clip_offsets_past_the_window():
     fg = FiberGrid(PI3, 2, 3, 1)
     offsets = np.array([[-3, 0], [2, 1], [0, 0], [1, -1], [-1, 5], [-2, -4]])
