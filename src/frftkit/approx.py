@@ -15,7 +15,8 @@ applies the sign table and the Riemann weight at the bins read only.  The
 last layout built stays cached, keyed by (signal grid, fiber grid), so a
 family fitted on one grid builds it once; its tables are read-only.  One
 gather and one scatter through it serve fiber maps, generator synthesis and
-the frame expansion.
+the frame expansion.  A family stacks as ``(cell, member, offset)``, so its
+Gramians ``A Aᴴ`` and its generators are batched BLAS matrix products.
 
 The fiber fields of :func:`fiber_map`, the Gramians and the models of
 :func:`fit_sis` keep the arrays that the library has just allocated for
@@ -386,15 +387,20 @@ def _family_grid(fibers: Sequence[FiberField]) -> FiberGrid:
 
 
 def _stack(fibers: Sequence[FiberField]) -> tuple[FiberGrid, NDArray[np.complex128]]:
-    """The family's shared fiber grid and its ``(member, cell, offset)`` stack."""
-    return _family_grid(fibers), np.stack([fib.data for fib in fibers])
+    """The family's shared fiber grid and its ``(cell, member, offset)`` stack:
+    a view of one copy, with unit stride along the offsets as BLAS needs."""
+    return _family_grid(fibers), np.stack([fib.data for fib in fibers]).swapaxes(0, 1)
+
+
+def _gramian(stack: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Each cell's ``A Aᴴ`` for the ``(cell, member, offset)`` stack ``A``."""
+    return stack @ np.conj(stack).swapaxes(1, 2)
 
 
 def gramian_field(fibers: Sequence[FiberField]) -> GramianField:
     """Per-cell Gramian ``G[w]_{ij} = <fiber_i(w), fiber_j(w)>``."""
     grid, stack = _stack(fibers)
-    data = np.einsum("iwt,jwt->wij", stack, np.conj(stack))
-    return GramianField(grid=grid, data=_Owned(data))
+    return GramianField(grid=grid, data=_Owned(_gramian(stack)))
 
 
 def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
@@ -411,7 +417,7 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
         raise BadRank(f"rank {ell} is not within 1..{m}")
     grid, stack = _stack(fibers)
     # The per-cell Gramians; hermitian_eig checks each one for symmetry.
-    eigenvalues, eigenvectors = hermitian_eig(np.einsum("iwt,jwt->wij", stack, np.conj(stack)))
+    eigenvalues, eigenvectors = hermitian_eig(_gramian(stack))
     top = eigenvalues[:, 0]
     indefinite = eigenvalues[:, -1] < -ZERO_EIGENVALUE_TOL * np.maximum(top, 1.0)
     if np.any(indefinite):
@@ -424,7 +430,8 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
     live = kept > ZERO_EIGENVALUE_TOL * np.maximum(top, 0.0)[:, None]
     scale = np.where(live, 1.0 / np.sqrt(np.where(live, kept, 1.0)), 0.0)
     weights = np.conj(eigenvectors[:, :, :ell]) * scale[:, None, :]
-    generators = np.einsum("wji,jwt->iwt", weights, stack, order="C")
+    generators = np.empty((ell,) + stack[:, 0].shape, dtype=np.complex128)
+    np.matmul(weights.swapaxes(1, 2), stack, out=generators.swapaxes(0, 1))
     return SISModel(
         grid=grid,
         ell=ell,

@@ -28,7 +28,8 @@ from frftkit import (
     synthesize_generator,
     theta_translate,
 )
-from frftkit.approx import FiberField, FiberGrid
+from frftkit.approx import ZERO_EIGENVALUE_TOL, FiberField, FiberGrid
+from frftkit.eig import hermitian_eig
 from frftkit.grids import as_shift
 from frftkit.scatter import _energy, _readout_kernel
 from frftkit.theta_ops import _as_fraction, _check_alias, _dilate_period, _tile, _translate
@@ -229,6 +230,27 @@ def gather_reference(f: SampledSignal, layout) -> np.ndarray:
     spectrum = _alternate(np.fft.fftn(chirped, out=chirped), f.grid.n_dims)
     spectrum *= f.grid.spacing**f.grid.n_dims
     return np.where(layout.valid, spectrum.ravel()[layout.index], 0.0)
+
+
+def gramian_reference(fibers) -> np.ndarray:
+    """Per-cell Gramians by ``einsum`` over the ``(member, cell, offset)``
+    stack, as ``approx`` once formed them."""
+    stack = np.stack([fib.data for fib in fibers])
+    return np.einsum("iwt,jwt->wij", stack, np.conj(stack))
+
+
+def fit_sis_reference(fibers, ell: int):
+    """Eigenvalues, eigenvectors and generators of ``fit_sis`` by the
+    ``einsum`` route it once took: one Gramian per cell, one ``hermitian_eig``
+    and ``q_i(w) = λ_i(w)^{-1/2} Σ_j conj(v_ji(w)) fiber_j(w)``, zero where
+    the eigenvalue vanishes."""
+    stack = np.stack([fib.data for fib in fibers])
+    eigenvalues, eigenvectors = hermitian_eig(gramian_reference(fibers))
+    kept = eigenvalues[:, :ell]
+    live = kept > ZERO_EIGENVALUE_TOL * np.maximum(eigenvalues[:, 0], 0.0)[:, None]
+    scale = np.where(live, 1.0 / np.sqrt(np.where(live, kept, 1.0)), 0.0)
+    weights = np.conj(eigenvectors[:, :, :ell]) * scale[:, None, :]
+    return eigenvalues, eigenvectors, np.einsum("wji,jwt->iwt", weights, stack)
 
 
 def tile_cells_reference(cells, n_dims: int, bound: int) -> None:

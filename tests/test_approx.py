@@ -1,11 +1,15 @@
 """Fiber decomposition and optimal shift-invariant approximation."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frftkit
 from frftkit import (
     BadRank,
     FiberField,
@@ -35,8 +39,10 @@ from frftkit import approx
 from frftkit.transform import centered_idft, chirp_modulate
 from helpers import (
     banded_signal,
+    fit_sis_reference,
     gather_reference,
     gauss_profile,
+    gramian_reference,
     random_fiber_fields,
     random_signal,
 )
@@ -437,3 +443,71 @@ def test_gather_matches_the_full_spectrum_reference(grid, cells, window, theta_v
         nonzero = want.view(np.float64) != 0.0
         assert got.view(np.float64)[nonzero].tobytes() == want.view(np.float64)[nonzero].tobytes()
         assert not np.any(np.signbit(got[~layout.valid].view(np.float64)))
+
+
+@pytest.mark.parametrize("n_dims, cells, window, m, ell",
+                         [(1, 16, 8, 3, 1), (2, 16, 4, 4, 2)], ids=["1d", "2d"])
+def test_gramian_and_fit_match_the_einsum_route(n_dims, cells, window, m, ell):
+    """Gramians and generators by batched matmul agree with the einsum
+    route to rounding.  Members scaled by 2^-j keep every cell's eigenvalues
+    apart, so that rounding moves the eigenvectors by about ε, not ε over a
+    small gap."""
+    fg = FiberGrid(PI3, n_dims, cells, window)
+    fibers = [FiberField(fg, f.data * 2.0**-j) for j, f in
+              enumerate(random_fiber_fields(fg, m, np.random.default_rng(92)))]
+
+    def close(got, want, scale):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    want = gramian_reference(fibers)
+    close(gramian_field(fibers).data, want, np.max(np.abs(want)))
+    model = fit_sis(fibers, ell)
+    values, vectors, generators = fit_sis_reference(fibers, ell)
+    close(model.eigenvalues, values, np.max(values))
+    close(model.eigenvectors, vectors, 1.0)
+    close(model.generators, generators, np.max(np.abs(generators)))
+    assert model.generators.flags.c_contiguous
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from frftkit import (FiberGrid, Grid, SampledSignal, ThetaParam, approximation_error,
+                     fiber_map, fit_sis, gramian_field)
+
+theta = ThetaParam(np.pi / 3)
+for grid, cells, window in ((Grid(2, 128, 8.0), 16, 4), (Grid(1, 1024, 16.0), 32, 16)):
+    rng = np.random.default_rng(93)
+    fgrid = FiberGrid(theta, grid.n_dims, cells, window)
+    fibers = [fiber_map(SampledSignal(grid, rng.standard_normal(grid.size)
+                                      + 1j * rng.standard_normal(grid.size)), fgrid)
+              for _ in range(4)]
+    model = fit_sis(fibers, 2)
+    arrays = (gramian_field(fibers).data, model.eigenvalues, model.eigenvectors,
+              model.generators)
+    digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+               for a in arrays]
+    print(grid.n_dims, *digests, float.hex(approximation_error(model)))
+"""
+
+
+def test_sis_fit_bits_do_not_depend_on_blas_threads():
+    """The Gramians and generators run through BLAS gemm: on a 2-D 128²
+    and a 1-D family (m = 4, ell = 2) the Gramians, the eigenpairs, the
+    generators and the approximation error have the same bits at one and at
+    two BLAS threads."""
+    env = {k: v for k, v in os.environ.items() if k != "FRFTKIT_THREADS"}
+    # The child imports the same package as this process, installed or not.
+    package_root = os.path.dirname(os.path.dirname(frftkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert len(runs[0].splitlines()) == 2
+    assert runs[0] == runs[1]
