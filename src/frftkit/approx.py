@@ -324,9 +324,10 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     energy falls outside the offset window.
     """
     spectrum, data = _gather(f, _fiber_layout(f.grid, fgrid))
-    raw = spectrum.view(np.float64)
-    total = float(np.square(raw, out=raw).sum()) * f.grid.spacing ** (2 * f.grid.n_dims)
-    captured = float(np.square(data.view(np.float64)).sum())
+    # Sums of squares over the float64 views, with no temporary array.
+    raw, fibers = spectrum.view(np.float64).ravel(), data.view(np.float64).ravel()
+    total = float(np.einsum("i,i->", raw, raw)) * f.grid.spacing ** (2 * f.grid.n_dims)
+    captured = float(np.einsum("i,i->", fibers, fibers))
     if total > 0.0 and (total - captured) > TRUNCATION_TOL * total:
         raise TruncationLoss(
             f"offset window captures only {captured / total:.9f} of the "

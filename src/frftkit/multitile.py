@@ -10,10 +10,10 @@ Tile masks come from the fiber layout of :mod:`frftkit.approx`: a projection
 filters the chirped samples, keeping exactly the bins of their FFT that the
 fibers of the tile's slots read, through the layout that module keeps
 cached.  Tiles are checked and masked on one integer array of all their
-offsets, ``(offset, axis)`` in cell order, kept from the check; the nested
-``cells`` tuples are built only for the result, ranked by ``ell`` rounds of
-``argmax``.  The truncated frame expansion is computed on fibers too, where
-a twisted integer shift is one phase per cell.
+offsets, ``(offset, axis)`` in cell order, which a tile set keeps from its
+check; the nested ``cells`` tuples are built only for the result.  The
+truncated frame expansion is computed on fibers too, where a twisted
+integer shift is one phase per cell.
 """
 
 from __future__ import annotations
