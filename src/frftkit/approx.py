@@ -16,7 +16,7 @@ last layout built stays cached, keyed by (signal grid, fiber grid), so a
 family fitted on one grid builds it once; its tables are read-only.  One
 gather and one scatter through it serve fiber maps, generator synthesis and
 the frame expansion.  A family stacks as ``(cell, member, offset)``, so its
-Gramians ``A Aᴴ`` and its generators are batched BLAS matrix products.
+Gramians ``A Aᴴ`` and its generators are batched matrix products.
 
 The fiber fields of :func:`fiber_map`, the Gramians and the models of
 :func:`fit_sis` keep the arrays that the library has just allocated for
@@ -394,8 +394,13 @@ def _stack(fibers: Sequence[FiberField]) -> tuple[FiberGrid, NDArray[np.complex1
 
 
 def _gramian(stack: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Each cell's ``A Aᴴ`` for the ``(cell, member, offset)`` stack ``A``."""
-    return stack @ np.conj(stack).swapaxes(1, 2)
+    """Each cell's ``A Aᴴ`` for the ``(cell, member, offset)`` stack ``A``,
+    read through its float64 view with no conjugated copy: with ``A = X + iY``
+    the real part is ``X Xᵀ + Y Yᵀ``, one BLAS product of the view with
+    itself, and the imaginary part is ``P - Pᵀ`` for ``P = Y Xᵀ``."""
+    a = stack.view(np.float64)
+    p = a[..., 1::2] @ a[..., 0::2].swapaxes(1, 2)
+    return (a @ a.swapaxes(1, 2)) + 1j * (p - p.swapaxes(1, 2))
 
 
 def gramian_field(fibers: Sequence[FiberField]) -> GramianField:
@@ -431,7 +436,7 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
     live = kept > ZERO_EIGENVALUE_TOL * np.maximum(top, 0.0)[:, None]
     scale = np.where(live, 1.0 / np.sqrt(np.where(live, kept, 1.0)), 0.0)
     weights = np.conj(eigenvectors[:, :, :ell]) * scale[:, None, :]
-    generators = np.empty((ell,) + stack[:, 0].shape, dtype=np.complex128)
+    generators = np.empty((ell, grid.n_cells, grid.window_size), dtype=np.complex128)
     np.matmul(weights.swapaxes(1, 2), stack, out=generators.swapaxes(0, 1))
     return SISModel(
         grid=grid,
