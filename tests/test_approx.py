@@ -448,8 +448,8 @@ def test_gather_matches_the_full_spectrum_reference(grid, cells, window, theta_v
 @pytest.mark.parametrize("n_dims, cells, window, m, ell",
                          [(1, 16, 8, 3, 1), (2, 16, 4, 4, 2)], ids=["1d", "2d"])
 def test_gramian_and_fit_match_the_einsum_route(n_dims, cells, window, m, ell):
-    """Gramians and generators by batched matmul agree with the einsum
-    route to rounding.  Members scaled by 2^-j keep every cell's eigenvalues
+    """Gramians and generators by batched matrix products agree with the
+    einsum route to rounding.  Members scaled by 2^-j keep every cell's eigenvalues
     apart, so that rounding moves the eigenvectors by about ε, not ε over a
     small gap."""
     fg = FiberGrid(PI3, n_dims, cells, window)
@@ -493,10 +493,10 @@ for grid, cells, window in ((Grid(2, 128, 8.0), 16, 4), (Grid(1, 1024, 16.0), 32
 
 
 def test_sis_fit_bits_do_not_depend_on_blas_threads():
-    """The Gramians and generators run through BLAS gemm: on a 2-D 128²
-    and a 1-D family (m = 4, ell = 2) the Gramians, the eigenpairs, the
-    generators and the approximation error have the same bits at one and at
-    two BLAS threads."""
+    """The generators and the real part of the Gramians run through BLAS
+    gemm: on a 2-D 128² and a 1-D family (m = 4, ell = 2) the Gramians, the
+    eigenpairs, the generators and the approximation error have the same bits
+    at one and at two BLAS threads."""
     env = {k: v for k, v in os.environ.items() if k != "FRFTKIT_THREADS"}
     # The child imports the same package as this process, installed or not.
     package_root = os.path.dirname(os.path.dirname(frftkit.__file__))
