@@ -452,9 +452,11 @@ def approximation_error(model: SISModel) -> float:
 
     Equals ``|sin θ|^n`` times the average over cells of the eigenvalues
     beyond the kept rank; zero exactly when the family already lies in a
-    rank-``ell`` invariant subspace.
+    rank-``ell`` invariant subspace.  The eigenvalues are clamped at 0: a
+    Gramian is positive semidefinite, but where the family has rank
+    ``<= ell`` in a cell, rounding can leave them slightly negative.
     """
-    tail = model.eigenvalues[:, model.ell :]
+    tail = np.maximum(model.eigenvalues[:, model.ell :], 0.0)
     weight = model.grid.theta.abs_sin ** model.grid.n_dims
     return float(weight * np.mean(np.sum(tail, axis=1))) if tail.size else 0.0
 

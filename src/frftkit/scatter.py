@@ -20,8 +20,18 @@ are chirped once at the root and features unchirped once at the readout;
 energies and deviations ignore the unit-modulus chirp.  A modulus drops
 its phase (these networks are not translation invariant), and the engine
 multiplies it back in.  A layer whose maps are both identities dilates the
-filter's own output, so the dilation's alias check reads the spectrum the
-filter already has, and an integer dilation transforms nothing.
+filter's own output, so the dilation's alias check reads the product
+spectrum the filter already has.  When that layer's factor is an even
+integer that shortens the period, it does not invert at all: the DFT
+decimation identity folds the product spectrum into the spectrum of the
+dilated period (:func:`~frftkit.theta_ops._dilate_spectrum`), and the level
+is handed on as that spectrum, so the next layer skips its forward
+transform.  :func:`energy_profile` reads such a level's energy by Parseval,
+:func:`extract_features` reads it out with a product and an inverse, and
+the deviations invert a last level held so.  Samples are dilated instead
+in :func:`u_path`, whose results are pinned bit for bit, by an odd factor,
+which keeps the period, by a fraction, which needs the whole grid, and by
+a factor that the period divides, where the period would shrink to one.
 
 Levels after a power-of-two pooling are held as one period.  A dilation
 by the integer ``p`` reads sample ``N/2 + p (m - N/2) mod N``, so it leaves
@@ -69,7 +79,14 @@ from .errors import (
 )
 from .frames import AtomBank, _frames, check_admissibility
 from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, as_shift
-from .theta_ops import _as_fraction, _check_alias, _dilate_period, _tile, _translate
+from .theta_ops import (
+    _as_fraction,
+    _check_alias,
+    _dilate_period,
+    _dilate_spectrum,
+    _tile,
+    _translate,
+)
 from .theta_ops import theta_convolve  # noqa: F401  (bench/test_smoke.py reads this name)
 from .transform import _chirp_plan, _ChirpPlan, frft
 
@@ -315,22 +332,39 @@ def _cascade_plan(
 
 
 def _step(
-    y: NDArray[np.complex128], layer: LayerConfig, plan: _ChirpPlan, atoms: slice
-) -> NDArray[np.complex128]:
-    """One layer on a chirped ``(paths, P, .., P)`` stack of periods:
+    y: NDArray[np.complex128],
+    spectral: bool,
+    layer: LayerConfig,
+    plan: _ChirpPlan,
+    atoms: slice,
+    fold: bool = True,
+) -> tuple[NDArray[np.complex128], bool]:
+    """One layer on a chirped ``(paths, P, .., P)`` stack of periods, given
+    as its samples or, when ``spectral``, as its ``fftn`` over the grid axes:
     convolve every path with each atom of ``layer.kernels[atoms]``, then
     nonlinearity, pooling and dilation.  Row ``i * n + j`` of the
     ``(paths * n, P', .., P')`` result is path ``i`` extended by the
     ``j``-th of the ``n`` selected atoms; its period ``P'`` is ``P`` unless
     a modulus or a fractional dilation needs the whole grid, or an integer
-    dilation shortens it."""
+    dilation shortens it.  Returns the result and whether it is held as
+    its spectrum: with ``fold``, after identity maps and an even integer
+    dilation that shortens the period (see :func:`_dilate_spectrum`)."""
     frac = _as_fraction(layer.pooling_factor) if layer.pooling_factor != 1.0 else None
+    rows = y[:, None]
+    if not spectral:
+        rows = np.fft.fftn(rows, axes=plan.axes, out=np.empty(rows.shape, dtype=np.complex128))
+    out = rows * _on_period(layer.kernels[atoms], y, plan)
+    del rows  # before the inverse or the fold, for peak memory
     # With identity maps the dilation contracts the filter's own output, so
     # its alias check can read the filter's spectrum instead of a new one.
     early = frac is not None and layer.nonlin.kind == layer.pool.kind == "identity"
-    inspect = (lambda spectrum: _check_alias(spectrum, frac, plan.axes)) if early else None
-    kernels = _on_period(layer.kernels[atoms], y, plan)
-    out = plan.filter(y[:, None], kernels, inspect).reshape((-1,) + y.shape[1:])
+    if early:
+        _check_alias(out, frac, plan.axes)
+        p = frac.numerator
+        if fold and frac.denominator == 1 and p % 2 == 0 and p % y.shape[-1]:
+            out = _dilate_spectrum(out, p, plan)
+            return out.reshape((-1,) + out.shape[2:]), True
+    out = np.fft.ifftn(out, axes=plan.axes, out=out).reshape((-1,) + y.shape[1:])
     for op in (layer.nonlin, layer.pool):
         out = op.apply(out)
         if op.kind == "modulus":
@@ -339,7 +373,7 @@ def _step(
             out *= plan.chirp_in
     if frac is not None:
         out = _dilate_period(out, frac, plan, alias_checked=early)
-    return out
+    return out, False
 
 
 def _levels(
@@ -347,14 +381,15 @@ def _levels(
     plan: _ChirpPlan,
     layers: Sequence[LayerConfig],
     depth: int,
-) -> Iterator[NDArray[np.complex128]]:
+) -> Iterator[tuple[NDArray[np.complex128], bool]]:
     """Yield the chirped stack of each level ``0 .. depth`` of the cascade
-    whose chirped roots are the rows of ``y``, one period per path (see
-    :func:`_step`)."""
-    yield y
+    whose chirped roots are the rows of ``y``, one period per path, with
+    whether it is held as its spectrum (see :func:`_step`)."""
+    spectral = False
+    yield y, spectral
     for layer in layers[:depth]:
-        y = _step(y, layer, plan, slice(None, -1))
-        yield y
+        y, spectral = _step(y, spectral, layer, plan, slice(None, -1))
+        yield y, spectral
 
 
 def _readout_kernel(
@@ -405,7 +440,8 @@ def u_path(
         if not 0 <= lam < layer.n_atoms:
             raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
         # Out of the chirped domain after every step, as u_layer is.
-        out = plan.unchirp(_tile(_step(plan.chirp(out), layer, plan, slice(lam, lam + 1)), plan))
+        out, _ = _step(plan.chirp(out), False, layer, plan, slice(lam, lam + 1), fold=False)
+        out = plan.unchirp(_tile(out, plan))
     return SampledSignal._owning(f.grid, out)
 
 
@@ -436,10 +472,16 @@ def extract_features(
             stacklevel=2,
         )
     levels = []
-    for k, stack in enumerate(_levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)):
+    stacks = _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)
+    for k, (stack, spectral) in enumerate(stacks):
         paths = itertools.product(*(range(layer.n_atoms) for layer in layers[:k]))
         kernel = _on_period(_readout_kernel(k, layers, plan, level0_atom), stack, plan)
-        features = plan.unchirp(_tile(plan.filter(stack, kernel), plan))
+        if spectral:
+            features = stack * kernel
+            np.fft.ifftn(features, axes=plan.axes, out=features)
+        else:
+            features = plan.filter(stack, kernel)
+        features = plan.unchirp(_tile(features, plan))
         # Fresh, disjoint rows of the unchirped stack: no copy.
         levels.append({path: SampledSignal._owning(f.grid, v.ravel())
                        for path, v in zip(paths, features)})
@@ -506,8 +548,10 @@ def _deviations(
             del y  # no later shift needs the input
         levels = _levels(roots, plan, layers, depth)
         del roots  # the generator alone holds the roots, and drops them after layer 1
-        for diff in levels:
+        for diff, spectral in levels:
             pass  # keep only the last level alive, not a list of all of them
+        if spectral:
+            np.fft.ifftn(diff, axes=plan.axes, out=diff)
         if i == 0:
             plain, diff = np.split(diff, 2)
         norm_sq = sum(c * c for c in shift.components)
@@ -652,7 +696,8 @@ def energy_profile(
     this sequence is nonincreasing.
     """
     plan = _cascade_plan(f.grid, theta, layers, depth)
+    # Parseval: a spectrum of P^n bins holds P^n times its samples' energy.
     return [
-        _energy(y, f.grid) * _copies(y, plan)
-        for y in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)
+        _energy(y, f.grid) * _copies(y, plan) / (y[0].size if spectral else 1)
+        for y, spectral in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)
     ]

@@ -22,13 +22,15 @@ a dilation by ``p/q`` contracts ``y``, reading its trigonometric interpolant
 on spacing/q one axis and one residue class mod ``q`` at a time (polyphase),
 with no refined grid.  An integer dilation only gathers samples, and its
 result repeats with a period that divides ``N``; the cascade of
-:mod:`frftkit.scatter` keeps just that period.  The operators work on
-ndarrays; the public functions build one :class:`SampledSignal`, for the
-value they return.
+:mod:`frftkit.scatter` keeps just that period, and after an even factor
+reads its spectrum off the filter's by folding aliased blocks.  The
+operators work on ndarrays; the public functions build one
+:class:`SampledSignal`, for the value they return.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -50,8 +52,8 @@ MAX_DENOMINATOR = 256
 #: Relative spectral mass beyond the folding edge that triggers a warning.
 ALIAS_GUARD = 1e-12
 #: Modules whose frames lie between a dilating public function and the alias
-#: check: the cascade checks the spectrum inside ``_ChirpPlan.filter``.
-_DILATING_MODULES = (__name__, f"{__package__}.scatter", f"{__package__}.transform")
+#: check.
+_DILATING_MODULES = (__name__, f"{__package__}.scatter")
 
 
 def _translate(
@@ -224,6 +226,51 @@ def _dilate_period(
             del spectrum, source  # before the next axis allocates (peak memory)
     # Output sample m reads a refined sample signed (-1)^(p*m); it needs (-1)^m.
     return out if p % 2 else _alternate(out, len(axes))
+
+
+def _dilate_spectrum(
+    spectrum: NDArray[np.complex128], p: int, plan: _ChirpPlan
+) -> NDArray[np.complex128]:
+    """``fftn`` of one period of :func:`_dilate_period` by the even integer
+    ``p`` of the chirped samples whose ``P``-point spectrum is ``spectrum``
+    (leading axes are a batch), read off ``spectrum`` with no transform.
+    ``P`` must not divide ``p``.
+
+    With ``g = gcd(p, P)`` the result has ``P' = P / g`` bins per axis.
+    Output sample ``m`` is ``(-1)^m`` times sample ``N/2 + p (m - N/2)`` of
+    the period, so along an axis the decimation folds the ``g`` aliased
+    blocks of ``spectrum`` onto bin ``l < P'`` and moves it to
+    ``(l (p/g) + P'/2) mod P'`` (``p/g`` is odd, so that is a permutation),
+    weighted by ``(P'/P) e^{i pi l N (1 - p) / P}``.  ``N / P`` is an
+    integer, so the weight is ``(P'/P) (-1)^(l N / P)``, and it is the same
+    for all ``g`` blocks (``N / g`` is even).  In ``n`` dimensions the
+    weights multiply."""
+    n_dims, period = len(plan.axes), spectrum.shape[-1]
+    g, source, weight = _fold_tables(p, period, plan.in_grid.samples_per_dim, n_dims)
+    lead, short = spectrum.shape[:-n_dims], period // g
+    folded = spectrum.reshape(lead + (g, short) * n_dims).sum(axis=tuple(range(-2 * n_dims, 0, 2)))
+    out = np.take(folded.reshape(lead + (-1,)), source, axis=-1)
+    out *= weight
+    return out.reshape(lead + (short,) * n_dims)
+
+
+@functools.lru_cache(maxsize=8)
+def _fold_tables(
+    p: int, period: int, n: int, n_dims: int
+) -> tuple[int, NDArray[np.intp], NDArray[np.float64]]:
+    """``g`` and, over the flattened ``P'^n`` bins of
+    :func:`_dilate_spectrum`'s result, the flat folded bin each one reads and
+    its weight."""
+    g = math.gcd(p, period)
+    short = period // g
+    # Bin k reads folded bin l(k), the solution of l (p/g) + P'/2 = k mod P'.
+    source = (np.arange(short) - short // 2) * pow(p // g, -1, short) % short
+    weight = (1 - 2 * (source * (n // period) % 2)) / g
+    flat = functools.reduce(lambda a, b: (a[:, None] * short + b).ravel(), (source,) * n_dims)
+    table = functools.reduce(np.multiply.outer, (weight,) * n_dims).ravel()
+    flat.setflags(write=False)
+    table.setflags(write=False)
+    return g, flat, table
 
 
 def _tile(y: NDArray[np.complex128], plan: _ChirpPlan) -> NDArray[np.complex128]:

@@ -62,7 +62,6 @@ grids and cached plans start no thread.
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -224,19 +223,12 @@ class _ChirpPlan:
         return _mul_conj(y, self.chirp_in)
 
     def filter(
-        self,
-        y: NDArray[np.complex128],
-        kernel: NDArray[np.complex128],
-        inspect: Callable[[NDArray[np.complex128]], None] | None = None,
+        self, y: NDArray[np.complex128], kernel: NDArray[np.complex128]
     ) -> NDArray[np.complex128]:
         """Circular convolution of chirped samples ``y`` with the atom of
-        ``kernel``; leading axes of the two broadcast.  ``inspect``, when
-        given, reads the spectrum of the result (``fftn`` of the returned
-        samples) before it is inverted in place."""
+        ``kernel``; leading axes of the two broadcast."""
         spectrum = np.fft.fftn(y, axes=self.axes, out=np.empty(y.shape, dtype=np.complex128))
         prod = spectrum * kernel
-        if inspect is not None:
-            inspect(prod)
         return np.fft.ifftn(prod, axes=self.axes, out=prod)
 
     def kernel(self, g: NDArray[np.complex128]) -> NDArray[np.complex128]:

@@ -289,11 +289,13 @@ def cascade_step_reference(y, layer, plan, atoms):
     """One layer of the full-grid cascade engine that ``scatter`` ran before
     it held the levels after a power-of-two pooling as one period: every
     stack keeps all ``N`` samples per axis.  Arguments as for
-    ``scatter._step``."""
+    ``scatter._step`` on samples."""
     frac = _as_fraction(layer.pooling_factor) if layer.pooling_factor != 1.0 else None
     early = frac is not None and layer.nonlin.kind == layer.pool.kind == "identity"
-    inspect = (lambda spectrum: _check_alias(spectrum, frac, plan.axes)) if early else None
-    out = plan.filter(y[:, None], layer.kernels[atoms], inspect).reshape((-1,) + y.shape[1:])
+    out = np.fft.fftn(y[:, None], axes=plan.axes) * layer.kernels[atoms]
+    if early:
+        _check_alias(out, frac, plan.axes)
+    out = np.fft.ifftn(out, axes=plan.axes, out=out).reshape((-1,) + y.shape[1:])
     for op in (layer.nonlin, layer.pool):
         out = op.apply(out)
         if op.kind == "modulus":

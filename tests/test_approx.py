@@ -220,6 +220,22 @@ def test_fit_sis_rank_deficient_family_gives_zero_generators():
     assert approximation_error(fit_sis([a, b, a], 2)) < 1e-10
 
 
+@pytest.mark.parametrize("n_dims, seed", [(1, 1), (2, 0)])
+def test_error_of_a_family_within_rank_is_not_negative(n_dims, seed):
+    """Three members that span two fibers per cell leave, at ell = 2, a
+    tail of rounding-level eigenvalues whose mean is negative; the error
+    counts them from 0.  A full-rank tail keeps its plain sum, bit for bit."""
+    fg = FiberGrid(PI3, n_dims, 8, 3)
+    a, b = random_fiber_fields(fg, 2, np.random.default_rng(seed))
+    model = fit_sis([a, b, FiberField(fg, 0.5 * a.data - 2.0 * b.data)], 2)
+    assert np.mean(np.sum(model.eigenvalues[:, 2:], axis=1)) < 0.0
+    assert 0.0 <= approximation_error(model) < 1e-10
+    full = fit_sis(random_fiber_fields(fg, 4, np.random.default_rng(seed)), 2)
+    weight = PI3.abs_sin**n_dims
+    assert approximation_error(full) == float(
+        weight * np.mean(np.sum(full.eigenvalues[:, 2:], axis=1)))
+
+
 @pytest.mark.parametrize("n_dims", [1, 2])
 def test_fit_sis_eigenvalues_match_eigvalsh(n_dims):
     fg = FiberGrid(PI3, n_dims, 4, 2)

@@ -45,7 +45,7 @@ from frftkit import (
     u_layer,
     u_path,
 )
-from frftkit.scatter import _deviations
+from frftkit.scatter import _deviations, _levels
 from frftkit.theta_ops import ALIAS_GUARD, _alias_tail_fraction
 from frftkit.transform import _chirp_plan
 from helpers import (
@@ -645,30 +645,35 @@ def test_alias_warning_names_the_caller(entry, b):
 
 def test_cascade_fft_rows():
     """The FFT rows of the benchmark's cascade (2-D 64², two atoms, pooling
-    (2, 1), identity then shrink): an integer dilation after identity maps
-    transforms nothing, and a deviation reads its energy off one spectrum
-    of the level-2 difference."""
+    (2, 1), identity then shrink): layer 1 hands its even pooling to layer 2
+    as a folded spectrum, so neither inverts nor transforms the other's
+    stack, and a deviation reads its energy off one spectrum of the level-2
+    difference."""
     grid, th = Grid(2, 64, 4.0), ThetaParam(math.pi / 3)
     layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
     f = banded_signal(grid, th, 0.4, 41)
     shift = (grid.spacing, -2 * grid.spacing)
-    # Layer 1 filters 1 row into 2 (1 + 2 FFT rows) and dilates them with
-    # none; layer 2 filters 2 rows into 4 (2 + 4).  The dilation by 2 leaves
-    # a 32² period, so layer 2 transforms rows of a quarter of the samples:
-    # 64² (1 + 2) + 32² (2 + 4).
+    # Layer 1 transforms 1 row of 64² and folds its 2 products into 32²
+    # spectra; layer 2 inverts its 4 products of 32²: 64² + 4 * 32².
     with fft_rows() as counts:
         energy_profile(f, layers, 2, th)
-    assert counts == [9, 18432]
+    assert counts == [5, 8192]
     # Twice that for two roots, and one spectrum of the 4 path differences.
     for deviation in (invariance_deviation, covariance_deviation):
         with fft_rows() as counts:
             deviation(f, shift, layers, 2, th)
-        assert counts == [2 * 9 + 4, 2 * 18432 + 4 * 32**2]
+        assert counts == [2 * 5 + 4, 2 * 8192 + 4 * 32**2]
     # k shifts run k + 1 root cascades and one spectrum per shift.
     with fft_rows() as counts:
         _deviations(f, [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0)], layers, 2, th,
                     None, covariant=False)
-    assert counts == [4 * 9 + 3 * 4, 4 * 18432 + 3 * 4 * 32**2]
+    assert counts == [4 * 5 + 3 * 4, 4 * 8192 + 3 * 4 * 32**2]
+    # The readouts add the level-0 kernel and its filter (3 rows of 64²), an
+    # inverse of the 2 folded level-1 products and a filter of level 2 (8
+    # rows of 32²).
+    with fft_rows() as counts:
+        extract_features(f, layers, 2, th)
+    assert counts == [5 + 3 + 2 + 8, 8192 + 3 * 64**2 + 10 * 32**2]
 
 
 def test_deviation_peak_memory_does_not_grow_with_shifts():
@@ -781,6 +786,49 @@ def test_cascade_matches_full_grid_reference(grid, theta_val, s_factors):
             else:
                 assert [one] + several == pytest.approx(want[:1] + want, rel=1e-12, abs=1e-25)
     assert energy_profile(f, layers, 2, th)[2] > 0.0
+
+
+# A depth-1 cascade pooled by 2 ends on a folded spectrum.  Pooling (8, 8)
+# folds 64 or 32 samples per axis into 8 or 4, where the second dilation
+# would clamp the period at 2, so it gathers the samples instead.
+@pytest.mark.filterwarnings("ignore:dilation by")  # 8 folds the band
+@pytest.mark.parametrize("grid, s_factors, spectral", [
+    (Grid(1, 256, 8.0), (2.0,), [False, True]),
+    (Grid(2, 32, 4.0), (2.0,), [False, True]),
+    (Grid(1, 64, 8.0), (8.0, 8.0), [False, True, False]),
+    (Grid(2, 32, 4.0), (8.0, 8.0), [False, True, False]),
+], ids=["1d-2", "2d-2", "1d-8-8", "2d-8-8"])
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pi/3", "-2pi/5"])
+def test_folded_levels_match_full_grid_reference(grid, s_factors, spectral, theta_val):
+    """Identity layers pooled by an even factor hand on folded spectra.
+    Everything read out of them, a last level among them, matches the
+    full-grid engine at the tolerances of the pooled cascade, and ``u_path``
+    is bit for bit the reference's."""
+    th = ThetaParam(theta_val)
+    depth = len(s_factors)
+    layers, _ = make_s1_layers(grid, th, s_factors, ["identity"] * depth)
+    f = banded_signal(grid, th, 0.8, 61)
+    plan = _chirp_plan(grid, th)
+    assert [held for _, held in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)] \
+        == spectral
+    shifts = [(grid.spacing,) * grid.n_dims, (-3 * grid.spacing, 2 * grid.spacing)[: grid.n_dims]]
+    tree = extract_features(f, layers, depth, th)
+    want = features_reference(f, layers, depth, th)
+    stacks = cascade_levels_reference(f, layers, depth, th)
+    for k, level in enumerate(tree.levels):
+        got = np.stack([feature.values for feature in level.values()])
+        assert _close_to(got, want[k], np.max(np.abs(stacks[k])), 1e-13)
+    assert energy_profile(f, layers, depth, th) == pytest.approx(
+        energy_profile_reference(f, layers, depth, th), rel=1e-13)
+    for path in itertools.product(range(2), repeat=depth):
+        assert np.array_equal(u_path(f, path, layers, th).values,
+                              u_path_reference(f, path, layers, th))
+    for covariant in (False, True):
+        one = (covariance_deviation if covariant else invariance_deviation)(
+            f, shifts[0], layers, depth, th)
+        several = _deviations(f, shifts, layers, depth, th, None, covariant)
+        want = deviations_reference(f, shifts, layers, depth, th, covariant)
+        assert [one] + several == pytest.approx(want[:1] + want, rel=1e-12, abs=1e-25)
 
 
 @pytest.mark.filterwarnings("ignore:dilation by")  # the modulus widens the band

@@ -24,7 +24,7 @@ from frftkit import (
     theta_modulate,
     theta_translate,
 )
-from frftkit.theta_ops import _dilate_period, _tile
+from frftkit.theta_ops import _dilate_period, _dilate_spectrum, _tile
 from frftkit.transform import _chirp_plan, centered_dft, centered_idft, chirp_modulate
 from helpers import banded_signal, dft_matrix_oracle, fft_rows, gauss_profile, random_signal
 
@@ -284,6 +284,32 @@ def test_dilation_of_a_period_is_a_period_of_the_dilation(grid, frac):
         assert got.shape == (2,) + (size,) * n_dims
         assert counts[0] == 0 or frac.denominator > 1
         assert np.array_equal(np.tile(got, (1,) + (n // size,) * n_dims), want)
+
+
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -math.pi / 3], ids=["sin>0", "sin<0"])
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+def test_dilated_spectrum_is_the_spectrum_of_the_gathered_period(grid, p, theta_val):
+    """An even integer dilation that shortens the period, read off the
+    period's spectrum by folding its aliased blocks, is the spectrum of the
+    gathered period to the last digits, with no transform."""
+    plan = _chirp_plan(grid, ThetaParam(theta_val))
+    n, n_dims = grid.samples_per_dim, grid.n_dims
+    rng = np.random.default_rng(45)
+    shape = (3,) + grid.shape
+    chirped = plan.chirp(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for period in (n, n // 2, 4):
+        if p % period == 0:
+            continue  # the dilation clamps the period at 2; the cascade gathers it
+        y = chirped[(...,) + (slice(period),) * n_dims]
+        want = np.fft.fftn(_dilate_period(y, Fraction(p), plan, alias_checked=True),
+                           axes=plan.axes)
+        spectrum = np.fft.fftn(y, axes=plan.axes)
+        with fft_rows() as counts:
+            got = _dilate_spectrum(spectrum, p, plan)
+        assert counts[0] == 0
+        assert got.shape == (3,) + (period // math.gcd(p, period),) * n_dims
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_dilation_alias_warning_on_fullband_input():
