@@ -370,7 +370,7 @@ def _step(
         if op.kind == "modulus":
             # |y| = |x| has lost the chirp's phase; put it back, on the whole grid.
             out = _tile(out, plan)
-            out *= plan.chirp_in
+            plan.chirp(out, in_place=True)
     if frac is not None:
         out = _dilate_period(out, frac, plan, alias_checked=early)
     return out, False
@@ -407,7 +407,10 @@ def _readout_kernel(
     if level0_atom is None:
         if not layers:
             raise ValueError("need either a level-0 output atom or at least one layer")
-        level0_atom = layers[0].output_atom
+        first = layers[0]
+        if (first.bank.grid, first.theta) == (plan.in_grid, plan.theta):
+            return first.kernels[-1]  # built on this plan from the same atom
+        level0_atom = first.output_atom
     if level0_atom.grid != plan.in_grid:
         raise GridMismatch("level-0 output atom and signal live on different grids")
     return plan.kernel(level0_atom.as_nd())

@@ -18,19 +18,27 @@ Ozaktas, Arikan, Kutay and Bozdagi (IEEE TSP 1996).  Its chirped samples
 ``y = chirp(x)``, the signal times the input table, are the one domain of
 the operator algebra: each theta-operator is ``unchirp(op(chirp(x)))`` for
 a classical ``op``, and ``filter`` is the circular convolution on ``y``.  A
-plan holds two complex tables of the grid's shape and nothing else
-(``spacing`` is the input grid's):
+plan holds two complex tables and nothing else (``spacing`` is the input
+grid's):
 
     input:   e^{i*pi*‖t_j‖²*cot} * (-1)^(j_1+..+j_n)
     output:  e^{i*pi*‖w_l‖²*cot} * (-1)^(l_1+..+l_n) * |sin|^{-n/2} * spacing^n
 
-Each table is computed on the orthant ``[0..N/2]^n`` only, then mirrored in
-place, last axis first: ``table[..., N/2+1:] = table[..., N/2-1:0:-1]``.
-This is exact, not an approximation.  The sample ``t_j = (j - N/2) *
-spacing`` and its mirror ``t_{N-j} = -t_j`` have bit-identical squares, so
-the same operations on them give the same entry bit for bit; and N is even,
-so ``(-1)^j = (-1)^(N-j)``.  A table thus costs ``(N/2+1)^n`` cosine/sine
-pairs instead of ``N^n``, and no temporary of the full size is made.
+Each table is symmetric under ``j -> N - j`` on every axis, bit for bit.
+The sample ``t_j = (j - N/2) * spacing`` and its mirror ``t_{N-j} = -t_j``
+have bit-identical squares, so the same operations on them give the same
+entry bit for bit; and N is even, so ``(-1)^j = (-1)^(N-j)``.  A table is
+therefore computed on the orthant ``[0..N/2]^n`` only, ``(N/2+1)^n``
+cosine/sine pairs instead of ``N^n``, with no temporary of the full size,
+then mirrored in place, last axis first: ``table[..., N/2+1:] =
+table[..., N/2-1:0:-1]``.  On a grid of at least ``2**16`` samples the
+first axis is not mirrored: the plan stores rows ``0..N/2`` of it only,
+half the memory, and reads rows ``N/2+1..N-1`` through the reversed view
+``table[N/2-1:0:-1]``.  Every product with a table goes through
+:meth:`_ChirpPlan.times`, which on such a plan multiplies the two halves of
+the first grid axis separately; elementwise products do not depend on the
+layout, so the results are those of whole tables bit for bit.  Smaller
+plans keep whole tables, where one product is faster than two.
 
 With N a power of two >= 4, N/2 is even, so
 ``e^{-2*pi*i*(l-N/2)*(j-N/2)/N} = (-1)^l * (-1)^j * e^{-2*pi*i*l*j/N}``: the
@@ -84,7 +92,9 @@ ORACLE_MAX_1D = 512
 ORACLE_MAX_2D = 64
 
 #: Grids of at least this many samples build a plan's two tables on two
-#: threads; below it, starting a thread costs more than it saves.
+#: threads and store only rows ``0..N/2`` of each; below it, starting a
+#: thread costs more than it saves, and one product with a whole table is
+#: faster than two with the halves.
 _THREADED_BUILD_MIN = 1 << 16
 
 
@@ -146,19 +156,28 @@ def _thread_cap() -> int:
     return min(n, cpus)
 
 
+def _table_shape(grid: Grid) -> tuple[int, ...]:
+    """The stored shape of a table on ``grid``: the grid's shape, with only
+    rows ``0..N/2`` of the first axis from ``_THREADED_BUILD_MIN`` samples."""
+    if grid.size < _THREADED_BUILD_MIN:
+        return grid.shape
+    return (grid.samples_per_dim // 2 + 1,) + grid.shape[1:]
+
+
 def _signed_chirp(
     grid: Grid, cot: float, scale: float, out: NDArray[np.complex128] | None = None
 ) -> NDArray[np.complex128]:
-    """``scale * e^{i*pi*‖t‖²*cot} * (-1)^(j_1+..+j_n)``, read-only, written
-    into ``out`` (of the grid's shape) when given.
+    """``scale * e^{i*pi*‖t‖²*cot} * (-1)^(j_1+..+j_n)`` in the stored shape
+    of :func:`_table_shape`, read-only, written into ``out`` when given.
 
-    Built on the orthant ``[0..N/2]^n`` and mirrored; see the module
-    docstring.
+    Built on the orthant ``[0..N/2]^n`` and mirrored along every axis that
+    is stored whole; see the module docstring.
     """
     half = grid.samples_per_dim // 2
+    shape = _table_shape(grid)
     # The long-lived table first: temporaries allocated after it are freed
     # at the top of the heap, not left as a hole below it (peak RSS).
-    table = np.empty(grid.shape, dtype=np.complex128) if out is None else out
+    table = np.empty(shape, dtype=np.complex128) if out is None else out
     lower = table[(slice(None, half + 1),) * grid.n_dims]
     # One temporary of the orthant's side, squared in place (the worker that
     # builds an output table keeps its freed memory in an arena of its own).
@@ -174,7 +193,9 @@ def _signed_chirp(
         lower *= scale
     _alternate(lower, grid.n_dims)
     # Last axis first, so each copy reads only entries already filled in.
-    for axis in reversed(range(grid.n_dims)):
+    # A half table stores the first axis as computed.
+    first = 0 if shape == grid.shape else 1
+    for axis in reversed(range(first, grid.n_dims)):
         lead = (slice(None, half + 1),) * axis
         table[lead + (slice(half + 1, None),)] = table[lead + (slice(half - 1, 0, -1),)]
     table.setflags(write=False)
@@ -186,11 +207,19 @@ class _ChirpPlan:
     docstring.  Methods take ndarrays whose trailing axes have the grid's
     shape; leading axes are a batch."""
 
-    __slots__ = ("in_grid", "out_grid", "theta", "axes", "chirp_in", "chirp_out")
+    __slots__ = ("in_grid", "out_grid", "theta", "axes", "halves", "chirp_in", "chirp_out")
 
     def __init__(self, in_grid: Grid, out_grid: Grid, theta: ThetaParam) -> None:
         self.in_grid, self.out_grid, self.theta = in_grid, out_grid, theta
-        self.axes = tuple(range(-in_grid.n_dims, 0))
+        n = in_grid.n_dims
+        self.axes = tuple(range(-n, 0))
+        # The rows of the first grid axis that each stored half of a table
+        # multiplies, and the half itself; None for whole tables.
+        self.halves = None
+        if in_grid.size >= _THREADED_BUILD_MIN:
+            half, rest = in_grid.samples_per_dim // 2, (slice(None),) * (n - 1)
+            self.halves = (((..., slice(None, half + 1)) + rest, slice(None)),
+                           ((..., slice(half + 1, None)) + rest, slice(half - 1, 0, -1)))
         cot, scale = theta.cot_t, self.kernel_scale
         if in_grid.size >= _THREADED_BUILD_MIN and _thread_cap() >= 2:
             # Imported here: it loads logging (about 5 ms and 1 MiB), which a
@@ -199,7 +228,7 @@ class _ChirpPlan:
 
             # One short-lived worker per build: a pool kept between calls
             # would leave a thread running after the call and across a fork.
-            chirp_out = np.empty(out_grid.shape, dtype=np.complex128)
+            chirp_out = np.empty(_table_shape(out_grid), dtype=np.complex128)
             with ThreadPoolExecutor(max_workers=1) as worker:
                 filled = worker.submit(_signed_chirp, out_grid, cot, scale, chirp_out)
                 self.chirp_in = _signed_chirp(in_grid, cot, 1.0)
@@ -214,13 +243,42 @@ class _ChirpPlan:
         n = self.in_grid.n_dims
         return self.theta.abs_sin ** (-0.5 * n) * self.in_grid.spacing**n
 
-    def chirp(self, x: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    def times(
+        self,
+        a: NDArray[np.complex128],
+        table: NDArray[np.complex128],
+        *,
+        in_place: bool = False,
+        conj: bool = False,
+    ) -> NDArray[np.complex128]:
+        """``a`` times one of the plan's tables over its trailing grid axes,
+        or times the table's conjugate when ``conj``; in place when
+        ``in_place`` or ``conj``, else into a new array.  The one product
+        with a table: a half table (see the module docstring) multiplies the
+        two halves of the first grid axis in turn."""
+        halves = self.halves
+        if halves is None:
+            if conj:
+                return _mul_conj(a, table)
+            if in_place:
+                a *= table
+                return a
+            return a * table
+        out = a if in_place or conj else np.empty(a.shape, dtype=np.complex128)
+        for rows, stored in halves:
+            if conj:
+                _mul_conj(out[rows], table[stored])
+            else:
+                np.multiply(a[rows], table[stored], out=out[rows])
+        return out
+
+    def chirp(self, x: NDArray[np.complex128], *, in_place: bool = False) -> NDArray[np.complex128]:
         """``y = C_theta x`` times the sign table: the operators' domain."""
-        return x * self.chirp_in
+        return self.times(x, self.chirp_in, in_place=in_place)
 
     def unchirp(self, y: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """Inverse of :meth:`chirp`, in place."""
-        return _mul_conj(y, self.chirp_in)
+        return self.times(y, self.chirp_in, conj=True)
 
     def filter(
         self, y: NDArray[np.complex128], kernel: NDArray[np.complex128]
@@ -251,13 +309,12 @@ class _ChirpPlan:
             out = np.fft.fftn(chirped, axes=self.axes, out=chirped)
         else:
             out = np.fft.ifftn(chirped, axes=self.axes, norm="forward", out=chirped)
-        out *= self.chirp_out
-        return out
+        return self.times(out, self.chirp_out, in_place=True)
 
     def inverse(self, y: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """Inverse of :meth:`forward`, back on the input grid."""
         # 1 / output table = its conjugate over kernel_scale².
-        scaled = _mul_conj(y * self.kernel_scale**-2, self.chirp_out)
+        scaled = self.times(y * self.kernel_scale**-2, self.chirp_out, conj=True)
         if self.theta.sign_sin > 0:
             out = np.fft.ifftn(scaled, axes=self.axes, out=scaled)
         else:
@@ -289,8 +346,8 @@ def chirp_modulate(f: SampledSignal, theta: ThetaParam, sign: int) -> SampledSig
     """Pointwise ``e^{sign * i * pi * ‖t‖² * cot(theta)} * f(t)``."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    table = _chirp_plan(f.grid, theta).chirp_in
-    out = f.as_nd() * table if sign > 0 else _mul_conj(f.as_nd().copy(), table)
+    plan = _chirp_plan(f.grid, theta)
+    out = plan.chirp(f.as_nd()) if sign > 0 else plan.unchirp(f.as_nd().copy())
     return SampledSignal._owning(f.grid, _alternate(out, f.grid.n_dims))
 
 

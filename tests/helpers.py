@@ -299,7 +299,7 @@ def cascade_step_reference(y, layer, plan, atoms):
     for op in (layer.nonlin, layer.pool):
         out = op.apply(out)
         if op.kind == "modulus":
-            out *= plan.chirp_in
+            plan.chirp(out, in_place=True)
     if frac is not None:
         out = _tile(_dilate_period(out, frac, plan, alias_checked=early), plan)
     return out

@@ -45,7 +45,7 @@ from frftkit import (
     u_layer,
     u_path,
 )
-from frftkit.scatter import _deviations, _levels
+from frftkit.scatter import _deviations, _levels, _readout_kernel
 from frftkit.theta_ops import ALIAS_GUARD, _alias_tail_fraction
 from frftkit.transform import _chirp_plan
 from helpers import (
@@ -668,12 +668,29 @@ def test_cascade_fft_rows():
         _deviations(f, [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0)], layers, 2, th,
                     None, covariant=False)
     assert counts == [4 * 5 + 3 * 4, 4 * 8192 + 3 * 4 * 32**2]
-    # The readouts add the level-0 kernel and its filter (3 rows of 64²), an
-    # inverse of the 2 folded level-1 products and a filter of level 2 (8
-    # rows of 32²).
+    # The readouts add the level-0 filter (2 rows of 64²; its kernel is the
+    # first layer's), an inverse of the 2 folded level-1 products and a
+    # filter of level 2 (8 rows of 32²).
     with fft_rows() as counts:
         extract_features(f, layers, 2, th)
-    assert counts == [5 + 3 + 2 + 8, 8192 + 3 * 64**2 + 10 * 32**2]
+    assert counts == [5 + 2 + 2 + 8, 8192 + 2 * 64**2 + 10 * 32**2]
+
+
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pos", "neg"])
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 32, 4.0), Grid(2, 64, 4.0)],
+                         ids=["1d-256", "2d-32", "2d-64"])
+def test_level0_readout_kernel_is_the_first_layers(grid, theta_val):
+    """With no level-0 atom, level 0 reads out with the kernel the first
+    layer already holds, which is the plan's kernel of its output atom bit
+    for bit; a layer pinned to another angle still gets a kernel at the
+    cascade's angle."""
+    th = ThetaParam(theta_val)
+    layers, phi = make_s1_layers(grid, th, (1.0,), ["identity"])
+    plan = _chirp_plan(grid, th)
+    assert np.array_equal(layers[0].kernels[-1], plan.kernel(phi.as_nd()))
+    assert np.shares_memory(_readout_kernel(0, layers, plan, None), layers[0].kernels[-1])
+    other = _chirp_plan(grid, ThetaParam(theta_val / 2))
+    assert np.array_equal(_readout_kernel(0, layers, other, None), other.kernel(phi.as_nd()))
 
 
 def test_deviation_peak_memory_does_not_grow_with_shifts():

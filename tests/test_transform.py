@@ -3,6 +3,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from frftkit import (
     LayerConfig,
     SampledSignal,
     ThetaParam,
+    extract_features,
     frame_bounds,
     frft,
     frft_direct_oracle,
@@ -31,7 +33,7 @@ from frftkit import (
 from frftkit import transform
 from frftkit.cli import main, write_signal
 from frftkit.transform import chirp_modulate
-from helpers import dft_matrix_oracle, random_signal
+from helpers import dft_matrix_oracle, make_s1_layers, random_signal
 
 GENERIC_ANGLES = [math.pi / 6, math.pi / 3, 2 * math.pi / 5, -math.pi / 3, 2.0, 4.0]
 
@@ -83,6 +85,30 @@ def test_matches_direct_oracle_1d(theta_val):
 def test_matches_direct_oracle_2d(theta_val):
     grid = Grid(2, 32, 4.0)
     assert_matches_oracle_both_ways(random_signal(grid, 14), ThetaParam(theta_val))
+
+
+@pytest.mark.parametrize(
+    "n, extent, theta_val, tol",
+    [(256, 8.0, t, 1e-9) for t in (math.pi / 3, -math.pi / 3, 2 * math.pi / 3)]
+    + [(1 << 16, 64.0, t, 1e-12)
+       for t in (math.pi / 3, -math.pi / 3, 2 * math.pi / 3, math.pi / 6)],
+    ids=["256-pi/3", "256--pi/3", "256-2pi/3",
+         "2^16-pi/3", "2^16--pi/3", "2^16-2pi/3", "2^16-pi/6"],
+)
+def test_gaussian_matches_the_continuum_closed_form(n, extent, theta_val, tol):
+    """For g(t) = e^{-pi t²/σ²}, |F_θ g(ω)| = |sin θ|^{-1/2} |A|^{-1/2}
+    e^{-pi ω² csc²θ σ^{-2} / |A|²} with A = σ^{-2} - i cot θ: a reference
+    that does not go through the FFT path.  The 2^16 grid runs on a plan
+    that stores half of each chirp table."""
+    sigma = 3.0
+    grid = Grid(1, n, extent)
+    t = grid.axis
+    out = frft(SampledSignal(grid, np.exp(-np.pi * t**2 / sigma**2)), ThetaParam(theta_val))
+    sin, cot = math.sin(theta_val), 1.0 / math.tan(theta_val)
+    a = abs(complex(sigma**-2, -cot))
+    w = out.grid.axis
+    want = abs(sin) ** -0.5 * a**-0.5 * np.exp(-np.pi * w**2 / (sin**2 * sigma**2 * a**2))
+    assert np.max(np.abs(np.abs(out.values) - want)) <= tol * want.max()
 
 
 def test_quarter_turn_is_classical_fourier_transform():
@@ -275,7 +301,8 @@ THRESHOLD_GRIDS = [Grid(1, 1 << 15, 3.7), Grid(1, 1 << 16, 3.7), Grid(1, 1 << 17
 def test_threaded_plan_build_is_bit_identical(grid, theta_val, two_cpus, thread_starts,
                                               monkeypatch):
     """From 2^16 samples up a fresh plan starts one worker for its output
-    table; tables and results are those of a serial build, bit for bit."""
+    table and stores rows 0..N/2 of each table; tables and results are those
+    of a serial build, bit for bit."""
     th = ThetaParam(theta_val)
     f, g = random_signal(grid, 44), random_signal(grid, 45)
     monkeypatch.setattr(transform, "_live_plan", None)
@@ -288,7 +315,9 @@ def test_threaded_plan_build_is_bit_identical(grid, theta_val, two_cpus, thread_
     assert np.array_equal(plan.chirp_in, transform._signed_chirp(grid, th.cot_t, 1.0))
     assert np.array_equal(plan.chirp_out, transform._signed_chirp(
         frft_output_grid(grid, th), th.cot_t, plan.kernel_scale))
-    assert not plan.chirp_out.flags.writeable
+    assert not plan.chirp_in.flags.writeable and not plan.chirp_out.flags.writeable
+    rows = grid.samples_per_dim // 2 + 1 if grid.size >= 1 << 16 else grid.samples_per_dim
+    assert plan.chirp_in.shape == plan.chirp_out.shape == (rows,) + grid.shape[1:]
 
     monkeypatch.setenv("FRFTKIT_THREADS", "1")
     monkeypatch.setattr(transform, "_live_plan", None)
@@ -296,6 +325,8 @@ def test_threaded_plan_build_is_bit_identical(grid, theta_val, two_cpus, thread_
     assert len(thread_starts) == started
     for a, b in zip(threaded, serial):
         assert np.array_equal(a, b)
+    for name in ("chirp_in", "chirp_out"):
+        assert getattr(plan, name).tobytes() == getattr(transform._live_plan, name).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:dilation by")
@@ -367,23 +398,105 @@ def _reflected(a):
     return a
 
 
+def _whole(table, n):
+    """A stored table on ``n`` samples per axis with its first axis whole:
+    rows ``N/2+1..N-1`` mirrored from the stored rows ``N/2-1..1``."""
+    if table.shape[0] == n:
+        return table
+    return np.concatenate([table, table[n // 2 - 1:0:-1]])
+
+
 @pytest.mark.parametrize("scale", [1.0, 0.37])
 @pytest.mark.parametrize("cot", [1.7, -0.45])
 @pytest.mark.parametrize("extent", [4.0, 3.7])
 @pytest.mark.parametrize(
-    "n_dims,n", [(1, 4), (1, 8), (1, 256), (1, 16384), (2, 4), (2, 8), (2, 64)],
-    ids=["1d-4", "1d-8", "1d-256", "1d-16384", "2d-4", "2d-8", "2d-64"],
+    "n_dims,n", [(1, 4), (1, 8), (1, 256), (1, 16384), (1, 1 << 16), (1, 1 << 17),
+                 (2, 4), (2, 8), (2, 64), (2, 256)],
+    ids=["1d-4", "1d-8", "1d-256", "1d-16384", "1d-2^16", "1d-2^17",
+         "2d-4", "2d-8", "2d-64", "2d-256"],
 )
 def test_signed_chirp_matches_direct_table(n_dims, n, extent, cot, scale):
     """The orthant-and-mirror table is symmetric bit for bit, read-only, and
-    the directly evaluated signed chirp up to the last ulp of cos and sin."""
+    the directly evaluated signed chirp up to the last ulp of cos and sin.
+    From 2^16 samples only rows 0..N/2 of the first axis are stored."""
     grid = Grid(n_dims, n, extent)
     table = transform._signed_chirp(grid, cot, scale)
-    assert table.shape == grid.shape and not table.flags.writeable
-    assert table.tobytes() == _reflected(table).tobytes()
+    rows = n // 2 + 1 if grid.size >= 1 << 16 else n
+    assert table.shape == (rows,) + grid.shape[1:] and not table.flags.writeable
+    whole = _whole(table, n)
+    assert whole.tobytes() == _reflected(whole).tobytes()
     direct = np.exp(1j * np.pi * cot * grid.radius_squared()).reshape(grid.shape) * scale
     signs = 1 - 2 * (np.indices(grid.shape).sum(axis=0) % 2)
-    assert np.max(np.abs(table - direct * signs)) <= 1e-15 * scale
+    assert np.max(np.abs(whole - direct * signs)) <= 1e-15 * scale
+
+
+def _half_table_results(f, g, th):
+    """Every product with a table: the plan's own on a batch of 2, and the
+    public transforms, operators and a modulus layer of the cascade."""
+    plan = transform._chirp_plan(f.grid, th)
+    x = np.stack([f.as_nd(), g.as_nd()])
+    X = plan.forward(x)
+    F = frft(f, th)
+    shift = tuple(3 * f.grid.spacing for _ in range(f.grid.n_dims))
+    layers, _ = make_s1_layers(f.grid, th, (1.0,), ["modulus"])
+    features = extract_features(f, layers, 1, th)
+    return [
+        X, plan.inverse(X), plan.chirp(x), plan.unchirp(x.copy()),
+        F.values, inverse_frft(F, th).values,
+        chirp_modulate(f, th, 1).values, chirp_modulate(f, th, -1).values,
+        theta_translate(f, shift, th).values, theta_convolve(f, g, th).values,
+        theta_dilate(f, Fraction(3, 2), th).values, theta_dilate(f, 2, th).values,
+    ] + [v.values for level in features.levels for v in level.values()]
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # white noise folds; only bits matter
+@pytest.mark.parametrize("theta_val", [2 * math.pi / 5, -2 * math.pi / 5], ids=["pos", "neg"])
+@pytest.mark.parametrize(
+    "grid", [Grid(1, 1 << 16, 64.0), Grid(1, 1 << 17, 64.0), Grid(2, 256, 16.0)],
+    ids=["1d-2^16", "1d-2^17", "2d-256"],
+)
+def test_half_tables_give_the_bytes_of_whole_tables(grid, theta_val, monkeypatch):
+    """Every product with a stored half table gives the bytes that the whole
+    table, mirrored from the stored rows, gives."""
+    th = ThetaParam(theta_val)
+    f, g = random_signal(grid, 50), random_signal(grid, 51)
+    monkeypatch.setattr(transform, "_live_plan", None)
+    half = _half_table_results(f, g, th)
+    assert transform._live_plan.chirp_in.shape[0] == grid.samples_per_dim // 2 + 1
+
+    init = transform._ChirpPlan.__init__
+
+    def whole_tables(plan, *args):
+        init(plan, *args)
+        n = plan.in_grid.samples_per_dim
+        plan.chirp_in, plan.chirp_out = _whole(plan.chirp_in, n), _whole(plan.chirp_out, n)
+        plan.halves = None
+
+    monkeypatch.setattr(transform._ChirpPlan, "__init__", whole_tables)
+    monkeypatch.setattr(transform, "_live_plan", None)
+    whole = _half_table_results(f, g, th)
+    assert transform._live_plan.chirp_in.shape == grid.shape
+    assert len(half) == len(whole)
+    for a, b in zip(half, whole):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_large_plan_allocates_half_tables(monkeypatch):
+    """A fresh plan on 1-D 2^18 samples holds about 4 MiB of tables, not 8."""
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (its import is not the plan's)
+
+    grid, th = Grid(1, 1 << 18, 64.0), ThetaParam(1.0)
+    out_grid = frft_output_grid(grid, th)
+    monkeypatch.setattr(transform, "_live_plan", None)
+    tracemalloc.start()
+    try:
+        plan = transform._ChirpPlan(grid, out_grid, th)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = 2 * ((1 << 17) + 1) * 16
+    assert plan.chirp_in.nbytes + plan.chirp_out.nbytes == tables
+    assert tables <= current < tables + (1 << 18)
 
 
 def test_overflowing_transform_is_rejected():
