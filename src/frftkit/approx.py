@@ -18,9 +18,8 @@ gather and one scatter through it serve fiber maps, generator synthesis and
 the frame expansion.  A family stacks as ``(cell, member, offset)``, so its
 Gramians ``A Aᴴ`` and its generators are batched matrix products.
 
-The fiber fields of :func:`fiber_map`, the Gramians and the models of
-:func:`fit_sis` keep the arrays that the library has just allocated for
-them, without a copy; arrays passed in by a caller are copied.
+Fiber fields, Gramians and models take in their arrays by the rule of
+:mod:`frftkit.grids`: the library's own are kept, a caller's are copied.
 """
 
 from __future__ import annotations
@@ -32,16 +31,15 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .eig import hermitian_eig
+from .eig import _check_hermitian, hermitian_eig
 from .errors import (
     AngleDegenerate,
     BadRank,
     GridMismatch,
-    NotHermitian,
     TruncationLoss,
     WindowTooSmall,
 )
-from .grids import Grid, SampledSignal, ThetaParam, _Owned
+from .grids import Grid, SampledSignal, ThetaParam, _adopt, _Owned
 from .transform import _chirp_plan
 
 __all__ = [
@@ -116,15 +114,6 @@ class FiberGrid:
         )
 
 
-def _readonly(a: NDArray | _Owned, dtype: type | None = None) -> NDArray:
-    """``a`` as a read-only array of ``dtype``: kept as it is when it comes
-    wrapped in :class:`~frftkit.grids._Owned` (a fresh library array),
-    copied otherwise."""
-    a = a.array if isinstance(a, _Owned) else np.asarray(a, dtype=dtype).copy()
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, slots=True)
 class FiberField:
     """Fiber samples of one signal: ``data[cell, offset]`` (row-major)."""
@@ -133,15 +122,12 @@ class FiberField:
     data: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        owned = isinstance(self.data, _Owned)
-        data = _readonly(self.data, np.complex128)
+        data = _adopt(self.data, np.complex128, "fiber data must be finite")
         if data.shape != (self.grid.n_cells, self.grid.window_size):
             raise ValueError(
                 f"fiber data shape {data.shape} does not match the grid "
                 f"({self.grid.n_cells} cells x {self.grid.window_size} offsets)"
             )
-        if not np.all(np.isfinite(data)):
-            raise (OverflowError if owned else ValueError)("fiber data must be finite")
         object.__setattr__(self, "data", data)
 
 
@@ -149,24 +135,19 @@ class FiberField:
 class GramianField:
     """Per-cell Gramians of a fiber family: ``data[cell, i, j]``.
 
-    Construction verifies Hermitian symmetry within ``1e-10`` of the
-    global Frobenius norm; positive semidefiniteness holds for genuine
-    Gramians and is rechecked during fitting.
+    Construction verifies each cell's Hermitian symmetry by the rule of
+    :func:`~frftkit.eig.hermitian_eig`; positive semidefiniteness holds for
+    genuine Gramians and is rechecked during fitting.
     """
 
     grid: FiberGrid
     data: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        data = _readonly(self.data, np.complex128)
+        data = _adopt(self.data, np.complex128, "gramian data must be finite")
         if data.ndim != 3 or data.shape[0] != self.grid.n_cells or data.shape[1] != data.shape[2]:
             raise ValueError(f"gramian data has unexpected shape {data.shape}")
-        scale = max(float(np.linalg.norm(data)), 1e-300)
-        defect = float(np.linalg.norm(data - np.conj(np.swapaxes(data, 1, 2))))
-        if defect > 1e-10 * scale:
-            raise NotHermitian(
-                f"gramian field asymmetry {defect:.3e} exceeds 1e-10 of its norm"
-            )
+        _check_hermitian(data)
         object.__setattr__(self, "data", data)
 
     @property
@@ -190,8 +171,10 @@ class SISModel:
     generators: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        for name in ("eigenvalues", "eigenvectors", "generators"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        for name, dtype in (("eigenvalues", np.float64), ("eigenvectors", np.complex128),
+                            ("generators", np.complex128)):
+            array = _adopt(getattr(self, name), dtype, f"model {name} must be finite")
+            object.__setattr__(self, name, array)
         if self.eigenvalues.ndim != 2 or self.eigenvalues.shape[0] != self.grid.n_cells:
             raise ValueError("eigenvalue array has unexpected shape")
         m = self.eigenvalues.shape[1]

@@ -17,7 +17,7 @@ multiple of pi outside ``frft``, a non-finite result, a failed allocation);
 other library errors exit 4.  The environment variable ``FRFTKIT_THREADS``,
 when set, must be a positive integer (else exit 4).  It caps the threads
 frftkit starts (see :mod:`frftkit.transform`); BLAS calls follow their own
-variables, which can move the last bits of the cascade's energies.
+variables.
 A warning goes to stderr as one ``warning: <Category>: <message>`` line,
 without the source path; the caller's warning filters still apply.
 
@@ -365,9 +365,7 @@ def _read_lines(path: Path, raw: str) -> SampledSignal:
             raise CliParseError(f"{path}:{lineno}: duplicate index {index}")
         seen[index] = True
         values[index] = complex(real, imag)
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise CliParseError(f"{path}: missing sample index {missing}")
+    # At least N rows, each with its own index below N: every index was seen.
     return SampledSignal._owning(grid, values)
 
 

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grids import Grid, SampledSignal, ThetaParam
+from .grids import Grid, SampledSignal, ThetaParam, _adopt, _Owned
 from .transform import _chirp_plan, _ChirpPlan
 
 __all__ = [
@@ -71,14 +71,11 @@ class FrameBounds:
     grid: Grid = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.lower <= self.upper):
-            raise ValueError("frame bounds must satisfy 0 <= lower <= upper")
-        if not np.isfinite(self.upper):
-            raise ValueError("upper frame bound must be finite")
-        spectrum = np.array(self.spectrum, dtype=np.float64)  # a copy
+        spectrum = _adopt(self.spectrum, np.float64, "frame spectrum contains non-finite entries")
+        if not 0.0 <= self.lower <= self.upper < np.inf:
+            raise ValueError("frame bounds must satisfy 0 <= lower <= upper < inf")
         if spectrum.shape != (self.grid.size,):
             raise ValueError("spectrum length must match the grid size")
-        spectrum.flags.writeable = False
         object.__setattr__(self, "spectrum", spectrum)
 
 
@@ -99,9 +96,8 @@ def _frames(spectra: NDArray[np.complex128], plan: _ChirpPlan) -> FrameBounds:
     """:class:`FrameBounds` of the rows of ``spectra``, atoms transformed on ``plan``."""
     spectrum = np.sum(np.abs(spectra.reshape(len(spectra), -1)) ** 2, axis=0)
     spectrum *= plan.theta.abs_sin ** plan.out_grid.n_dims
-    if not np.isfinite(spectrum).all():
-        raise OverflowError("frame spectrum contains non-finite entries")
-    return FrameBounds(float(spectrum.min()), float(spectrum.max()), spectrum, plan.out_grid)
+    lower, upper = float(spectrum.min()), float(spectrum.max())
+    return FrameBounds(lower, upper, _Owned(spectrum), plan.out_grid)
 
 
 def check_admissibility(

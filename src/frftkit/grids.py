@@ -5,6 +5,12 @@ sample points are ``t_j = -extent + j*spacing`` with
 ``spacing = 2*extent/samples_per_dim``, so the period is ``2*extent`` and
 ``t = 0`` is the sample at index ``samples_per_dim // 2``.  Signals on a
 2-dimensional grid are stored flattened in row-major order.
+
+Every record that holds arrays (signals, fiber fields, Gramians, models and
+frame bounds) takes them in by one rule, :func:`_adopt`: it keeps an array
+that the library has just allocated, copies a caller's, holds it read-only,
+and refuses a non-finite entry: :class:`OverflowError` for the library's own
+array, where a computation overflowed, and :class:`ValueError` for a caller's.
 """
 
 from __future__ import annotations
@@ -90,13 +96,23 @@ class Grid:
 
 
 class _Owned:
-    """A fresh array handed to :class:`SampledSignal` (or to a fiber field,
-    Gramian or model of :mod:`frftkit.approx`) to keep as it is."""
+    """A fresh array handed to a record to keep as it is (see :func:`_adopt`)."""
 
     __slots__ = ("array",)
 
-    def __init__(self, array: NDArray[np.complex128]) -> None:
+    def __init__(self, array: NDArray) -> None:
         self.array = array
+
+
+def _adopt(array: "NDArray | _Owned", dtype: type, message: str) -> NDArray:
+    """``array`` as a record's read-only, C-contiguous ``dtype`` array (float64
+    or complex128), by the module's rule; a non-finite entry raises ``message``."""
+    owned = isinstance(array, _Owned)
+    array = np.ascontiguousarray(array.array, dtype) if owned else np.array(array, dtype, order="C")
+    if not np.isfinite(array.reshape(-1).view(np.float64)).all():
+        raise (OverflowError if owned else ValueError)(message)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,32 +123,21 @@ class SampledSignal:
     values: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        values = self.values
-        owned = isinstance(values, _Owned)
-        if owned:
-            values = values.array
-        values = np.asarray(values, dtype=np.complex128).reshape(-1)
+        values = _adopt(self.values, np.complex128, "signal contains non-finite entries")
+        values = values.reshape(-1)
         if values.size != self.grid.size:
             raise ValueError(
                 f"expected {self.grid.size} samples, got {values.size}"
             )
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise (OverflowError if owned else ValueError)("signal contains non-finite entries")
-        if not owned:
-            values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def _owning(
         cls, grid: Grid, values: NDArray[np.complex128]
     ) -> "SampledSignal":
-        """Wrap an array the library has just allocated, without a copy.
-
-        For internal results only: nothing else may hold ``values`` or
-        share its memory.  The checks still run; a non-finite result raises
-        :class:`OverflowError`.
-        """
+        """Wrap an array the library has just allocated, without a copy: for
+        internal results only, as nothing else may hold ``values`` or share
+        its memory.  A non-finite result raises :class:`OverflowError`."""
         return cls(grid, _Owned(values))
 
     def with_values(self, values: NDArray[np.complex128]) -> "SampledSignal":

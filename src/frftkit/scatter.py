@@ -168,8 +168,8 @@ class Nonlinearity(_PointwiseMap):
 
     def __post_init__(self) -> None:
         _PointwiseMap.__post_init__(self)
-        if self.kind == "phase_covariant_shrink" and self.b < 0.0:
-            raise ValueError("shrink threshold must be nonnegative")
+        if self.kind == "phase_covariant_shrink" and not 0.0 <= self.b < math.inf:
+            raise ValueError("shrink threshold must be nonnegative and finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,8 +295,10 @@ def _check_layer(layer: LayerConfig, plan: _ChirpPlan) -> None:
 
 
 def _energy(values: NDArray[np.complex128], grid: Grid) -> float:
-    """Squared discrete L² norm of samples on ``grid``."""
-    return float(grid.spacing**grid.n_dims * np.vdot(values, values).real)
+    """Squared discrete L² norm of samples on ``grid``: a sum of squares over
+    the float64 view, off BLAS, so its bits do not depend on BLAS threads."""
+    v = np.ravel(values).view(np.float64)
+    return float(grid.spacing**grid.n_dims * np.einsum("i,i->", v, v))
 
 
 def _copies(y: NDArray[np.complex128], plan: _ChirpPlan) -> int:

@@ -527,3 +527,55 @@ def test_sis_fit_bits_do_not_depend_on_blas_threads():
         runs.append(proc.stdout)
     assert len(runs[0].splitlines()) == 2
     assert runs[0] == runs[1]
+
+
+def _indefinite_fit(monkeypatch):
+    fibers = random_fiber_fields(FiberGrid(PI3, 1, 4, 1), 2, np.random.default_rng(89))
+    indefinite = np.stack([np.diag([1.0, -1.0]).astype(np.complex128)] * 4)
+    monkeypatch.setattr(approx, "_gramian", lambda stack: indefinite)
+    fit_sis(fibers, 1)
+
+
+def _model_with(**changes):
+    """``SISModel`` on 4 cells x 3 offsets, family of 2, rank 1, with ``changes``."""
+    fields = dict(grid=FiberGrid(PI3, 1, 4, 1), ell=1, eigenvalues=np.ones((4, 2)),
+                  eigenvectors=np.ones((4, 2, 2)), generators=np.ones((1, 4, 3)))
+    return SISModel(**{**fields, **changes})
+
+
+def _project_across_grids(monkeypatch):
+    rng = np.random.default_rng(90)
+    model = fit_sis(random_fiber_fields(FiberGrid(PI3, 1, 4, 2), 2, rng), 1)
+    project(random_fiber_fields(FiberGrid(PI3, 1, 4, 1), 1, rng)[0], model)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda mp: FiberGrid(PI3, 3, 4, 1), ValueError,
+         "^only 1- and 2-dimensional fiber grids are supported$"),
+        (lambda mp: FiberGrid(PI3, 1, 0, 1), ValueError,
+         "^need at least one base frequency cell per dimension$"),
+        (lambda mp: analytic_sinc_fibers(0, FiberGrid(PI3, 1, 4, 2)), ValueError,
+         "^family size must be at least 1$"),
+        (_indefinite_fit, ValueError,
+         r"^gramian at cell 0 is not positive semidefinite \(eigenvalue -1.000e\+00\)$"),
+        (_project_across_grids, GridMismatch,
+         "^fiber field and model use different fiber grids$"),
+        (lambda mp: GramianField(FiberGrid(PI3, 1, 4, 1), np.zeros((4, 2, 3))), ValueError,
+         r"^gramian data has unexpected shape \(4, 2, 3\)$"),
+        (lambda mp: _model_with(eigenvalues=np.ones((3, 2))), ValueError,
+         "^eigenvalue array has unexpected shape$"),
+        (lambda mp: _model_with(eigenvectors=np.ones((4, 2, 3))), ValueError,
+         "^eigenvector array has unexpected shape$"),
+        (lambda mp: _model_with(generators=np.ones((1, 4, 4))), ValueError,
+         "^generator array has unexpected shape$"),
+        (lambda mp: _model_with(ell=3, generators=np.ones((3, 4, 3))), BadRank,
+         r"^rank 3 is not within 1..2$"),
+    ],
+    ids=["fiber-grid-3d", "no-cells", "empty-family", "indefinite", "project-grids",
+         "gramian-shape", "eigenvalue-shape", "eigenvector-shape", "generator-shape", "rank"],
+)
+def test_approx_refusals(monkeypatch, call, error, message):
+    with pytest.raises(error, match=message):
+        call(monkeypatch)

@@ -1118,3 +1118,50 @@ def test_every_angle_subcommand_resolves_its_flags(tmp_path, capsys, flags, mess
         assert main([*words, *rest, *flags]) == 4, words
         assert capsys.readouterr().err == f"error: {message}\n", words
     assert not Path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["ops", "dilate", "--in", "{a}", "--out", "{out}/o.csv", "--theta", "1.0"], 4,
+         "dilate needs --factor"),
+        (["scatter", "extract", "--config", "{array}", "--signal", "{a}", "--out-dir", "{out}"],
+         2, "{array}: expected a JSON object"),
+        (["approx", "fit", "--data", "{a}", "{b}", "--ell", "1", "--theta", "1.0",
+          "--out-dir", "{out}"], 4, "all data signals must share one grid"),
+        (["approx", "table", "--family", "sinc1d", "--m", "0", "--theta", "1.0",
+          "--out", "{out}/t.csv"], 4, "--m must be at least 1"),
+        (["multitile", "fit", "--data", "{a}", "--ell", "0", "--N", "1", "--theta", "1.0",
+          "--out-dir", "{out}"], 4, "--ell must be at least 1"),
+        (["multitile", "fit", "--data", "{a}", "--ell", "1", "--N", "0", "--theta", "1.0",
+          "--out-dir", "{out}"], 4, "--N must be at least 1"),
+    ],
+    ids=["dilate-no-factor", "config-array", "fit-mixed-grids", "table-m0", "tiles-ell0",
+         "tiles-N0"],
+)
+def test_cli_refusals(tmp_path, capsys, argv, code, message):
+    """Each refusal exits with its code and message and writes nothing."""
+    names = {
+        "a": write_csv(tmp_path / "a.csv", random_signal(Grid(1, 16, 2.0), 63)),
+        "b": write_csv(tmp_path / "b.csv", random_signal(Grid(1, 32, 2.0), 64)),
+        "array": str(tmp_path / "config.json"),
+        "out": str(tmp_path / "out"),
+    }
+    Path(names["array"]).write_text("[1, 2]\n")
+    assert main([arg.format(**names) for arg in argv]) == code
+    assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_atomic_write_leaves_the_target_when_a_chunk_raises(tmp_path):
+    target = tmp_path / "t.csv"
+    target.write_text("before\n")
+
+    def chunks():
+        yield "partial\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="^chunk failed$"):
+        cli._atomic_write(target, chunks())
+    assert target.read_text() == "before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]

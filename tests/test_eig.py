@@ -1,8 +1,11 @@
 """Hermitian eigensolver checks against closed forms and numpy."""
+import math
+
 import numpy as np
 import pytest
 
-from frftkit import NotHermitian, hermitian_eig
+from frftkit import FiberGrid, GramianField, NotHermitian, ThetaParam, hermitian_eig
+from frftkit.eig import HERMITIAN_TOL
 from helpers import closed_form_min_eigenvalues
 
 
@@ -137,3 +140,29 @@ def test_stack_with_one_non_hermitian_matrix():
 def test_rejects_non_square_and_vector_inputs(shape):
     with pytest.raises(ValueError):
         hermitian_eig(np.ones(shape, dtype=np.complex128))
+
+
+def test_each_matrix_is_held_to_its_own_norm():
+    """A stack Hermitian within HERMITIAN_TOL of its global norm, but not of
+    one small cell's own norm, is refused by the eigensolver and by a
+    Gramian field alike, at that cell."""
+    stack = np.stack([1e8 * np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]]).astype(np.complex128)
+    defect = np.linalg.norm(stack - stack.conj().swapaxes(1, 2))
+    assert defect <= HERMITIAN_TOL * np.linalg.norm(stack)
+    with pytest.raises(NotHermitian, match=r"matrix at stack index \[1\] is not Hermitian"):
+        hermitian_eig(stack)
+    with pytest.raises(NotHermitian, match=r"matrix at stack index \[1\] is not Hermitian"):
+        GramianField(FiberGrid(ThetaParam(math.pi / 3), 1, 2, 1), stack)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_non_finite_matrices_are_refused_before_the_solve(bad):
+    """A non-finite entry is a ValueError that names its matrix, raised
+    before any arithmetic on it (so no RuntimeWarning either)."""
+    stack = np.stack([random_hermitian(3, 800 + s) for s in range(3)])
+    stack[1, 0, 2] = bad
+    with pytest.raises(ValueError, match=r"^matrix at stack index \[1\] has a non-finite entry$"):
+        hermitian_eig(stack)
+    with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+        hermitian_eig(stack[1])

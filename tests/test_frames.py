@@ -138,3 +138,17 @@ def test_frame_bounds_validation():
         FrameBounds(-0.1, 1.0, np.ones(grid.size), grid)
     with pytest.raises(ValueError):
         FrameBounds(2.0, 1.0, np.ones(grid.size), grid)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, size, message",
+    [
+        (0.5, math.inf, 64, r"^frame bounds must satisfy 0 <= lower <= upper < inf$"),
+        (math.nan, 1.0, 64, r"^frame bounds must satisfy 0 <= lower <= upper < inf$"),
+        (0.5, 1.0, 63, "^spectrum length must match the grid size$"),
+    ],
+    ids=["infinite-upper", "nan-lower", "short-spectrum"],
+)
+def test_frame_bounds_refusals(lower, upper, size, message):
+    with pytest.raises(ValueError, match=message):
+        FrameBounds(lower, upper, np.ones(size), Grid(1, 64, 4.0))

@@ -637,3 +637,27 @@ def test_partial_projection_rejects_off_grid_unit_shifts():
     for n in (1, 3):
         with pytest.raises(OffGridShift):
             partial_projection(f, model, n)
+
+
+_TILE = TileSet(PI3, 1, 2, 1, (((-1,), (1,)), ((0,), (1,))))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MultiTileModel(_TILE, 2, _TILE.cells[:1]), ValueError,
+         "^selection length must match the cell count$"),
+        (lambda: partition_multitile(TileSet(PI3, 1, 2, 1, (((-1,), (1,)), ((0,),))), 2),
+         NotMultiTile, r"^cannot partition: offset counts per cell are \{1, 2\}, expected all 2$"),
+        # An offset that is not a tuple fails as in the reference loop.
+        (lambda: TileSet(PI3, 1, 1, 2, ((1,),)), TypeError, "has no len"),
+    ],
+    ids=["short-selection", "uneven-cells", "non-tuple-offset"],
+)
+def test_multitile_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_multitile_model_takes_the_angle_of_its_tile():
+    assert MultiTileModel(_TILE, 2, _TILE.cells).theta is _TILE.theta

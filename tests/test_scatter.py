@@ -3,7 +3,11 @@ translation deviations against their closed-form bounds."""
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -11,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frftkit
 from frftkit import (
     AliasRiskWarning,
     AngleDegenerate,
     AtomBank,
+    FeatureTree,
     Grid,
     GridMismatch,
     InadmissibleBankWarning,
@@ -967,3 +973,89 @@ def test_feature_rows_share_no_callers_array(grid):
         for i, row in enumerate(rows):
             assert not row.flags.writeable
             assert not any(np.shares_memory(row, other) for other in rows[:i] + callers)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_shrink_threshold_must_be_finite(b):
+    with pytest.raises(ValueError, match="^shrink threshold must be nonnegative and finite$"):
+        Nonlinearity("phase_covariant_shrink", b)
+
+
+@pytest.fixture(scope="module")
+def cascade():
+    """A depth-2 cascade on 1-D 128 samples and a signal for it."""
+    grid, th = Grid(1, 128, 8.0), ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (1.0, 1.0), ["identity", "identity"])
+    return types.SimpleNamespace(th=th, layers=layers, f=banded_signal(grid, th, 0.4, 61))
+
+
+def _tree(c, path):
+    return FeatureTree(({(): c.f}, {path: c.f}), c.th, True)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda c: _tree(c, ()), ValueError, "^level 1 contains a path of length 0$"),
+        (lambda c: energy_profile(c.f, c.layers, -1, c.th), ValueError,
+         "^depth must be nonnegative$"),
+        (lambda c: energy_profile(random_signal(Grid(1, 64, 8.0), 62), c.layers, 1, c.th),
+         GridMismatch, "^layer atoms and signal live on different grids$"),
+        (lambda c: feature_distance(_tree(c, (0,)), _tree(c, (1,)), 1), KeyMismatch,
+         "^level 1 features are indexed by different paths$"),
+        (lambda c: invariance_bound(0.1, c.th, (2.0, 0.5), 1.0, 1.0), ValueError,
+         "^pooling factors must be at least 1$"),
+    ],
+    ids=["tree-path-length", "negative-depth", "layer-grid", "distance-paths", "bound-pooling"],
+)
+def test_scatter_refusals(cascade, call, error, message):
+    with pytest.raises(error, match=message):
+        call(cascade)
+
+
+_BLAS_PROBE = """
+import warnings
+import numpy as np
+from frftkit import (AtomBank, Grid, LayerConfig, Nonlinearity, SampledSignal, ThetaParam,
+                     energy_profile, extract_features, feature_distance, invariance_deviation)
+
+warnings.simplefilter("ignore")  # the Gaussian bank need not be admissible
+theta = ThetaParam(np.pi / 3)
+for grid in (Grid(1, 16384, 64.0), Grid(2, 128, 8.0)):
+    coords = grid.coordinates()
+
+    def gauss(width, freq, seed=None):
+        values = 0.3 * np.exp(-np.pi * sum(c**2 for c in coords) / width**2
+                              + 2j * np.pi * freq * coords[0])
+        if seed is not None:
+            values = values * (1 + 0.1 * np.random.default_rng(seed).standard_normal(grid.size))
+        return SampledSignal(grid, values)
+
+    bank = AtomBank((gauss(1.0, -0.5), gauss(1.0, 0.5)), theta)
+    layers = [LayerConfig(bank, gauss(1.5, 0.0), Nonlinearity("phase_covariant_shrink", 1e-3))] * 2
+    f, g = gauss(2.0, 0.0, 1), gauss(2.0, 0.0, 2)
+    trees = [extract_features(h, layers, 2, theta) for h in (f, g)]
+    print(*map(float.hex, energy_profile(f, layers, 2, theta)),
+          float.hex(invariance_deviation(f, (grid.spacing,) * grid.n_dims, layers, 2, theta)),
+          float.hex(feature_distance(*trees, 2)))
+"""
+
+
+def test_energies_do_not_depend_on_blas_threads():
+    """The energy profile, the deviations and the feature distances of a
+    depth-2 cascade, on 1-D 16384 samples and on 2-D 128², have the same
+    bits at one and at two BLAS threads."""
+    env = {k: v for k, v in os.environ.items() if k != "FRFTKIT_THREADS"}
+    # The child imports the same package as this process, installed or not.
+    package_root = os.path.dirname(os.path.dirname(frftkit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert len(runs[0].splitlines()) == 2
+    assert runs[0] == runs[1]

@@ -388,3 +388,16 @@ def test_translation_is_unitary():
     f = random_signal(grid, 42)
     out = theta_translate(f, 5 * grid.spacing, th)
     assert abs(l2_norm(out) - l2_norm(f)) < 1e-12 * l2_norm(f)
+
+
+@pytest.mark.parametrize("s", [0, -2, Fraction(-1, 2), -0.5])
+def test_dilation_refuses_factors_that_are_not_positive(s):
+    f = random_signal(Grid(1, 64, 4.0), 8)
+    with pytest.raises(ValueError, match=re.escape(f"dilation factor must be positive, got {s!r}")):
+        theta_dilate(f, s, ANGLES[1])
+
+
+@pytest.mark.parametrize("s", [1, 1.0, Fraction(2, 2)])
+def test_dilation_by_one_is_the_identity(s):
+    f = random_signal(Grid(1, 64, 4.0), 9)
+    assert np.array_equal(theta_dilate(f, s, ANGLES[1]).values, f.values)

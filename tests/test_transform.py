@@ -531,3 +531,10 @@ def test_non_finite_caller_samples_stay_a_value_error():
             SampledSignal(grid, values)
         with pytest.raises(OverflowError, match="non-finite"):
             SampledSignal._owning(grid, values)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_chirp_modulate_refuses_other_signs(sign):
+    f = random_signal(Grid(1, 64, 4.0), 7)
+    with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {sign}$"):
+        chirp_modulate(f, ThetaParam(0.9), sign)
