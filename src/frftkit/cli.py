@@ -10,7 +10,10 @@ meaning ``P*pi/Q``; :func:`main` resolves them once, into ``args.theta``,
 for every subcommand that takes them.
 
 Every command is deterministic (identical inputs produce byte-identical
-outputs) and writes atomically (temporary file plus rename).  Exit codes: 0
+outputs) and writes atomically (temporary file plus rename).  One writer,
+:func:`_write_table`, writes every CSV table: its header lines, then its
+columns, ``_WRITE_BLOCK`` rows per ``%`` operation, each float as
+``%.17g`` (which reads back as the same float).  Exit codes: 0
 success, 2 input parse failure, 3 numeric degeneracy, 4 configuration
 contradiction.  Exit 3 takes ``_NUMERIC_ERRORS`` (an angle that is a
 multiple of pi outside ``frft``, a non-finite result, a failed allocation);
@@ -218,28 +221,44 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-#: Rows formatted per string in ``write_signal``: large enough that the
-#: ``%`` operator does the work, small enough not to hold the whole file.
+#: Rows formatted per ``%`` operation in ``_write_table``: large enough that
+#: the operator does the work, small enough not to hold the whole file.
 _WRITE_BLOCK = 2048
 
 
-def _signal_chunks(signal: SampledSignal) -> Iterator[str]:
-    grid = signal.grid
-    yield f"# grid: {grid.n_dims},{grid.samples_per_dim},{_fmt(grid.extent)}\nindex,re,im\n"
-    values = signal.values
-    for start in range(0, values.size, _WRITE_BLOCK):
-        block = values[start : start + _WRITE_BLOCK]
-        cells: list = [None] * (3 * block.size)
-        cells[0::3] = range(start, start + block.size)
-        cells[1::3] = block.real.tolist()
-        cells[2::3] = block.imag.tolist()
-        # "%.17g" % x is format(x, ".17g"), i.e. _fmt, for every float.
-        yield ("%d,%.17g,%.17g\n" * block.size) % tuple(cells)
+def _write_table(path: Path | str, head: Sequence[str], row: str, columns: Sequence) -> None:
+    """Write the ``head`` lines, then one ``row`` line per entry of the
+    equal-length ``columns`` (ranges, lists or 1-D arrays), formatted by the
+    ``%`` codes of ``row`` ``_WRITE_BLOCK`` rows at a time."""
+
+    def chunks() -> Iterator[str]:
+        yield "".join(line + "\n" for line in head)
+        width, size = len(columns), len(columns[0])
+        for start in range(0, size, _WRITE_BLOCK):
+            n = min(_WRITE_BLOCK, size - start)
+            cells: list = [None] * (width * n)
+            for j, column in enumerate(columns):
+                block = column[start : start + n]
+                cells[j::width] = block.tolist() if isinstance(block, np.ndarray) else block
+            # "%.17g" % x is format(x, ".17g"), i.e. _fmt, for every float.
+            yield (row + "\n") * n % tuple(cells)
+
+    _atomic_write(Path(path), chunks())
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+
+
+def _grid_line(grid: Grid) -> str:
+    return f"# grid: {grid.n_dims},{grid.samples_per_dim},{_fmt(grid.extent)}"
 
 
 def write_signal(path: Path | str, signal: SampledSignal) -> None:
     """Serialize a signal as ``# grid:`` header plus ``index,re,im`` rows."""
-    _atomic_write(Path(path), _signal_chunks(signal))
+    values = signal.values
+    _write_table(path, [_grid_line(signal.grid), "index,re,im"], "%d,%.17g,%.17g",
+                 [range(values.size), values.real, values.imag])
 
 
 def read_signal(path: Path | str) -> SampledSignal:
@@ -369,12 +388,6 @@ def _read_lines(path: Path, raw: str) -> SampledSignal:
     return SampledSignal._owning(grid, values)
 
 
-def _write_table(path: Path | str, header: str, rows: list[str],
-                 preamble: Sequence[str] = ()) -> None:
-    lines = list(preamble) + [header] + rows
-    _atomic_write(Path(path), ["\n".join(lines) + "\n"])
-
-
 # --------------------------------------------------------------------- frft
 
 
@@ -422,18 +435,12 @@ def cmd_ops(args: argparse.Namespace) -> None:
 def cmd_frames(args: argparse.Namespace) -> None:
     atoms = tuple(read_signal(p) for p in args.atoms)
     bounds = frame_bounds(AtomBank(atoms, args.theta))
-    grid = bounds.grid
-    preamble = [
-        f"# grid: {grid.n_dims},{grid.samples_per_dim},{_fmt(grid.extent)}",
-        f"# lower: {_fmt(bounds.lower)}",
-        f"# upper: {_fmt(bounds.upper)}",
-    ]
-    coords = grid.coordinates()
+    coords = bounds.grid.coordinates()
     names = ["omega"] if len(coords) == 1 else ["omega_0", "omega_1"]
-    rows = [
-        ",".join(_fmt(x) for x in (*ws, v)) for *ws, v in zip(*coords, bounds.spectrum)
-    ]
-    _write_table(args.out, ",".join(names + ["value"]), rows, preamble)
+    head = [_grid_line(bounds.grid), f"# lower: {_fmt(bounds.lower)}",
+            f"# upper: {_fmt(bounds.upper)}", ",".join(names + ["value"])]
+    _write_table(args.out, head, ",".join(["%.17g"] * (len(coords) + 1)),
+                 [*coords, bounds.spectrum])
 
 
 # ------------------------------------------------------------------ scatter
@@ -524,9 +531,9 @@ def cmd_scatter_extract(args: argparse.Namespace) -> None:
         for path, feature in sorted(features.items()):
             name = f"feature_{level}_{_path_label(path)}.csv"
             write_signal(out_dir / name, feature)
-            rows.append(f"{level},{_path_label(path)},{_fmt(l2_norm(feature))},{name}")
-    preamble = [f"# admissible: {str(tree.admissible).lower()}"]
-    _write_table(out_dir / "index.csv", "level,path,norm,file", rows, preamble)
+            rows.append((level, _path_label(path), l2_norm(feature), name))
+    head = [f"# admissible: {str(tree.admissible).lower()}", "level,path,norm,file"]
+    _write_table(out_dir / "index.csv", head, "%d,%s,%.17g,%s", list(zip(*rows)))
 
 
 def cmd_scatter_invariance(args: argparse.Namespace) -> None:
@@ -540,11 +547,9 @@ def cmd_scatter_invariance(args: argparse.Namespace) -> None:
     )
     shifts = [as_shift(t, signal.grid.n_dims) for t in args.t]
     deviations = _deviations(signal, shifts, layers, depth, theta, None, covariant=False)
-    rows = []
-    for t, shift, deviation in zip(args.t, shifts, deviations):
-        bound = invariance_bound(shift, theta, s_factors, decay, norm_f)
-        rows.append(f"{_fmt(t)},{_fmt(theta.theta)},{_fmt(deviation)},{_fmt(bound)}")
-    _write_table(args.out, "t,theta,deviation,bound", rows)
+    bounds = [invariance_bound(shift, theta, s_factors, decay, norm_f) for shift in shifts]
+    _write_table(args.out, ["t,theta,deviation,bound"], "%.17g,%.17g,%.17g,%.17g",
+                 [args.t, [theta.theta] * len(shifts), deviations, bounds])
 
 
 # ------------------------------------------------------------------- approx
@@ -571,11 +576,6 @@ def _fiber_grid_for(
     return FiberGrid(theta, grid.n_dims, period, window)
 
 
-def _complex_pairs(block: np.ndarray) -> list:
-    stacked = np.stack([block.real, block.imag], axis=-1)
-    return stacked.tolist()
-
-
 def cmd_approx_fit(args: argparse.Namespace) -> None:
     if args.ell < 1:
         raise CliConfigError("--ell must be at least 1")
@@ -596,11 +596,9 @@ def cmd_approx_fit(args: argparse.Namespace) -> None:
         "window": fgrid.window,
         "error": approximation_error(model),
         "eigenvalues": model.eigenvalues.tolist(),
-        "mixing": _complex_pairs(model.eigenvectors),
+        "mixing": np.stack([model.eigenvectors.real, model.eigenvectors.imag], -1).tolist(),
     }
-    _atomic_write(
-        out_dir / "model.json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"]
-    )
+    _write_json(out_dir / "model.json", summary)
     for i in range(model.ell):
         write_signal(
             out_dir / f"generator_{i}.csv",
@@ -614,11 +612,9 @@ def cmd_approx_table(args: argparse.Namespace) -> None:
     n_dims = 1 if args.family == "sinc1d" else 2
     fgrid = FiberGrid(args.theta, n_dims, args.omega_samples, window=args.m)
     fibers = analytic_sinc_fibers(args.m, fgrid)
-    rows = []
-    for ell in range(1, args.m + 1):
-        error = approximation_error(fit_sis(fibers, ell))
-        rows.append(f"{ell},{_fmt(error)}")
-    _write_table(args.out, "ell,error", rows)
+    ranks = range(1, args.m + 1)
+    errors = [approximation_error(fit_sis(fibers, ell)) for ell in ranks]
+    _write_table(args.out, ["ell,error"], "%d,%.17g", [ranks, errors])
 
 
 # ---------------------------------------------------------------- multitile
@@ -649,15 +645,14 @@ def cmd_multitile_fit(args: argparse.Namespace) -> None:
         "ell": model.ell,
         "cells": [[list(k) for k in cell] for cell in tile.cells],
     }
-    _atomic_write(
-        out_dir / "tile.json", [json.dumps(tile_doc, indent=2, sort_keys=True) + "\n"]
-    )
-    rows = []
-    for j, signal in enumerate(signals):
+    _write_json(out_dir / "tile.json", tile_doc)
+    residuals = []
+    for signal in signals:
         projected = bandlimited_project(signal, model)
         residual = SampledSignal._owning(signal.grid, signal.values - projected.values)
-        rows.append(f"{j},{_fmt(l2_norm(residual) ** 2)}")
-    _write_table(out_dir / "errors.csv", "member,residual_sq", rows)
+        residuals.append(l2_norm(residual) ** 2)
+    _write_table(out_dir / "errors.csv", ["member,residual_sq"], "%d,%.17g",
+                 [range(len(signals)), residuals])
 
 
 def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
@@ -666,14 +661,13 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
     n_dims, omega_samples, bound, ell = (
         field(key, "integer") for key in ("n_dims", "omega_samples", "bound", "ell")
     )
-    theta = field("theta", "number")
-    cells = tuple(tuple(tuple(offset) for offset in cell) for cell in field("cells", "cells"))
+    theta, cells = field("theta", "number"), field("cells", "cells")
     tile = TileSet(
         theta=ThetaParam(theta),
         n_dims=n_dims,
         omega_samples=omega_samples,
         bound=bound,
-        cells=cells,
+        cells=[map(tuple, cell) for cell in cells],  # TileSet stores the cells as tuples
     )
     return tile, ell
 
@@ -697,12 +691,12 @@ def cmd_plotdata(args: argparse.Namespace) -> None:
     signal = read_signal(args.in_path)
     coords = signal.grid.coordinates()  # fresh arrays on each call: read once
     names = ["coordinate"] if len(coords) == 1 else ["coordinate_0", "coordinate_1"]
-    header = ",".join(names + ["magnitude", "re", "im"])
-    rows = [
-        ",".join(_fmt(x) for x in (*xs, abs(v), v.real, v.imag))
-        for *xs, v in zip(*coords, signal.values)
-    ]
-    _write_table(args.out, header, rows)
+    values = signal.values
+    # The scalar abs of each sample: a vectorized np.abs may differ in the last ulp.
+    magnitude = list(map(abs, values))
+    _write_table(args.out, [",".join(names + ["magnitude", "re", "im"])],
+                 ",".join(["%.17g"] * (len(coords) + 3)),
+                 [*coords, magnitude, values.real, values.imag])
 
 
 # ------------------------------------------------------------------ parsing

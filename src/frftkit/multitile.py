@@ -55,10 +55,10 @@ __all__ = [
 class TileSet:
     """Offsets per base frequency cell.
 
-    ``cells[w]`` lists the offset tuples attached to flattened cell ``w``
-    (cells flatten row-major over ``omega_samples`` per dimension); each
-    list is stored sorted and duplicate-free, with every offset a vector of
-    integers (not bools) bounded by ``bound`` in the max norm.
+    ``cells[w]`` is the tuple of offsets attached to flattened cell ``w``
+    (cells flatten row-major over ``omega_samples`` per dimension), sorted
+    and duplicate-free, each offset a tuple of integers (not bools) bounded
+    by ``bound`` in the max norm; cells given as lists are stored as tuples.
     """
 
     theta: ThetaParam
@@ -77,6 +77,7 @@ class TileSet:
                 f"expected {self.omega_samples ** self.n_dims} cells, "
                 f"got {len(self.cells)}"
             )
+        object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
         flat = _flat_offsets(self.cells, self.n_dims)
         if flat is None or flat[1].dtype.kind not in "iu":
             suspects = range(len(self.cells))  # no integer array: check every cell
@@ -100,12 +101,13 @@ def _flat_offsets(
     cells: Sequence[Sequence[Sequence[int]]], n_dims: int
 ) -> tuple[NDArray[np.intp], NDArray] | None:
     """The cell of every offset and all offsets as one ``(offset, axis)``
-    array, in cell order; ``None`` unless every offset has ``n_dims``
-    components, each an integer."""
+    array, in cell order; ``None`` unless every offset is a tuple of
+    ``n_dims`` components, each an integer."""
     try:
         counts = [len(c) for c in cells]
         flat = list(itertools.chain.from_iterable(cells))
-        if set(map(len, flat)) - {n_dims}:
+        tuples = all(map(isinstance, flat, itertools.repeat(tuple)))
+        if not tuples or set(map(len, flat)) - {n_dims}:
             return None
         values = list(itertools.chain.from_iterable(flat))
         if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, values))):
@@ -133,6 +135,9 @@ def _defects(
 
 def _check_cell(w: int, offsets: Sequence[Sequence[int]], n_dims: int, bound: int) -> None:
     """Raise the ``ValueError`` that names the first rule cell ``w`` breaks."""
+    for k in offsets:
+        if not isinstance(k, tuple):
+            raise ValueError(f"cell {w} offset {k!r} is not a tuple")
     if list(offsets) != sorted(set(offsets)):
         raise ValueError(f"cell {w} offsets must be sorted and unique")
     for k in offsets:

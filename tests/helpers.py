@@ -258,6 +258,9 @@ def tile_cells_reference(cells, n_dims: int, bound: int) -> None:
     the ``ValueError`` of the first rule that the first defective cell
     breaks."""
     for w, offsets in enumerate(cells):
+        for k in offsets:
+            if not isinstance(k, tuple):
+                raise ValueError(f"cell {w} offset {k!r} is not a tuple")
         if list(offsets) != sorted(set(offsets)):
             raise ValueError(f"cell {w} offsets must be sorted and unique")
         for k in offsets:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import frftkit
 from frftkit import (
+    AtomBank,
     FiberGrid,
     Grid,
     LayerConfig,
@@ -25,7 +26,10 @@ from frftkit import (
     SampledSignal,
     ShiftVector,
     ThetaParam,
+    analytic_sinc_fibers,
     approximation_error,
+    bandlimited_project,
+    extract_features,
     fiber_map,
     fit_sis,
     frame_bounds,
@@ -33,6 +37,7 @@ from frftkit import (
     invariance_bound,
     invariance_deviation,
     l2_norm,
+    optimal_multitile,
     theta_translate,
 )
 from frftkit import cli
@@ -91,6 +96,15 @@ def reference_csv(signal):
     lines += [f"{i},{format(float(v.real), '.17g')},{format(float(v.imag), '.17g')}"
               for i, v in enumerate(signal.values)]
     return "\n".join(lines) + "\n"
+
+
+def reference_table(head, rows):
+    """The ``head`` lines, then ``rows`` built one cell at a time: a string
+    or an int as it is, any other number with format(x, ".17g")."""
+    def cell(x):
+        return str(x) if isinstance(x, (str, int)) else format(float(x), ".17g")
+
+    return "\n".join([*head, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 def same_bits(a, b):
@@ -287,6 +301,30 @@ def test_frames_command(tmp_path):
     assert len(lines) == 4 + grid.size
 
 
+@pytest.mark.parametrize(
+    "grid, frac",
+    [(Grid(1, 256, 8.0), (1, 3)), (Grid(2, 32, 4.0), (-2, 5))],
+    ids=["1d-pi/3", "2d--2pi/5"],
+)
+def test_frames_bytes_match_format_reference(tmp_path, grid, frac):
+    """The header lines and every spectrum row are the one-number-at-a-time
+    format of the library's frame bounds."""
+    atoms = [random_signal(grid, s) for s in (21, 22)]
+    paths = [write_csv(tmp_path / f"g{i}.csv", atom) for i, atom in enumerate(atoms)]
+    out = tmp_path / "spec.csv"
+    assert main(["frames", "--atoms", *paths, "--out", str(out),
+                 "--theta-frac", *map(str, frac)]) == 0
+    bounds = frame_bounds(AtomBank(atoms, ThetaParam(math.pi * frac[0] / frac[1])))
+    g = bounds.grid
+    names = ["omega"] if g.n_dims == 1 else ["omega_0", "omega_1"]
+    head = [f"# grid: {g.n_dims},{g.samples_per_dim},{format(g.extent, '.17g')}",
+            f"# lower: {format(bounds.lower, '.17g')}",
+            f"# upper: {format(bounds.upper, '.17g')}",
+            ",".join(names + ["value"])]
+    rows = zip(*g.coordinates(), bounds.spectrum)
+    assert out.read_bytes() == reference_table(head, rows).encode()
+
+
 def scatter_config(tmp_path, depth=2, nonlin="phase_covariant_shrink",
                    theta_key=None, name="cascade.json", grid=Grid(1, 128, 8.0)):
     layers, phi = make_s1_layers(grid, PI3, (1.0, 1.0), ["identity", "identity"])
@@ -369,6 +407,38 @@ def test_scatter_invariance_2d_scalar_shift_is_diagonal(tmp_path):
         assert bound == invariance_bound(shift, PI3, (1.0, 1.0), decay, l2_norm(signal))
         assert dev == invariance_deviation(signal, shift, layers, 2, PI3)
         assert 0.0 < dev <= bound
+
+
+def test_scatter_tables_bytes_match_format_reference(tmp_path):
+    """Every row of ``index.csv`` and of the invariance table is the
+    one-number-at-a-time format of the library's norms, deviations and
+    bounds."""
+    cfg, sig, f = scatter_config(tmp_path)
+    out_dir, inv = tmp_path / "features", tmp_path / "inv.csv"
+    ts = [0.125, 0.5, -0.25]
+    assert main(["scatter", "extract", "--config", cfg, "--signal", sig,
+                 "--out-dir", str(out_dir)]) == 0
+    assert main(["scatter", "invariance", "--config", cfg, "--signal", sig,
+                 "--t", *map(repr, ts), "--out", str(inv)]) == 0
+    theta, layers, depth = cli._load_scatter_config(cfg)
+    signal = read_signal(sig)
+    tree = extract_features(signal, layers, depth, theta)
+    rows = []
+    for level, features in enumerate(tree.levels):
+        for path, feature in sorted(features.items()):
+            label = "-".join(map(str, path)) or "root"
+            rows.append((level, label, l2_norm(feature), f"feature_{level}_{label}.csv"))
+    head = [f"# admissible: {str(tree.admissible).lower()}", "level,path,norm,file"]
+    assert (out_dir / "index.csv").read_bytes() == reference_table(head, rows).encode()
+
+    decay = max(layer.decay_constants[2] for layer in layers[:depth])
+    rows = []
+    for t in ts:
+        shift = ShiftVector((t,))
+        rows.append((t, theta.theta, invariance_deviation(signal, shift, layers, depth, theta),
+                     invariance_bound(shift, theta, (1.0, 1.0), decay, l2_norm(signal))))
+    head = ["t,theta,deviation,bound"]
+    assert inv.read_bytes() == reference_table(head, rows).encode()
 
 
 def test_approx_fit(tmp_path):
@@ -466,6 +536,17 @@ def test_approx_table(tmp_path):
     assert rows[4] < 1e-10
 
 
+@pytest.mark.parametrize("family, n_dims, frac", [("sinc1d", 1, (1, 3)), ("sinc2d", 2, (1, 2))])
+def test_approx_table_bytes_match_format_reference(tmp_path, family, n_dims, frac):
+    out = tmp_path / "table.csv"
+    assert main(["approx", "table", "--family", family, "--m", "3",
+                 "--theta-frac", *map(str, frac), "--out", str(out)]) == 0
+    theta = ThetaParam(math.pi * frac[0] / frac[1])
+    fibers = analytic_sinc_fibers(3, FiberGrid(theta, n_dims, 16, window=3))
+    rows = [(ell, approximation_error(fit_sis(fibers, ell))) for ell in (1, 2, 3)]
+    assert out.read_bytes() == reference_table(["ell,error"], rows).encode()
+
+
 def test_multitile_fit_and_check(tmp_path, capsys):
     grid = Grid(1, 256, 8.0)
     members = [banded_signal(grid, PI3, 0.6, s) for s in (71, 72)]
@@ -492,6 +573,23 @@ def test_multitile_fit_and_check(tmp_path, capsys):
     bad = tmp_path / "bad_tile.json"
     bad.write_text(json.dumps(doc))
     assert main(["multitile", "check", "--tile", str(bad)]) == 4
+
+
+def test_multitile_errors_bytes_match_format_reference(tmp_path):
+    """``errors.csv`` is the one-number-at-a-time format of each member's
+    squared residual after the library's bandlimited projection."""
+    grid = Grid(1, 256, 8.0)  # period 16, covering window 8
+    members = [banded_signal(grid, PI3, 0.6, s) for s in (71, 72, 73)]
+    paths = [write_csv(tmp_path / f"m{i}.csv", m) for i, m in enumerate(members)]
+    out_dir = tmp_path / "mt"
+    assert main(["multitile", "fit", "--data", *paths, "--ell", "2", "--N", "3",
+                 "--theta-frac", "1", "3", "--out-dir", str(out_dir)]) == 0
+    fg = FiberGrid(PI3, 1, 16, 8)
+    model = optimal_multitile([fiber_map(m, fg) for m in members], 2, 3)
+    rows = [(j, l2_norm(m.with_values(m.values - bandlimited_project(m, model).values)) ** 2)
+            for j, m in enumerate(members)]
+    want = reference_table(["member,residual_sq"], rows)
+    assert (out_dir / "errors.csv").read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize(
@@ -730,6 +828,22 @@ def test_plotdata_1d_bytes_match_format_reference(tmp_path):
                        for x in ((j - half) * grid.spacing, abs(v), v.real, v.imag))
               for j, v in enumerate(f.values)]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_plotdata_2d_bytes_match_format_reference(tmp_path):
+    """Every row of the 2-D table is the one-number-at-a-time format of the
+    coordinates ((j0 - N/2) * spacing, (j1 - N/2) * spacing) in row-major
+    order, the scalar ``abs`` of the sample and both parts."""
+    grid = Grid(2, 32, 4.0)
+    f = special_signal(grid, 32)
+    src = write_csv(tmp_path / "f.csv", f)
+    out = tmp_path / "plot.csv"
+    assert main(["plotdata", "--in", src, "--out", str(out)]) == 0
+    n, half = grid.samples_per_dim, grid.samples_per_dim // 2
+    rows = [((j // n - half) * grid.spacing, (j % n - half) * grid.spacing, abs(v), v.real, v.imag)
+            for j, v in enumerate(f.values)]
+    head = ["coordinate_0,coordinate_1,magnitude,re,im"]
+    assert out.read_bytes() == reference_table(head, rows).encode()
 
 
 def test_exit_code_2_parse_failures(tmp_path):

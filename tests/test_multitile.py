@@ -36,6 +36,7 @@ from frftkit.cli import main, write_signal
 from frftkit.transform import _chirp_plan, centered_idft, chirp_modulate
 from helpers import (
     banded_signal,
+    fft_rows,
     frame_expansion_reference,
     gauss_profile,
     random_fiber_fields,
@@ -108,8 +109,10 @@ def _ragged_tile(seed):
         (2, (((-2, 2), (0, 0), (0, 1)), (), ((2, -2),), ((-1, 0), (0, -1), (1, 1)), (), (), (), (), ())),
         (1, (((0,), (1.5,)), ((True,),), ((2,),))),  # not all ints: no integer array
         (1, (((2**70,),), (), ())),  # past int64
+        (1, (((2,), (0,)), ((0,), [1]), ())),  # an unsorted cell before a list offset
     ],
-    ids=[f"ragged-{seed}" for seed in range(40)] + ["empty", "2d-valid", "non-int", "huge"],
+    ids=[f"ragged-{seed}" for seed in range(40)]
+    + ["empty", "2d-valid", "non-int", "huge", "list-offset"],
 )
 def test_tileset_validation_matches_the_reference_loop(n_dims, cells):
     """Every tile, valid (one ragged tile in four, and the edge cases) or
@@ -122,6 +125,14 @@ def test_tileset_validation_matches_the_reference_loop(n_dims, cells):
     if want is None and flat is not None and flat[1].dtype.kind == "i":
         # A valid tile flags no offset, so the per-cell check never runs.
         assert not multitile._defects(*flat, 2).any()
+
+
+def test_tileset_from_lists_is_stored_as_tuples_and_hashes():
+    """Cells given as lists of offset tuples are stored as tuples, so the
+    tile hashes and equals the tile of the same tuples."""
+    tile = TileSet(PI3, 1, 2, 1, [[(0,), (1,)], [(-1,), (0,)]])
+    assert tile.cells == (((0,), (1,)), ((-1,), (0,)))
+    assert hash(tile) == hash(TileSet(PI3, 1, 2, 1, (((0,), (1,)), ((-1,), (0,)))))
 
 
 def test_tileset_refuses_offsets_that_are_not_integers():
@@ -275,6 +286,46 @@ def test_fibers_and_projection_share_one_layout(monkeypatch, tmp_path):
     builds.clear()
     assert main(["multitile", "fit", "--data", *paths, "--ell", "2", "--N", "1",
                  "--theta-frac", "1", "3", "--out-dir", str(tmp_path / "tiles")]) == 0
+    assert len(builds) == 1
+
+
+def test_sis_fit_fft_rows(monkeypatch):
+    """The FFT rows of one op of the benchmark's SIS fit (2-D 128², extent
+    8, 4 members, rank 2, tile bound 3, window 4): one 128² row per fiber
+    map, one for the generator, and a forward and an inverse one for the
+    projection; the fit and the tile ranking transform nothing.  The
+    projection's covering window is the fit's, so one layout serves all."""
+    grid, th = Grid(2, 128, 8.0), PI3
+    fg = FiberGrid(th, 2, 16, 4)
+    assert approx._covering_window(grid) == fg.window
+    family = [banded_signal(grid, th, 2.0, s) for s in range(4)]
+    builds = []
+    init = approx._FiberLayout.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(approx, "_live_layout", None)
+    monkeypatch.setattr(approx._FiberLayout, "__init__", counting)
+    with fft_rows() as total:
+        with fft_rows() as counts:
+            fibers = [fiber_map(f, fg) for f in family]
+        assert counts == [4, 4 * 128**2]
+        with fft_rows() as counts:
+            model = fit_sis(fibers, 2)
+            approx.approximation_error(model)
+        assert counts == [0, 0]
+        with fft_rows() as counts:
+            synthesize_generator(model, 0, grid)
+        assert counts == [1, 128**2]
+        with fft_rows() as counts:
+            tiles = optimal_multitile(fibers, 2, 3)
+        assert counts == [0, 0]
+        with fft_rows() as counts:
+            bandlimited_project(family[0], tiles)
+        assert counts == [2, 2 * 128**2]
+    assert total == [7, 114688]
     assert len(builds) == 1
 
 
@@ -649,10 +700,13 @@ _TILE = TileSet(PI3, 1, 2, 1, (((-1,), (1,)), ((0,), (1,))))
          "^selection length must match the cell count$"),
         (lambda: partition_multitile(TileSet(PI3, 1, 2, 1, (((-1,), (1,)), ((0,),))), 2),
          NotMultiTile, r"^cannot partition: offset counts per cell are \{1, 2\}, expected all 2$"),
-        # An offset that is not a tuple fails as in the reference loop.
-        (lambda: TileSet(PI3, 1, 1, 2, ((1,),)), TypeError, "has no len"),
+        # An offset that is not a tuple is refused before the sorted rule,
+        # which a list would break with an unhashable-type TypeError.
+        (lambda: TileSet(PI3, 1, 1, 2, ((1,),)), ValueError, "cell 0 offset 1 is not a tuple"),
+        (lambda: TileSet(PI3, 1, 1, 2, (([1],),)), ValueError,
+         r"cell 0 offset \[1\] is not a tuple"),
     ],
-    ids=["short-selection", "uneven-cells", "non-tuple-offset"],
+    ids=["short-selection", "uneven-cells", "non-tuple-offset", "list-offset"],
 )
 def test_multitile_refusals(call, error, message):
     with pytest.raises(error, match=message):
