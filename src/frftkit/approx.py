@@ -39,7 +39,7 @@ from .errors import (
     TruncationLoss,
     WindowTooSmall,
 )
-from .grids import Grid, SampledSignal, ThetaParam, _adopt, _Owned
+from .grids import Grid, SampledSignal, ThetaParam, _adopt, _as_int, _Owned
 from .transform import _chirp_plan
 
 __all__ = [
@@ -78,6 +78,8 @@ class FiberGrid:
     window: int
 
     def __post_init__(self) -> None:
+        for name in ("n_dims", "omega_samples", "window"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.n_dims not in (1, 2):
             raise ValueError("only 1- and 2-dimensional fiber grids are supported")
         if self.omega_samples < 1:
@@ -401,7 +403,7 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
     eigenvalue vanishes.  Raises :class:`BadRank` unless ``1 <= ell <=
     len(fibers)``.
     """
-    m = len(fibers)
+    ell, m = _as_int(ell, "ell"), len(fibers)
     if not 1 <= ell <= m:
         raise BadRank(f"rank {ell} is not within 1..{m}")
     grid, stack = _stack(fibers)
@@ -430,6 +432,16 @@ def fit_sis(fibers: Sequence[FiberField], ell: int) -> SISModel:
     )
 
 
+def _tail_error(model: SISModel, ell: int) -> float:
+    """The least error of a rank-``ell`` invariant space for the model's
+    family: its eigenvalues beyond ``ell``, clamped at 0, summed per cell,
+    averaged over cells and multiplied by ``|sin θ|^n``.  One fit at any
+    rank gives every rank's error."""
+    tail = np.maximum(model.eigenvalues[:, ell:], 0.0)
+    weight = model.grid.theta.abs_sin ** model.grid.n_dims
+    return float(weight * np.mean(np.sum(tail, axis=1))) if tail.size else 0.0
+
+
 def approximation_error(model: SISModel) -> float:
     """Mean residual eigenvalue mass, weighted by the cell measure.
 
@@ -437,11 +449,10 @@ def approximation_error(model: SISModel) -> float:
     beyond the kept rank; zero exactly when the family already lies in a
     rank-``ell`` invariant subspace.  The eigenvalues are clamped at 0: a
     Gramian is positive semidefinite, but where the family has rank
-    ``<= ell`` in a cell, rounding can leave them slightly negative.
+    ``<= ell`` in a cell, rounding can leave them slightly negative.  This
+    is the tail rule :func:`_tail_error` read at the model's own rank.
     """
-    tail = np.maximum(model.eigenvalues[:, model.ell :], 0.0)
-    weight = model.grid.theta.abs_sin ** model.grid.n_dims
-    return float(weight * np.mean(np.sum(tail, axis=1))) if tail.size else 0.0
+    return _tail_error(model, model.ell)
 
 
 def project(fiber: FiberField, model: SISModel) -> FiberField:

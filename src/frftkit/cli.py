@@ -53,6 +53,7 @@ from .approx import (
     FiberGrid,
     _covering_window,
     _integer_period,
+    _tail_error,
     analytic_sinc_fibers,
     approximation_error,
     fiber_map,
@@ -612,8 +613,10 @@ def cmd_approx_table(args: argparse.Namespace) -> None:
     n_dims = 1 if args.family == "sinc1d" else 2
     fgrid = FiberGrid(args.theta, n_dims, args.omega_samples, window=args.m)
     fibers = analytic_sinc_fibers(args.m, fgrid)
+    # One fit at full rank: each rank's error is the tail of its eigenvalues.
+    model = fit_sis(fibers, args.m)
     ranks = range(1, args.m + 1)
-    errors = [approximation_error(fit_sis(fibers, ell)) for ell in ranks]
+    errors = [_tail_error(model, ell) for ell in ranks]
     _write_table(args.out, ["ell,error"], "%d,%.17g", [ranks, errors])
 
 

@@ -16,6 +16,7 @@ array, where a computation overflowed, and :class:`ValueError` for a caller's.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,6 +35,18 @@ AXIS_TOL = 1e-12
 GRID_SNAP = 1e-9
 
 
+def _as_int(value: object, name: str) -> int:
+    """``value`` as an ``int`` by :func:`operator.index`, so NumPy integers
+    pass; a bool, a float or anything else raises :class:`TypeError` that
+    names the parameter."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Grid:
     """Centered uniform grid on ``[-extent, extent)^n_dims``."""
@@ -43,6 +56,8 @@ class Grid:
     extent: float
 
     def __post_init__(self) -> None:
+        for name in ("n_dims", "samples_per_dim"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.n_dims not in (1, 2):
             raise ValueError(f"n_dims must be 1 or 2, got {self.n_dims}")
         n = self.samples_per_dim

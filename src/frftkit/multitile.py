@@ -37,7 +37,7 @@ from .approx import (
     _synthesize,
 )
 from .errors import BadRank, GridMismatch, NotMultiTile
-from .grids import Grid, SampledSignal, ShiftVector, ThetaParam
+from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, _as_int
 from .transform import _chirp_plan
 
 __all__ = [
@@ -70,6 +70,8 @@ class TileSet:
     _flat: tuple[NDArray[np.intp], NDArray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("n_dims", "omega_samples", "bound"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.n_dims not in (1, 2):
             raise ValueError("only 1- and 2-dimensional tile sets are supported")
         if len(self.cells) != self.omega_samples**self.n_dims:
@@ -229,6 +231,7 @@ def optimal_multitile(
     break toward lexicographically smaller offsets.  Raises
     :class:`BadRank` when ``ell`` exceeds the number of candidates.
     """
+    ell, bound = _as_int(ell, "ell"), _as_int(bound, "bound")
     grid = _family_grid(fibers)
     n_candidates = max(2 * bound + 1, 0) ** grid.n_dims
     if not 1 <= ell <= n_candidates:

@@ -225,9 +225,12 @@ class LayerConfig:
     batched forward, for the upper frame bound of them all and the output
     atom's decay constants, then caches ``kernels``: their chirped spectra,
     ready for convolution on the chirp plan.  It raises, in this order,
-    :class:`AngleDegenerate` at a multiple of pi, :class:`OverflowError`
-    for a spectrum that is not finite, and :class:`NoDecay` for an output
-    atom whose transform does not vanish toward the grid boundary.
+    :class:`ValueError` for a pooling factor below 1,
+    :class:`IrrationalScale` for one that is not a rational of small
+    denominator, :class:`AngleDegenerate` at a multiple of pi,
+    :class:`OverflowError` for a spectrum that is not finite, and
+    :class:`NoDecay` for an output atom whose transform does not vanish
+    toward the grid boundary.
     """
 
     bank: AtomBank
@@ -244,6 +247,7 @@ class LayerConfig:
             raise ValueError("output atom must live on the bank's grid")
         if not self.pooling_factor >= 1.0:
             raise ValueError("pooling factor must be at least 1")
+        _as_fraction(self.pooling_factor)  # IrrationalScale here, not at the first pass
         plan = _chirp_plan(self.bank.grid, self.theta)
         atoms = np.stack([atom.as_nd() for atom in self.bank.atoms + (self.output_atom,)])
         spectra = plan.forward(atoms)

@@ -536,15 +536,44 @@ def test_approx_table(tmp_path):
     assert rows[4] < 1e-10
 
 
-@pytest.mark.parametrize("family, n_dims, frac", [("sinc1d", 1, (1, 3)), ("sinc2d", 2, (1, 2))])
-def test_approx_table_bytes_match_format_reference(tmp_path, family, n_dims, frac):
+def check_table_against_fits_per_rank(tmp_path, family, n_dims, frac, m):
+    """The ``approx table`` file is byte for byte the error of a separate
+    fit at each rank, formatted one number at a time."""
     out = tmp_path / "table.csv"
-    assert main(["approx", "table", "--family", family, "--m", "3",
+    assert main(["approx", "table", "--family", family, "--m", str(m),
                  "--theta-frac", *map(str, frac), "--out", str(out)]) == 0
     theta = ThetaParam(math.pi * frac[0] / frac[1])
-    fibers = analytic_sinc_fibers(3, FiberGrid(theta, n_dims, 16, window=3))
-    rows = [(ell, approximation_error(fit_sis(fibers, ell))) for ell in (1, 2, 3)]
+    fibers = analytic_sinc_fibers(m, FiberGrid(theta, n_dims, 16, window=m))
+    rows = [(ell, approximation_error(fit_sis(fibers, ell))) for ell in range(1, m + 1)]
     assert out.read_bytes() == reference_table(["ell,error"], rows).encode()
+
+
+@pytest.mark.parametrize("family, n_dims, frac", [("sinc1d", 1, (1, 3)), ("sinc2d", 2, (1, 2))])
+def test_approx_table_bytes_match_format_reference(tmp_path, family, n_dims, frac):
+    check_table_against_fits_per_rank(tmp_path, family, n_dims, frac, 3)
+
+
+def test_approx_table_fits_the_family_once(tmp_path, monkeypatch):
+    calls = {"fit_sis": 0, "eigh": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "fit_sis", counted("fit_sis", cli.fit_sis))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    assert main(["approx", "table", "--family", "sinc2d", "--m", "6", "--theta-frac", "1", "3",
+                 "--out", str(tmp_path / "table.csv")]) == 0
+    assert calls == {"fit_sis": 1, "eigh": 1}
+
+
+@pytest.mark.parametrize("m", [1, 4, 6])
+@pytest.mark.parametrize("frac", [(1, 3), (-2, 5)], ids=["sin+", "sin-"])
+@pytest.mark.parametrize("family, n_dims", [("sinc1d", 1), ("sinc2d", 2)])
+def test_approx_table_matches_a_fit_per_rank(tmp_path, family, n_dims, frac, m):
+    check_table_against_fits_per_rank(tmp_path, family, n_dims, frac, m)
 
 
 def test_multitile_fit_and_check(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Grids, shift vectors and angles, and the one rule by which every record
-takes in its arrays."""
+"""Grids, shift vectors and angles, the one rule by which every record
+takes in its arrays, and the one rule for integer parameters."""
 import math
 
 import numpy as np
@@ -7,16 +7,23 @@ import pytest
 
 from frftkit import (
     AngleDegenerate,
+    AtomBank,
     FiberField,
     FiberGrid,
     FrameBounds,
     GramianField,
     Grid,
+    IrrationalScale,
+    LayerConfig,
     OffGridShift,
     SampledSignal,
     ShiftVector,
     SISModel,
     ThetaParam,
+    TileSet,
+    analytic_sinc_fibers,
+    fit_sis,
+    optimal_multitile,
 )
 from frftkit.grids import _Owned
 
@@ -79,6 +86,17 @@ def test_records_refuse_non_finite_arrays(record, bad):
         assert np.shares_memory(held, source) == kept
 
 
+FIBERS = analytic_sinc_fibers(2, FiberGrid(ThetaParam(math.pi / 3), 1, 4, 3))
+
+
+def _layer(pooling_factor):
+    """A layer of one Gaussian atom, pooled by ``pooling_factor``."""
+    grid = Grid(1, 64, 4.0)
+    atom = SampledSignal(grid, np.exp(-np.pi * grid.axis**2))
+    return LayerConfig(AtomBank((atom,), ThetaParam(math.pi / 3)), atom,
+                       pooling_factor=pooling_factor)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -90,9 +108,38 @@ def test_records_refuse_non_finite_arrays(record, bad):
         (lambda: ShiftVector((math.inf,)), ValueError, "shift components must be finite"),
         (lambda: ShiftVector((0.5,)).index_offsets(Grid(2, 8, 2.0)), OffGridShift,
          "shift has 1 components for a 2-dimensional grid"),
+        (lambda: fit_sis(FIBERS, 1.5), TypeError, "^ell must be an integer, got 1.5$"),
+        (lambda: fit_sis(FIBERS, True), TypeError, "^ell must be an integer, got True$"),
+        (lambda: optimal_multitile(FIBERS, 1.5, 3), TypeError,
+         "^ell must be an integer, got 1.5$"),
+        (lambda: optimal_multitile(FIBERS, 1, 3.0), TypeError,
+         "^bound must be an integer, got 3.0$"),
+        (lambda: Grid(1, 64.0, 1.0), TypeError, "^samples_per_dim must be an integer, got 64.0$"),
+        (lambda: Grid(1.0, 64, 4.0), TypeError, "^n_dims must be an integer, got 1.0$"),
+        (lambda: Grid(True, 64, 4.0), TypeError, "^n_dims must be an integer, got True$"),
+        (lambda: FiberGrid(ThetaParam(1.0), 1, 4, np.float64(2)), TypeError,
+         r"^window must be an integer, got np.float64\(2.0\)$"),
+        (lambda: TileSet(ThetaParam(1.0), 1, 1, 1.0, (((0,),),)), TypeError,
+         "^bound must be an integer, got 1.0$"),
+        (lambda: _layer(math.pi), IrrationalScale,
+         "^dilation factor 3.141592653589793 is not a rational with denominator <= 256$"),
     ],
-    ids=["csc-on-axis", "parity-off-axis", "grid-3d", "shift-nan", "shift-inf", "shift-arity"],
+    ids=["csc-on-axis", "parity-off-axis", "grid-3d", "shift-nan", "shift-inf", "shift-arity",
+         "ell-float", "ell-bool", "multitile-ell", "multitile-bound", "samples-float",
+         "n_dims-float", "n_dims-bool", "window-numpy-float", "tile-bound",
+         "pooling-irrational"],
 )
 def test_grid_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+
+def test_numpy_integer_parameters_are_accepted():
+    grid = Grid(np.int64(1), np.int32(64), 4.0)
+    assert grid == Grid(1, 64, 4.0)
+    assert type(grid.n_dims) is int and type(grid.samples_per_dim) is int
+    model = fit_sis(FIBERS, np.int64(1))
+    assert model.ell == 1 and np.array_equal(model.generators, fit_sis(FIBERS, 1).generators)
+    assert optimal_multitile(FIBERS, np.int64(2), np.uint8(3)) == optimal_multitile(FIBERS, 2, 3)
+    assert _layer(2.0).pooling_factor == 2.0
