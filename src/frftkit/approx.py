@@ -39,7 +39,7 @@ from .errors import (
     TruncationLoss,
     WindowTooSmall,
 )
-from .grids import Grid, SampledSignal, ThetaParam, _adopt, _as_int, _Owned
+from .grids import Grid, SampledSignal, ThetaParam, _adopt, _as_int, _Owned, _sum_squares
 from .transform import _chirp_plan
 
 __all__ = [
@@ -309,10 +309,8 @@ def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:
     energy falls outside the offset window.
     """
     spectrum, data = _gather(f, _fiber_layout(f.grid, fgrid))
-    # Sums of squares over the float64 views, with no temporary array.
-    raw, fibers = spectrum.view(np.float64).ravel(), data.view(np.float64).ravel()
-    total = float(np.einsum("i,i->", raw, raw)) * f.grid.spacing ** (2 * f.grid.n_dims)
-    captured = float(np.einsum("i,i->", fibers, fibers))
+    total = float(_sum_squares(spectrum.ravel())) * f.grid.spacing ** (2 * f.grid.n_dims)
+    captured = float(_sum_squares(data.ravel()))
     if total > 0.0 and (total - captured) > TRUNCATION_TOL * total:
         raise TruncationLoss(
             f"offset window captures only {captured / total:.9f} of the "
@@ -334,7 +332,7 @@ def analytic_sinc_fibers(m: int, fgrid: FiberGrid) -> tuple[FiberField, ...]:
     Raises :class:`WindowTooSmall` when the offset window cannot hold all
     ``m`` occupied offsets.
     """
-    if m < 1:
+    if _as_int(m, "m") < 1:
         raise ValueError("family size must be at least 1")
     if m > fgrid.window:
         raise WindowTooSmall(
@@ -475,6 +473,6 @@ def synthesize_generator(
     layout and ``IndexError`` for generator indices outside ``0 ..
     ell-1``.
     """
-    if not 0 <= i < model.ell:
+    if not 0 <= _as_int(i, "i") < model.ell:
         raise IndexError(f"generator index {i} out of range for rank {model.ell}")
     return _synthesize(model.generators[i], _fiber_layout(signal_grid, model.grid))

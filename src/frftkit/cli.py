@@ -71,7 +71,7 @@ from .errors import (
     TruncationLoss,
 )
 from .frames import AtomBank, frame_bounds
-from .grids import Grid, SampledSignal, ThetaParam, as_shift
+from .grids import Grid, SampledSignal, ThetaParam, _energy, as_shift
 from .multitile import TileSet, bandlimited_project, is_multitile, optimal_multitile
 from .scatter import (
     LayerConfig,
@@ -649,11 +649,7 @@ def cmd_multitile_fit(args: argparse.Namespace) -> None:
         "cells": [[list(k) for k in cell] for cell in tile.cells],
     }
     _write_json(out_dir / "tile.json", tile_doc)
-    residuals = []
-    for signal in signals:
-        projected = bandlimited_project(signal, model)
-        residual = SampledSignal._owning(signal.grid, signal.values - projected.values)
-        residuals.append(l2_norm(residual) ** 2)
+    residuals = [_energy(s.values - bandlimited_project(s, model).values, s.grid) for s in signals]
     _write_table(out_dir / "errors.csv", ["member,residual_sq"], "%d,%.17g",
                  [range(len(signals)), residuals])
 

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grids import Grid, SampledSignal, ThetaParam, _adopt, _Owned
+from .grids import Grid, SampledSignal, ThetaParam, _adopt, _Owned, _power
 from .transform import _chirp_plan, _ChirpPlan
 
 __all__ = [
@@ -94,7 +94,7 @@ def frame_bounds(bank: AtomBank) -> FrameBounds:
 
 def _frames(spectra: NDArray[np.complex128], plan: _ChirpPlan) -> FrameBounds:
     """:class:`FrameBounds` of the rows of ``spectra``, atoms transformed on ``plan``."""
-    spectrum = np.sum(np.abs(spectra.reshape(len(spectra), -1)) ** 2, axis=0)
+    spectrum = np.sum(_power(spectra.reshape(len(spectra), -1)), axis=0)
     spectrum *= plan.theta.abs_sin ** plan.out_grid.n_dims
     lower, upper = float(spectrum.min()), float(spectrum.max())
     return FrameBounds(lower, upper, _Owned(spectrum), plan.out_grid)

@@ -103,11 +103,7 @@ class Grid:
 
     def radius_squared(self) -> NDArray[np.float64]:
         """Flattened ``‖t‖²`` over the grid."""
-        coords = self.coordinates()
-        out = coords[0] ** 2
-        for c in coords[1:]:
-            out = out + c**2
-        return out
+        return sum(np.square(c) for c in self.coordinates())
 
 
 class _Owned:
@@ -128,6 +124,25 @@ def _adopt(array: "NDArray | _Owned", dtype: type, message: str) -> NDArray:
         raise (OverflowError if owned else ValueError)(message)
     array.flags.writeable = False
     return array
+
+
+def _sum_squares(values: NDArray[np.complex128], n_axes: int = 1) -> NDArray[np.float64]:
+    """The sum of ``|z|²`` over the last ``n_axes`` axes, one per leading index:
+    re² + im² of the float64 view (its last axis contiguous) summed by ``np.einsum``,
+    off BLAS and with no temporary, so no thread count or vector ``abs`` moves a bit."""
+    axes = "..." + "ij"[:n_axes]
+    v = values.view(np.float64)
+    return np.einsum(f"{axes},{axes}->...", v, v)
+
+
+def _energy(values: NDArray[np.complex128], grid: Grid) -> float:
+    """Squared discrete L² norm of samples on ``grid``."""
+    return float(grid.spacing**grid.n_dims * _sum_squares(np.ravel(values)))
+
+
+def _power(values: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """``|z|²`` of each entry, rounded as the scalar ``re*re + im*im``."""
+    return np.square(values.real) + np.square(values.imag)
 
 
 @dataclass(frozen=True, slots=True)

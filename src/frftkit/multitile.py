@@ -37,7 +37,7 @@ from .approx import (
     _synthesize,
 )
 from .errors import BadRank, GridMismatch, NotMultiTile
-from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, _as_int
+from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, _as_int, _power
 from .transform import _chirp_plan
 
 __all__ = [
@@ -180,7 +180,7 @@ class MultiTileModel:
 
 def is_multitile(tile: TileSet, ell: int) -> bool:
     """Whether every cell carries exactly ``ell`` offsets."""
-    return all(len(c) == ell for c in tile.cells)
+    return tile.counts == (_as_int(ell, "ell"),) * tile.n_cells
 
 
 def partition_multitile(tile: TileSet, ell: int) -> list[TileSet]:
@@ -242,7 +242,7 @@ def optimal_multitile(
 
     # Energy of every candidate per cell; candidates outside the window score 0.
     slot, in_window = _window_slots(grid, candidates)
-    energy = sum(np.abs(fib.data[:, slot]) ** 2 for fib in fibers)
+    energy = sum(_power(fib.data[:, slot]) for fib in fibers)
     table = np.where(in_window, energy, 0.0)  # (cell, candidate)
 
     # The top ell per cell, best first: argmax returns the first maximum, so
@@ -329,7 +329,7 @@ def partial_projection(
     shifts, which an FFT over the cells applies as ``(W/P)^n`` times the
     number of shifts in each residue class mod ``W``.
     """
-    if n_shifts < 0:
+    if _as_int(n_shifts, "n_shifts") < 0:
         raise ValueError("the shift range must be nonnegative")
     layout = _fiber_layout(f.grid, model.grid)
     if n_shifts:

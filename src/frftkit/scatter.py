@@ -78,7 +78,7 @@ from .errors import (
     PathArityMismatch,
 )
 from .frames import AtomBank, _frames, check_admissibility
-from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, as_shift
+from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, _as_int, _energy, as_shift
 from .theta_ops import (
     _as_fraction,
     _check_alias,
@@ -298,13 +298,6 @@ def _check_layer(layer: LayerConfig, plan: _ChirpPlan) -> None:
         raise GridMismatch("layer atoms and signal live on different grids")
 
 
-def _energy(values: NDArray[np.complex128], grid: Grid) -> float:
-    """Squared discrete L² norm of samples on ``grid``: a sum of squares over
-    the float64 view, off BLAS, so its bits do not depend on BLAS threads."""
-    v = np.ravel(values).view(np.float64)
-    return float(grid.spacing**grid.n_dims * np.einsum("i,i->", v, v))
-
-
 def _copies(y: NDArray[np.complex128], plan: _ChirpPlan) -> int:
     """How many periods of the stack ``y`` tile the grid: ``(N / P)^n``."""
     return (plan.in_grid.samples_per_dim // y.shape[-1]) ** len(plan.axes)
@@ -325,7 +318,7 @@ def _cascade_plan(
 ) -> _ChirpPlan:
     """The chirp plan for a depth-``depth`` cascade on ``grid``, after
     checking the depth and the first ``depth`` layers against it."""
-    if depth < 0:
+    if _as_int(depth, "depth") < 0:
         raise ValueError("depth must be nonnegative")
     if depth > len(layers):
         raise PathArityMismatch(
@@ -427,7 +420,7 @@ def u_layer(
 ) -> SampledSignal:
     """One propagation step: convolve with atom ``lam``, then nonlinearity,
     pooling, and dilation by the layer's pooling factor."""
-    return u_path(f, (lam,), (layer,), theta)
+    return u_path(f, (_as_int(lam, "lam"),), (layer,), theta)
 
 
 def u_path(
@@ -446,7 +439,7 @@ def u_path(
     plan = _cascade_plan(f.grid, theta, layers, len(q))
     out = f.as_nd()[None]
     for lam, layer in zip(q, layers):
-        if not 0 <= lam < layer.n_atoms:
+        if not 0 <= _as_int(lam, "each entry of q") < layer.n_atoms:
             raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
         # Out of the chirped domain after every step, as u_layer is.
         out, _ = _step(plan.chirp(out), False, layer, plan, slice(lam, lam + 1), fold=False)
@@ -499,7 +492,7 @@ def extract_features(
 
 def feature_distance(tree_a: FeatureTree, tree_b: FeatureTree, k: int) -> float:
     """Sum of squared norm differences over all level-``k`` features."""
-    if k < 0 or k > tree_a.depth or k > tree_b.depth:
+    if _as_int(k, "k") < 0 or k > tree_a.depth or k > tree_b.depth:
         raise KeyMismatch(f"level {k} is not present in both trees")
     level_a = tree_a.levels[k]
     level_b = tree_b.levels[k]

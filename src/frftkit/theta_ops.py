@@ -42,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AliasRiskWarning, GridMismatch, IrrationalScale
-from .grids import SampledSignal, ShiftVector, ThetaParam, as_shift
+from .grids import SampledSignal, ShiftVector, ThetaParam, _sum_squares, as_shift
 from .transform import _alternate, _chirp_plan, _ChirpPlan
 
 __all__ = ["theta_translate", "theta_modulate", "theta_convolve", "theta_dilate"]
@@ -128,13 +128,12 @@ def _alias_tail_fraction(
 ) -> NDArray[np.float64]:
     """Spectral mass (relative) that a contraction by p/q > 1 would fold,
     one value per leading index; the trailing ``axes`` hold centered bins."""
-    power = np.abs(spectrum)
-    np.square(power, out=power)
-    total = power.sum(axis=axes)
+    total = _sum_squares(spectrum, len(axes))
     half = spectrum.shape[-1] // 2
     # Bins with |l - N/2| >= (N/2) * q / p survive only as folded copies.
     cut = int(np.ceil(half * q / p))
-    kept = power[(...,) + (slice(half - cut + 1, half + cut),) * len(axes)].sum(axis=axes)
+    band = (...,) + (slice(half - cut + 1, half + cut),) * len(axes)
+    kept = _sum_squares(spectrum[band], len(axes))
     return np.divide(total - kept, total, out=np.zeros_like(total), where=total > 0.0)
 
 

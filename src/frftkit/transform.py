@@ -75,7 +75,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AngleDegenerate, GridTooLarge
-from .grids import Grid, SampledSignal, ThetaParam
+from .grids import Grid, SampledSignal, ThetaParam, _energy
 
 __all__ = [
     "chirp_modulate",
@@ -424,8 +424,7 @@ def frft_direct_oracle(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
 
 def l2_norm(f: SampledSignal) -> float:
     """Discrete L² norm with the grid's Riemann weight."""
-    weight = f.grid.spacing**f.grid.n_dims
-    return float(np.sqrt(weight * np.sum(np.abs(f.values) ** 2)))
+    return float(np.sqrt(_energy(f.values, f.grid)))
 
 
 def inner_product(f: SampledSignal, g: SampledSignal) -> complex:

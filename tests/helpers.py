@@ -30,8 +30,8 @@ from frftkit import (
 )
 from frftkit.approx import ZERO_EIGENVALUE_TOL, FiberField, FiberGrid
 from frftkit.eig import hermitian_eig
-from frftkit.grids import as_shift
-from frftkit.scatter import _energy, _readout_kernel
+from frftkit.grids import _energy, as_shift
+from frftkit.scatter import _readout_kernel
 from frftkit.theta_ops import _as_fraction, _check_alias, _dilate_period, _tile, _translate
 from frftkit.transform import _alternate, _chirp_plan
 
@@ -160,10 +160,12 @@ def tight_bank(grid: Grid, theta: ThetaParam, n_atoms: int, seed: int):
 
 def frame_spectrum_reference(atoms, theta: ThetaParam) -> np.ndarray:
     """The loop that ``frame_bounds`` once ran: one ``frft`` per atom, the
-    squared magnitudes summed in atom order, then the ``|sin θ|^n`` weight."""
+    squared magnitudes re² + im² summed in atom order, then the ``|sin θ|^n``
+    weight."""
     spectrum = np.zeros(frft_output_grid(atoms[0].grid, theta).size)
     for atom in atoms:
-        spectrum += np.abs(frft(atom, theta).values) ** 2
+        v = frft(atom, theta).values
+        spectrum += v.real * v.real + v.imag * v.imag
     spectrum *= theta.abs_sin ** atoms[0].grid.n_dims
     return spectrum
 

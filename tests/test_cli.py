@@ -42,6 +42,7 @@ from frftkit import (
 )
 from frftkit import cli
 from frftkit.cli import CliParseError, main, read_signal, write_signal
+from frftkit.grids import _energy
 from helpers import banded_signal, make_s1_layers, random_signal
 
 PI3 = ThetaParam(math.pi / 3)
@@ -615,7 +616,7 @@ def test_multitile_errors_bytes_match_format_reference(tmp_path):
                  "--theta-frac", "1", "3", "--out-dir", str(out_dir)]) == 0
     fg = FiberGrid(PI3, 1, 16, 8)
     model = optimal_multitile([fiber_map(m, fg) for m in members], 2, 3)
-    rows = [(j, l2_norm(m.with_values(m.values - bandlimited_project(m, model).values)) ** 2)
+    rows = [(j, _energy(m.values - bandlimited_project(m, model).values, grid))
             for j, m in enumerate(members)]
     want = reference_table(["member,residual_sq"], rows)
     assert (out_dir / "errors.csv").read_bytes() == want.encode()

@@ -20,7 +20,7 @@ from frftkit import (
     theta_convolve,
     theta_translate,
 )
-from helpers import banded_signal, gauss_profile, reflected_atom, tight_bank
+from helpers import banded_signal, gauss_profile, random_signal, reflected_atom, tight_bank
 
 
 def test_tight_bank_has_unit_bounds_and_parseval_sum():
@@ -36,6 +36,30 @@ def test_tight_bank_has_unit_bounds_and_parseval_sum():
     )
     assert abs(total - l2_norm(f) ** 2) < 1e-9
 
+
+
+@pytest.mark.parametrize(
+    "grid, theta_val",
+    [(Grid(1, 128, 8.0), math.pi / 3), (Grid(1, 128, 8.0), -2 * math.pi / 5),
+     (Grid(2, 16, 4.0), math.pi / 3), (Grid(2, 16, 4.0), -2 * math.pi / 5)],
+    ids=["1d-pos-sin", "1d-neg-sin", "2d-pos-sin", "2d-neg-sin"],
+)
+def test_frame_spectrum_bits_match_a_scalar_reference(grid, theta_val):
+    """Each bin of the frame spectrum is, bit for bit, ``re*re + im*im`` of
+    each atom's transform in Python floats, summed over the atoms in order
+    and times ``|sin θ|^n``."""
+    th = ThetaParam(theta_val)
+    atoms = tuple(random_signal(grid, seed) for seed in (3, 4, 5))
+    spectra = [frft(atom, th).values.tolist() for atom in atoms]
+    weight = th.abs_sin**grid.n_dims
+    want = []
+    for bins in zip(*spectra):
+        total = 0.0
+        for z in bins:
+            total += z.real * z.real + z.imag * z.imag
+        want.append(total * weight)
+    got = frame_bounds(AtomBank(atoms, th)).spectrum
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
 
 def test_three_energy_routes_agree():
     """Translated-atom correlations, convolutions, and the spectral form

@@ -1,9 +1,12 @@
 """Grids, shift vectors and angles, the one rule by which every record
-takes in its arrays, and the one rule for integer parameters."""
+takes in its arrays, the one rule for integer parameters, and the one rule
+for squared magnitudes."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frftkit import (
     AngleDegenerate,
@@ -22,8 +25,20 @@ from frftkit import (
     ThetaParam,
     TileSet,
     analytic_sinc_fibers,
+    energy_profile,
+    extract_features,
+    feature_distance,
+    fiber_map,
     fit_sis,
+    frame_bounds,
+    is_multitile,
+    l2_norm,
     optimal_multitile,
+    partial_projection,
+    partition_multitile,
+    synthesize_generator,
+    u_layer,
+    u_path,
 )
 from frftkit.grids import _Owned
 
@@ -90,9 +105,9 @@ FIBERS = analytic_sinc_fibers(2, FiberGrid(ThetaParam(math.pi / 3), 1, 4, 3))
 
 
 def _layer(pooling_factor):
-    """A layer of one Gaussian atom, pooled by ``pooling_factor``."""
+    """An admissible layer of one Gaussian atom, pooled by ``pooling_factor``."""
     grid = Grid(1, 64, 4.0)
-    atom = SampledSignal(grid, np.exp(-np.pi * grid.axis**2))
+    atom = SampledSignal(grid, np.exp(-np.pi * grid.axis**2) / 2)
     return LayerConfig(AtomBank((atom,), ThetaParam(math.pi / 3)), atom,
                        pooling_factor=pooling_factor)
 
@@ -143,3 +158,84 @@ def test_numpy_integer_parameters_are_accepted():
     assert model.ell == 1 and np.array_equal(model.generators, fit_sis(FIBERS, 1).generators)
     assert optimal_multitile(FIBERS, np.int64(2), np.uint8(3)) == optimal_multitile(FIBERS, 2, 3)
     assert _layer(2.0).pooling_factor == 2.0
+
+
+LAYER = _layer(2.0)
+PI3 = LAYER.theta
+SIGNAL = SampledSignal(LAYER.bank.grid, np.exp(-np.pi * (LAYER.bank.grid.axis - 0.5) ** 2))
+MODEL = fit_sis(FIBERS, 1)
+TREES = [extract_features(f, (LAYER,), 1, PI3) for f in (SIGNAL, LAYER.output_atom)]
+TILE = TileSet(PI3, 1, 1, 1, (((0,),),))
+
+#: Per integer parameter: its name in the refusal, the call on a value of it,
+#: reduced to an array or a number, and integers that the call accepts.
+INTEGER_PARAMETERS = {
+    "m": ("m", lambda v: [f.data for f in analytic_sinc_fibers(v, FIBERS[0].grid)], (2, 1, 3)),
+    "i": ("i", lambda v: synthesize_generator(MODEL, v, SIGNAL.grid).values, (0,)),
+    "n_shifts": ("n_shifts", lambda v: partial_projection(SIGNAL, MODEL, v).values, (1, 0, 2)),
+    "is_multitile": ("ell", lambda v: is_multitile(TILE, v), (1, 0, 2)),
+    "partition_multitile": ("ell", lambda v: [p.cells for p in partition_multitile(TILE, v)],
+                            (1,)),
+    "depth": ("depth", lambda v: energy_profile(SIGNAL, (LAYER,), v, PI3), (1, 0)),
+    "u_path": ("each entry of q", lambda v: u_path(SIGNAL, [v], (LAYER,), PI3).values, (0,)),
+    "u_layer": ("lam", lambda v: u_layer(SIGNAL, v, LAYER, PI3).values, (0,)),
+    "k": ("k", lambda v: feature_distance(*TREES, v), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "int64"])
+@pytest.mark.parametrize("parameter", INTEGER_PARAMETERS)
+def test_integer_parameters_are_checked(parameter, kind):
+    """A float or a bool raises a TypeError that names the parameter; a NumPy
+    integer gives what the same ``int`` gives."""
+    name, call, (good, *_) = INTEGER_PARAMETERS[parameter]
+    if kind == "int64":
+        assert np.array_equal(call(np.int64(good)), call(good))
+        return
+    value = float(good) if kind == "float" else bool(good)
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(value)
+
+
+_NOT_INTEGERS = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.booleans(), st.none(), st.text(max_size=2),
+    st.integers(-2, 2).map(complex),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), parameter=st.sampled_from(sorted(INTEGER_PARAMETERS)))
+def test_hostile_integer_parameters_are_refused_by_name(data, parameter):
+    """A value that is not an integer raises a TypeError that names the
+    parameter, and an accepted integer, plain or NumPy, gives a finite
+    result."""
+    name, call, accepted = INTEGER_PARAMETERS[parameter]
+    good = st.sampled_from(accepted)
+    value = data.draw(st.one_of(_NOT_INTEGERS, good, good.map(np.int64)))
+    if type(value) in (int, np.int64):
+        assert np.isfinite(np.asarray(call(value))).all()
+        return
+    with pytest.raises(TypeError) as refused:
+        call(value)
+    assert str(refused.value).startswith(f"{name} must be an integer")
+
+
+def test_squared_magnitudes_never_take_a_vector_abs(monkeypatch):
+    """Norms, frame spectra, tile energies, fiber energies and the alias check
+    of an identity-pooled layer read re² + im² off the float64 view: none runs
+    ``np.abs`` on complex samples, whose vector loop rounds differently on
+    some hosts."""
+    bank, fgrid = LAYER.bank, FiberGrid(PI3, 1, 8, 3)
+    vector_abs = np.abs
+
+    def guard(x, *args, **kwargs):
+        assert not np.iscomplexobj(x), "np.abs of complex samples"
+        return vector_abs(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", guard)
+    monkeypatch.setattr(np, "absolute", guard)
+    l2_norm(SIGNAL)
+    frame_bounds(bank)
+    optimal_multitile(FIBERS, 2, 1)
+    fiber_map(SIGNAL, fgrid)
+    energy_profile(SIGNAL, (LAYER,), 1, PI3)
