@@ -280,8 +280,8 @@ def _gather(f: SampledSignal, layout: _FiberLayout) -> tuple[NDArray, NDArray]:
     """The FFT of the plan's chirped ``f``, and the fiber data that
     ``layout`` reads from it: the centered transform at each slot's bin
     (sign table and Riemann weight applied there only), +0.0 off the grid."""
-    chirped = _chirp_plan(f.grid, layout.fgrid.theta).chirp(f.as_nd())
-    spectrum = np.fft.fftn(chirped, out=chirped)
+    plan = _chirp_plan(f.grid, layout.fgrid.theta)
+    spectrum = plan.spectrum(plan.chirp(f.as_nd()), in_place=True)
     data = spectrum.ravel()[layout.index]
     data *= layout.weight
     data[~layout.valid] = 0.0  # a zero weight can leave -0.0
@@ -294,8 +294,8 @@ def _synthesize(data: NDArray[np.complex128], layout: _FiberLayout) -> SampledSi
     grid, valid = layout.signal_grid, layout.valid
     spectrum = np.zeros(grid.shape, dtype=np.complex128)  # the FFT of the chirped samples
     spectrum.ravel()[layout.index[valid]] = data[valid] / layout.weight[valid]
-    values = _chirp_plan(grid, layout.fgrid.theta).unchirp(np.fft.ifftn(spectrum, out=spectrum))
-    return SampledSignal._owning(grid, values)
+    plan = _chirp_plan(grid, layout.fgrid.theta)
+    return SampledSignal._owning(grid, plan.unchirp(plan.samples(spectrum)))
 
 
 def fiber_map(f: SampledSignal, fgrid: FiberGrid) -> FiberField:

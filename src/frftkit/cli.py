@@ -673,6 +673,8 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
 
 def cmd_multitile_check(args: argparse.Namespace) -> None:
     tile, ell = _tile_from_json(args.tile)
+    if ell < 1:
+        raise CliConfigError(f"{args.tile}: ell must be at least 1")
     if not is_multitile(tile, ell):
         raise NotMultiTile(
             f"{args.tile}: offset counts per cell are not uniformly {ell}"

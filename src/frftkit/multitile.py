@@ -59,6 +59,9 @@ class TileSet:
     (cells flatten row-major over ``omega_samples`` per dimension), sorted
     and duplicate-free, each offset a tuple of integers (not bools) bounded
     by ``bound`` in the max norm; cells given as lists are stored as tuples.
+    ``omega_samples`` must be at least 1 and ``bound`` nonnegative: a tile
+    set with no cell would pass as a tile of every offset count, and one
+    whose bound holds no offset as a 0-fold tile.
     """
 
     theta: ThetaParam
@@ -74,6 +77,10 @@ class TileSet:
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.n_dims not in (1, 2):
             raise ValueError("only 1- and 2-dimensional tile sets are supported")
+        if self.omega_samples < 1:
+            raise ValueError("need at least one base frequency cell per dimension")
+        if self.bound < 0:
+            raise ValueError(f"offset bound {self.bound} is negative")
         if len(self.cells) != self.omega_samples**self.n_dims:
             raise ValueError(
                 f"expected {self.omega_samples ** self.n_dims} cells, "

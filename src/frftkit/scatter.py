@@ -15,7 +15,9 @@ the cached plan of :mod:`frftkit.transform`, a level at a time: level ``k``
 is one ``(paths, *grid)`` ndarray whose rows are the length-``k`` paths in
 lexicographic order of their atom indices, the order of
 ``itertools.product``.  Each layer takes one spectrum of the whole stack,
-one broadcast product against the atom spectra and one inverse.  Inputs
+one broadcast product against the atom spectra and one inverse, the plan's
+``spectrum`` and ``samples``, which are also every other conversion
+between a level's samples and its spectrum here.  Inputs
 are chirped once at the root and features unchirped once at the readout;
 energies and deviations ignore the unit-modulus chirp.  A modulus drops
 its phase (these networks are not translation invariant), and the engine
@@ -298,9 +300,14 @@ def _check_layer(layer: LayerConfig, plan: _ChirpPlan) -> None:
         raise GridMismatch("layer atoms and signal live on different grids")
 
 
-def _copies(y: NDArray[np.complex128], plan: _ChirpPlan) -> int:
-    """How many periods of the stack ``y`` tile the grid: ``(N / P)^n``."""
-    return (plan.in_grid.samples_per_dim // y.shape[-1]) ** len(plan.axes)
+def _level_energy(y: NDArray[np.complex128], spectral: bool, grid: Grid) -> float:
+    """The energy on ``grid`` of the signals that the ``(paths, P, .., P)``
+    stack ``y`` holds one period of, given as its samples or, when
+    ``spectral``, as its ``fftn`` over the grid axes.  The grid holds
+    ``(N / P)^n`` periods, and by Parseval a spectrum of ``P^n`` bins holds
+    ``P^n`` times its samples' energy; both factors are powers of two."""
+    copies = (grid.samples_per_dim // y.shape[-1]) ** grid.n_dims
+    return _energy(y, grid) * (copies / y[0].size if spectral else copies)
 
 
 def _on_period(kernel: NDArray[np.complex128], y: NDArray[np.complex128],
@@ -349,9 +356,7 @@ def _step(
     its spectrum: with ``fold``, after identity maps and an even integer
     dilation that shortens the period (see :func:`_dilate_spectrum`)."""
     frac = _as_fraction(layer.pooling_factor) if layer.pooling_factor != 1.0 else None
-    rows = y[:, None]
-    if not spectral:
-        rows = np.fft.fftn(rows, axes=plan.axes, out=np.empty(rows.shape, dtype=np.complex128))
+    rows = y[:, None] if spectral else plan.spectrum(y[:, None])
     out = rows * _on_period(layer.kernels[atoms], y, plan)
     del rows  # before the inverse or the fold, for peak memory
     # With identity maps the dilation contracts the filter's own output, so
@@ -363,7 +368,7 @@ def _step(
         if fold and frac.denominator == 1 and p % 2 == 0 and p % y.shape[-1]:
             out = _dilate_spectrum(out, p, plan)
             return out.reshape((-1,) + out.shape[2:]), True
-    out = np.fft.ifftn(out, axes=plan.axes, out=out).reshape((-1,) + y.shape[1:])
+    out = plan.samples(out).reshape((-1,) + y.shape[1:])
     for op in (layer.nonlin, layer.pool):
         out = op.apply(out)
         if op.kind == "modulus":
@@ -478,11 +483,7 @@ def extract_features(
     for k, (stack, spectral) in enumerate(stacks):
         paths = itertools.product(*(range(layer.n_atoms) for layer in layers[:k]))
         kernel = _on_period(_readout_kernel(k, layers, plan, level0_atom), stack, plan)
-        if spectral:
-            features = stack * kernel
-            np.fft.ifftn(features, axes=plan.axes, out=features)
-        else:
-            features = plan.filter(stack, kernel)
+        features = plan.samples((stack if spectral else plan.spectrum(stack)) * kernel)
         features = plan.unchirp(_tile(features, plan))
         # Fresh, disjoint rows of the unchirped stack: no copy.
         levels.append({path: SampledSignal._owning(f.grid, v.ravel())
@@ -553,16 +554,15 @@ def _deviations(
         for diff, spectral in levels:
             pass  # keep only the last level alive, not a list of all of them
         if spectral:
-            np.fft.ifftn(diff, axes=plan.axes, out=diff)
+            plan.samples(diff)
         if i == 0:
             plain, diff = np.split(diff, 2)
         norm_sq = sum(c * c for c in shift.components)
         diff *= np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
         diff -= _translate(plain, shift, plan) if covariant else plain
-        spectrum = np.fft.fftn(diff, axes=plan.axes, out=diff)
+        spectrum = plan.spectrum(diff, in_place=True)
         spectrum *= _on_period(kernel, spectrum, plan)
-        # An N-point bin of a P-periodic stack is (N/P)^n times its P-point bin.
-        deviations.append(_energy(spectrum, f.grid) * _copies(spectrum, plan) ** 2 / f.grid.size)
+        deviations.append(_level_energy(spectrum, True, f.grid))
     return deviations
 
 
@@ -698,8 +698,5 @@ def energy_profile(
     this sequence is nonincreasing.
     """
     plan = _cascade_plan(f.grid, theta, layers, depth)
-    # Parseval: a spectrum of P^n bins holds P^n times its samples' energy.
-    return [
-        _energy(y, f.grid) * _copies(y, plan) / (y[0].size if spectral else 1)
-        for y, spectral in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)
-    ]
+    return [_level_energy(y, spectral, f.grid)
+            for y, spectral in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)]

@@ -141,8 +141,9 @@ def _check_alias(
     spectrum: NDArray[np.complex128], frac: Fraction, axes: tuple[int, ...]
 ) -> None:
     """Warn at the caller (see :func:`_warn_at_caller`) when a contraction
-    by ``frac > 1`` would fold measurable mass of ``spectrum``: ``fftn`` of the
-    chirped samples to be dilated, over ``axes``."""
+    by ``frac > 1`` would fold measurable mass of ``spectrum``: the plan's
+    :meth:`~frftkit.transform._ChirpPlan.spectrum` of the chirped samples to
+    be dilated, over ``axes``."""
     p, q = frac.numerator, frac.denominator
     if np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
         _warn_at_caller(f"dilation by {frac} folds spectral mass beyond {1 / frac} of Nyquist")
@@ -198,8 +199,7 @@ def _dilate_period(
     n, axes = plan.in_grid.samples_per_dim, plan.axes
     if frac > 1 and not alias_checked:
         # Centered bins, up to the sign table and spacing^n.
-        _check_alias(np.fft.fftn(y, axes=axes, out=np.empty(y.shape, dtype=np.complex128)),
-                     frac, axes)
+        _check_alias(plan.spectrum(y), frac, axes)
     if q == 1:
         period = y.shape[-1]
         m = np.arange(max(period // math.gcd(p, period), 2))

@@ -17,9 +17,15 @@ The transforms and the theta-operators run on one ``_ChirpPlan`` per
 Ozaktas, Arikan, Kutay and Bozdagi (IEEE TSP 1996).  Its chirped samples
 ``y = chirp(x)``, the signal times the input table, are the one domain of
 the operator algebra: each theta-operator is ``unchirp(op(chirp(x)))`` for
-a classical ``op``, and ``filter`` is the circular convolution on ``y``.  A
-plan holds two complex tables and nothing else (``spacing`` is the input
-grid's):
+a classical ``op``, and ``filter`` is the circular convolution on ``y``.
+``spectrum`` is the unnormalized ``fftn`` of ``y`` over the grid axes and
+``samples`` its inverse.  With the transform's ``norm="forward"`` pair for
+sin(theta) < 0, they are the package's only FFTs of chirped samples over the
+grid axes: ``filter``, ``kernel``, ``forward`` and ``inverse`` are written on
+them, and the cascade, the fibers and the dilation's alias check call them
+rather than ``np.fft`` (the polyphase dilation of :mod:`frftkit.theta_ops`
+transforms one axis at a time).  A plan holds two complex tables and nothing
+else (``spacing`` is the input grid's):
 
     input:   e^{i*pi*‖t_j‖²*cot} * (-1)^(j_1+..+j_n)
     output:  e^{i*pi*‖w_l‖²*cot} * (-1)^(l_1+..+l_n) * |sin|^{-n/2} * spacing^n
@@ -47,11 +53,11 @@ forward transform is ``output * fftn(input * x)``.  When sin(theta) < 0,
 ``w*csc`` reverses the bin order; ``ifftn(..., norm="forward")`` computes
 that reversed, unnormalized spectrum directly.  The inverse divides the
 tables out again: it multiplies in place by their conjugates.  Every FFT
-runs in place (``out=``, NumPy >= 2.0) on an array the plan has just
-allocated, never on an argument, so each stack is allocated once.  Only one
-plan is kept alive; asking for another key drops it before the new one is
-built, and a plan is a pure function of its key, so eviction never changes
-a result.
+of the transform runs in place (``out=``, NumPy >= 2.0) on an array the plan
+has just allocated, never on an argument, so each stack is allocated once.
+Only one plan is kept alive; asking for another key drops it before the new
+one is built, and a plan is a pure function of its key, so eviction never
+changes a result.
 
 A plan on a grid of at least ``2**16`` samples builds its output table on a
 second thread while the caller builds the input table, when
@@ -280,14 +286,25 @@ class _ChirpPlan:
         """Inverse of :meth:`chirp`, in place."""
         return self.times(y, self.chirp_in, conj=True)
 
+    def spectrum(
+        self, y: NDArray[np.complex128], *, in_place: bool = False
+    ) -> NDArray[np.complex128]:
+        """The unnormalized ``fftn`` of chirped samples ``y`` over the
+        trailing grid axes, in place when ``in_place``, else into a new
+        array."""
+        out = y if in_place else np.empty(y.shape, dtype=np.complex128)
+        return np.fft.fftn(y, axes=self.axes, out=out)
+
+    def samples(self, s: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        """Inverse of :meth:`spectrum`, in place."""
+        return np.fft.ifftn(s, axes=self.axes, out=s)
+
     def filter(
         self, y: NDArray[np.complex128], kernel: NDArray[np.complex128]
     ) -> NDArray[np.complex128]:
         """Circular convolution of chirped samples ``y`` with the atom of
         ``kernel``; leading axes of the two broadcast."""
-        spectrum = np.fft.fftn(y, axes=self.axes, out=np.empty(y.shape, dtype=np.complex128))
-        prod = spectrum * kernel
-        return np.fft.ifftn(prod, axes=self.axes, out=prod)
+        return self.samples(self.spectrum(y) * kernel)
 
     def kernel(self, g: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """Spectrum of the atom ``g`` as a kernel for :meth:`filter`.
@@ -297,8 +314,7 @@ class _ChirpPlan:
         spectra carry the sign table, but its inverse transform removes only
         one; the kernel takes the other.
         """
-        chirped = self.chirp(g)
-        out = _alternate(np.fft.fftn(chirped, axes=self.axes, out=chirped), self.in_grid.n_dims)
+        out = _alternate(self.spectrum(self.chirp(g), in_place=True), self.in_grid.n_dims)
         out *= self.kernel_scale
         return out
 
@@ -306,7 +322,7 @@ class _ChirpPlan:
         """The transform of ``x`` on the output grid."""
         chirped = self.chirp(x)
         if self.theta.sign_sin > 0:
-            out = np.fft.fftn(chirped, axes=self.axes, out=chirped)
+            out = self.spectrum(chirped, in_place=True)
         else:
             out = np.fft.ifftn(chirped, axes=self.axes, norm="forward", out=chirped)
         return self.times(out, self.chirp_out, in_place=True)
@@ -316,7 +332,7 @@ class _ChirpPlan:
         # 1 / output table = its conjugate over kernel_scale².
         scaled = self.times(y * self.kernel_scale**-2, self.chirp_out, conj=True)
         if self.theta.sign_sin > 0:
-            out = np.fft.ifftn(scaled, axes=self.axes, out=scaled)
+            out = self.samples(scaled)
         else:
             out = np.fft.fftn(scaled, axes=self.axes, norm="forward", out=scaled)
         return self.unchirp(out)

@@ -718,6 +718,28 @@ def test_multitile_check_missing_field_is_a_parse_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"omega_samples": 0, "cells": []}, "need at least one base frequency cell per dimension"),
+        ({"bound": -1, "ell": 0}, "offset bound -1 is negative"),
+        ({"ell": 0}, "ell must be at least 1"),
+    ],
+    ids=["no-cells", "negative-bound", "zero-ell"],
+)
+def test_multitile_check_refuses_empty_tiles(tmp_path, capsys, changes, message):
+    """Each of these tiles holds no offset, so it would pass as a tile of
+    its count; it is refused (exit 4) instead."""
+    doc = {"schema": 1, "theta": 1.0, "n_dims": 1, "omega_samples": 1,
+           "bound": 1, "ell": 3, "cells": [[]]} | changes
+    bad = tmp_path / "tile.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["multitile", "check", "--tile", str(bad)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "name,content",
     [("f.csv", b"# grid: 1,4,1.0\nindex,re,im\n0,1.0,\xff\n"),
      ("tile.json", b'{"schema": 1, "theta": "\xff"}'),

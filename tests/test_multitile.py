@@ -705,8 +705,16 @@ _TILE = TileSet(PI3, 1, 2, 1, (((-1,), (1,)), ((0,), (1,))))
         (lambda: TileSet(PI3, 1, 1, 2, ((1,),)), ValueError, "cell 0 offset 1 is not a tuple"),
         (lambda: TileSet(PI3, 1, 1, 2, (([1],),)), ValueError,
          r"cell 0 offset \[1\] is not a tuple"),
+        # With no cells, or no offset a bound could hold, every cell count
+        # would pass as a tile.
+        (lambda: TileSet(PI3, 1, 0, 1, ()), ValueError,
+         "^need at least one base frequency cell per dimension$"),
+        (lambda: TileSet(PI3, 2, 0, 1, ()), ValueError,
+         "^need at least one base frequency cell per dimension$"),
+        (lambda: TileSet(PI3, 1, 1, -1, ((),)), ValueError, "^offset bound -1 is negative$"),
     ],
-    ids=["short-selection", "uneven-cells", "non-tuple-offset", "list-offset"],
+    ids=["short-selection", "uneven-cells", "non-tuple-offset", "list-offset",
+         "no-cells", "no-cells-2d", "negative-bound"],
 )
 def test_multitile_refusals(call, error, message):
     with pytest.raises(error, match=message):

@@ -674,12 +674,33 @@ def test_cascade_fft_rows():
         _deviations(f, [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0)], layers, 2, th,
                     None, covariant=False)
     assert counts == [4 * 5 + 3 * 4, 4 * 8192 + 3 * 4 * 32**2]
+    four = [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0), (-grid.spacing, grid.spacing)]
+    with fft_rows() as counts:
+        _deviations(f, four, layers, 2, th, None, covariant=False)
+    assert counts == [41, 57344]
     # The readouts add the level-0 filter (2 rows of 64²; its kernel is the
     # first layer's), an inverse of the 2 folded level-1 products and a
     # filter of level 2 (8 rows of 32²).
     with fft_rows() as counts:
         extract_features(f, layers, 2, th)
     assert counts == [5 + 2 + 2 + 8, 8192 + 2 * 64**2 + 10 * 32**2]
+    # Depth 1 with identity maps: the last level is a folded spectrum of 32²
+    # per path.  Its energy is read by Parseval off the one forward of 64²;
+    # a deviation inverts the 2 paths of each root and takes one spectrum of
+    # their 2 differences: 2 * 64² + 4 * 32² + 2 * 32² for the first shift,
+    # and 64² + 2 * 32² + 2 * 32² for each later one.
+    folding, _ = make_s1_layers(grid, th, (2.0,), ["identity"])
+    with fft_rows() as counts:
+        energy_profile(f, folding, 1, th)
+    assert counts == [1, 4096]
+    for deviation in (invariance_deviation, covariance_deviation):
+        with fft_rows() as counts:
+            deviation(f, shift, folding, 1, th)
+        assert counts == [8, 14336]
+    for covariant in (False, True):
+        with fft_rows() as counts:
+            _deviations(f, four, folding, 1, th, None, covariant=covariant)
+        assert counts == [23, 38912]
 
 
 @pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pos", "neg"])

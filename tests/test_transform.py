@@ -2,6 +2,7 @@
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -18,22 +19,31 @@ from frftkit import (
     LayerConfig,
     SampledSignal,
     ThetaParam,
+    bandlimited_project,
+    covariance_deviation,
+    energy_profile,
     extract_features,
+    fiber_map,
+    fit_sis,
     frame_bounds,
     frft,
     frft_direct_oracle,
     frft_output_grid,
     inner_product,
+    invariance_deviation,
     inverse_frft,
     l2_norm,
+    optimal_multitile,
+    synthesize_generator,
     theta_convolve,
     theta_dilate,
     theta_translate,
+    u_path,
 )
 from frftkit import transform
 from frftkit.cli import main, write_signal
 from frftkit.transform import chirp_modulate
-from helpers import dft_matrix_oracle, make_s1_layers, random_signal
+from helpers import banded_signal, dft_matrix_oracle, make_s1_layers, random_signal
 
 GENERIC_ANGLES = [math.pi / 6, math.pi / 3, 2 * math.pi / 5, -math.pi / 3, 2.0, 4.0]
 
@@ -538,3 +548,51 @@ def test_chirp_modulate_refuses_other_signs(sign):
     f = random_signal(Grid(1, 64, 4.0), 7)
     with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {sign}$"):
         chirp_modulate(f, ThetaParam(0.9), sign)
+
+
+@pytest.mark.filterwarnings("ignore::frftkit.AliasRiskWarning")  # the modulus widens the band
+def test_only_the_plan_transforms_chirped_samples(monkeypatch):
+    """Every ``fftn``/``ifftn`` that the cascade, the fibers, the operators,
+    the frame bounds and the transform run is called from this module, the
+    plan's.  ``partial_projection`` is left out: its pair of transforms runs
+    over the cell axes of its coefficients, not over chirped samples."""
+    callers = []
+
+    def recording(transform):
+        def wrapper(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return transform(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", recording(np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", recording(np.fft.ifftn))
+    grid, th = Grid(2, 32, 4.0), ThetaParam(math.pi / 3)
+    f = banded_signal(grid, th, 0.4, 41)
+    shift = (grid.spacing, -2 * grid.spacing)
+    # A modulus commutes with twisted shifts only where the chirp is flat.
+    flat = ThetaParam(math.pi / 2)
+    cascades = [
+        (make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])[0], th),
+        (make_s1_layers(grid, flat, (2.0, 1.0), ["modulus", "identity"])[0], flat),
+    ]
+    for layers, angle in cascades:
+        energy_profile(f, layers, 2, angle)
+        invariance_deviation(f, shift, layers, 2, angle)
+        covariance_deviation(f, shift, layers, 2, angle)
+        extract_features(f, layers, 2, angle)
+        u_path(f, (1, 0), layers, angle)
+    line = Grid(1, 256, 8.0)  # period 16: 16 cells, window 8
+    members = [banded_signal(line, th, 0.6, seed) for seed in (71, 72)]
+    fgrid = FiberGrid(th, 1, 16, 8)
+    fibers = [fiber_map(m, fgrid) for m in members]
+    synthesize_generator(fit_sis(fibers, 1), 0, line)
+    bandlimited_project(members[0], optimal_multitile(fibers, 2, 3))
+    g = random_signal(grid, 5)
+    theta_convolve(f, g, th)
+    for factor in (2, Fraction(3, 2)):
+        theta_dilate(f, factor, th)
+    frame_bounds(AtomBank((f, g), th))
+    inverse_frft(frft(f, th), th)
+    assert callers
+    assert set(callers) == {"frftkit.transform"}
