@@ -73,10 +73,7 @@ def hermitian_eig(
     significant = np.abs(vectors) > PHASE_FLOOR
     first = np.argmax(significant, axis=-2)[..., None, :]
     lead = np.take_along_axis(vectors, first, axis=-2)
-    magnitude = np.abs(lead)
-    # Columns with no significant component (none in a unitary matrix) keep
-    # their phase; the floor only keeps the division finite for them.
-    phase = np.where(
-        magnitude > PHASE_FLOOR, np.conj(lead) / np.maximum(magnitude, PHASE_FLOOR), 1.0
-    )
+    # A unit column of m entries has one of modulus at least 1/√m, so every
+    # column of the unitary ``vectors`` has a lead above the floor.
+    phase = np.conj(lead) / np.abs(lead)
     return values, vectors * phase

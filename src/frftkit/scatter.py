@@ -66,6 +66,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -226,7 +227,9 @@ class LayerConfig:
     Construction transforms the bank atoms and the output atom in one
     batched forward, for the upper frame bound of them all and the output
     atom's decay constants, then caches ``kernels``: their chirped spectra,
-    ready for convolution on the chirp plan.  It raises, in this order,
+    ready for convolution on the chirp plan.  ``dilation`` is the pooling
+    factor as a :class:`~fractions.Fraction`, or None for a factor of 1.
+    It raises, in this order,
     :class:`ValueError` for a pooling factor below 1,
     :class:`IrrationalScale` for one that is not a rational of small
     denominator, :class:`AngleDegenerate` at a multiple of pi,
@@ -243,13 +246,16 @@ class LayerConfig:
     frame_bound: float = field(init=False, repr=False)
     decay_constants: tuple[float, float, float] = field(init=False, repr=False)
     kernels: NDArray[np.complex128] = field(init=False, repr=False, compare=False)
+    dilation: Fraction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.output_atom.grid != self.bank.grid:
             raise ValueError("output atom must live on the bank's grid")
         if not self.pooling_factor >= 1.0:
             raise ValueError("pooling factor must be at least 1")
-        _as_fraction(self.pooling_factor)  # IrrationalScale here, not at the first pass
+        # IrrationalScale here, not at the first pass.
+        dilation = _as_fraction(self.pooling_factor) if self.pooling_factor != 1.0 else None
+        object.__setattr__(self, "dilation", dilation)
         plan = _chirp_plan(self.bank.grid, self.theta)
         atoms = np.stack([atom.as_nd() for atom in self.bank.atoms + (self.output_atom,)])
         spectra = plan.forward(atoms)
@@ -355,7 +361,7 @@ def _step(
     dilation shortens it.  Returns the result and whether it is held as
     its spectrum: with ``fold``, after identity maps and an even integer
     dilation that shortens the period (see :func:`_dilate_spectrum`)."""
-    frac = _as_fraction(layer.pooling_factor) if layer.pooling_factor != 1.0 else None
+    frac = layer.dilation
     rows = y[:, None] if spectral else plan.spectrum(y[:, None])
     out = rows * _on_period(layer.kernels[atoms], y, plan)
     del rows  # before the inverse or the fold, for peak memory

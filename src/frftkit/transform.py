@@ -36,15 +36,13 @@ have bit-identical squares, so the same operations on them give the same
 entry bit for bit; and N is even, so ``(-1)^j = (-1)^(N-j)``.  A table is
 therefore computed on the orthant ``[0..N/2]^n`` only, ``(N/2+1)^n``
 cosine/sine pairs instead of ``N^n``, with no temporary of the full size,
-then mirrored in place, last axis first: ``table[..., N/2+1:] =
-table[..., N/2-1:0:-1]``.  On a grid of at least ``2**16`` samples the
-first axis is not mirrored: the plan stores rows ``0..N/2`` of it only,
-half the memory, and reads rows ``N/2+1..N-1`` through the reversed view
-``table[N/2-1:0:-1]``.  Every product with a table goes through
-:meth:`_ChirpPlan.times`, which on such a plan multiplies the two halves of
-the first grid axis separately; elementwise products do not depend on the
-layout, so the results are those of whole tables bit for bit.  Smaller
-plans keep whole tables, where one product is faster than two.
+and every plan stores rows ``0..N/2`` of the first grid axis only: a 2-D
+table mirrors its second axis in place, ``table[:, N/2+1:] =
+table[:, N/2-1:0:-1]``, and rows ``N/2+1..N-1`` are read through the
+reversed view ``table[N/2-1:0:-1]``.  Every product with a table goes
+through :meth:`_ChirpPlan.times`, which multiplies the two halves of the
+first grid axis separately; elementwise products do not depend on the
+layout, so the results are those of whole tables bit for bit.
 
 With N a power of two >= 4, N/2 is even, so
 ``e^{-2*pi*i*(l-N/2)*(j-N/2)/N} = (-1)^l * (-1)^j * e^{-2*pi*i*l*j/N}``: the
@@ -98,9 +96,7 @@ ORACLE_MAX_1D = 512
 ORACLE_MAX_2D = 64
 
 #: Grids of at least this many samples build a plan's two tables on two
-#: threads and store only rows ``0..N/2`` of each; below it, starting a
-#: thread costs more than it saves, and one product with a whole table is
-#: faster than two with the halves.
+#: threads; below it, starting a thread costs more than it saves.
 _THREADED_BUILD_MIN = 1 << 16
 
 
@@ -163,10 +159,8 @@ def _thread_cap() -> int:
 
 
 def _table_shape(grid: Grid) -> tuple[int, ...]:
-    """The stored shape of a table on ``grid``: the grid's shape, with only
-    rows ``0..N/2`` of the first axis from ``_THREADED_BUILD_MIN`` samples."""
-    if grid.size < _THREADED_BUILD_MIN:
-        return grid.shape
+    """The stored shape of a table on ``grid``: rows ``0..N/2`` of the first
+    axis, the other axes whole."""
     return (grid.samples_per_dim // 2 + 1,) + grid.shape[1:]
 
 
@@ -176,15 +170,14 @@ def _signed_chirp(
     """``scale * e^{i*pi*‖t‖²*cot} * (-1)^(j_1+..+j_n)`` in the stored shape
     of :func:`_table_shape`, read-only, written into ``out`` when given.
 
-    Built on the orthant ``[0..N/2]^n`` and mirrored along every axis that
-    is stored whole; see the module docstring.
+    Built on the orthant ``[0..N/2]^n`` and, in 2-D, mirrored along the
+    second axis; see the module docstring.
     """
     half = grid.samples_per_dim // 2
-    shape = _table_shape(grid)
     # The long-lived table first: temporaries allocated after it are freed
     # at the top of the heap, not left as a hole below it (peak RSS).
-    table = np.empty(shape, dtype=np.complex128) if out is None else out
-    lower = table[(slice(None, half + 1),) * grid.n_dims]
+    table = np.empty(_table_shape(grid), dtype=np.complex128) if out is None else out
+    lower = table[..., :half + 1]
     # One temporary of the orthant's side, squared in place (the worker that
     # builds an output table keeps its freed memory in an arena of its own).
     phase = np.arange(-half, 1, dtype=np.float64)
@@ -198,12 +191,8 @@ def _signed_chirp(
     if scale != 1.0:
         lower *= scale
     _alternate(lower, grid.n_dims)
-    # Last axis first, so each copy reads only entries already filled in.
-    # A half table stores the first axis as computed.
-    first = 0 if shape == grid.shape else 1
-    for axis in reversed(range(first, grid.n_dims)):
-        lead = (slice(None, half + 1),) * axis
-        table[lead + (slice(half + 1, None),)] = table[lead + (slice(half - 1, 0, -1),)]
+    if grid.n_dims == 2:
+        table[:, half + 1:] = table[:, half - 1:0:-1]
     table.setflags(write=False)
     return table
 
@@ -219,13 +208,11 @@ class _ChirpPlan:
         self.in_grid, self.out_grid, self.theta = in_grid, out_grid, theta
         n = in_grid.n_dims
         self.axes = tuple(range(-n, 0))
-        # The rows of the first grid axis that each stored half of a table
-        # multiplies, and the half itself; None for whole tables.
-        self.halves = None
-        if in_grid.size >= _THREADED_BUILD_MIN:
-            half, rest = in_grid.samples_per_dim // 2, (slice(None),) * (n - 1)
-            self.halves = (((..., slice(None, half + 1)) + rest, slice(None)),
-                           ((..., slice(half + 1, None)) + rest, slice(half - 1, 0, -1)))
+        # The rows of the first grid axis that each half of a table
+        # multiplies, and the stored rows that it reads.
+        half, rest = in_grid.samples_per_dim // 2, (slice(None),) * (n - 1)
+        self.halves = (((..., slice(None, half + 1)) + rest, slice(None)),
+                       ((..., slice(half + 1, None)) + rest, slice(half - 1, 0, -1)))
         cot, scale = theta.cot_t, self.kernel_scale
         if in_grid.size >= _THREADED_BUILD_MIN and _thread_cap() >= 2:
             # Imported here: it loads logging (about 5 ms and 1 MiB), which a
@@ -260,18 +247,10 @@ class _ChirpPlan:
         """``a`` times one of the plan's tables over its trailing grid axes,
         or times the table's conjugate when ``conj``; in place when
         ``in_place`` or ``conj``, else into a new array.  The one product
-        with a table: a half table (see the module docstring) multiplies the
-        two halves of the first grid axis in turn."""
-        halves = self.halves
-        if halves is None:
-            if conj:
-                return _mul_conj(a, table)
-            if in_place:
-                a *= table
-                return a
-            return a * table
+        with a table: it multiplies the two halves of the first grid axis in
+        turn (see the module docstring)."""
         out = a if in_place or conj else np.empty(a.shape, dtype=np.complex128)
-        for rows, stored in halves:
+        for rows, stored in self.halves:
             if conj:
                 _mul_conj(out[rows], table[stored])
             else:

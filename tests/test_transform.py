@@ -311,8 +311,8 @@ THRESHOLD_GRIDS = [Grid(1, 1 << 15, 3.7), Grid(1, 1 << 16, 3.7), Grid(1, 1 << 17
 def test_threaded_plan_build_is_bit_identical(grid, theta_val, two_cpus, thread_starts,
                                               monkeypatch):
     """From 2^16 samples up a fresh plan starts one worker for its output
-    table and stores rows 0..N/2 of each table; tables and results are those
-    of a serial build, bit for bit."""
+    table; every plan stores rows 0..N/2 of each table, and tables and
+    results are those of a serial build, bit for bit."""
     th = ThetaParam(theta_val)
     f, g = random_signal(grid, 44), random_signal(grid, 45)
     monkeypatch.setattr(transform, "_live_plan", None)
@@ -326,7 +326,7 @@ def test_threaded_plan_build_is_bit_identical(grid, theta_val, two_cpus, thread_
     assert np.array_equal(plan.chirp_out, transform._signed_chirp(
         frft_output_grid(grid, th), th.cot_t, plan.kernel_scale))
     assert not plan.chirp_in.flags.writeable and not plan.chirp_out.flags.writeable
-    rows = grid.samples_per_dim // 2 + 1 if grid.size >= 1 << 16 else grid.samples_per_dim
+    rows = grid.samples_per_dim // 2 + 1
     assert plan.chirp_in.shape == plan.chirp_out.shape == (rows,) + grid.shape[1:]
 
     monkeypatch.setenv("FRFTKIT_THREADS", "1")
@@ -411,8 +411,6 @@ def _reflected(a):
 def _whole(table, n):
     """A stored table on ``n`` samples per axis with its first axis whole:
     rows ``N/2+1..N-1`` mirrored from the stored rows ``N/2-1..1``."""
-    if table.shape[0] == n:
-        return table
     return np.concatenate([table, table[n // 2 - 1:0:-1]])
 
 
@@ -428,11 +426,10 @@ def _whole(table, n):
 def test_signed_chirp_matches_direct_table(n_dims, n, extent, cot, scale):
     """The orthant-and-mirror table is symmetric bit for bit, read-only, and
     the directly evaluated signed chirp up to the last ulp of cos and sin.
-    From 2^16 samples only rows 0..N/2 of the first axis are stored."""
+    Only rows 0..N/2 of the first axis are stored."""
     grid = Grid(n_dims, n, extent)
     table = transform._signed_chirp(grid, cot, scale)
-    rows = n // 2 + 1 if grid.size >= 1 << 16 else n
-    assert table.shape == (rows,) + grid.shape[1:] and not table.flags.writeable
+    assert table.shape == (n // 2 + 1,) + grid.shape[1:] and not table.flags.writeable
     whole = _whole(table, n)
     assert whole.tobytes() == _reflected(whole).tobytes()
     direct = np.exp(1j * np.pi * cot * grid.radius_squared()).reshape(grid.shape) * scale
@@ -462,30 +459,40 @@ def _half_table_results(f, g, th):
 @pytest.mark.filterwarnings("ignore:dilation by")  # white noise folds; only bits matter
 @pytest.mark.parametrize("theta_val", [2 * math.pi / 5, -2 * math.pi / 5], ids=["pos", "neg"])
 @pytest.mark.parametrize(
-    "grid", [Grid(1, 1 << 16, 64.0), Grid(1, 1 << 17, 64.0), Grid(2, 256, 16.0)],
-    ids=["1d-2^16", "1d-2^17", "2d-256"],
+    "grid",
+    [Grid(1, 256, 8.0), Grid(1, 16384, 32.0), Grid(1, 1 << 16, 64.0), Grid(1, 1 << 17, 64.0),
+     Grid(2, 64, 8.0), Grid(2, 128, 8.0), Grid(2, 256, 16.0)],
+    ids=["1d-256", "1d-16384", "1d-2^16", "1d-2^17", "2d-64", "2d-128", "2d-256"],
 )
 def test_half_tables_give_the_bytes_of_whole_tables(grid, theta_val, monkeypatch):
-    """Every product with a stored half table gives the bytes that the whole
-    table, mirrored from the stored rows, gives."""
+    """Every product with a stored half table gives the bytes that one
+    product with the whole table, mirrored from the stored rows, gives."""
     th = ThetaParam(theta_val)
     f, g = random_signal(grid, 50), random_signal(grid, 51)
     monkeypatch.setattr(transform, "_live_plan", None)
     half = _half_table_results(f, g, th)
     assert transform._live_plan.chirp_in.shape[0] == grid.samples_per_dim // 2 + 1
 
-    init = transform._ChirpPlan.__init__
+    products = []
 
-    def whole_tables(plan, *args):
-        init(plan, *args)
-        n = plan.in_grid.samples_per_dim
-        plan.chirp_in, plan.chirp_out = _whole(plan.chirp_in, n), _whole(plan.chirp_out, n)
-        plan.halves = None
+    def whole_times(plan, a, table, *, in_place=False, conj=False):
+        """The reference product: ``a`` times the whole table in one step."""
+        whole = _whole(table, plan.in_grid.samples_per_dim)
+        assert whole.shape == plan.in_grid.shape
+        products.append(conj)
+        if conj:
+            np.conjugate(a, out=a)
+            a *= whole
+            return np.conjugate(a, out=a)
+        if in_place:
+            a *= whole
+            return a
+        return a * whole
 
-    monkeypatch.setattr(transform._ChirpPlan, "__init__", whole_tables)
+    monkeypatch.setattr(transform._ChirpPlan, "times", whole_times)
     monkeypatch.setattr(transform, "_live_plan", None)
     whole = _half_table_results(f, g, th)
-    assert transform._live_plan.chirp_in.shape == grid.shape
+    assert True in products and False in products
     assert len(half) == len(whole)
     for a, b in zip(half, whole):
         assert a.tobytes() == b.tobytes()
