@@ -39,7 +39,7 @@ from .errors import (
     TruncationLoss,
     WindowTooSmall,
 )
-from .grids import Grid, SampledSignal, ThetaParam, _adopt, _as_int, _Owned, _sum_squares
+from .grids import Grid, SampledSignal, ThetaParam, _adopt, _as_int, _Owned, _sum_squares, as_theta
 from .transform import _chirp_plan
 
 __all__ = [
@@ -78,6 +78,7 @@ class FiberGrid:
     window: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", as_theta(self.theta))
         for name in ("n_dims", "omega_samples", "window"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.n_dims not in (1, 2):

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grids import Grid, SampledSignal, ThetaParam, _adopt, _Owned, _power
+from .grids import Grid, SampledSignal, ThetaParam, _adopt, _Owned, _power, as_theta
 from .transform import _chirp_plan, _ChirpPlan
 
 __all__ = [
@@ -41,6 +41,7 @@ class AtomBank:
     theta: ThetaParam
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", as_theta(self.theta))
         if not isinstance(self.atoms, tuple):
             object.__setattr__(self, "atoms", tuple(self.atoms))
         if len(self.atoms) == 0:

@@ -11,11 +11,14 @@ frame bounds) takes them in by one rule, :func:`_adopt`: it keeps an array
 that the library has just allocated, copies a caller's, holds it read-only,
 and refuses a non-finite entry: :class:`OverflowError` for the library's own
 array, where a computation overflowed, and :class:`ValueError` for a caller's.
+Every public function and record that takes an angle takes it in by
+:func:`as_theta`: a :class:`ThetaParam`, or a finite real number.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -25,7 +28,7 @@ from numpy.typing import NDArray
 
 from .errors import AngleDegenerate, OffGridShift
 
-__all__ = ["Grid", "SampledSignal", "ThetaParam", "ShiftVector", "as_shift"]
+__all__ = ["Grid", "SampledSignal", "ThetaParam", "ShiftVector", "as_shift", "as_theta"]
 
 #: Angles with |sin(theta)| at or below this are unusable by the kernel.
 SIN_FLOOR = 1e-9
@@ -297,3 +300,14 @@ def as_shift(s: "ShiftVector | Sequence[float] | float", n_dims: int) -> ShiftVe
             f"dimension {n_dims}"
         )
     return shift
+
+
+def as_theta(theta: "ThetaParam | float") -> ThetaParam:
+    """``theta`` as a :class:`ThetaParam`: itself, or built from a real
+    number, which :class:`ThetaParam` refuses when it is not finite.  A bool
+    or anything else raises :class:`TypeError` that names ``theta``."""
+    if isinstance(theta, ThetaParam):
+        return theta
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+        raise TypeError(f"theta must be a ThetaParam or a real number, got {theta!r}")
+    return ThetaParam(theta)

@@ -37,7 +37,7 @@ from .approx import (
     _synthesize,
 )
 from .errors import BadRank, GridMismatch, NotMultiTile
-from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, _as_int, _power
+from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, _as_int, _power, as_theta
 from .transform import _chirp_plan
 
 __all__ = [
@@ -73,6 +73,7 @@ class TileSet:
     _flat: tuple[NDArray[np.intp], NDArray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", as_theta(self.theta))
         for name in ("n_dims", "omega_samples", "bound"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.n_dims not in (1, 2):

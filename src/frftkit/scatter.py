@@ -58,6 +58,23 @@ stacks, and by Parseval its energy is that of the difference's spectrum
 times the readout kernel.  One forward transform of the difference (of
 one period) replaces the readout's two.  A public function builds
 :class:`SampledSignal` objects only for the signals it returns.
+
+The input's last level also outlives the call, in a one-slot run cache
+(``_live_run``, after the plan cache of :mod:`frftkit.transform`):
+:func:`energy_profile` and the deviations keep the chirped last level of
+their input, as an array of its own, with whether it is held as its
+spectrum, and a deviation that finds it there runs every shift alone, so an
+energy profile followed by a deviation of the same signal runs the
+signal's cascade once.  The key is matched by identity: the input's samples
+array (which the signal holds read-only) and the plan, both through weak
+references, and the first ``depth`` layer objects, whose count is the
+depth.  The slot refers to no plan, so an evicted plan frees its tables;
+it is emptied when a profile or a deviation misses, before that cascade
+allocates; and it retains one last-level stack, and the layer objects.  A
+spectral level is inverted on a copy.  A kept level gives the bits and
+warnings of a cold run: a root's rows get the same bits alone as stacked
+with the other root's, and the translate keeps spectral magnitudes, so the
+shifted root's alias check is the input's.
 """
 
 from __future__ import annotations
@@ -65,6 +82,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -81,7 +99,16 @@ from .errors import (
     PathArityMismatch,
 )
 from .frames import AtomBank, _frames, check_admissibility
-from .grids import Grid, SampledSignal, ShiftVector, ThetaParam, _as_int, _energy, as_shift
+from .grids import (
+    Grid,
+    SampledSignal,
+    ShiftVector,
+    ThetaParam,
+    _as_int,
+    _energy,
+    as_shift,
+    as_theta,
+)
 from .theta_ops import (
     _as_fraction,
     _check_alias,
@@ -143,12 +170,13 @@ class _PointwiseMap:
         del mag  # before the product, for peak memory
         return values * gain
 
-    def commutes_with_translation(self, theta: ThetaParam) -> bool:
+    def commutes_with_translation(self, theta: ThetaParam | float) -> bool:
         """Whether the map passes through twisted shifts: identity and the
         shrink keep the phase at every angle; the modulus drops it, which is
         harmless only where the chirp is flat (``cot θ`` vanishes).  At a
         multiple of pi, where there is no chirp, a modulus raises
         :class:`AngleDegenerate`."""
+        theta = as_theta(theta)
         if self.kind in ("identity", "phase_covariant_shrink"):
             return True
         return abs(theta.cot_t) <= MODULUS_COT_TOL
@@ -188,7 +216,7 @@ class Pooling(_PointwiseMap):
 
 
 def atom_decay_constant(
-    phi: SampledSignal, theta: ThetaParam
+    phi: SampledSignal, theta: ThetaParam | float
 ) -> tuple[float, float, float]:
     """Decay constants ``(K1, K2, K)`` of an output atom.
 
@@ -289,6 +317,7 @@ class FeatureTree:
     admissible: bool
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", as_theta(self.theta))
         for k, level in enumerate(self.levels):
             for path in level:
                 if len(path) != k:
@@ -427,7 +456,7 @@ def _readout_kernel(
 
 
 def u_layer(
-    f: SampledSignal, lam: int, layer: LayerConfig, theta: ThetaParam
+    f: SampledSignal, lam: int, layer: LayerConfig, theta: ThetaParam | float
 ) -> SampledSignal:
     """One propagation step: convolve with atom ``lam``, then nonlinearity,
     pooling, and dilation by the layer's pooling factor."""
@@ -438,9 +467,10 @@ def u_path(
     f: SampledSignal,
     q: Sequence[int],
     layers: Sequence[LayerConfig],
-    theta: ThetaParam,
+    theta: ThetaParam | float,
 ) -> SampledSignal:
     """Propagate along the path ``q``, one layer per entry."""
+    theta = as_theta(theta)
     if len(q) > len(layers):
         raise PathArityMismatch(
             f"path of length {len(q)} exceeds the {len(layers)} configured layers"
@@ -462,7 +492,7 @@ def extract_features(
     f: SampledSignal,
     layers: Sequence[LayerConfig],
     depth: int,
-    theta: ThetaParam,
+    theta: ThetaParam | float,
     level0_atom: SampledSignal | None = None,
 ) -> FeatureTree:
     """Feature tree of ``f`` down to ``depth`` levels.
@@ -473,6 +503,7 @@ def extract_features(
     :class:`InadmissibleBankWarning` (and records ``admissible=False``)
     when some layer's frame bound exceeds one.
     """
+    theta = as_theta(theta)
     plan = _cascade_plan(f.grid, theta, layers, depth)
     admissible = check_admissibility(
         (layer.frame_bound, layer.nonlin.lipschitz, layer.pool.lipschitz)
@@ -521,6 +552,51 @@ def _commutation_gate(layers: Sequence[LayerConfig], depth: int, theta: ThetaPar
                 )
 
 
+@dataclass(frozen=True, slots=True)
+class _Run:
+    """The chirped last level of one input's cascade, ``stack`` (its own
+    read-only array), and whether it is held as its spectrum.  Its key: weak
+    references to the input's samples array and to the plan, and the layers
+    it ran, so a collected input or an evicted plan never matches again."""
+
+    samples: weakref.ref
+    plan: weakref.ref
+    layers: tuple[LayerConfig, ...]
+    stack: NDArray[np.complex128]
+    spectral: bool
+
+
+_live_run: _Run | None = None
+
+
+def _kept_level(
+    f: SampledSignal, plan: _ChirpPlan, layers: Sequence[LayerConfig]
+) -> tuple[NDArray[np.complex128] | None, bool]:
+    """The last level of ``f`` on ``plan`` through ``layers`` and whether it
+    is held as its spectrum (see :func:`_levels`), if the slot keeps it; on
+    a miss ``(None, False)``, after the slot is emptied."""
+    global _live_run
+    run = _live_run
+    if (run is not None and run.samples() is f.values and run.plan() is plan
+            and len(run.layers) == len(layers) and all(a is b for a, b in zip(run.layers, layers))):
+        return run.stack, run.spectral
+    _live_run = None  # free the old stack before the cascade allocates
+    return None, False
+
+
+def _keep_level(
+    f: SampledSignal,
+    plan: _ChirpPlan,
+    layers: Sequence[LayerConfig],
+    stack: NDArray[np.complex128],
+    spectral: bool,
+) -> None:
+    """Keep ``stack``, the last level of ``f`` (see :func:`_kept_level`)."""
+    global _live_run
+    stack.flags.writeable = False
+    _live_run = _Run(weakref.ref(f.values), weakref.ref(plan), tuple(layers), stack, spectral)
+
+
 def _deviations(
     f: SampledSignal,
     shifts: Sequence[object],
@@ -534,24 +610,29 @@ def _deviations(
     distance between the phase-corrected features of the input shifted by
     ``t`` and the features of ``f``, themselves shifted when ``covariant``.
 
-    ``f`` runs as one cascade with its first shift; every later shift runs
-    alone against the level-``depth`` stack of ``f`` kept from then, so
-    ``k`` shifts take ``k + 1`` root cascades, in memory that does not grow
-    with ``k``.  The readout filter is linear and commutes with translates,
-    so each distance is the energy of the filtered difference of two
-    level-``depth`` stacks; by Parseval that is the energy of the
-    difference's spectrum times the kernel, over the ``N^n`` bins.  Those
-    of a stack of periods are its own ``P^n`` bins, each ``(N / P)^n``
-    times as large."""
+    When the slot keeps the level-``depth`` stack of ``f`` (see
+    :func:`_kept_level`), every shift runs alone against it.  Otherwise ``f``
+    runs as one cascade with its first shift, and its last level is kept
+    for every later shift and in the slot; so ``k`` shifts take ``k`` or
+    ``k + 1`` root cascades, in memory that does not grow with ``k``.  The
+    readout filter is linear and commutes with translates, so each distance
+    is the energy of the filtered difference of two level-``depth`` stacks;
+    by Parseval that is the energy of the difference's spectrum times the
+    kernel, over the ``N^n`` bins.  Those of a stack of periods are its own
+    ``P^n`` bins, each ``(N / P)^n`` times as large."""
+    theta = as_theta(theta)
     plan = _cascade_plan(f.grid, theta, layers, depth)
     _commutation_gate(layers, depth, theta)  # at the angle the layers pinned
     shifts = [as_shift(t, f.grid.n_dims) for t in shifts]
     kernel = _readout_kernel(depth, layers, plan, level0_atom)
+    plain, spectral = _kept_level(f, plan, layers[:depth])
+    if spectral:
+        plain = plan.samples(plain.copy())  # the slot's stack stays as it is
     y = plan.chirp(f.as_nd()[None])
     deviations = []
     for i, shift in enumerate(shifts):
         roots = _translate(y, shift, plan)
-        if i == 0:
+        if plain is None:
             roots = np.concatenate([y, roots])
         if i == len(shifts) - 1:
             del y  # no later shift needs the input
@@ -561,14 +642,17 @@ def _deviations(
             pass  # keep only the last level alive, not a list of all of them
         if spectral:
             plan.samples(diff)
-        if i == 0:
+        if plain is None:
             plain, diff = np.split(diff, 2)
+            plain = plain.copy()  # an array of its own, not half of the two roots' stack
+            _keep_level(f, plan, layers[:depth], plain, False)
         norm_sq = sum(c * c for c in shift.components)
         diff *= np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
         diff -= _translate(plain, shift, plan) if covariant else plain
         spectrum = plan.spectrum(diff, in_place=True)
         spectrum *= _on_period(kernel, spectrum, plan)
         deviations.append(_level_energy(spectrum, True, f.grid))
+        del diff, spectrum  # before the next shift's cascade, for peak memory
     return deviations
 
 
@@ -577,7 +661,7 @@ def invariance_deviation(
     t: object,
     layers: Sequence[LayerConfig],
     depth: int,
-    theta: ThetaParam,
+    theta: ThetaParam | float,
     level0_atom: SampledSignal | None = None,
 ) -> float:
     """Measured drift of level-``depth`` features under a twisted shift.
@@ -596,7 +680,7 @@ def covariance_deviation(
     t: object,
     layers: Sequence[LayerConfig],
     depth: int,
-    theta: ThetaParam,
+    theta: ThetaParam | float,
     level0_atom: SampledSignal | None = None,
 ) -> float:
     """Measured drift of level-``depth`` features from exact covariance.
@@ -627,7 +711,7 @@ def _pooling_products(s_factors: Sequence[float]) -> tuple[float, float, float]:
 
 def invariance_bound(
     t: object,
-    theta: ThetaParam,
+    theta: ThetaParam | float,
     s_factors: Sequence[float],
     K: float,
     norm_f: float,
@@ -641,6 +725,7 @@ def invariance_bound(
     ``‖t‖ = |t|``; on a 2-D grid pass a :class:`ShiftVector` or a pair, since
     :func:`invariance_deviation` reads a bare number there as ``(t, t)``.
     """
+    theta = as_theta(theta)
     norm_t = _shift(t).norm
     prod_sq, prod, inv_sq_sum = _pooling_products(s_factors)
     cot = theta.cot_t
@@ -660,7 +745,7 @@ def invariance_bound(
 
 def covariance_bound(
     t: object,
-    theta: ThetaParam,
+    theta: ThetaParam | float,
     s_factors: Sequence[float],
     K: float,
     norm_f: float,
@@ -673,6 +758,7 @@ def covariance_bound(
     on a 2-D grid pass a :class:`ShiftVector` or a pair, since
     :func:`covariance_deviation` reads a bare number there as ``(t, t)``.
     """
+    theta = as_theta(theta)
     norm_t = _shift(t).norm
     prod_sq, prod, inv_sq_sum = _pooling_products(s_factors)
     cot = theta.cot_t
@@ -695,7 +781,7 @@ def energy_profile(
     f: SampledSignal,
     layers: Sequence[LayerConfig],
     depth: int,
-    theta: ThetaParam,
+    theta: ThetaParam | float,
 ) -> list[float]:
     """Total propagated energy per level, ``k = 0 .. depth``.
 
@@ -703,6 +789,12 @@ def energy_profile(
     the propagated signal (entry 0 is ``‖f‖²``).  For admissible cascades
     this sequence is nonincreasing.
     """
+    global _live_run
+    theta = as_theta(theta)
     plan = _cascade_plan(f.grid, theta, layers, depth)
-    return [_level_energy(y, spectral, f.grid)
-            for y, spectral in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)]
+    _live_run = None  # free the kept stack before the cascade allocates
+    energies = []
+    for y, spectral in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth):
+        energies.append(_level_energy(y, spectral, f.grid))
+    _keep_level(f, plan, layers[:depth], y, spectral)
+    return energies

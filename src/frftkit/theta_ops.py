@@ -42,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AliasRiskWarning, GridMismatch, IrrationalScale
-from .grids import SampledSignal, ShiftVector, ThetaParam, _sum_squares, as_shift
+from .grids import SampledSignal, ShiftVector, ThetaParam, _sum_squares, as_shift, as_theta
 from .transform import _alternate, _chirp_plan, _ChirpPlan
 
 __all__ = ["theta_translate", "theta_modulate", "theta_convolve", "theta_dilate"]
@@ -71,9 +71,10 @@ def _translate(
 def theta_translate(
     f: SampledSignal,
     s: ShiftVector | Sequence[float] | float,
-    theta: ThetaParam,
+    theta: ThetaParam | float,
 ) -> SampledSignal:
     """Angle-covariant translation by the on-grid shift ``s``."""
+    theta = as_theta(theta)
     shift = as_shift(s, f.grid.n_dims)
     plan = _chirp_plan(f.grid, theta)
     y = _translate(plan.chirp(f.as_nd()), shift, plan)
@@ -83,9 +84,10 @@ def theta_translate(
 def theta_modulate(
     f: SampledSignal,
     s: ShiftVector | Sequence[float] | float,
-    theta: ThetaParam,
+    theta: ThetaParam | float,
 ) -> SampledSignal:
     """Angle-covariant modulation: a pure phase, no sample movement."""
+    theta = as_theta(theta)
     shift = as_shift(s, f.grid.n_dims)
     s_sq = sum(c * c for c in shift.components)
     coords = f.grid.coordinates()
@@ -94,8 +96,11 @@ def theta_modulate(
     return SampledSignal._owning(f.grid, f.values * phase)
 
 
-def theta_convolve(f: SampledSignal, g: SampledSignal, theta: ThetaParam) -> SampledSignal:
+def theta_convolve(
+    f: SampledSignal, g: SampledSignal, theta: ThetaParam | float
+) -> SampledSignal:
     """Angle-covariant convolution via chirp, multiply, inverse chirp."""
+    theta = as_theta(theta)
     if f.grid != g.grid:
         raise GridMismatch("theta_convolve requires a common grid")
     plan = _chirp_plan(f.grid, theta)
@@ -108,6 +113,8 @@ def _as_fraction(s: float | Rational) -> Fraction:
         frac = Fraction(s)
     else:
         value = float(s)
+        if not math.isfinite(value):
+            raise IrrationalScale(f"dilation factor {value!r} is not finite")
         frac = Fraction(value).limit_denominator(MAX_DENOMINATOR)
         if abs(float(frac) - value) > 1e-12 * max(1.0, abs(value)):
             raise IrrationalScale(
@@ -149,7 +156,9 @@ def _check_alias(
         _warn_at_caller(f"dilation by {frac} folds spectral mass beyond {1 / frac} of Nyquist")
 
 
-def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> SampledSignal:
+def theta_dilate(
+    f: SampledSignal, s: float | Rational, theta: ThetaParam | float
+) -> SampledSignal:
     """Angle-covariant dilation by a rational factor ``s = p/q > 0``.
 
     The inner classical contraction is carried out by exact trigonometric
@@ -162,6 +171,7 @@ def theta_dilate(f: SampledSignal, s: float | Rational, theta: ThetaParam) -> Sa
     mass beyond that edge an :class:`AliasRiskWarning` is emitted (the folded
     copies then corrupt the output).
     """
+    theta = as_theta(theta)
     frac = _as_fraction(s)
     if frac == 1:
         return f.with_values(f.values)

@@ -79,7 +79,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AngleDegenerate, GridTooLarge
-from .grids import Grid, SampledSignal, ThetaParam, _energy
+from .grids import Grid, SampledSignal, ThetaParam, _energy, as_theta
 
 __all__ = [
     "chirp_modulate",
@@ -202,7 +202,9 @@ class _ChirpPlan:
     docstring.  Methods take ndarrays whose trailing axes have the grid's
     shape; leading axes are a batch."""
 
-    __slots__ = ("in_grid", "out_grid", "theta", "axes", "halves", "chirp_in", "chirp_out")
+    # __weakref__: the cascade's run slot refers to its plan weakly.
+    __slots__ = ("in_grid", "out_grid", "theta", "axes", "halves", "chirp_in", "chirp_out",
+                 "__weakref__")
 
     def __init__(self, in_grid: Grid, out_grid: Grid, theta: ThetaParam) -> None:
         self.in_grid, self.out_grid, self.theta = in_grid, out_grid, theta
@@ -337,8 +339,9 @@ def _chirp_plan(grid: Grid, theta: ThetaParam, *, output: bool = False) -> _Chir
     return plan
 
 
-def chirp_modulate(f: SampledSignal, theta: ThetaParam, sign: int) -> SampledSignal:
+def chirp_modulate(f: SampledSignal, theta: ThetaParam | float, sign: int) -> SampledSignal:
     """Pointwise ``e^{sign * i * pi * ‖t‖² * cot(theta)} * f(t)``."""
+    theta = as_theta(theta)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     plan = _chirp_plan(f.grid, theta)
@@ -346,9 +349,10 @@ def chirp_modulate(f: SampledSignal, theta: ThetaParam, sign: int) -> SampledSig
     return SampledSignal._owning(f.grid, _alternate(out, f.grid.n_dims))
 
 
-def frft_output_grid(grid: Grid, theta: ThetaParam) -> Grid:
+def frft_output_grid(grid: Grid, theta: ThetaParam | float) -> Grid:
     """Canonical output grid: spacing ``|sin(theta)| / period``; raises
     :class:`AngleDegenerate` at a multiple of pi, where the spacing vanishes."""
+    theta = as_theta(theta)
     if theta.is_axis:
         raise AngleDegenerate(f"cot undefined at theta={theta.theta!r}")
     d_omega = theta.abs_sin / grid.period
@@ -366,30 +370,33 @@ def _axis_branch(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
     return SampledSignal._owning(f.grid, _reflect(f.as_nd()))
 
 
-def frft(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
+def frft(f: SampledSignal, theta: ThetaParam | float) -> SampledSignal:
     """Fractional Fourier transform of angle ``theta``."""
+    theta = as_theta(theta)
     if theta.is_axis:
         return _axis_branch(f, theta)
     plan = _chirp_plan(f.grid, theta)
     return SampledSignal._owning(plan.out_grid, plan.forward(f.as_nd()))
 
 
-def inverse_frft(F: SampledSignal, theta: ThetaParam) -> SampledSignal:
+def inverse_frft(F: SampledSignal, theta: ThetaParam | float) -> SampledSignal:
     """Inverse of :func:`frft`, onto ``frft_output_grid(F.grid, theta)``, which
     can miss the forward's input grid by an ulp of the extent: extent 12.5 at
     θ = 0.1 comes back as 12.500000000000002."""
+    theta = as_theta(theta)
     if theta.is_axis:
         return _axis_branch(F, theta)
     plan = _chirp_plan(F.grid, theta, output=True)
     return SampledSignal._owning(plan.in_grid, plan.inverse(F.as_nd()))
 
 
-def frft_direct_oracle(f: SampledSignal, theta: ThetaParam) -> SampledSignal:
+def frft_direct_oracle(f: SampledSignal, theta: ThetaParam | float) -> SampledSignal:
     """Literal quadrature of the transform kernel; O(N²) per dimension.
 
     Kept deliberately independent of the FFT path: the kernel matrix is
     assembled from the defining exponential and applied by plain summation.
     """
+    theta = as_theta(theta)
     grid = f.grid
     n = grid.samples_per_dim
     if grid.n_dims == 1 and n > ORACLE_MAX_1D:

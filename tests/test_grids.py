@@ -2,6 +2,8 @@
 takes in its arrays, the one rule for integer parameters, and the one rule
 for squared magnitudes."""
 import math
+import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +13,16 @@ from hypothesis import strategies as st
 from frftkit import (
     AngleDegenerate,
     AtomBank,
+    FeatureTree,
     FiberField,
     FiberGrid,
     FrameBounds,
+    FrftkitError,
     GramianField,
     Grid,
     IrrationalScale,
     LayerConfig,
+    Nonlinearity,
     OffGridShift,
     SampledSignal,
     ShiftVector,
@@ -25,18 +30,33 @@ from frftkit import (
     ThetaParam,
     TileSet,
     analytic_sinc_fibers,
+    as_theta,
+    atom_decay_constant,
+    chirp_modulate,
+    covariance_bound,
+    covariance_deviation,
     energy_profile,
     extract_features,
     feature_distance,
     fiber_map,
     fit_sis,
     frame_bounds,
+    frft,
+    frft_direct_oracle,
+    frft_output_grid,
+    invariance_bound,
+    invariance_deviation,
+    inverse_frft,
     is_multitile,
     l2_norm,
     optimal_multitile,
     partial_projection,
     partition_multitile,
     synthesize_generator,
+    theta_convolve,
+    theta_dilate,
+    theta_modulate,
+    theta_translate,
     u_layer,
     u_path,
 )
@@ -218,6 +238,83 @@ def test_hostile_integer_parameters_are_refused_by_name(data, parameter):
     with pytest.raises(TypeError) as refused:
         call(value)
     assert str(refused.value).startswith(f"{name} must be an integer")
+
+
+#: Per entry point that takes an angle: the call on a value of it, reduced to
+#: an array or a number.  The cascades run at depth 0 or on ``LAYER``, which
+#: refuses every angle but its own.
+STEP = SIGNAL.grid.spacing
+PHI = LAYER.output_atom
+ANGLE_PARAMETERS = {
+    "frft": lambda th: frft(SIGNAL, th).values,
+    "inverse_frft": lambda th: inverse_frft(SIGNAL, th).values,
+    "frft_direct_oracle": lambda th: frft_direct_oracle(SIGNAL, th).values,
+    "frft_output_grid": lambda th: frft_output_grid(SIGNAL.grid, th).extent,
+    "chirp_modulate": lambda th: chirp_modulate(SIGNAL, th, -1).values,
+    "theta_translate": lambda th: theta_translate(SIGNAL, STEP, th).values,
+    "theta_modulate": lambda th: theta_modulate(SIGNAL, STEP, th).values,
+    "theta_convolve": lambda th: theta_convolve(SIGNAL, PHI, th).values,
+    "theta_dilate": lambda th: theta_dilate(SIGNAL, 1.5, th).values,
+    "AtomBank": lambda th: AtomBank((SIGNAL,), th).theta.theta,
+    "FiberGrid": lambda th: FiberGrid(th, 1, 8, 3).theta.theta,
+    "TileSet": lambda th: TileSet(th, 1, 1, 1, (((0,),),)).theta.theta,
+    "FeatureTree": lambda th: FeatureTree(({(): SIGNAL},), th, True).theta.theta,
+    "commutes_with_translation": lambda th: Nonlinearity("modulus").commutes_with_translation(th),
+    "atom_decay_constant": lambda th: atom_decay_constant(PHI, th),
+    "u_layer": lambda th: u_layer(SIGNAL, 0, LAYER, th).values,
+    "u_path": lambda th: u_path(SIGNAL, (), (), th).values,
+    "energy_profile": lambda th: energy_profile(SIGNAL, (LAYER,), 1, th),
+    "extract_features": lambda th: extract_features(SIGNAL, (), 0, th, PHI).levels[0][()].values,
+    "invariance_deviation": lambda th: invariance_deviation(SIGNAL, STEP, (), 0, th, PHI),
+    "covariance_deviation": lambda th: covariance_deviation(SIGNAL, STEP, (), 0, th, PHI),
+    "invariance_bound": lambda th: invariance_bound(STEP, th, (2.0,), 1.0, 1.0),
+    "covariance_bound": lambda th: covariance_bound(STEP, th, (2.0,), 1.0, 1.0),
+}
+
+_NOT_ANGLES = st.one_of(
+    st.booleans(), st.booleans().map(np.bool_), st.none(), st.text(max_size=2),
+    st.integers(-2, 2).map(complex), st.just([1.0]),
+)
+_ANGLES = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.integers(-8, 8), st.integers(-8, 8).map(np.int64),
+    st.fractions(max_denominator=12), st.sampled_from([PI3.theta, -PI3.theta, math.pi]),
+)
+
+
+def _outcome(call, theta):
+    """What ``call(theta)`` gives: its bytes, or the error it raises."""
+    try:
+        return np.asarray(call(theta)).tobytes()
+    except (FrftkitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")  # some angles alias the dilated SIGNAL
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), entry=st.sampled_from(sorted(ANGLE_PARAMETERS)))
+def test_hostile_angles_are_refused_by_name(data, entry):
+    """At every entry point that takes an angle, a value that is not a real
+    number raises a TypeError that names ``theta``, and one that is not
+    finite a ValueError; a finite real gives what its :class:`ThetaParam`
+    gives, which :func:`as_theta` passes through."""
+    call = ANGLE_PARAMETERS[entry]
+    value = data.draw(st.one_of(_NOT_ANGLES, _ANGLES))
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        with pytest.raises(TypeError, match="^theta must be a ThetaParam or a real number, got "):
+            call(value)
+        return
+    if not math.isfinite(value):
+        with pytest.raises(ValueError, match="^theta must be finite, got "):
+            call(value)
+        return
+    try:
+        theta = ThetaParam(value)
+    except AngleDegenerate:
+        with pytest.raises(AngleDegenerate):
+            call(value)
+        return
+    assert as_theta(theta) is theta
+    assert _outcome(call, value) == _outcome(call, theta)
 
 
 def test_squared_magnitudes_never_take_a_vector_abs(monkeypatch):

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frftkit
+from frftkit import scatter
 from frftkit import (
     AliasRiskWarning,
     AngleDegenerate,
@@ -528,10 +530,14 @@ def test_cascade_levels_match_per_path_composition(grid, theta_val, s_factors):
     assert profile[2] > 0.0
 
 
-def _traced_peak(call):
+def _traced_peak(call, fill=None):
     """The traced peak of ``call()``, after one untraced call that builds
-    the chirp plan."""
+    the chirp plan.  The traced call runs on an emptied run slot, or on one
+    that an untraced ``fill()`` has just filled."""
     call()
+    scatter._live_run = None
+    if fill is not None:
+        fill()
     tracemalloc.start()
     try:
         call()
@@ -649,16 +655,26 @@ def test_alias_warning_names_the_caller(entry, b):
         assert {w.filename for w in alias} <= {__file__}
 
 
-def test_cascade_fft_rows():
-    """The FFT rows of the benchmark's cascade (2-D 64², two atoms, pooling
-    (2, 1), identity then shrink): layer 1 hands its even pooling to layer 2
-    as a folded spectrum, so neither inverts nor transforms the other's
-    stack, and a deviation reads its energy off one spectrum of the level-2
-    difference."""
+def _benchmark_cascade():
+    """The benchmark's cascade (2-D 64², two atoms, pooling (2, 1), identity
+    then shrink), its depth-1 cut with identity maps pooled by 2, an input
+    and four shifts."""
     grid, th = Grid(2, 64, 4.0), ThetaParam(math.pi / 3)
     layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
+    folding, _ = make_s1_layers(grid, th, (2.0,), ["identity"])
     f = banded_signal(grid, th, 0.4, 41)
     shift = (grid.spacing, -2 * grid.spacing)
+    four = [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0), (-grid.spacing, grid.spacing)]
+    return th, layers, folding, f, four
+
+
+def test_cascade_fft_rows():
+    """The FFT rows of the benchmark's cascade on a cold run slot: layer 1
+    hands its even pooling to layer 2 as a folded spectrum, so neither
+    inverts nor transforms the other's stack, and a deviation reads its
+    energy off one spectrum of the level-2 difference."""
+    th, layers, folding, f, four = _benchmark_cascade()
+    shift = four[0]
     # Layer 1 transforms 1 row of 64² and folds its 2 products into 32²
     # spectra; layer 2 inverts its 4 products of 32²: 64² + 4 * 32².
     with fft_rows() as counts:
@@ -666,15 +682,16 @@ def test_cascade_fft_rows():
     assert counts == [5, 8192]
     # Twice that for two roots, and one spectrum of the 4 path differences.
     for deviation in (invariance_deviation, covariance_deviation):
+        scatter._live_run = None
         with fft_rows() as counts:
             deviation(f, shift, layers, 2, th)
         assert counts == [2 * 5 + 4, 2 * 8192 + 4 * 32**2]
     # k shifts run k + 1 root cascades and one spectrum per shift.
+    scatter._live_run = None
     with fft_rows() as counts:
-        _deviations(f, [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0)], layers, 2, th,
-                    None, covariant=False)
+        _deviations(f, four[:3], layers, 2, th, None, covariant=False)
     assert counts == [4 * 5 + 3 * 4, 4 * 8192 + 3 * 4 * 32**2]
-    four = [shift, (0.0, grid.spacing), (3 * grid.spacing, 0.0), (-grid.spacing, grid.spacing)]
+    scatter._live_run = None
     with fft_rows() as counts:
         _deviations(f, four, layers, 2, th, None, covariant=False)
     assert counts == [41, 57344]
@@ -689,18 +706,158 @@ def test_cascade_fft_rows():
     # a deviation inverts the 2 paths of each root and takes one spectrum of
     # their 2 differences: 2 * 64² + 4 * 32² + 2 * 32² for the first shift,
     # and 64² + 2 * 32² + 2 * 32² for each later one.
-    folding, _ = make_s1_layers(grid, th, (2.0,), ["identity"])
     with fft_rows() as counts:
         energy_profile(f, folding, 1, th)
     assert counts == [1, 4096]
     for deviation in (invariance_deviation, covariance_deviation):
+        scatter._live_run = None
         with fft_rows() as counts:
             deviation(f, shift, folding, 1, th)
         assert counts == [8, 14336]
     for covariant in (False, True):
+        scatter._live_run = None
         with fft_rows() as counts:
             _deviations(f, four, folding, 1, th, None, covariant=covariant)
         assert counts == [23, 38912]
+
+
+def test_cascade_fft_rows_on_a_kept_level():
+    """The FFT rows of the benchmark's cascade when the run slot keeps the
+    input's last level: every shift runs only its own root."""
+    th, layers, folding, f, four = _benchmark_cascade()
+    shift = four[0]
+    # The benchmark's op: energy_profile's 5 rows, then the shifted root's
+    # 5 and one spectrum of the 4 path differences.
+    scatter._live_run = None
+    with fft_rows() as counts:
+        energy_profile(f, layers, 2, th)
+        invariance_deviation(f, shift, layers, 2, th)
+    assert counts == [14, 20480]
+    # A second single-shift call, of either kind, reads the same level.
+    for deviation in (invariance_deviation, covariance_deviation):
+        with fft_rows() as counts:
+            deviation(f, shift, layers, 2, th)
+        assert counts == [5 + 4, 8192 + 4 * 32**2] == [9, 12288]
+    # k shifts run k root cascades.
+    with fft_rows() as counts:
+        _deviations(f, four, layers, 2, th, None, covariant=False)
+    assert counts == [4 * 9, 4 * 12288]
+    # Depth 1 after energy_profile: the kept level is a folded spectrum, so
+    # a copy of its 2 paths is inverted: 64² + 2 * 32² for the shifted root,
+    # 2 * 32² for the copy and 2 * 32² for the spectrum of the differences.
+    energy_profile(f, folding, 1, th)
+    for deviation in (invariance_deviation, covariance_deviation):
+        with fft_rows() as counts:
+            deviation(f, shift, folding, 1, th)
+        assert counts == [7, 10240]
+    # After a cold deviation the slot keeps the level's samples: no copy to invert.
+    scatter._live_run = None
+    invariance_deviation(f, four[1], folding, 1, th)
+    with fft_rows() as counts:
+        covariance_deviation(f, shift, folding, 1, th)
+    assert counts == [5, 8192]
+
+
+def _recorded(call):
+    """``call()`` and the warnings it issued, as comparable tuples."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    return value, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+@pytest.mark.parametrize("depth", [1, 2], ids=["depth1", "depth2"])
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pos", "neg"])
+@pytest.mark.parametrize("grid", [Grid(1, 256, 8.0), Grid(2, 64, 4.0)], ids=["1d-256", "2d-64"])
+def test_kept_level_gives_the_bits_and_warnings_of_a_cold_run(grid, theta_val, depth):
+    """A deviation on the last level that ``energy_profile`` or another
+    deviation kept equals the deviation on an emptied run slot bit for bit,
+    with the same alias warnings.  Depth 1 keeps a folded spectrum; wide
+    atoms pass a white input's full band on to the dilation by 2, which
+    warns, and a band-limited input's, which does not."""
+    th = ThetaParam(theta_val)
+    layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"],
+                               widths=(8.0, 8.0))
+    shift = tuple(k * grid.spacing for k in (2, -1)[: grid.n_dims])
+    other = tuple(k * grid.spacing for k in (-3, 1)[: grid.n_dims])
+    for warns, f in ((True, random_signal(grid, 7)), (False, banded_signal(grid, th, 0.4, 7))):
+        f = f.with_values(10.0 * f.values)  # level 2 must clear the shrink threshold
+        fills = {
+            "profile": lambda: energy_profile(f, layers, depth, th),
+            "deviation": lambda: invariance_deviation(f, other, layers, depth, th),
+        }
+        for deviation in (invariance_deviation, covariance_deviation):
+            def call():
+                return deviation(f, shift, layers, depth, th)
+
+            scatter._live_run = None
+            cold = _recorded(call)
+            assert cold[0] > 0.0
+            assert bool(cold[1]) == warns
+            for name, fill in fills.items():
+                scatter._live_run = None
+                _recorded(fill)
+                kept = scatter._live_run
+                assert kept is not None and kept.spectral == (depth == 1 and name == "profile")
+                stack = kept.stack.copy()
+                assert _recorded(call) == cold
+                assert scatter._live_run is kept  # a hit, which left the slot as it was
+                assert np.array_equal(kept.stack, stack)
+
+
+def test_kept_level_misses_on_another_key():
+    """The run slot matches the input's samples array, the layer objects,
+    the depth and the plan by identity: another signal with equal samples,
+    an equal layer list of other objects, another depth and a plan that was
+    evicted and rebuilt each run cold, to the same value."""
+    grid, th = Grid(1, 256, 8.0), ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
+    twins, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
+    f = banded_signal(grid, th, 0.4, 5)
+    f = f.with_values(10.0 * f.values)
+    shift = 3 * grid.spacing
+
+    def rows(g, layer_list, depth):
+        with fft_rows() as counts:
+            value = invariance_deviation(g, shift, layer_list, depth, th)
+        return value, counts
+
+    for depth in (1, 2):
+        scatter._live_run = None
+        cold = rows(f, layers, depth)
+        energy_profile(f, layers, depth, th)
+        hit = rows(f, layers, depth)
+        assert hit[0] == cold[0] and hit[1] < cold[1]
+    misses = {
+        "equal samples": (SampledSignal(grid, f.values), layers, 2),
+        "equal layers": (f, twins, 2),
+        "another depth": (f, layers, 1),
+        "evicted plan": (f, layers, 2),
+    }
+    for name, (g, layer_list, depth) in misses.items():
+        scatter._live_run = None
+        cold = rows(g, layer_list, depth)
+        energy_profile(f, layers, 2, th)
+        kept = scatter._live_run
+        if name == "evicted plan":
+            _chirp_plan(grid, ThetaParam(math.pi / 5))
+        assert rows(g, layer_list, depth) == cold, name
+        assert scatter._live_run is not kept, name
+
+
+def test_kept_level_holds_no_plan():
+    """The run slot refers to its plan weakly: a plan evicted by another
+    angle is freed while the slot still keeps the level it ran."""
+    grid, th = Grid(2, 64, 4.0), ThetaParam(math.pi / 3)
+    layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
+    f = banded_signal(grid, th, 0.4, 41)
+    energy_profile(f, layers, 2, th)
+    kept = scatter._live_run
+    plan = weakref.ref(_chirp_plan(grid, th))
+    assert kept is not None and kept.plan() is plan()
+    _chirp_plan(grid, ThetaParam(math.pi / 5))
+    assert plan() is None
+    assert scatter._live_run is kept and kept.stack.shape == (4, 32, 32)
 
 
 @pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pos", "neg"])
@@ -723,21 +880,27 @@ def test_level0_readout_kernel_is_the_first_layers(grid, theta_val):
 def test_deviation_peak_memory_does_not_grow_with_shifts():
     """Shifts after the first run one at a time against the input's kept
     last level, so six shifts trace the peak of one, plus the input kept
-    for the later shifts."""
+    for the later shifts.  On a run slot that ``energy_profile`` filled,
+    every shift runs so, and the peak is lower."""
     grid, th = Grid(2, 64, 4.0), ThetaParam(math.pi / 3)
     layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["phase_covariant_shrink"] * 2)
     f = banded_signal(grid, th, 0.4, 41)
     shifts = [(i * grid.spacing, -grid.spacing) for i in range(1, 7)]
     _deviations(f, shifts[:1], layers, 2, th, None, covariant=False)  # builds the plan
-    peaks = []
-    for k in (1, 6):
-        tracemalloc.start()
-        try:
-            _deviations(f, shifts[:k], layers, 2, th, None, covariant=False)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 2 * f.values.nbytes
+    peaks = {}
+    for kept in (False, True):
+        for k in (1, 6):
+            scatter._live_run = None
+            if kept:
+                energy_profile(f, layers, 2, th)
+            tracemalloc.start()
+            try:
+                _deviations(f, shifts[:k], layers, 2, th, None, covariant=False)
+                peaks[kept, k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[kept, 6] <= peaks[kept, 1] + 2 * f.values.nbytes
+    assert peaks[True, 1] < peaks[False, 1]
 
 
 @pytest.mark.parametrize("covariant", [False, True], ids=["invariance", "covariance"])
@@ -958,22 +1121,33 @@ def test_pooled_alias_warning_matches_full_grid_reference(grid, b):
 
 
 @pytest.mark.filterwarnings("ignore:dilation by")
-@pytest.mark.parametrize("name, limit_mib", [("energy_profile", 2), ("invariance_deviation", 4)])
+@pytest.mark.parametrize("name, limit_mib", [("energy_profile", 2), ("invariance_deviation", 4),
+                                             ("kept_invariance_deviation", 2)])
 def test_pooled_levels_peak_memory(name, limit_mib):
     """Pooling (2, 2, 1) holds level 1 as a 64² period and levels 2 and 3 as
     32² periods of the 128² grid, so the traced peak of the depth-3 cascade
-    is about a fifth of that of the full-grid stacks (6.13 and 12.13 MiB)."""
+    is about a fifth of that of the full-grid stacks (6.13 and 12.13 MiB).
+    A deviation on the last level that ``energy_profile`` kept runs one root,
+    not two, and peaks as that does."""
     grid = Grid(2, 128, 16.0)
     th = ThetaParam(math.pi / 3)
     s_factors = (2.0, 2.0, 1.0)
     layers, _ = make_s1_layers(grid, th, s_factors, nonlin_plan(s_factors))
     f = banded_signal(grid, th, 1.0, 3)
     f = f.with_values(10.0 * f.values)
+
+    def profile():
+        return energy_profile(f, layers, 3, th)
+
+    def deviation():
+        return invariance_deviation(f, grid.spacing, layers, 3, th)
+
     calls = {
-        "energy_profile": lambda: energy_profile(f, layers, 3, th),
-        "invariance_deviation": lambda: invariance_deviation(f, grid.spacing, layers, 3, th),
+        "energy_profile": (profile, None),
+        "invariance_deviation": (deviation, None),
+        "kept_invariance_deviation": (deviation, profile),
     }
-    assert _traced_peak(calls[name]) <= limit_mib * 2**20
+    assert _traced_peak(*calls[name]) <= limit_mib * 2**20
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 128, 8.0), Grid(2, 32, 4.0)], ids=["1d", "2d"])

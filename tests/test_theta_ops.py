@@ -1,4 +1,5 @@
 """Operator algebra: translation, modulation, convolution, dilation."""
+import dataclasses
 import math
 import re
 import warnings
@@ -26,7 +27,14 @@ from frftkit import (
 )
 from frftkit.theta_ops import _dilate_period, _dilate_spectrum, _tile
 from frftkit.transform import _chirp_plan, centered_dft, centered_idft, chirp_modulate
-from helpers import banded_signal, dft_matrix_oracle, fft_rows, gauss_profile, random_signal
+from helpers import (
+    banded_signal,
+    dft_matrix_oracle,
+    fft_rows,
+    gauss_profile,
+    make_s1_layers,
+    random_signal,
+)
 
 ANGLES = [ThetaParam(x) for x in (math.pi / 6, math.pi / 3, 2 * math.pi / 5,
                                   -math.pi / 3, 2.0, 4.0)]
@@ -356,6 +364,22 @@ def test_dilation_rejects_irrational_factor():
         theta_dilate(f, math.sqrt(2), th)
     with pytest.raises(IrrationalScale):
         theta_dilate(f, Fraction(1000, 999), th)
+
+
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
+                         ids=["inf", "-inf", "nan", "np-inf"])
+def test_non_finite_factor_is_refused_by_name(factor):
+    """A factor that is not finite raises :class:`IrrationalScale` naming it,
+    from the dilation and from a layer that pools by it, not the bare
+    ``OverflowError`` or ``ValueError`` of ``Fraction``."""
+    grid, th = Grid(1, 64, 4.0), ThetaParam(math.pi / 3)
+    f = banded_signal(grid, th, 0.3, 37)
+    with pytest.raises(IrrationalScale, match=f"dilation factor {float(factor)!r} is not finite"):
+        theta_dilate(f, factor, th)
+    if factor >= 1.0:  # the layer refuses the others as below 1 first
+        layer = make_s1_layers(grid, th, (2.0,), ["identity"])[0][0]
+        with pytest.raises(IrrationalScale, match="is not finite"):
+            dataclasses.replace(layer, pooling_factor=factor)
 
 
 def test_translate_rejects_off_grid_shift():

@@ -36,6 +36,7 @@ from frftkit import (
     theta_dilate,
 )
 from frftkit import approx
+from frftkit.theta_ops import _alias_tail_fraction
 from helpers import make_s1_layers, random_signal
 
 GRID = Grid(1, 256, 8.0)
@@ -90,6 +91,34 @@ def test_decay_edge_tolerance(edge, raises):
     else:
         k1, _, _ = atom_decay_constant(phi, PI3)
         assert k1 > edge
+
+
+# The edge band is the outer ring of bins: weight above DECAY_EDGE_TOL on the
+# second ring is inside the grid and passes, on the outer ring it raises.
+@pytest.mark.parametrize("at,raises", [(0, True), (1, False), (254, False), (255, True)])
+def test_decay_edge_band_is_the_outer_ring(at, raises):
+    values = _bump()
+    values[at] = 1e-5 / abs(frft_output_grid(GRID, PI3).axis[at])
+    phi = _spectrum_signal(values)
+    if raises:
+        with pytest.raises(NoDecay):
+            atom_decay_constant(phi, PI3)
+    else:
+        assert atom_decay_constant(phi, PI3)[0] > 1e-5
+
+
+# A contraction by 3/2 of 256 bins folds the bins with |l - N/2| >= 128 * 2/3
+# = 85.33: bins 43 and 213 (85 from the center) are kept, 42 and 214 fold.
+@pytest.mark.parametrize("at,folds", [(42, True), (43, False), (213, False), (214, True)])
+def test_alias_cut_between_bins_rounds_up(at, folds):
+    values = np.zeros(GRID.samples_per_dim, dtype=np.complex128)
+    values[[GRID.samples_per_dim // 2, at]] = 1.0
+    assert _alias_tail_fraction(values[None], 3, 2, (-1,))[0] == (0.5 if folds else 0.0)
+    f = _spectrum_signal(_with_fraction(_bump(), at, 1e-3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        theta_dilate(f, 1.5, PI3)
+    assert [w.category for w in caught] == ([AliasRiskWarning] if folds else [])
 
 
 # ALIAS_GUARD = 1e-12: a dilation by 2 keeps the bins within N/4 of the
