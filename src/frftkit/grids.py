@@ -196,12 +196,15 @@ class ThetaParam:
 
     Angles within ``AXIS_TOL`` of a multiple of pi are allowed and flag the
     exact copy/reflection branch; any other angle with ``|sin| <= SIN_FLOOR``
-    is rejected because cot/csc would overflow.
+    is rejected because cot/csc would overflow.  A bool, a string or any
+    other value that is not a real number raises :class:`TypeError`.
     """
 
     theta: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.theta, bool) or not isinstance(self.theta, numbers.Real):
+            raise TypeError(f"theta must be a ThetaParam or a real number, got {self.theta!r}")
         theta = float(self.theta)
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta}")
@@ -250,11 +253,14 @@ class ThetaParam:
 
 @dataclass(frozen=True, slots=True)
 class ShiftVector:
-    """Real shift amounts, one per grid dimension."""
+    """Real shift amounts, one per grid dimension (a bool is no real)."""
 
     components: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for c in self.components:
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                raise TypeError(f"shift components must be real numbers, got {c!r}")
         comps = tuple(float(c) for c in self.components)
         if not comps:
             raise ValueError("shift needs at least one component")
@@ -291,9 +297,9 @@ def as_shift(s: "ShiftVector | Sequence[float] | float", n_dims: int) -> ShiftVe
     if isinstance(s, ShiftVector):
         shift = s
     elif isinstance(s, Iterable) and not isinstance(s, (str, bytes)):
-        shift = ShiftVector(tuple(float(c) for c in s))
+        shift = ShiftVector(tuple(s))
     else:
-        shift = ShiftVector((float(s),) * n_dims) if n_dims > 1 else ShiftVector((float(s),))
+        shift = ShiftVector((s,) * max(n_dims, 1))
     if len(shift.components) != n_dims:
         raise OffGridShift(
             f"shift arity {len(shift.components)} does not match grid "
@@ -305,9 +311,6 @@ def as_shift(s: "ShiftVector | Sequence[float] | float", n_dims: int) -> ShiftVe
 def as_theta(theta: "ThetaParam | float") -> ThetaParam:
     """``theta`` as a :class:`ThetaParam`: itself, or built from a real
     number, which :class:`ThetaParam` refuses when it is not finite.  A bool
-    or anything else raises :class:`TypeError` that names ``theta``."""
-    if isinstance(theta, ThetaParam):
-        return theta
-    if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
-        raise TypeError(f"theta must be a ThetaParam or a real number, got {theta!r}")
-    return ThetaParam(theta)
+    or anything else raises the :class:`TypeError` of :class:`ThetaParam`,
+    which names ``theta``."""
+    return theta if isinstance(theta, ThetaParam) else ThetaParam(theta)

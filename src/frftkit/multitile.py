@@ -104,7 +104,7 @@ class TileSet:
 
     @property
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
+        return tuple(map(len, self.cells))
 
 
 def _flat_offsets(
@@ -177,9 +177,10 @@ class MultiTileModel:
             raise NotMultiTile(f"tile set does not have {self.ell} offsets per cell")
         if len(self.selection) != self.tile.n_cells:
             raise ValueError("selection length must match the cell count")
-        for w, chosen in enumerate(self.selection):
-            if tuple(sorted(chosen)) != self.tile.cells[w]:
-                raise ValueError(f"selection at cell {w} disagrees with the tile set")
+        chosen = tuple(map(tuple, map(sorted, self.selection)))
+        if chosen != self.tile.cells:
+            w = next(w for w, (a, b) in enumerate(zip(chosen, self.tile.cells)) if a != b)
+            raise ValueError(f"selection at cell {w} disagrees with the tile set")
 
     @property
     def theta(self) -> ThetaParam:

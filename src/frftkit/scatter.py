@@ -30,7 +30,7 @@ dilated period (:func:`~frftkit.theta_ops._dilate_spectrum`), and the level
 is handed on as that spectrum, so the next layer skips its forward
 transform.  :func:`energy_profile` reads such a level's energy by Parseval,
 :func:`extract_features` reads it out with a product and an inverse, and
-the deviations invert a last level held so.  Samples are dilated instead
+the deviations subtract such last levels as spectra.  Samples are dilated instead
 in :func:`u_path`, whose results are pinned bit for bit, by an odd factor,
 which keeps the period, by a fraction, which needs the whole grid, and by
 a factor that the period divides, where the period would shrink to one.
@@ -48,33 +48,33 @@ the chirp back in, a fractional dilation and the readouts of
 :func:`extract_features` and :func:`u_path` tile the period back to the
 whole grid.
 
-The deviations run the input once, with its first shifted copy, and each
-further shifted copy alone against the input's last level, so ``k``
-shifts run ``k + 1`` root cascades in memory that does not grow with ``k``.
-They never read the features out: the readout is a linear filter that
-commutes with the chirped-domain translate (a roll times a phase), so the
-features' distance is the filtered difference of the two last-level
-stacks, and by Parseval its energy is that of the difference's spectrum
-times the readout kernel.  One forward transform of the difference (of
-one period) replaces the readout's two.  A public function builds
-:class:`SampledSignal` objects only for the signals it returns.
+The deviations run the input's cascade once, however many shifts they
+are given.  A translate is a roll times a phase on chirped samples, so by
+the DFT shift theorem a shifted copy's first-layer filter is the input's
+times a phase ramp (:func:`~frftkit.theta_ops._translate`): no shifted
+root is chirped, rolled or transformed, and as a ramp has unit modulus,
+the input's first-layer alias outcome is issued again.  The features are
+never read out: the readout filter commutes with the translate, so the
+features' distance is the filtered difference of the last-level stacks,
+whose energy by Parseval is that of the difference's spectrum times the
+readout kernel: one transform of the difference (of one period), or none
+for a level held as its spectrum, where the covariant translate is a ramp
+too.  A public function builds :class:`SampledSignal` objects only for
+the signals it returns.
 
-The input's last level also outlives the call, in a one-slot run cache
+The input's run also outlives the call, in a one-slot run cache
 (``_live_run``, after the plan cache of :mod:`frftkit.transform`):
-:func:`energy_profile` and the deviations keep the chirped last level of
-their input, as an array of its own, with whether it is held as its
-spectrum, and a deviation that finds it there runs every shift alone, so an
-energy profile followed by a deviation of the same signal runs the
-signal's cascade once.  The key is matched by identity: the input's samples
-array (which the signal holds read-only) and the plan, both through weak
-references, and the first ``depth`` layer objects, whose count is the
-depth.  The slot refers to no plan, so an evicted plan frees its tables;
-it is emptied when a profile or a deviation misses, before that cascade
-allocates; and it retains one last-level stack, and the layer objects.  A
-spectral level is inverted on a copy.  A kept level gives the bits and
-warnings of a cold run: a root's rows get the same bits alone as stacked
-with the other root's, and the translate keeps spectral magnitudes, so the
-shifted root's alias check is the input's.
+:func:`energy_profile` and the deviations keep the head of their input's
+cascade (its first-layer filter, or at depth 0 the root's spectrum), its
+chirped last level and the first layer's alias outcome, 192 KiB on the
+2-D 64² cascade with two atoms, so an energy profile followed by a
+deviation of the same signal runs the signal's cascade once.  The key is
+matched by identity: the input's samples array (which the signal holds
+read-only) and the plan, both through weak references, and the first
+``depth`` layer objects, whose count is the depth.  The slot refers to no
+plan, so an evicted plan frees its tables; it is emptied when a profile or
+a deviation misses, before that cascade allocates.  A cold deviation fills
+it first, so a kept run gives the bits and warnings of a cold one.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -116,6 +116,7 @@ from .theta_ops import (
     _dilate_spectrum,
     _tile,
     _translate,
+    _warn_at_caller,
 )
 from .theta_ops import theta_convolve  # noqa: F401  (bench/test_smoke.py reads this name)
 from .transform import _chirp_plan, _ChirpPlan, frft
@@ -372,38 +373,47 @@ def _cascade_plan(
     return plan
 
 
+def _product(
+    y: NDArray[np.complex128], spectral: bool, layer: LayerConfig, plan: _ChirpPlan, atoms: slice
+) -> NDArray[np.complex128]:
+    """The filter of one layer on a chirped ``(paths, P, .., P)`` stack of
+    periods, given as its samples or, when ``spectral``, as its ``fftn`` over
+    the grid axes: its spectrum times each kernel of ``layer.kernels[atoms]``,
+    ``(paths, atoms, P, .., P)``."""
+    rows = y[:, None] if spectral else plan.spectrum(y[:, None])
+    return rows * _on_period(layer.kernels[atoms], y, plan)
+
+
 def _step(
-    y: NDArray[np.complex128],
-    spectral: bool,
+    out: NDArray[np.complex128],
     layer: LayerConfig,
     plan: _ChirpPlan,
-    atoms: slice,
     fold: bool = True,
+    warn: Callable[[str], None] | None = _warn_at_caller,
 ) -> tuple[NDArray[np.complex128], bool]:
-    """One layer on a chirped ``(paths, P, .., P)`` stack of periods, given
-    as its samples or, when ``spectral``, as its ``fftn`` over the grid axes:
-    convolve every path with each atom of ``layer.kernels[atoms]``, then
-    nonlinearity, pooling and dilation.  Row ``i * n + j`` of the
-    ``(paths * n, P', .., P')`` result is path ``i`` extended by the
-    ``j``-th of the ``n`` selected atoms; its period ``P'`` is ``P`` unless
-    a modulus or a fractional dilation needs the whole grid, or an integer
-    dilation shortens it.  Returns the result and whether it is held as
-    its spectrum: with ``fold``, after identity maps and an even integer
-    dilation that shortens the period (see :func:`_dilate_spectrum`)."""
+    """The rest of one layer after its filter ``out`` (see :func:`_product`),
+    which is left as it is if read-only: nonlinearity, pooling and
+    dilation.  Row ``i * n + j`` of the ``(paths * n, P', .., P')`` result
+    is path ``i`` extended by the ``j``-th of the ``n`` selected atoms; its
+    period ``P'`` is ``P`` unless a modulus or a fractional dilation needs
+    the whole grid, or an integer dilation shortens it.  Returns the result
+    and whether it is held as its spectrum: with ``fold``, after identity
+    maps and an even integer dilation that shortens the period (see
+    :func:`_dilate_spectrum`).  ``warn`` takes the message of the alias
+    check (see :func:`_check_alias`); None skips the check."""
     frac = layer.dilation
-    rows = y[:, None] if spectral else plan.spectrum(y[:, None])
-    out = rows * _on_period(layer.kernels[atoms], y, plan)
-    del rows  # before the inverse or the fold, for peak memory
     # With identity maps the dilation contracts the filter's own output, so
     # its alias check can read the filter's spectrum instead of a new one.
     early = frac is not None and layer.nonlin.kind == layer.pool.kind == "identity"
     if early:
-        _check_alias(out, frac, plan.axes)
+        if warn is not None:
+            _check_alias(out, frac, plan.axes, warn)
         p = frac.numerator
-        if fold and frac.denominator == 1 and p % 2 == 0 and p % y.shape[-1]:
+        if fold and frac.denominator == 1 and p % 2 == 0 and p % out.shape[-1]:
             out = _dilate_spectrum(out, p, plan)
             return out.reshape((-1,) + out.shape[2:]), True
-    out = plan.samples(out).reshape((-1,) + y.shape[1:])
+    shape = (-1,) + out.shape[2:]
+    out = plan.samples(out if out.flags.writeable else out.copy()).reshape(shape)
     for op in (layer.nonlin, layer.pool):
         out = op.apply(out)
         if op.kind == "modulus":
@@ -411,23 +421,24 @@ def _step(
             out = _tile(out, plan)
             plan.chirp(out, in_place=True)
     if frac is not None:
-        out = _dilate_period(out, frac, plan, alias_checked=early)
+        out = _dilate_period(out, frac, plan, None if early else warn)
     return out, False
 
 
 def _levels(
     y: NDArray[np.complex128],
+    spectral: bool,
     plan: _ChirpPlan,
     layers: Sequence[LayerConfig],
-    depth: int,
+    warn: Callable[[str], None] | None = _warn_at_caller,
 ) -> Iterator[tuple[NDArray[np.complex128], bool]]:
-    """Yield the chirped stack of each level ``0 .. depth`` of the cascade
-    whose chirped roots are the rows of ``y``, one period per path, with
-    whether it is held as its spectrum (see :func:`_step`)."""
-    spectral = False
+    """Yield a chirped stack ``y`` of one period per path, with whether it
+    is ``spectral`` (see :func:`_step`), then that of each level below it
+    through ``layers``, whose alias messages go to ``warn``."""
     yield y, spectral
-    for layer in layers[:depth]:
-        y, spectral = _step(y, spectral, layer, plan, slice(None, -1))
+    for layer in layers:
+        y, spectral = _step(_product(y, spectral, layer, plan, slice(None, -1)), layer, plan,
+                            warn=warn)
         yield y, spectral
 
 
@@ -483,7 +494,8 @@ def u_path(
         if not 0 <= _as_int(lam, "each entry of q") < layer.n_atoms:
             raise IndexError(f"atom index {lam} out of range for {layer.n_atoms} atoms")
         # Out of the chirped domain after every step, as u_layer is.
-        out, _ = _step(plan.chirp(out), False, layer, plan, slice(lam, lam + 1), fold=False)
+        out = _product(plan.chirp(out), False, layer, plan, slice(lam, lam + 1))
+        out, _ = _step(out, layer, plan, fold=False)
         out = plan.unchirp(_tile(out, plan))
     return SampledSignal._owning(f.grid, out)
 
@@ -516,7 +528,7 @@ def extract_features(
             stacklevel=2,
         )
     levels = []
-    stacks = _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)
+    stacks = _levels(plan.chirp(f.as_nd()[None]), False, plan, layers[:depth])
     for k, (stack, spectral) in enumerate(stacks):
         paths = itertools.product(*(range(layer.n_atoms) for layer in layers[:k]))
         kernel = _on_period(_readout_kernel(k, layers, plan, level0_atom), stack, plan)
@@ -554,47 +566,55 @@ def _commutation_gate(layers: Sequence[LayerConfig], depth: int, theta: ThetaPar
 
 @dataclass(frozen=True, slots=True)
 class _Run:
-    """The chirped last level of one input's cascade, ``stack`` (its own
-    read-only array), and whether it is held as its spectrum.  Its key: weak
-    references to the input's samples array and to the plan, and the layers
-    it ran, so a collected input or an evicted plan never matches again."""
+    """One input's cascade: its ``head`` (at depth 0 the root's spectrum,
+    else the first layer's filter of it, see :func:`_product`) and its
+    chirped last level ``stack``, read-only arrays of their own, whether the
+    level is held as its spectrum, and the first layer's alias message, if
+    it warned.  Its key: weak references to the input's samples array and to
+    the plan, and the layers it ran, so a collected input or an evicted plan
+    never matches again."""
 
     samples: weakref.ref
     plan: weakref.ref
     layers: tuple[LayerConfig, ...]
+    head: NDArray[np.complex128]
     stack: NDArray[np.complex128]
     spectral: bool
+    alias: str | None
 
 
 _live_run: _Run | None = None
 
 
-def _kept_level(
-    f: SampledSignal, plan: _ChirpPlan, layers: Sequence[LayerConfig]
-) -> tuple[NDArray[np.complex128] | None, bool]:
-    """The last level of ``f`` on ``plan`` through ``layers`` and whether it
-    is held as its spectrum (see :func:`_levels`), if the slot keeps it; on
-    a miss ``(None, False)``, after the slot is emptied."""
-    global _live_run
-    run = _live_run
-    if (run is not None and run.samples() is f.values and run.plan() is plan
-            and len(run.layers) == len(layers) and all(a is b for a, b in zip(run.layers, layers))):
-        return run.stack, run.spectral
-    _live_run = None  # free the old stack before the cascade allocates
-    return None, False
-
-
-def _keep_level(
+def _run(
     f: SampledSignal,
     plan: _ChirpPlan,
     layers: Sequence[LayerConfig],
-    stack: NDArray[np.complex128],
-    spectral: bool,
-) -> None:
-    """Keep ``stack``, the last level of ``f`` (see :func:`_kept_level`)."""
+    depth: int,
+    warn: Callable[[str], None] | None,
+) -> Iterator[tuple[NDArray[np.complex128], bool]]:
+    """Yield each level ``0 .. depth`` of the cascade of ``f`` (see
+    :func:`_levels`), then keep its run in the slot.  ``warn`` takes the
+    alias messages, and None skips the checks but the first layer's, whose
+    outcome the slot keeps."""
     global _live_run
+    _live_run = None  # free the kept arrays before the cascade allocates
+    y = plan.chirp(f.as_nd()[None])
+    yield y, False
+    head = _product(y, False, layers[0], plan, slice(None, -1)) if depth else plan.spectrum(y)
+    head.flags.writeable = False
+    del y
+    stack, spectral, alias = head, True, []
+    if depth:
+        levels = _levels(*_step(head, layers[0], plan, warn=alias.append), plan,
+                         layers[1:depth], warn)
+        if alias and warn is not None:
+            warn(alias[0])  # before the later layers' messages
+        for stack, spectral in levels:
+            yield stack, spectral
     stack.flags.writeable = False
-    _live_run = _Run(weakref.ref(f.values), weakref.ref(plan), tuple(layers), stack, spectral)
+    _live_run = _Run(weakref.ref(f.values), weakref.ref(plan), tuple(layers[:depth]),
+                     head, stack, spectral, alias[0] if alias else None)
 
 
 def _deviations(
@@ -610,46 +630,40 @@ def _deviations(
     distance between the phase-corrected features of the input shifted by
     ``t`` and the features of ``f``, themselves shifted when ``covariant``.
 
-    When the slot keeps the level-``depth`` stack of ``f`` (see
-    :func:`_kept_level`), every shift runs alone against it.  Otherwise ``f``
-    runs as one cascade with its first shift, and its last level is kept
-    for every later shift and in the slot; so ``k`` shifts take ``k`` or
-    ``k + 1`` root cascades, in memory that does not grow with ``k``.  The
-    readout filter is linear and commutes with translates, so each distance
-    is the energy of the filtered difference of two level-``depth`` stacks;
-    by Parseval that is the energy of the difference's spectrum times the
-    kernel, over the ``N^n`` bins.  Those of a stack of periods are its own
-    ``P^n`` bins, each ``(N / P)^n`` times as large."""
+    The run of ``f`` is the slot's, matched by identity, or fills it with no
+    alias warning (see :func:`_run`).  Each shifted copy starts from its
+    head times the translate's ramp (see :func:`_translate`) and
+    issues its first-layer alias warning again.  The readout filter is
+    linear and commutes with translates, so each distance is the energy of
+    the filtered difference of two level-``depth`` stacks, taken between
+    spectra when the level is held so; by Parseval that is the energy of the
+    difference's spectrum times the kernel, over the ``N^n`` bins.  Those of
+    a stack of periods are its own ``P^n`` bins, each ``(N / P)^n`` times as
+    large."""
     theta = as_theta(theta)
     plan = _cascade_plan(f.grid, theta, layers, depth)
     _commutation_gate(layers, depth, theta)  # at the angle the layers pinned
     shifts = [as_shift(t, f.grid.n_dims) for t in shifts]
     kernel = _readout_kernel(depth, layers, plan, level0_atom)
-    plain, spectral = _kept_level(f, plan, layers[:depth])
-    if spectral:
-        plain = plan.samples(plain.copy())  # the slot's stack stays as it is
-    y = plan.chirp(f.as_nd()[None])
+    run = _live_run
+    if (run is None or run.samples() is not f.values or run.plan() is not plan
+            or len(run.layers) != depth or any(a is not b for a, b in zip(run.layers, layers))):
+        for _ in _run(f, plan, layers, depth, None):
+            pass
+        run = _live_run
     deviations = []
-    for i, shift in enumerate(shifts):
-        roots = _translate(y, shift, plan)
-        if plain is None:
-            roots = np.concatenate([y, roots])
-        if i == len(shifts) - 1:
-            del y  # no later shift needs the input
-        levels = _levels(roots, plan, layers, depth)
-        del roots  # the generator alone holds the roots, and drops them after layer 1
-        for diff, spectral in levels:
-            pass  # keep only the last level alive, not a list of all of them
-        if spectral:
-            plan.samples(diff)
-        if plain is None:
-            plain, diff = np.split(diff, 2)
-            plain = plain.copy()  # an array of its own, not half of the two roots' stack
-            _keep_level(f, plan, layers[:depth], plain, False)
+    for shift in shifts:
+        if run.alias is not None:
+            _warn_at_caller(run.alias)
+        diff, spectral = _translate(run.head, shift, plan, spectral=True), True
+        if depth:
+            for diff, spectral in _levels(*_step(diff, layers[0], plan, warn=None), plan,
+                                          layers[1:depth]):
+                pass  # keep only the last level alive, not a list of all of them
         norm_sq = sum(c * c for c in shift.components)
         diff *= np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
-        diff -= _translate(plain, shift, plan) if covariant else plain
-        spectrum = plan.spectrum(diff, in_place=True)
+        diff -= _translate(run.stack, shift, plan, spectral) if covariant else run.stack
+        spectrum = diff if spectral else plan.spectrum(diff, in_place=True)
         spectrum *= _on_period(kernel, spectrum, plan)
         deviations.append(_level_energy(spectrum, True, f.grid))
         del diff, spectrum  # before the next shift's cascade, for peak memory
@@ -789,12 +803,7 @@ def energy_profile(
     the propagated signal (entry 0 is ``‖f‖²``).  For admissible cascades
     this sequence is nonincreasing.
     """
-    global _live_run
     theta = as_theta(theta)
     plan = _cascade_plan(f.grid, theta, layers, depth)
-    _live_run = None  # free the kept stack before the cascade allocates
-    energies = []
-    for y, spectral in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth):
-        energies.append(_level_energy(y, spectral, f.grid))
-    _keep_level(f, plan, layers[:depth], y, spectral)
-    return energies
+    return [_level_energy(y, spectral, f.grid)
+            for y, spectral in _run(f, plan, layers, depth, _warn_at_caller)]

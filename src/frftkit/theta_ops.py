@@ -36,7 +36,7 @@ import sys
 import warnings
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,15 +57,33 @@ _DILATING_MODULES = (__name__, f"{__package__}.scatter")
 
 
 def _translate(
-    y: NDArray[np.complex128], shift: ShiftVector, plan: _ChirpPlan
+    y: NDArray[np.complex128], shift: ShiftVector, plan: _ChirpPlan, spectral: bool = False
 ) -> NDArray[np.complex128]:
-    """:func:`theta_translate` on chirped samples of the plan's input grid."""
+    """:func:`theta_translate` on chirped samples of the plan's input grid,
+    or, when ``spectral``, on the stack whose ``fftn`` over ``P`` bins per
+    axis is ``y`` (``P`` divides ``N``): by the DFT shift theorem, ``y``
+    times the same factor and the ramp ``e^{-2 pi i k o / P}`` per axis."""
     offsets = shift.index_offsets(plan.in_grid)
     phase = np.exp(1j * np.pi * plan.theta.cot_t * sum(c * c for c in shift.components))
-    rolled = np.roll(y, offsets, axis=plan.axes)
     # Rolling the sign table by the offsets o multiplies it by (-1)^(o_1+..+o_n).
-    rolled *= -phase if sum(offsets) % 2 else phase
-    return rolled
+    factor = -phase if sum(offsets) % 2 else phase
+    if not spectral:
+        rolled = np.roll(y, offsets, axis=plan.axes)
+        rolled *= factor
+        return rolled
+    n, period = plan.in_grid.samples_per_dim, y.shape[-1]
+    k = np.arange(period) * (n // period)
+    ramps = [_roots_of_unity(n)[k * (o % n) % n] for o in offsets]
+    ramps[0] *= factor
+    return y * functools.reduce(np.multiply.outer, ramps)
+
+
+@functools.lru_cache(maxsize=4)
+def _roots_of_unity(n: int) -> NDArray[np.complex128]:
+    """``e^{-2 pi i j / n}`` for ``j = 0 .. n - 1``, read-only."""
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    roots.setflags(write=False)
+    return roots
 
 
 def theta_translate(
@@ -144,16 +162,26 @@ def _alias_tail_fraction(
     return np.divide(total - kept, total, out=np.zeros_like(total), where=total > 0.0)
 
 
-def _check_alias(
-    spectrum: NDArray[np.complex128], frac: Fraction, axes: tuple[int, ...]
-) -> None:
-    """Warn at the caller (see :func:`_warn_at_caller`) when a contraction
-    by ``frac > 1`` would fold measurable mass of ``spectrum``: the plan's
-    :meth:`~frftkit.transform._ChirpPlan.spectrum` of the chirped samples to
-    be dilated, over ``axes``."""
+def _warn_at_caller(message: str) -> None:
+    """Issue an :class:`AliasRiskWarning` at the first frame outside the
+    dilating modules: the line that called :func:`theta_dilate` or a
+    cascade function, however deep the cascade's own frames go (what
+    ``skip_file_prefixes`` does from Python 3.12 on)."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") in _DILATING_MODULES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, AliasRiskWarning, stacklevel=level)
+
+
+def _check_alias(spectrum: NDArray[np.complex128], frac: Fraction, axes: tuple[int, ...],
+                 warn: Callable[[str], None] = _warn_at_caller) -> None:
+    """Pass ``warn`` the warning's message (by default, warn at the caller)
+    when a contraction by ``frac > 1`` would fold measurable mass of
+    ``spectrum``: the plan's :meth:`~frftkit.transform._ChirpPlan.spectrum`
+    of the chirped samples to be dilated, over ``axes``."""
     p, q = frac.numerator, frac.denominator
     if np.any(_alias_tail_fraction(spectrum, p, q, axes) > ALIAS_GUARD):
-        _warn_at_caller(f"dilation by {frac} folds spectral mass beyond {1 / frac} of Nyquist")
+        warn(f"dilation by {frac} folds spectral mass beyond {1 / frac} of Nyquist")
 
 
 def theta_dilate(
@@ -180,17 +208,16 @@ def theta_dilate(
     return SampledSignal._owning(f.grid, plan.unchirp(y))
 
 
-def _dilate_period(
-    y: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan, alias_checked: bool = False
-) -> NDArray[np.complex128]:
+def _dilate_period(y: NDArray[np.complex128], frac: Fraction, plan: _ChirpPlan,
+                   warn: Callable[[str], None] | None = _warn_at_caller) -> NDArray[np.complex128]:
     """:func:`theta_dilate` by ``frac != 1`` on chirped samples (leading
     axes are a batch), which are kept: the classical contraction of a stack
     that holds one period of them, ``P`` samples per axis (``P`` divides
     ``N``), returned as one period of the result; :func:`_tile` gives all
     ``N`` samples per axis.  For ``frac > 1`` the alias check (see
-    :func:`_check_alias`) runs on the spectrum of ``y`` unless
-    ``alias_checked`` says the caller ran it already; an integer factor then
-    transforms nothing, as it only gathers samples.
+    :func:`_check_alias`) passes ``warn`` its message from the spectrum of
+    ``y``, unless ``warn`` is None because the caller ran it already; an
+    integer factor then transforms nothing, as it only gathers samples.
 
     An integer factor ``p`` reads output sample ``m`` from sample
     ``N/2 + p (m - N/2) mod P``, so the result repeats after
@@ -207,9 +234,9 @@ def _dilate_period(
     inverse per residue ``c_m``, none for 0, which reads ``y`` itself."""
     p, q = frac.numerator, frac.denominator
     n, axes = plan.in_grid.samples_per_dim, plan.axes
-    if frac > 1 and not alias_checked:
+    if frac > 1 and warn is not None:
         # Centered bins, up to the sign table and spacing^n.
-        _check_alias(plan.spectrum(y), frac, axes)
+        _check_alias(plan.spectrum(y), frac, axes, warn)
     if q == 1:
         period = y.shape[-1]
         m = np.arange(max(period // math.gcd(p, period), 2))
@@ -290,13 +317,3 @@ def _tile(y: NDArray[np.complex128], plan: _ChirpPlan) -> NDArray[np.complex128]
         return y
     return np.tile(y, (1,) * (y.ndim - len(plan.axes)) + (reps,) * len(plan.axes))
 
-
-def _warn_at_caller(message: str) -> None:
-    """Issue an :class:`AliasRiskWarning` at the first frame outside the
-    dilating modules: the line that called :func:`theta_dilate` or a
-    cascade function, however deep the cascade's own frames go (what
-    ``skip_file_prefixes`` does from Python 3.12 on)."""
-    frame, level = sys._getframe(1), 2
-    while frame.f_back is not None and frame.f_globals.get("__name__") in _DILATING_MODULES:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, AliasRiskWarning, stacklevel=level)

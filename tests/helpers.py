@@ -20,6 +20,7 @@ from frftkit import (
     Pooling,
     SampledSignal,
     ThetaParam,
+    extract_features,
     frft,
     frft_output_grid,
     inner_product,
@@ -32,7 +33,14 @@ from frftkit.approx import ZERO_EIGENVALUE_TOL, FiberField, FiberGrid
 from frftkit.eig import hermitian_eig
 from frftkit.grids import _energy, as_shift
 from frftkit.scatter import _readout_kernel
-from frftkit.theta_ops import _as_fraction, _check_alias, _dilate_period, _tile, _translate
+from frftkit.theta_ops import (
+    _as_fraction,
+    _check_alias,
+    _dilate_period,
+    _tile,
+    _translate,
+    _warn_at_caller,
+)
 from frftkit.transform import _alternate, _chirp_plan
 
 
@@ -306,7 +314,7 @@ def cascade_step_reference(y, layer, plan, atoms):
         if op.kind == "modulus":
             plan.chirp(out, in_place=True)
     if frac is not None:
-        out = _tile(_dilate_period(out, frac, plan, alias_checked=early), plan)
+        out = _tile(_dilate_period(out, frac, plan, None if early else _warn_at_caller), plan)
     return out
 
 
@@ -363,3 +371,20 @@ def deviations_reference(f, shifts, layers, depth, theta, covariant, level0_atom
         spectrum = np.fft.fftn(diff, axes=plan.axes) * kernel
         deviations.append(_energy(spectrum, f.grid) / f.grid.size)
     return deviations
+
+
+def feature_drift_reference(f, shift, layers, depth, theta, covariant):
+    """A deviation from public functions alone: the sum over level-``depth``
+    paths of ``‖e^{-i pi depth ‖t‖² cot θ} F(T_t f) - G‖²``, with ``F`` the
+    features of :func:`extract_features`, ``T_t`` :func:`theta_translate` by
+    the tuple ``shift`` and ``G = F(f)``, or its translate when
+    ``covariant``; each energy is summed over the samples (no Parseval), and
+    no run slot is read."""
+    moved = extract_features(theta_translate(f, shift, theta), layers, depth, theta).levels[depth]
+    plain = extract_features(f, layers, depth, theta).levels[depth]
+    phase = np.exp(-1j * np.pi * depth * sum(c * c for c in shift) * theta.cot_t)
+    total = 0.0
+    for path, a in moved.items():
+        b = theta_translate(plain[path], shift, theta) if covariant else plain[path]
+        total += l2_norm(a.with_values(phase * a.values - b.values)) ** 2
+    return total

@@ -3,6 +3,7 @@ takes in its arrays, the one rule for integer parameters, and the one rule
 for squared magnitudes."""
 import math
 import numbers
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -60,7 +61,7 @@ from frftkit import (
     u_layer,
     u_path,
 )
-from frftkit.grids import _Owned
+from frftkit.grids import _Owned, as_shift
 
 GRID = Grid(1, 8, 2.0)
 FGRID = FiberGrid(ThetaParam(math.pi / 3), 1, 2, 1)  # 2 cells x 3 offsets
@@ -315,6 +316,71 @@ def test_hostile_angles_are_refused_by_name(data, entry):
         return
     assert as_theta(theta) is theta
     assert _outcome(call, value) == _outcome(call, theta)
+
+
+@pytest.mark.parametrize("value", ["0.5", b"0.5", True, np.bool_(True)],
+                         ids=["str", "bytes", "bool", "np.bool_"])
+def test_strings_and_bools_are_neither_angles_nor_shifts(value):
+    """A string or a bool is refused as an angle by :class:`ThetaParam`
+    itself, with the TypeError of :func:`as_theta`, and as a shift or a
+    shift component by :func:`as_shift`, with a TypeError that names the
+    shift."""
+    angle = f"^theta must be a ThetaParam or a real number, got {re.escape(repr(value))}$"
+    for build in (ThetaParam, as_theta):
+        with pytest.raises(TypeError, match=angle):
+            build(value)
+    component = f"^shift components must be real numbers, got {re.escape(repr(value))}$"
+    for shift, n_dims in ((value, 1), ([value], 1), ((0.5, value), 2)):
+        with pytest.raises(TypeError, match=component):
+            as_shift(shift, n_dims)
+
+
+#: Per entry point that takes a shift: the call on a value of it, reduced to
+#: an array or a number.  The deviations run at depth 0 on ``SIGNAL``'s 1-D
+#: grid, and a bound reads a bare number as a 1-D shift.
+SHIFT_PARAMETERS = {
+    "theta_translate": lambda t: theta_translate(SIGNAL, t, PI3).values,
+    "theta_modulate": lambda t: theta_modulate(SIGNAL, t, PI3).values,
+    "invariance_deviation": lambda t: invariance_deviation(SIGNAL, t, (), 0, PI3, PHI),
+    "covariance_deviation": lambda t: covariance_deviation(SIGNAL, t, (), 0, PI3, PHI),
+    "invariance_bound": lambda t: invariance_bound(t, PI3, (2.0,), 1.0, 1.0),
+    "covariance_bound": lambda t: covariance_bound(t, PI3, (2.0,), 1.0, 1.0),
+}
+
+_NOT_REALS = st.one_of(
+    st.booleans(), st.booleans().map(np.bool_), st.none(), st.text(max_size=2),
+    st.binary(max_size=2), st.integers(-2, 2).map(complex),
+)
+_REALS = st.one_of(
+    st.integers(-3, 3).map(lambda k: k * STEP), st.floats(-1e6, 1e6),
+    st.sampled_from([math.inf, -math.inf, math.nan]), st.integers(-8, 8),
+    st.integers(-8, 8).map(np.int64), st.fractions(max_denominator=12),
+)
+
+
+@pytest.mark.filterwarnings("ignore:dilation by")
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), entry=st.sampled_from(sorted(SHIFT_PARAMETERS)))
+def test_hostile_shifts_are_refused_by_name(data, entry):
+    """At every entry point that takes a shift, a shift or a component that
+    is not a real number (a bool, a string or bytes among them) raises a
+    TypeError that names the shift; a real one, bare or in a one-entry list,
+    gives what its :class:`ShiftVector` gives."""
+    call = SHIFT_PARAMETERS[entry]
+    one = st.one_of(_NOT_REALS, _REALS)
+    value = data.draw(st.one_of(one, st.lists(one, min_size=1, max_size=1)))
+    components = value if isinstance(value, list) else [value]
+    if any(isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real) for c in components):
+        with pytest.raises(TypeError, match="^shift components must be real numbers, got "):
+            call(value)
+        return
+    try:
+        shift = ShiftVector(tuple(components))
+    except ValueError:  # not finite
+        with pytest.raises(ValueError, match="^shift components must be finite$"):
+            call(value)
+        return
+    assert _outcome(call, value) == _outcome(call, shift)
 
 
 def test_squared_magnitudes_never_take_a_vector_abs(monkeypatch):

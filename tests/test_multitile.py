@@ -231,6 +231,26 @@ def test_multitile_model_names_the_first_wrong_cell():
             MultiTileModel(tile, 3, tuple(bad))
 
 
+def test_multitile_model_checks_every_cell_at_once():
+    """A selection permuted within each cell passes; one with an offset
+    foreign to its cell (outside the tile's bound, or a duplicate standing
+    in for an offset) is refused at that cell, the first such."""
+    rng = np.random.default_rng(319)
+    cands = list(itertools.product(range(-2, 3), repeat=2))
+    cells = tuple(
+        tuple(sorted(cands[j] for j in rng.choice(len(cands), 4, replace=False)))
+        for _ in range(16)
+    )
+    tile = TileSet(PI3, 2, 4, 2, cells)
+    permuted = tuple(tuple(cell[j] for j in rng.permutation(4)) for cell in cells)
+    assert MultiTileModel(tile, 4, permuted).selection == permuted
+    for w, foreign in ((5, (9, 9)), (11, cells[11][1])):
+        bad = list(permuted)
+        bad[w] = (foreign,) + tuple(cells[w][1:])
+        with pytest.raises(ValueError, match=f"^selection at cell {w} disagrees with the tile"):
+            MultiTileModel(tile, 4, tuple(bad))
+
+
 @pytest.mark.parametrize("bound", [1, 3])
 @pytest.mark.parametrize("theta", [PI3, ThetaParam(-2 * math.pi / 5)], ids=["pi/3", "-2pi/5"])
 @pytest.mark.parametrize("n_dims,samples", [(1, 64), (1, 128), (2, 32), (2, 64)])

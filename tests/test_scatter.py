@@ -62,6 +62,7 @@ from helpers import (
     cascade_step_reference,
     deviations_reference,
     energy_profile_reference,
+    feature_drift_reference,
     features_reference,
     fft_rows,
     frame_spectrum_reference,
@@ -595,19 +596,9 @@ def test_deviations_match_feature_trees(grid, steps, seed, theta_val, depth):
     f = banded_signal(grid, th, 0.8, seed)
     f = f.with_values(10.0 * f.values)  # level 2 must clear the shrink threshold
     shift = tuple(k * grid.spacing for k in steps[: grid.n_dims])
-    shifted = extract_features(theta_translate(f, shift, th), layers, depth, th).levels[depth]
-    plain = extract_features(f, layers, depth, th).levels[depth]
-    phase = np.exp(-1j * np.pi * depth * sum(c * c for c in shift) * th.cot_t)
-
-    def drift(reference):
-        return sum(
-            l2_norm(a.with_values(phase * a.values - reference(plain[p]).values)) ** 2
-            for p, a in shifted.items()
-        )
-
     # The absolute floor covers the zero shift, where both sides are rounding noise.
-    want_i = drift(lambda b: b)
-    want_c = drift(lambda b: theta_translate(b, shift, th))
+    want_i = feature_drift_reference(f, shift, layers, depth, th, covariant=False)
+    want_c = feature_drift_reference(f, shift, layers, depth, th, covariant=True)
     got_i = invariance_deviation(f, shift, layers, depth, th)
     got_c = covariance_deviation(f, shift, layers, depth, th)
     assert got_i == pytest.approx(want_i, rel=1e-12, abs=1e-25)
@@ -655,11 +646,11 @@ def test_alias_warning_names_the_caller(entry, b):
         assert {w.filename for w in alias} <= {__file__}
 
 
-def _benchmark_cascade():
+def _benchmark_cascade(theta_val=math.pi / 3):
     """The benchmark's cascade (2-D 64², two atoms, pooling (2, 1), identity
     then shrink), its depth-1 cut with identity maps pooled by 2, an input
     and four shifts."""
-    grid, th = Grid(2, 64, 4.0), ThetaParam(math.pi / 3)
+    grid, th = Grid(2, 64, 4.0), ThetaParam(theta_val)
     layers, _ = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "phase_covariant_shrink"])
     folding, _ = make_s1_layers(grid, th, (2.0,), ["identity"])
     f = banded_signal(grid, th, 0.4, 41)
@@ -671,8 +662,9 @@ def _benchmark_cascade():
 def test_cascade_fft_rows():
     """The FFT rows of the benchmark's cascade on a cold run slot: layer 1
     hands its even pooling to layer 2 as a folded spectrum, so neither
-    inverts nor transforms the other's stack, and a deviation reads its
-    energy off one spectrum of the level-2 difference."""
+    inverts nor transforms the other's stack, and a deviation transforms its
+    input once, however many shifts it is given: every shifted copy starts
+    from the input's layer-1 filter times a phase ramp."""
     th, layers, folding, f, four = _benchmark_cascade()
     shift = four[0]
     # Layer 1 transforms 1 row of 64² and folds its 2 products into 32²
@@ -680,21 +672,21 @@ def test_cascade_fft_rows():
     with fft_rows() as counts:
         energy_profile(f, layers, 2, th)
     assert counts == [5, 8192]
-    # Twice that for two roots, and one spectrum of the 4 path differences.
+    # The input's cascade, then per shift layer 2's 4 inverses of 32² and
+    # one spectrum of the 4 path differences.
     for deviation in (invariance_deviation, covariance_deviation):
         scatter._live_run = None
         with fft_rows() as counts:
             deviation(f, shift, layers, 2, th)
-        assert counts == [2 * 5 + 4, 2 * 8192 + 4 * 32**2]
-    # k shifts run k + 1 root cascades and one spectrum per shift.
+        assert counts == [5 + 8, 8192 + 8 * 32**2] == [13, 16384]
     scatter._live_run = None
     with fft_rows() as counts:
         _deviations(f, four[:3], layers, 2, th, None, covariant=False)
-    assert counts == [4 * 5 + 3 * 4, 4 * 8192 + 3 * 4 * 32**2]
+    assert counts == [5 + 3 * 8, 8192 + 3 * 8 * 32**2]
     scatter._live_run = None
     with fft_rows() as counts:
         _deviations(f, four, layers, 2, th, None, covariant=False)
-    assert counts == [41, 57344]
+    assert counts == [37, 40960]
     # The readouts add the level-0 filter (2 rows of 64²; its kernel is the
     # first layer's), an inverse of the 2 folded level-1 products and a
     # filter of level 2 (8 rows of 32²).
@@ -702,10 +694,9 @@ def test_cascade_fft_rows():
         extract_features(f, layers, 2, th)
     assert counts == [5 + 2 + 2 + 8, 8192 + 2 * 64**2 + 10 * 32**2]
     # Depth 1 with identity maps: the last level is a folded spectrum of 32²
-    # per path.  Its energy is read by Parseval off the one forward of 64²;
-    # a deviation inverts the 2 paths of each root and takes one spectrum of
-    # their 2 differences: 2 * 64² + 4 * 32² + 2 * 32² for the first shift,
-    # and 64² + 2 * 32² + 2 * 32² for each later one.
+    # per path.  Its energy is read by Parseval off the one forward of 64²,
+    # and a deviation stays spectral: each shift folds its ramped filter and
+    # differences spectra, so any number of shifts costs that one forward.
     with fft_rows() as counts:
         energy_profile(f, folding, 1, th)
     assert counts == [1, 4096]
@@ -713,49 +704,74 @@ def test_cascade_fft_rows():
         scatter._live_run = None
         with fft_rows() as counts:
             deviation(f, shift, folding, 1, th)
-        assert counts == [8, 14336]
+        assert counts == [1, 4096]
     for covariant in (False, True):
         scatter._live_run = None
         with fft_rows() as counts:
             _deviations(f, four, folding, 1, th, None, covariant=covariant)
-        assert counts == [23, 38912]
+        assert counts == [1, 4096]
 
 
 def test_cascade_fft_rows_on_a_kept_level():
     """The FFT rows of the benchmark's cascade when the run slot keeps the
-    input's last level: every shift runs only its own root."""
+    input's run: a shifted copy transforms no root."""
     th, layers, folding, f, four = _benchmark_cascade()
     shift = four[0]
-    # The benchmark's op: energy_profile's 5 rows, then the shifted root's
-    # 5 and one spectrum of the 4 path differences.
+    # The benchmark's op: energy_profile's 5 rows, then layer 2's 4 inverses
+    # of the shifted copy and one spectrum of the 4 path differences.
     scatter._live_run = None
     with fft_rows() as counts:
         energy_profile(f, layers, 2, th)
         invariance_deviation(f, shift, layers, 2, th)
-    assert counts == [14, 20480]
-    # A second single-shift call, of either kind, reads the same level.
+    assert counts == [13, 16384]
+    # A second single-shift call, of either kind, reads the same run.
     for deviation in (invariance_deviation, covariance_deviation):
         with fft_rows() as counts:
             deviation(f, shift, layers, 2, th)
-        assert counts == [5 + 4, 8192 + 4 * 32**2] == [9, 12288]
-    # k shifts run k root cascades.
+        assert counts == [4 + 4, 4 * 32**2 + 4 * 32**2] == [8, 8192]
     with fft_rows() as counts:
         _deviations(f, four, layers, 2, th, None, covariant=False)
-    assert counts == [4 * 9, 4 * 12288]
-    # Depth 1 after energy_profile: the kept level is a folded spectrum, so
-    # a copy of its 2 paths is inverted: 64² + 2 * 32² for the shifted root,
-    # 2 * 32² for the copy and 2 * 32² for the spectrum of the differences.
+    assert counts == [4 * 8, 4 * 8192]
+    # Depth 1 after energy_profile or after a cold deviation: no FFT at all.
     energy_profile(f, folding, 1, th)
     for deviation in (invariance_deviation, covariance_deviation):
         with fft_rows() as counts:
             deviation(f, shift, folding, 1, th)
-        assert counts == [7, 10240]
-    # After a cold deviation the slot keeps the level's samples: no copy to invert.
+        assert counts == [0, 0]
     scatter._live_run = None
     invariance_deviation(f, four[1], folding, 1, th)
     with fft_rows() as counts:
         covariance_deviation(f, shift, folding, 1, th)
-    assert counts == [5, 8192]
+    assert counts == [0, 0]
+
+
+@pytest.mark.parametrize("shifts", [1, 4])
+@pytest.mark.parametrize("covariant", [False, True], ids=["invariance", "covariance"])
+@pytest.mark.parametrize("theta_val", [math.pi / 3, -math.pi / 3], ids=["sin+", "sin-"])
+def test_deviations_match_the_public_reference(theta_val, covariant, shifts):
+    """Both deviations of the benchmark's cascade at ten times its norm (so
+    level 2 clears the shrink threshold) and of its depth-1 folded cut, for
+    one and four shifts, on an emptied run slot and on one that a profile
+    or another deviation filled, agree with :func:`feature_drift_reference`
+    within 1e-15 of ‖f‖²."""
+    th, layers, folding, f, four = _benchmark_cascade(theta_val)
+    f = f.with_values(10.0 * f.values)
+    norm_sq = l2_norm(f) ** 2
+    other = (2 * f.grid.spacing, f.grid.spacing)
+    for cascade, depth in ((layers, 2), (folding, 1)):
+        want = [feature_drift_reference(f, t, cascade, depth, th, covariant)
+                for t in four[:shifts]]
+        fills = {
+            "cold": lambda: None,
+            "profile": lambda: energy_profile(f, cascade, depth, th),
+            "deviation": lambda: _deviations(f, [other], cascade, depth, th, None, covariant),
+        }
+        for name, fill in fills.items():
+            scatter._live_run = None
+            fill()
+            got = _deviations(f, four[:shifts], cascade, depth, th, None, covariant)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-15 * norm_sq, (depth, name)
+        assert min(want) > 1e-12 * norm_sq  # far above the tolerance
 
 
 def _recorded(call):
@@ -798,7 +814,7 @@ def test_kept_level_gives_the_bits_and_warnings_of_a_cold_run(grid, theta_val, d
                 scatter._live_run = None
                 _recorded(fill)
                 kept = scatter._live_run
-                assert kept is not None and kept.spectral == (depth == 1 and name == "profile")
+                assert kept is not None and kept.spectral == (depth == 1)
                 stack = kept.stack.copy()
                 assert _recorded(call) == cold
                 assert scatter._live_run is kept  # a hit, which left the slot as it was
@@ -956,9 +972,12 @@ def test_cascade_matches_full_grid_reference(grid, theta_val, s_factors):
     everything read out of them matches the full-grid engine in the last
     digits.  Features are held to their level's largest propagated sample,
     the scale of the readout filter's rounding.  Without an even integer
-    factor every level keeps the whole grid, and every result is bit for bit
-    the reference's.  ``u_path`` leaves the chirped domain after each
-    step, so it is bit for bit the reference's in every case."""
+    factor every level keeps the whole grid, and every result but the
+    deviations is bit for bit the reference's; a deviation's shifted copy
+    starts from a phase ramp on the input's layer-1 filter, where the
+    reference rolls and transforms the shifted root, so the deviations agree
+    to rounding.  ``u_path`` leaves the chirped domain after each step, so it
+    is bit for bit the reference's in every case."""
     th = ThetaParam(theta_val)
     layers, _ = make_s1_layers(grid, th, s_factors, ["identity", "phase_covariant_shrink"])
     # At norm 100 this threshold leaves level 2 live after every pooling.
@@ -988,10 +1007,7 @@ def test_cascade_matches_full_grid_reference(grid, theta_val, s_factors):
                 f, shifts[0], layers, 2, th)
             several = _deviations(f, shifts, layers, 2, th, None, covariant)
             want = deviations_reference(f, shifts, layers, 2, th, covariant)
-            if exact:
-                assert [one] + several == want[:1] + want
-            else:
-                assert [one] + several == pytest.approx(want[:1] + want, rel=1e-12, abs=1e-25)
+            assert [one] + several == pytest.approx(want[:1] + want, rel=1e-12, abs=1e-25)
     assert energy_profile(f, layers, 2, th)[2] > 0.0
 
 
@@ -1016,8 +1032,8 @@ def test_folded_levels_match_full_grid_reference(grid, s_factors, spectral, thet
     layers, _ = make_s1_layers(grid, th, s_factors, ["identity"] * depth)
     f = banded_signal(grid, th, 0.8, 61)
     plan = _chirp_plan(grid, th)
-    assert [held for _, held in _levels(plan.chirp(f.as_nd()[None]), plan, layers, depth)] \
-        == spectral
+    levels = _levels(plan.chirp(f.as_nd()[None]), False, plan, layers[:depth])
+    assert [held for _, held in levels] == spectral
     shifts = [(grid.spacing,) * grid.n_dims, (-3 * grid.spacing, 2 * grid.spacing)[: grid.n_dims]]
     tree = extract_features(f, layers, depth, th)
     want = features_reference(f, layers, depth, th)
