@@ -50,6 +50,15 @@ def _as_int(value: object, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_real(value: object, name: str, kind: str = "a real number") -> float:
+    """``value`` as a ``float``, so NumPy reals and fractions pass; a bool, a
+    string or anything else that is not a real number raises
+    :class:`TypeError` that names the parameter (``name must be kind``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, slots=True)
 class Grid:
     """Centered uniform grid on ``[-extent, extent)^n_dims``."""
@@ -203,9 +212,7 @@ class ThetaParam:
     theta: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.theta, bool) or not isinstance(self.theta, numbers.Real):
-            raise TypeError(f"theta must be a ThetaParam or a real number, got {self.theta!r}")
-        theta = float(self.theta)
+        theta = _as_real(self.theta, "theta", "a ThetaParam or a real number")
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta}")
         object.__setattr__(self, "theta", theta)
@@ -258,10 +265,7 @@ class ShiftVector:
     components: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for c in self.components:
-            if isinstance(c, bool) or not isinstance(c, numbers.Real):
-                raise TypeError(f"shift components must be real numbers, got {c!r}")
-        comps = tuple(float(c) for c in self.components)
+        comps = tuple(_as_real(c, "shift components", "real numbers") for c in self.components)
         if not comps:
             raise ValueError("shift needs at least one component")
         if not all(math.isfinite(c) for c in comps):

@@ -48,33 +48,15 @@ the chirp back in, a fractional dilation and the readouts of
 :func:`extract_features` and :func:`u_path` tile the period back to the
 whole grid.
 
-The deviations run the input's cascade once, however many shifts they
-are given.  A translate is a roll times a phase on chirped samples, so by
-the DFT shift theorem a shifted copy's first-layer filter is the input's
-times a phase ramp (:func:`~frftkit.theta_ops._translate`): no shifted
-root is chirped, rolled or transformed, and as a ramp has unit modulus,
-the input's first-layer alias outcome is issued again.  The features are
-never read out: the readout filter commutes with the translate, so the
-features' distance is the filtered difference of the last-level stacks,
-whose energy by Parseval is that of the difference's spectrum times the
-readout kernel: one transform of the difference (of one period), or none
-for a level held as its spectrum, where the covariant translate is a ramp
-too.  A public function builds :class:`SampledSignal` objects only for
-the signals it returns.
-
-The input's run also outlives the call, in a one-slot run cache
-(``_live_run``, after the plan cache of :mod:`frftkit.transform`):
-:func:`energy_profile` and the deviations keep the head of their input's
-cascade (its first-layer filter, or at depth 0 the root's spectrum), its
-chirped last level and the first layer's alias outcome, 192 KiB on the
-2-D 64² cascade with two atoms, so an energy profile followed by a
-deviation of the same signal runs the signal's cascade once.  The key is
-matched by identity: the input's samples array (which the signal holds
-read-only) and the plan, both through weak references, and the first
-``depth`` layer objects, whose count is the depth.  The slot refers to no
-plan, so an evicted plan frees its tables; it is emptied when a profile or
-a deviation misses, before that cascade allocates.  A cold deviation fills
-it first, so a kept run gives the bits and warnings of a cold one.
+One function, ``_run``, owns an input's cascade.  It returns the run that
+a one-slot cache (``_live_run``) keeps when the input's samples array, the
+plan (both held weakly) and the first ``depth`` layer objects are the same
+objects, else it runs the cascade once and keeps that run instead.  A run
+keeps the first layer's filter, the chirped last level, each level's
+energy and each layer's alias message: :func:`energy_profile` reads the
+energies, and the deviations start each shifted copy from the filter times
+a phase ramp and check no alias.  Each of them issues its input's alias
+messages once, whether the run was kept or not.
 """
 
 from __future__ import annotations
@@ -105,6 +87,7 @@ from .grids import (
     ShiftVector,
     ThetaParam,
     _as_int,
+    _as_real,
     _energy,
     as_shift,
     as_theta,
@@ -200,6 +183,7 @@ class Nonlinearity(_PointwiseMap):
 
     def __post_init__(self) -> None:
         _PointwiseMap.__post_init__(self)
+        object.__setattr__(self, "b", _as_real(self.b, "b"))
         if self.kind == "phase_covariant_shrink" and not 0.0 <= self.b < math.inf:
             raise ValueError("shrink threshold must be nonnegative and finite")
 
@@ -258,8 +242,8 @@ class LayerConfig:
     atom's decay constants, then caches ``kernels``: their chirped spectra,
     ready for convolution on the chirp plan.  ``dilation`` is the pooling
     factor as a :class:`~fractions.Fraction`, or None for a factor of 1.
-    It raises, in this order,
-    :class:`ValueError` for a pooling factor below 1,
+    It raises, in this order, :class:`TypeError` for a pooling factor that
+    is not a real number, :class:`ValueError` for one below 1,
     :class:`IrrationalScale` for one that is not a rational of small
     denominator, :class:`AngleDegenerate` at a multiple of pi,
     :class:`OverflowError` for a spectrum that is not finite, and
@@ -280,7 +264,7 @@ class LayerConfig:
     def __post_init__(self) -> None:
         if self.output_atom.grid != self.bank.grid:
             raise ValueError("output atom must live on the bank's grid")
-        if not self.pooling_factor >= 1.0:
+        if not _as_real(self.pooling_factor, "pooling_factor") >= 1.0:
             raise ValueError("pooling factor must be at least 1")
         # IrrationalScale here, not at the first pass.
         dilation = _as_fraction(self.pooling_factor) if self.pooling_factor != 1.0 else None
@@ -569,10 +553,10 @@ class _Run:
     """One input's cascade: its ``head`` (at depth 0 the root's spectrum,
     else the first layer's filter of it, see :func:`_product`) and its
     chirped last level ``stack``, read-only arrays of their own, whether the
-    level is held as its spectrum, and the first layer's alias message, if
-    it warned.  Its key: weak references to the input's samples array and to
-    the plan, and the layers it ran, so a collected input or an evicted plan
-    never matches again."""
+    level is held as its spectrum, the energy of each level and the alias
+    message of each layer that warned.  Its key: weak references to the
+    input's samples array and to the plan, and the layers it ran, so a
+    collected input or an evicted plan never matches again."""
 
     samples: weakref.ref
     plan: weakref.ref
@@ -580,41 +564,36 @@ class _Run:
     head: NDArray[np.complex128]
     stack: NDArray[np.complex128]
     spectral: bool
-    alias: str | None
+    energies: tuple[float, ...]
+    alias: tuple[str, ...]
 
 
 _live_run: _Run | None = None
 
 
-def _run(
-    f: SampledSignal,
-    plan: _ChirpPlan,
-    layers: Sequence[LayerConfig],
-    depth: int,
-    warn: Callable[[str], None] | None,
-) -> Iterator[tuple[NDArray[np.complex128], bool]]:
-    """Yield each level ``0 .. depth`` of the cascade of ``f`` (see
-    :func:`_levels`), then keep its run in the slot.  ``warn`` takes the
-    alias messages, and None skips the checks but the first layer's, whose
-    outcome the slot keeps."""
+def _run(f: SampledSignal, plan: _ChirpPlan, layers: Sequence[LayerConfig], depth: int) -> _Run:
+    """The run of the cascade of ``f`` through ``layers[:depth]``: the kept
+    one if its key matches, else a new one, which replaces it."""
     global _live_run
-    _live_run = None  # free the kept arrays before the cascade allocates
+    run = _live_run
+    if (run is not None and run.samples() is f.values and run.plan() is plan
+            and len(run.layers) == depth and all(a is b for a, b in zip(run.layers, layers))):
+        return run
+    _live_run = run = None  # free the kept arrays before the cascade allocates
     y = plan.chirp(f.as_nd()[None])
-    yield y, False
+    energies, alias = [_level_energy(y, False, f.grid)], []
     head = _product(y, False, layers[0], plan, slice(None, -1)) if depth else plan.spectrum(y)
     head.flags.writeable = False
     del y
-    stack, spectral, alias = head, True, []
+    stack, spectral = head, True
     if depth:
-        levels = _levels(*_step(head, layers[0], plan, warn=alias.append), plan,
-                         layers[1:depth], warn)
-        if alias and warn is not None:
-            warn(alias[0])  # before the later layers' messages
-        for stack, spectral in levels:
-            yield stack, spectral
+        for stack, spectral in _levels(*_step(head, layers[0], plan, warn=alias.append), plan,
+                                       layers[1:depth], alias.append):
+            energies.append(_level_energy(stack, spectral, f.grid))
     stack.flags.writeable = False
     _live_run = _Run(weakref.ref(f.values), weakref.ref(plan), tuple(layers[:depth]),
-                     head, stack, spectral, alias[0] if alias else None)
+                     head, stack, spectral, tuple(energies), tuple(alias))
+    return _live_run
 
 
 def _deviations(
@@ -630,10 +609,9 @@ def _deviations(
     distance between the phase-corrected features of the input shifted by
     ``t`` and the features of ``f``, themselves shifted when ``covariant``.
 
-    The run of ``f`` is the slot's, matched by identity, or fills it with no
-    alias warning (see :func:`_run`).  Each shifted copy starts from its
-    head times the translate's ramp (see :func:`_translate`) and
-    issues its first-layer alias warning again.  The readout filter is
+    The run of ``f`` (see :func:`_run`) gives the alias warnings, once.  Each
+    shifted copy starts from its head times the translate's ramp (see
+    :func:`_translate`) and checks no alias.  The readout filter is
     linear and commutes with translates, so each distance is the energy of
     the filtered difference of two level-``depth`` stacks, taken between
     spectra when the level is held so; by Parseval that is the energy of the
@@ -645,20 +623,15 @@ def _deviations(
     _commutation_gate(layers, depth, theta)  # at the angle the layers pinned
     shifts = [as_shift(t, f.grid.n_dims) for t in shifts]
     kernel = _readout_kernel(depth, layers, plan, level0_atom)
-    run = _live_run
-    if (run is None or run.samples() is not f.values or run.plan() is not plan
-            or len(run.layers) != depth or any(a is not b for a, b in zip(run.layers, layers))):
-        for _ in _run(f, plan, layers, depth, None):
-            pass
-        run = _live_run
+    run = _run(f, plan, layers, depth)
+    for message in run.alias:
+        _warn_at_caller(message)
     deviations = []
     for shift in shifts:
-        if run.alias is not None:
-            _warn_at_caller(run.alias)
         diff, spectral = _translate(run.head, shift, plan, spectral=True), True
         if depth:
             for diff, spectral in _levels(*_step(diff, layers[0], plan, warn=None), plan,
-                                          layers[1:depth]):
+                                          layers[1:depth], None):
                 pass  # keep only the last level alive, not a list of all of them
         norm_sq = sum(c * c for c in shift.components)
         diff *= np.exp(-1j * np.pi * depth * norm_sq * theta.cot_t)
@@ -715,6 +688,7 @@ def _pooling_products(s_factors: Sequence[float]) -> tuple[float, float, float]:
     prod = 1.0
     inv_sq_sum = 0.0
     for s in s_factors:
+        s = _as_real(s, "each entry of s_factors")
         if not s >= 1.0:
             raise ValueError("pooling factors must be at least 1")
         prod_sq *= s * s
@@ -754,7 +728,7 @@ def invariance_bound(
         + 4.0 * t3 * abs(cot * csc) / prod**3
         + 4.0 * t3 * inv_sq_sum * abs(cot * csc) / prod
     )
-    return math.pi**2 * K**2 * norm_f**2 * terms
+    return math.pi**2 * _as_real(K, "K") ** 2 * _as_real(norm_f, "norm_f") ** 2 * terms
 
 
 def covariance_bound(
@@ -788,7 +762,7 @@ def covariance_bound(
         + 4.0 * t52 * abs(cot * csc) * (1.0 - 1.0 / prod_sq) * (1.0 - 1.0 / prod)
         + 2.0 * t4 * inv_sq_sum * (1.0 - 1.0 / prod_sq) * abs(csc) * cot**2
     )
-    return math.pi**2 * K**2 * norm_f**2 * terms
+    return math.pi**2 * _as_real(K, "K") ** 2 * _as_real(norm_f, "norm_f") ** 2 * terms
 
 
 def energy_profile(
@@ -804,6 +778,7 @@ def energy_profile(
     this sequence is nonincreasing.
     """
     theta = as_theta(theta)
-    plan = _cascade_plan(f.grid, theta, layers, depth)
-    return [_level_energy(y, spectral, f.grid)
-            for y, spectral in _run(f, plan, layers, depth, _warn_at_caller)]
+    run = _run(f, _cascade_plan(f.grid, theta, layers, depth), layers, depth)
+    for message in run.alias:
+        _warn_at_caller(message)
+    return list(run.energies)

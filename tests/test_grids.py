@@ -1,6 +1,6 @@
 """Grids, shift vectors and angles, the one rule by which every record
-takes in its arrays, the one rule for integer parameters, and the one rule
-for squared magnitudes."""
+takes in its arrays, the one rule for integer parameters and the one for
+real parameters, and the one rule for squared magnitudes."""
 import math
 import numbers
 import re
@@ -381,6 +381,36 @@ def test_hostile_shifts_are_refused_by_name(data, entry):
             call(value)
         return
     assert _outcome(call, value) == _outcome(call, shift)
+
+
+#: Per real parameter: its name in the refusal, the call on a value of it,
+#: reduced to an array or a number, and reals that the call accepts.
+REAL_PARAMETERS = {
+    "pooling_factor": ("pooling_factor", lambda v: float(_layer(v).dilation or 1), (2.0, 1, 1.5)),
+    "b": ("b", lambda v: Nonlinearity("phase_covariant_shrink", v).apply(SIGNAL.values), (0.5, 0)),
+    "s_factors": ("each entry of s_factors",
+                  lambda v: invariance_bound(STEP, PI3, (v,), 1.0, 1.0), (2.0, 1, 1.5)),
+    "K": ("K", lambda v: invariance_bound(STEP, PI3, (2.0,), v, 1.0), (1.0, 2, 0.5)),
+    "norm_f": ("norm_f", lambda v: covariance_bound(STEP, PI3, (2.0,), 1.0, v), (1.0, 2, 0.5)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), parameter=st.sampled_from(sorted(REAL_PARAMETERS)))
+def test_hostile_real_parameters_are_refused_by_name(data, parameter):
+    """A value that is not a real number (a bool, a string or bytes among
+    them) raises a TypeError that names the parameter, and an accepted real,
+    plain, NumPy or a fraction, gives what its float gives."""
+    name, call, accepted = REAL_PARAMETERS[parameter]
+    good = st.sampled_from(accepted)
+    value = data.draw(st.one_of(_NOT_REALS, good, good.map(np.float64), good.map(Fraction)))
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number, got "):
+            call(value)
+        return
+    want = np.asarray(call(float(value)))
+    assert np.isfinite(want).all()
+    assert np.array_equal(np.asarray(call(value)), want)
 
 
 def test_squared_magnitudes_never_take_a_vector_abs(monkeypatch):

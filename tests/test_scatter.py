@@ -743,6 +743,48 @@ def test_cascade_fft_rows_on_a_kept_level():
     with fft_rows() as counts:
         covariance_deviation(f, shift, folding, 1, th)
     assert counts == [0, 0]
+    # A profile after a profile or after a deviation of the same signal
+    # reads the kept energies.
+    fills = (lambda cascade, depth: energy_profile(f, cascade, depth, th),
+             lambda cascade, depth: invariance_deviation(f, shift, cascade, depth, th))
+    for fill in fills:
+        for cascade, depth in ((layers, 2), (folding, 1)):
+            scatter._live_run = None
+            fill(cascade, depth)
+            with fft_rows() as counts:
+                energy_profile(f, cascade, depth, th)
+            assert counts == [0, 0]
+
+
+def test_cascade_fft_rows_when_both_layers_pool():
+    """The FFT rows of the benchmark's cascade pooled by (2, 2): layer 2's
+    alias check transforms its 4 rows of 32² once, on the input's run, and
+    a shifted copy checks no alias, so each shift costs layer 2's 4 inverses
+    of 32² and one spectrum of the 4 path differences of 16²."""
+    th, _, _, f, four = _benchmark_cascade()
+    layers, _ = make_s1_layers(f.grid, th, (2.0, 2.0), ["identity", "phase_covariant_shrink"])
+    per_shift = [8, 4 * 32**2 + 4 * 16**2]
+    scatter._live_run = None
+    with fft_rows() as counts:
+        energy_profile(f, layers, 2, th)
+    assert counts == [1 + 4 + 4, 64**2 + 8 * 32**2] == [9, 12288]
+    for shifts in (four[:1], four):
+        with fft_rows() as counts:
+            _deviations(f, shifts, layers, 2, th, None, covariant=False)
+        assert counts == [len(shifts) * c for c in per_shift]
+    assert per_shift == [8, 5120]
+    scatter._live_run = None
+    with fft_rows() as counts:
+        _deviations(f, four, layers, 2, th, None, covariant=False)
+    assert counts == [9 + 4 * 8, 12288 + 4 * 5120] == [41, 32768]
+    # Shrink then shrink pooled by 2: a deviation then a profile runs the
+    # input's cascade once.
+    layers, _ = make_s1_layers(f.grid, th, (1.0, 2.0), ["phase_covariant_shrink"] * 2)
+    scatter._live_run = None
+    with fft_rows() as counts:
+        invariance_deviation(f, four[0], layers, 2, th)
+        energy_profile(f, layers, 2, th)
+    assert counts == [25, 90112]
 
 
 @pytest.mark.parametrize("shifts", [1, 4])
@@ -874,6 +916,98 @@ def test_kept_level_holds_no_plan():
     _chirp_plan(grid, ThetaParam(math.pi / 5))
     assert plan() is None
     assert scatter._live_run is kept and kept.stack.shape == (4, 32, 32)
+
+
+@pytest.mark.parametrize("shifts", [1, 4])
+@pytest.mark.parametrize("kept", [False, True], ids=["cold", "hit"])
+def test_deviation_warns_as_energy_profile_does(kept, shifts):
+    """A deviation issues its input's alias messages once, those that
+    ``energy_profile`` issues for the same input, however many shifts it is
+    given and whether its run was kept or not, at the caller's line."""
+    grid, th = Grid(1, 128, 4.0), ThetaParam(math.pi / 3)
+    # Wide atoms pass a white input's full band on to both dilations by 2.
+    layers, _ = make_s1_layers(grid, th, (2.0, 2.0), ["identity", "identity"], widths=(8.0, 8.0))
+    f = random_signal(grid, 35)
+    four = [k * grid.spacing for k in (2, -1, 3, 1)]
+    calls = {
+        "profile": lambda: energy_profile(f, layers, 2, th),
+        "invariance": lambda: _deviations(f, four[:shifts], layers, 2, th, None, False),
+        "covariance": lambda: _deviations(f, four[:shifts], layers, 2, th, None, True),
+    }
+    issued = {}
+    for name, call in calls.items():
+        scatter._live_run = None
+        if kept:
+            _recorded(calls["profile"])
+        _, caught = _recorded(call)
+        alias = [w for w in caught if issubclass(w[0], AliasRiskWarning)]
+        assert {w[2:] for w in alias} == {(__file__, call.__code__.co_firstlineno)}
+        issued[name] = [w[:2] for w in alias]
+    assert len(issued["profile"]) == 2  # one per layer
+    assert issued["invariance"] == issued["covariance"] == issued["profile"]
+
+
+def test_deviation_reads_the_run_its_call_returned(monkeypatch):
+    """A deviation takes its input's run from the ``_run`` call itself, so a
+    slot that another caller empties or refills the moment ``_run`` returns
+    leaves every value as it is on a cold slot."""
+    th, layers, folding, f, four = _benchmark_cascade()
+    other = banded_signal(f.grid, th, 0.4, 42)
+    run_cascade = scatter._run
+    for cascade, depth in ((layers, 2), (folding, 1)):
+        cold = []
+        for covariant in (False, True):
+            scatter._live_run = None
+            cold.append(_deviations(f, four, cascade, depth, th, None, covariant))
+        scatter._live_run = None
+        cold.append(energy_profile(f, cascade, depth, th))
+        energy_profile(other, cascade, depth, th)
+        for intruder in (None, scatter._live_run):
+            def racing(*args, intruder=intruder):
+                run = run_cascade(*args)
+                scatter._live_run = intruder
+                return run
+
+            with monkeypatch.context() as patch:
+                patch.setattr(scatter, "_run", racing)
+                got = [_deviations(f, four, cascade, depth, th, None, covariant)
+                       for covariant in (False, True)]
+                got.append(energy_profile(f, cascade, depth, th))
+            assert got == cold, (depth, intruder is None)
+
+
+@pytest.mark.parametrize("bad", ["modulus", "inadmissible", "grid", "angle"])
+def test_layers_past_depth_are_not_read(bad):
+    """A cascade reads only its first ``depth`` layers: a layer below the
+    depth whose modulus does not commute with translates at this angle,
+    whose bank is not admissible, or that lives on another grid or at
+    another angle changes no value and raises and warns nothing."""
+    grid, th = Grid(1, 256, 8.0), ThetaParam(math.pi / 3)
+    layers, phi = make_s1_layers(grid, th, (2.0, 1.0), ["identity", "identity"])
+    f = banded_signal(grid, th, 0.4, 17)
+    shift = 3 * grid.spacing
+    loud = tuple(a.with_values(3.0 * a.values) for a in layers[1].bank.atoms)
+    below = {
+        "modulus": lambda: dataclasses.replace(layers[1], nonlin=Nonlinearity("modulus")),
+        "inadmissible": lambda: LayerConfig(bank=AtomBank(loud, th), output_atom=phi),
+        "grid": lambda: make_s1_layers(Grid(1, 128, 8.0), th, (1.0,), ["identity"])[0][0],
+        "angle": lambda: make_s1_layers(grid, ThetaParam(math.pi / 5), (1.0,), ["identity"])[0][0],
+    }[bad]()
+    assert not below.nonlin.commutes_with_translation(th) or below.frame_bound > 1.0 or (
+        (below.bank.grid, below.theta) != (grid, th))
+
+    def values(cascade):
+        tree = extract_features(f, cascade, 1, th)
+        return (energy_profile(f, cascade, 1, th), tree.admissible,
+                [[v.values.tobytes() for v in level.values()] for level in tree.levels],
+                invariance_deviation(f, shift, cascade, 1, th),
+                covariance_deviation(f, shift, cascade, 1, th))
+
+    want = values(layers[:1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert values([layers[0], below]) == want
+    assert want[1]
 
 
 @pytest.mark.parametrize("theta_val", [math.pi / 3, -2 * math.pi / 5], ids=["pos", "neg"])
