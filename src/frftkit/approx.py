@@ -174,6 +174,7 @@ class SISModel:
     generators: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ell", _as_int(self.ell, "ell"))
         for name, dtype in (("eigenvalues", np.float64), ("eigenvectors", np.complex128),
                             ("generators", np.complex128)):
             array = _adopt(getattr(self, name), dtype, f"model {name} must be finite")

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grids import Grid, SampledSignal, ThetaParam, _adopt, _Owned, _power, as_theta
+from .grids import Grid, SampledSignal, ThetaParam, _adopt, _as_real, _Owned, _power, as_theta
 from .transform import _chirp_plan, _ChirpPlan
 
 __all__ = [
@@ -73,6 +73,8 @@ class FrameBounds:
 
     def __post_init__(self) -> None:
         spectrum = _adopt(self.spectrum, np.float64, "frame spectrum contains non-finite entries")
+        for name in ("lower", "upper"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if not 0.0 <= self.lower <= self.upper < np.inf:
             raise ValueError("frame bounds must satisfy 0 <= lower <= upper < inf")
         if spectrum.shape != (self.grid.size,):
@@ -113,7 +115,8 @@ def check_admissibility(
     ``B L² R² <= 1`` up to :data:`ADMISSIBILITY_SLACK`.
     """
     for bound, lipschitz, pooling in layers:
-        upper = bound.upper if isinstance(bound, FrameBounds) else float(bound)
+        upper = bound.upper if isinstance(bound, FrameBounds) else _as_real(bound, "each bound")
+        lipschitz, pooling = _as_real(lipschitz, "each L"), _as_real(pooling, "each R")
         if upper > 1.0 + ADMISSIBILITY_SLACK:
             return False
         if upper * lipschitz**2 * pooling**2 > 1.0 + ADMISSIBILITY_SLACK:

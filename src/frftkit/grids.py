@@ -77,9 +77,10 @@ class Grid:
             raise ValueError(
                 f"samples_per_dim must be a power of two >= 4, got {n}"
             )
-        if not (float(self.extent) > 0.0 and math.isfinite(self.extent)):
+        extent = _as_real(self.extent, "extent")
+        if not (extent > 0.0 and math.isfinite(extent)):
             raise ValueError(f"extent must be positive, got {self.extent}")
-        object.__setattr__(self, "extent", float(self.extent))
+        object.__setattr__(self, "extent", extent)
 
     @property
     def spacing(self) -> float:

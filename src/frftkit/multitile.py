@@ -113,19 +113,16 @@ def _flat_offsets(
     """The cell of every offset and all offsets as one ``(offset, axis)``
     array, in cell order; ``None`` unless every offset is a tuple of
     ``n_dims`` components, each an integer."""
-    try:
-        counts = [len(c) for c in cells]
-        flat = list(itertools.chain.from_iterable(cells))
-        tuples = all(map(isinstance, flat, itertools.repeat(tuple)))
-        if not tuples or set(map(len, flat)) - {n_dims}:
-            return None
-        values = list(itertools.chain.from_iterable(flat))
-        if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, values))):
-            return None
-        offsets = np.array(values) if values else np.zeros(0, dtype=np.int64)
-        offsets = offsets.reshape(len(flat), n_dims)
-    except (TypeError, ValueError):
+    counts = [len(c) for c in cells]
+    flat = list(itertools.chain.from_iterable(cells))
+    tuples = all(map(isinstance, flat, itertools.repeat(tuple)))
+    if not tuples or set(map(len, flat)) - {n_dims}:
         return None
+    values = list(itertools.chain.from_iterable(flat))
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, values))):
+        return None
+    offsets = np.array(values) if values else np.zeros(0, dtype=np.int64)
+    offsets = offsets.reshape(len(flat), n_dims)
     return np.repeat(np.arange(len(cells)), counts), offsets
 
 

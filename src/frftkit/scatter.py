@@ -678,15 +678,13 @@ def covariance_deviation(
     return _deviations(f, (t,), layers, depth, theta, level0_atom, covariant=True)[0]
 
 
-def _shift(t: ShiftVector | Sequence[float] | float) -> ShiftVector:
-    """``t`` as a shift vector; a bare number is a one-dimensional shift."""
-    return t if isinstance(t, ShiftVector) else as_shift(t, np.size(t))
-
-
-def _pooling_products(s_factors: Sequence[float]) -> tuple[float, float, float]:
-    prod_sq = 1.0
-    prod = 1.0
-    inv_sq_sum = 0.0
+def _bound(t: object, theta: ThetaParam | float, s_factors: Sequence[float], K: float,
+           norm_f: float, terms: Callable[..., float]) -> float:
+    """π²K²‖f‖² times ``terms(‖t‖, ∏s², ∏s, Σ1/s², cot θ, csc θ)``: the one
+    intake of both bounds.  A bare number ``t`` is a one-dimensional shift."""
+    theta = as_theta(theta)
+    norm_t = (t if isinstance(t, ShiftVector) else as_shift(t, np.size(t))).norm
+    prod_sq, prod, inv_sq_sum = 1.0, 1.0, 0.0
     for s in s_factors:
         s = _as_real(s, "each entry of s_factors")
         if not s >= 1.0:
@@ -694,7 +692,8 @@ def _pooling_products(s_factors: Sequence[float]) -> tuple[float, float, float]:
         prod_sq *= s * s
         prod *= s
         inv_sq_sum += 1.0 / (s * s)
-    return prod_sq, prod, inv_sq_sum
+    value = terms(norm_t, prod_sq, prod, inv_sq_sum, theta.cot_t, theta.csc_t)
+    return math.pi**2 * _as_real(K, "K") ** 2 * _as_real(norm_f, "norm_f") ** 2 * value
 
 
 def invariance_bound(
@@ -713,22 +712,16 @@ def invariance_bound(
     ``‖t‖ = |t|``; on a 2-D grid pass a :class:`ShiftVector` or a pair, since
     :func:`invariance_deviation` reads a bare number there as ``(t, t)``.
     """
-    theta = as_theta(theta)
-    norm_t = _shift(t).norm
-    prod_sq, prod, inv_sq_sum = _pooling_products(s_factors)
-    cot = theta.cot_t
-    csc = theta.csc_t
-    t2 = norm_t**2
-    t3 = norm_t**3
-    t4 = norm_t**4
-    terms = (
-        t4 * cot**2 / prod_sq**2
-        + t4 * inv_sq_sum**2 * cot**2
-        + 4.0 * t2 * csc**2 / prod_sq
-        + 4.0 * t3 * abs(cot * csc) / prod**3
-        + 4.0 * t3 * inv_sq_sum * abs(cot * csc) / prod
-    )
-    return math.pi**2 * _as_real(K, "K") ** 2 * _as_real(norm_f, "norm_f") ** 2 * terms
+    def terms(n: float, prod_sq: float, prod: float, inv_sq_sum: float, cot: float,
+              csc: float) -> float:
+        return (
+            n**4 * cot**2 / prod_sq**2
+            + n**4 * inv_sq_sum**2 * cot**2
+            + 4.0 * n**2 * csc**2 / prod_sq
+            + 4.0 * n**3 * abs(cot * csc) / prod**3
+            + 4.0 * n**3 * inv_sq_sum * abs(cot * csc) / prod
+        )
+    return _bound(t, theta, s_factors, K, norm_f, terms)
 
 
 def covariance_bound(
@@ -746,23 +739,17 @@ def covariance_bound(
     on a 2-D grid pass a :class:`ShiftVector` or a pair, since
     :func:`covariance_deviation` reads a bare number there as ``(t, t)``.
     """
-    theta = as_theta(theta)
-    norm_t = _shift(t).norm
-    prod_sq, prod, inv_sq_sum = _pooling_products(s_factors)
-    cot = theta.cot_t
-    csc = theta.csc_t
-    t2 = norm_t**2
-    t4 = norm_t**4
-    t52 = norm_t**2.5
-    terms = (
-        t4 * inv_sq_sum**2 * cot**2
-        + t4 * (1.0 - 1.0 / prod_sq) * cot**2
-        + 4.0 * t2 * (1.0 - 1.0 / prod) ** 2 * csc**2
-        + 4.0 * t52 * abs(cot * csc) * inv_sq_sum
-        + 4.0 * t52 * abs(cot * csc) * (1.0 - 1.0 / prod_sq) * (1.0 - 1.0 / prod)
-        + 2.0 * t4 * inv_sq_sum * (1.0 - 1.0 / prod_sq) * abs(csc) * cot**2
-    )
-    return math.pi**2 * _as_real(K, "K") ** 2 * _as_real(norm_f, "norm_f") ** 2 * terms
+    def terms(n: float, prod_sq: float, prod: float, inv_sq_sum: float, cot: float,
+              csc: float) -> float:
+        return (
+            n**4 * inv_sq_sum**2 * cot**2
+            + n**4 * (1.0 - 1.0 / prod_sq) * cot**2
+            + 4.0 * n**2 * (1.0 - 1.0 / prod) ** 2 * csc**2
+            + 4.0 * n**2.5 * abs(cot * csc) * inv_sq_sum
+            + 4.0 * n**2.5 * abs(cot * csc) * (1.0 - 1.0 / prod_sq) * (1.0 - 1.0 / prod)
+            + 2.0 * n**4 * inv_sq_sum * (1.0 - 1.0 / prod_sq) * abs(csc) * cot**2
+        )
+    return _bound(t, theta, s_factors, K, norm_f, terms)
 
 
 def energy_profile(

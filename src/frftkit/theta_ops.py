@@ -42,7 +42,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AliasRiskWarning, GridMismatch, IrrationalScale
-from .grids import SampledSignal, ShiftVector, ThetaParam, _sum_squares, as_shift, as_theta
+from .grids import (SampledSignal, ShiftVector, ThetaParam, _as_real, _sum_squares, as_shift,
+                    as_theta)
 from .transform import _alternate, _chirp_plan, _ChirpPlan
 
 __all__ = ["theta_translate", "theta_modulate", "theta_convolve", "theta_dilate"]
@@ -127,10 +128,10 @@ def theta_convolve(
 
 
 def _as_fraction(s: float | Rational) -> Fraction:
-    if isinstance(s, Rational):
+    if isinstance(s, Rational) and not isinstance(s, bool):
         frac = Fraction(s)
     else:
-        value = float(s)
+        value = _as_real(s, "s")
         if not math.isfinite(value):
             raise IrrationalScale(f"dilation factor {value!r} is not finite")
         frac = Fraction(value).limit_denominator(MAX_DENOMINATOR)

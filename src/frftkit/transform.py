@@ -79,7 +79,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import AngleDegenerate, GridTooLarge
-from .grids import Grid, SampledSignal, ThetaParam, _energy, as_theta
+from .grids import Grid, SampledSignal, ThetaParam, _as_int, _energy, as_theta
 
 __all__ = [
     "chirp_modulate",
@@ -342,7 +342,7 @@ def _chirp_plan(grid: Grid, theta: ThetaParam, *, output: bool = False) -> _Chir
 def chirp_modulate(f: SampledSignal, theta: ThetaParam | float, sign: int) -> SampledSignal:
     """Pointwise ``e^{sign * i * pi * ‖t‖² * cot(theta)} * f(t)``."""
     theta = as_theta(theta)
-    if sign not in (1, -1):
+    if _as_int(sign, "sign") not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     plan = _chirp_plan(f.grid, theta)
     out = plan.chirp(f.as_nd()) if sign > 0 else plan.unchirp(f.as_nd().copy())

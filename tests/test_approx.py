@@ -165,6 +165,11 @@ def test_gramian_field_against_direct_loop():
                 assert gram.data[w, i, j] == pytest.approx(direct)
 
 
+def test_gramian_field_family_size_is_the_number_of_members():
+    fibers = random_fiber_fields(FiberGrid(PI3, 1, 8, 3), 3, np.random.default_rng(41))
+    assert gramian_field(fibers).family_size == len(fibers) == 3
+
+
 def test_sinc_gramians_are_min_matrices():
     fg1 = FiberGrid(PI3, 1, 16, 4)
     g1 = gramian_field(analytic_sinc_fibers(4, fg1))

@@ -1331,3 +1331,19 @@ def test_atomic_write_leaves_the_target_when_a_chunk_raises(tmp_path):
         cli._atomic_write(target, chunks())
     assert target.read_text() == "before\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_atomic_write_raises_the_replace_error_when_the_cleanup_fails(tmp_path, monkeypatch):
+    """When the rename fails and the temporary file cannot be removed either,
+    the rename's error propagates, not the cleanup's, and no target appears."""
+    def fail(message):
+        def call(*args, **kwargs):
+            raise OSError(message)
+        return call
+
+    monkeypatch.setattr(os, "replace", fail("replace failed"))
+    monkeypatch.setattr(os, "unlink", fail("unlink failed"))
+    with pytest.raises(OSError, match="^replace failed$"):
+        cli._atomic_write(tmp_path / "t.csv", ["row\n"])
+    monkeypatch.undo()
+    assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frftkit import (
+    AliasRiskWarning,
     AngleDegenerate,
     AtomBank,
     FeatureTree,
@@ -31,8 +32,10 @@ from frftkit import (
     ThetaParam,
     TileSet,
     analytic_sinc_fibers,
+    approximation_error,
     as_theta,
     atom_decay_constant,
+    check_admissibility,
     chirp_modulate,
     covariance_bound,
     covariance_deviation,
@@ -201,6 +204,9 @@ INTEGER_PARAMETERS = {
     "u_path": ("each entry of q", lambda v: u_path(SIGNAL, [v], (LAYER,), PI3).values, (0,)),
     "u_layer": ("lam", lambda v: u_layer(SIGNAL, v, LAYER, PI3).values, (0,)),
     "k": ("k", lambda v: feature_distance(*TREES, v), (1, 0)),
+    "SISModel": ("ell", lambda v: approximation_error(
+        SISModel(MODEL.grid, v, MODEL.eigenvalues, MODEL.eigenvectors, MODEL.generators)), (1,)),
+    "chirp_modulate": ("sign", lambda v: chirp_modulate(SIGNAL, PI3, v).values, (1, -1)),
 }
 
 
@@ -392,6 +398,14 @@ REAL_PARAMETERS = {
                   lambda v: invariance_bound(STEP, PI3, (v,), 1.0, 1.0), (2.0, 1, 1.5)),
     "K": ("K", lambda v: invariance_bound(STEP, PI3, (2.0,), v, 1.0), (1.0, 2, 0.5)),
     "norm_f": ("norm_f", lambda v: covariance_bound(STEP, PI3, (2.0,), 1.0, v), (1.0, 2, 0.5)),
+    "extent": ("extent", lambda v: Grid(1, 8, v).extent, (1.0, 2, 0.5)),
+    # Factors below 1 contract, so no alias check warns.
+    "theta_dilate": ("s", lambda v: theta_dilate(SIGNAL, v, PI3).values, (0.5, 1, 0.25)),
+    "lower": ("lower", lambda v: FrameBounds(v, 2.0, np.ones(8), GRID).lower, (0.5, 0, 1.5)),
+    "upper": ("upper", lambda v: FrameBounds(0.5, v, np.ones(8), GRID).upper, (2.0, 1, 1.5)),
+    "bound": ("each bound", lambda v: check_admissibility([(v, 1.0, 1.0)]), (0.5, 1, 2.0)),
+    "L": ("each L", lambda v: check_admissibility([(0.5, v, 1.0)]), (1.0, 2, 0.5)),
+    "R": ("each R", lambda v: check_admissibility([(0.5, 1.0, v)]), (1.0, 2, 0.5)),
 }
 
 
@@ -411,6 +425,17 @@ def test_hostile_real_parameters_are_refused_by_name(data, parameter):
     want = np.asarray(call(float(value)))
     assert np.isfinite(want).all()
     assert np.array_equal(np.asarray(call(value)), want)
+
+
+def test_a_rational_dilation_factor_is_never_rounded_to_a_float():
+    """``theta_dilate`` reads an integer or a fraction exactly, so a factor
+    past the range of a float still runs: 10**400 + 1 is 1 modulo N = 64,
+    so it gathers the samples that a factor of 65 gathers."""
+    with pytest.warns(AliasRiskWarning):
+        huge = theta_dilate(SIGNAL, 10**400 + 1, PI3).values
+        fraction = theta_dilate(SIGNAL, Fraction(10**400 + 1), PI3).values
+        small = theta_dilate(SIGNAL, 65, PI3).values
+    assert np.array_equal(huge, small) and np.array_equal(fraction, small)
 
 
 def test_squared_magnitudes_never_take_a_vector_abs(monkeypatch):

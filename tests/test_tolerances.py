@@ -22,6 +22,7 @@ from frftkit import (
     NonCommutingOps,
     NotHermitian,
     SampledSignal,
+    ShiftVector,
     ThetaParam,
     TruncationLoss,
     atom_decay_constant,
@@ -232,3 +233,37 @@ def test_bounds_match_the_theorems_term_by_term(theta_val, factors):
     pair = (0.6, 0.8)
     assert invariance_bound(pair, th, factors, K, norm_f) == pytest.approx(
         scale * _invariance_terms(1.0, cot, csc, factors), rel=1e-14, abs=0.0)
+
+
+#: Both bounds on fixed inputs, with the value each returned before the two
+#: shared one intake: a scalar, a pair and a :class:`ShiftVector` shift, both
+#: signs of sin θ, zero to three pooling factors, and K and ‖f‖ other than 1.
+EXACT_BOUNDS = [
+    (invariance_bound, 0.3, math.pi / 3, (), 0.7, 1.3, "0x1.222612fda5be1p+2"),
+    (invariance_bound, (0.6, 0.8), -2 * math.pi / 5, (2,), 1.7, 0.4, "0x1.aa8d6ad31c2b0p+2"),
+    (invariance_bound, ShiftVector((0.25, -0.5)), 2.5, (2, 1.5), 0.7, 1.3, "0x1.d3a387db7c336p+2"),
+    (invariance_bound, -1.5, -0.7, (3, 1, 1), 2.0, 3.0, "0x1.24bc9b7cb2766p+14"),
+    (invariance_bound, 1.0, math.pi / 3, (2, 1.5), 0.7, 1.3, "0x1.8160595c33189p+3"),
+    (invariance_bound, (0.125,), -2 * math.pi / 5, (3, 1, 1), 0.3, 2.5, "0x1.bc533b535a04cp-5"),
+    (invariance_bound, ShiftVector((0.75,)), 1.2, (2,), 1.1, 0.9, "0x1.00c201b8e33f5p+3"),
+    (invariance_bound, (-0.3, 0.4), -2.9, (), 4.0, 0.25, "0x1.0a4ad0aac53dep+8"),
+    (invariance_bound, 2.5, 0.4, (2, 1.5), 0.7, 1.3, "0x1.d28a7495f8193p+10"),
+    (invariance_bound, 0.5, -1.9, (3, 1, 1), 1.3, 0.6, "0x1.be63b086ac521p+0"),
+    (covariance_bound, 0.3, math.pi / 3, (), 0.7, 1.3, "0x0.0p+0"),
+    (covariance_bound, (0.6, 0.8), -2 * math.pi / 5, (2,), 1.7, 0.4, "0x1.30cb4cf70c4adp+3"),
+    (covariance_bound, ShiftVector((0.25, -0.5)), 2.5, (2, 1.5), 0.7, 1.3, "0x1.3ca07a420982dp+5"),
+    (covariance_bound, -1.5, -0.7, (3, 1, 1), 2.0, 3.0, "0x1.907e1f6fe31bdp+15"),
+    (covariance_bound, 1.0, math.pi / 3, (2, 1.5), 0.7, 1.3, "0x1.b857c13de12c0p+5"),
+    (covariance_bound, (0.125,), -2 * math.pi / 5, (3, 1, 1), 0.3, 2.5, "0x1.23fb144a2b6c9p-2"),
+    (covariance_bound, ShiftVector((0.75,)), 1.2, (2,), 1.1, 0.9, "0x1.77aaade634069p+3"),
+    (covariance_bound, (-0.3, 0.4), -2.9, (), 4.0, 0.25, "0x0.0p+0"),
+    (covariance_bound, 2.5, 0.4, (2, 1.5), 0.7, 1.3, "0x1.5f1afed5bd8cfp+13"),
+    (covariance_bound, 0.5, -1.9, (3, 1, 1), 1.3, 0.6, "0x1.e2153e7fa5f92p+2"),
+]
+
+
+@pytest.mark.parametrize("bound, t, theta_val, factors, K, norm_f, want", EXACT_BOUNDS)
+def test_bounds_keep_their_bits(bound, t, theta_val, factors, K, norm_f, want):
+    """Each bound returns the same float, bit for bit: a reordered product
+    that ``pytest.approx`` would let pass fails here."""
+    assert bound(t, theta_val, factors, K, norm_f).hex() == want
