@@ -107,15 +107,6 @@ class FiberGrid:
     def window_size(self) -> int:
         return (2 * self.window + 1) ** self.n_dims
 
-    @property
-    def omega_axis(self) -> NDArray[np.float64]:
-        """Base frequencies per dimension: ``w |sin θ| / W`` for ``w < W``."""
-        return (
-            np.arange(self.omega_samples, dtype=np.float64)
-            * self.theta.abs_sin
-            / self.omega_samples
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class FiberField:

@@ -17,10 +17,9 @@ columns, ``_WRITE_BLOCK`` rows per ``%`` operation, each float as
 success, 2 input parse failure, 3 numeric degeneracy, 4 configuration
 contradiction.  Exit 3 takes ``_NUMERIC_ERRORS`` (an angle that is a
 multiple of pi outside ``frft``, a non-finite result, a failed allocation);
-other library errors exit 4.  The environment variable ``FRFTKIT_THREADS``,
-when set, must be a positive integer (else exit 4).  It caps the threads
-frftkit starts (see :mod:`frftkit.transform`); BLAS calls follow their own
-variables.
+other library errors exit 4.  frftkit reads no environment variable: the
+CPUs the process may run on bound the threads it starts (see
+:mod:`frftkit.transform`), and BLAS calls follow their own variables.
 A warning goes to stderr as one ``warning: <Category>: <message>`` line,
 without the source path; the caller's warning filters still apply.
 
@@ -82,7 +81,7 @@ from .scatter import (
     invariance_bound,
 )
 from .theta_ops import theta_convolve, theta_dilate, theta_modulate, theta_translate
-from .transform import _thread_cap, frft, frft_direct_oracle, inverse_frft, l2_norm
+from .transform import frft, frft_direct_oracle, inverse_frft, l2_norm
 
 __all__ = ["main", "read_signal", "write_signal"]
 
@@ -819,7 +818,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _thread_cap()  # a bad FRFTKIT_THREADS exits 4 before any work
         if hasattr(args, "theta_frac"):  # the parser took _add_theta_flags
             args.theta = _angle(args.theta, args.theta_frac)
         handler: Callable[[argparse.Namespace], None] = args.func

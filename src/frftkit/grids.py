@@ -51,12 +51,17 @@ def _as_int(value: object, name: str) -> int:
 
 
 def _as_real(value: object, name: str, kind: str = "a real number") -> float:
-    """``value`` as a ``float``, so NumPy reals and fractions pass; a bool, a
-    string or anything else that is not a real number raises
-    :class:`TypeError` that names the parameter (``name must be kind``)."""
+    """``value`` as a ``float``, so NumPy reals and fractions pass, and an
+    int or a fraction past float range is the infinity of its sign, as
+    ``float("1e400")`` is; a bool, a string or anything else that is not a
+    real number raises :class:`TypeError` that names the parameter (``name
+    must be kind``)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be {kind}, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +84,7 @@ class Grid:
             )
         extent = _as_real(self.extent, "extent")
         if not (extent > 0.0 and math.isfinite(extent)):
-            raise ValueError(f"extent must be positive, got {self.extent}")
+            raise ValueError(f"extent must be positive, got {extent}")
         object.__setattr__(self, "extent", extent)
 
     @property

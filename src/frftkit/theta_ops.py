@@ -145,7 +145,7 @@ def _as_fraction(s: float | Rational) -> Fraction:
             f"dilation denominator {frac.denominator} exceeds {MAX_DENOMINATOR}"
         )
     if frac <= 0:
-        raise ValueError(f"dilation factor must be positive, got {s!r}")
+        raise ValueError(f"dilation factor must be positive, got {s}")
     return frac
 
 

@@ -58,11 +58,11 @@ one is built, and a plan is a pure function of its key, so eviction never
 changes a result.
 
 A plan on a grid of at least ``2**16`` samples builds its output table on a
-second thread while the caller builds the input table, when
-:func:`_thread_cap` allows two threads (``FRFTKIT_THREADS`` and the CPUs
-the process may run on).  NumPy's ``cos``, ``sin`` and multiply loops
-release the GIL, so the two tables' trig work overlaps.  The caller
-allocates the output table, the worker fills it through the same
+second thread while the caller builds the input table, when :func:`_cpus`
+counts two or more CPUs that the process may run on; a process pinned to one
+CPU (say by ``taskset -c 0``) builds serially.  NumPy's ``cos``, ``sin`` and
+multiply loops release the GIL, so the two tables' trig work overlaps.  The
+caller allocates the output table, the worker fills it through the same
 :func:`_signed_chirp`, and the caller joins before the plan is published: a
 table is a pure function of its key, so every table and every result is
 bit-identical to a serial build, and eviction is unchanged.  The worker
@@ -138,24 +138,12 @@ def _mul_conj(
     return a
 
 
-def _thread_cap() -> int:
-    """Threads frftkit may use: the CPUs this process may run on, capped by
-    ``FRFTKIT_THREADS`` when it is set; raises :class:`ValueError` when that
-    is not a positive integer."""
+def _cpus() -> int:
+    """The CPUs this process may run on: the one thread budget of frftkit."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    raw = os.environ.get("FRFTKIT_THREADS")
-    if raw is None:
-        return cpus
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"FRFTKIT_THREADS={raw!r} is not an integer") from exc
-    if n < 1:
-        raise ValueError("FRFTKIT_THREADS must be at least 1")
-    return min(n, cpus)
+        return os.cpu_count() or 1
 
 
 def _table_shape(grid: Grid) -> tuple[int, ...]:
@@ -216,7 +204,7 @@ class _ChirpPlan:
         self.halves = (((..., slice(None, half + 1)) + rest, slice(None)),
                        ((..., slice(half + 1, None)) + rest, slice(half - 1, 0, -1)))
         cot, scale = theta.cot_t, self.kernel_scale
-        if in_grid.size >= _THREADED_BUILD_MIN and _thread_cap() >= 2:
+        if in_grid.size >= _THREADED_BUILD_MIN and _cpus() >= 2:
             # Imported here: it loads logging (about 5 ms and 1 MiB), which a
             # process that builds only small plans never needs.
             from concurrent.futures import ThreadPoolExecutor

@@ -48,11 +48,6 @@ from helpers import banded_signal, make_s1_layers, random_signal
 PI3 = ThetaParam(math.pi / 3)
 
 
-@pytest.fixture(autouse=True)
-def _clean_thread_env(monkeypatch):
-    monkeypatch.delenv("FRFTKIT_THREADS", raising=False)
-
-
 def write_csv(path, signal):
     write_signal(str(path), signal)
     return str(path)
@@ -953,7 +948,7 @@ def test_exit_code_3_numeric_failures(tmp_path):
                  "--theta-frac", "1", "3", "--out-dir", str(tmp_path / "d")]) == 3
 
 
-def test_exit_code_4_config_failures(tmp_path, monkeypatch, capsys):
+def test_exit_code_4_config_failures(tmp_path):
     f = banded_signal(Grid(1, 128, 8.0), PI3, 0.4, 15)
     src = write_csv(tmp_path / "f.csv", f)
     out = str(tmp_path / "o.csv")
@@ -1008,16 +1003,18 @@ def test_exit_code_4_config_failures(tmp_path, monkeypatch, capsys):
                  "--N", "9", "--theta-frac", "1", "3",
                  "--out-dir", str(tmp_path / "d5")]) == 4
 
-    # environment misconfiguration
-    capsys.readouterr()
-    monkeypatch.setenv("FRFTKIT_THREADS", "0")
-    assert main(["frft", "--in", src, "--out", out, "--theta", "1.0"]) == 4
-    assert capsys.readouterr().err == "error: FRFTKIT_THREADS must be at least 1\n"
-    monkeypatch.setenv("FRFTKIT_THREADS", "abc")
-    assert main(["frft", "--in", src, "--out", out, "--theta", "1.0"]) == 4
-    assert capsys.readouterr().err == "error: FRFTKIT_THREADS='abc' is not an integer\n"
-    monkeypatch.setenv("FRFTKIT_THREADS", "2")
-    assert main(["frft", "--in", src, "--out", out, "--theta", "1.0"]) == 0
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_no_environment_variable_is_configuration(tmp_path, monkeypatch, capsys, value):
+    """A leftover ``FRFTKIT_THREADS``, whatever its value, changes neither
+    the exit code nor a byte of the output."""
+    src = write_csv(tmp_path / "f.csv", random_signal(Grid(1, 128, 8.0), 17))
+    plain, with_env = str(tmp_path / "plain.csv"), str(tmp_path / "env.csv")
+    assert main(["frft", "--in", src, "--out", plain, "--theta", "1.0"]) == 0
+    monkeypatch.setenv("FRFTKIT_THREADS", value)
+    assert main(["frft", "--in", src, "--out", with_env, "--theta", "1.0"]) == 0
+    assert capsys.readouterr().err == ""
+    assert Path(plain).read_bytes() == Path(with_env).read_bytes()
 
 
 LIBRARY_ERRORS = [cls for cls in map(vars(frftkit.errors).get, frftkit.errors.__all__)
@@ -1133,7 +1130,7 @@ def test_module_entry_point_matches_in_process(tmp_path):
     assert main(["frft", "--in", src, "--out", in_proc,
                  "--theta-frac", "1", "3"]) == 0
     sub_out = str(tmp_path / "sub.csv")
-    env = {k: v for k, v in os.environ.items() if k != "FRFTKIT_THREADS"}
+    env = dict(os.environ)
     # The child imports the same package as this process, installed or not.
     package_root = os.path.dirname(os.path.dirname(frftkit.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -1173,8 +1170,7 @@ def test_warning_is_one_line_that_names_no_path(tmp_path):
     package = Path(frftkit.__file__).parent
     copy = tmp_path / "copy"
     shutil.copytree(package, copy / "frftkit", ignore=shutil.ignore_patterns("__pycache__"))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("FRFTKIT_THREADS", "PYTHONWARNINGS")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     stderrs = []
     for label, root in (("installed", package.parent), ("copy", copy)):
         proc = subprocess.run(
@@ -1291,6 +1287,10 @@ def test_every_angle_subcommand_resolves_its_flags(tmp_path, capsys, flags, mess
     [
         (["ops", "dilate", "--in", "{a}", "--out", "{out}/o.csv", "--theta", "1.0"], 4,
          "dilate needs --factor"),
+        (["ops", "dilate", "--in", "{a}", "--out", "{out}/o.csv", "--theta", "1.0",
+          "--factor=-3/2"], 4, "dilation factor must be positive, got -3/2"),
+        (["ops", "dilate", "--in", "{a}", "--out", "{out}/o.csv", "--theta", "1.0",
+          "--factor=-1"], 4, "dilation factor must be positive, got -1"),
         (["scatter", "extract", "--config", "{array}", "--signal", "{a}", "--out-dir", "{out}"],
          2, "{array}: expected a JSON object"),
         (["approx", "fit", "--data", "{a}", "{b}", "--ell", "1", "--theta", "1.0",
@@ -1302,7 +1302,8 @@ def test_every_angle_subcommand_resolves_its_flags(tmp_path, capsys, flags, mess
         (["multitile", "fit", "--data", "{a}", "--ell", "1", "--N", "0", "--theta", "1.0",
           "--out-dir", "{out}"], 4, "--N must be at least 1"),
     ],
-    ids=["dilate-no-factor", "config-array", "fit-mixed-grids", "table-m0", "tiles-ell0",
+    ids=["dilate-no-factor", "dilate-negative-fraction", "dilate-negative-integer",
+         "config-array", "fit-mixed-grids", "table-m0", "tiles-ell0",
          "tiles-N0"],
 )
 def test_cli_refusals(tmp_path, capsys, argv, code, message):

@@ -427,6 +427,46 @@ def test_hostile_real_parameters_are_refused_by_name(data, parameter):
     assert np.array_equal(np.asarray(call(value)), want)
 
 
+#: Reals past the range of a float, each with the infinity it reads as.
+PAST_FLOAT_RANGE = [(10**400, math.inf), (-10**400, -math.inf), (Fraction(10**400, 3), math.inf)]
+
+#: Per site that reads a real as a float: the call on a value of it.  A
+#: dilation factor is left out: a rational one is read exactly (below).
+FLOAT_SITES = {
+    **{name: call for name, (_, call, _) in REAL_PARAMETERS.items()
+       if name not in ("pooling_factor", "theta_dilate")},
+    "ThetaParam": lambda v: ThetaParam(v).theta,
+    "ShiftVector": lambda v: ShiftVector((v,)).components,
+    "bound_theta": lambda v: invariance_bound(STEP, v, (2.0,), 1.0, 1.0),
+    "bound_shift": lambda v: covariance_bound(v, PI3, (2.0,), 1.0, 1.0),
+}
+
+
+def _answer(call, value):
+    """What ``call(value)`` gives: its bytes, or the error it raises."""
+    try:
+        return np.asarray(call(value)).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("value, inf", PAST_FLOAT_RANGE, ids=["int", "negative-int", "fraction"])
+@pytest.mark.parametrize("site", sorted(FLOAT_SITES))
+def test_a_real_past_float_range_is_the_infinity_of_its_sign(site, value, inf):
+    """An int or a fraction too large for a float gives what the infinity of
+    its sign gives, error and message alike, and no bare OverflowError."""
+    assert _answer(FLOAT_SITES[site], value) == _answer(FLOAT_SITES[site], inf)
+
+
+def test_a_pooling_factor_past_float_range_stays_exact():
+    """Like ``theta_dilate``, a layer keeps a rational pooling factor that no
+    float holds, and refuses one below 1 as it refuses -inf."""
+    assert _layer(10**400 + 1).dilation == 10**400 + 1
+    for value in (-10**400, Fraction(-10**400, 3)):
+        with pytest.raises(ValueError, match="^pooling factor must be at least 1$"):
+            _layer(value)
+
+
 def test_a_rational_dilation_factor_is_never_rounded_to_a_float():
     """``theta_dilate`` reads an integer or a fraction exactly, so a factor
     past the range of a float still runs: 10**400 + 1 is 1 modulo N = 64,

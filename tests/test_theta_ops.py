@@ -417,7 +417,7 @@ def test_translation_is_unitary():
 @pytest.mark.parametrize("s", [0, -2, Fraction(-1, 2), -0.5])
 def test_dilation_refuses_factors_that_are_not_positive(s):
     f = random_signal(Grid(1, 64, 4.0), 8)
-    with pytest.raises(ValueError, match=re.escape(f"dilation factor must be positive, got {s!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"dilation factor must be positive, got {s}")):
         theta_dilate(f, s, ANGLES[1])
 
 

@@ -269,9 +269,8 @@ def test_plan_eviction_keeps_results_bit_identical(two_cpus):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """A process that may run on two CPUs, with no ``FRFTKIT_THREADS`` cap."""
+    """A process that may run on two CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.delenv("FRFTKIT_THREADS", raising=False)
 
 
 @pytest.fixture
@@ -329,7 +328,7 @@ def test_threaded_plan_build_is_bit_identical(grid, theta_val, two_cpus, thread_
     rows = grid.samples_per_dim // 2 + 1
     assert plan.chirp_in.shape == plan.chirp_out.shape == (rows,) + grid.shape[1:]
 
-    monkeypatch.setenv("FRFTKIT_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # pinned to one CPU
     monkeypatch.setattr(transform, "_live_plan", None)
     serial = _theta_results(f, g, th)
     assert len(thread_starts) == started
@@ -357,19 +356,28 @@ def test_no_thread_outlives_a_call(two_cpus, thread_starts, monkeypatch):
         assert threading.enumerate() == alive
 
 
-@pytest.mark.parametrize("cap", ["env", "affinity", "cpu_count"])
+@pytest.mark.parametrize("cap", ["affinity", "cpu_count"])
 def test_one_thread_cap_starts_no_thread(cap, two_cpus, thread_starts, monkeypatch):
-    if cap == "env":
-        monkeypatch.setenv("FRFTKIT_THREADS", "1")
-    elif cap == "affinity":
+    if cap == "affinity":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:  # a platform without CPU affinity
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert transform._thread_cap() == 1
+    assert transform._cpus() == 1
     monkeypatch.setattr(transform, "_live_plan", None)
     frft(random_signal(Grid(1, 1 << 16, 3.7), 48), ThetaParam(1.0))
     assert thread_starts == []
+
+
+def test_no_environment_variable_caps_the_threads(two_cpus, thread_starts, monkeypatch):
+    """The CPUs the process may run on are the whole thread budget: a
+    leftover ``FRFTKIT_THREADS=1`` still lets a fresh 2^16-sample plan start
+    its one worker."""
+    monkeypatch.setenv("FRFTKIT_THREADS", "1")
+    assert transform._cpus() == 2
+    monkeypatch.setattr(transform, "_live_plan", None)
+    frft(random_signal(Grid(1, 1 << 16, 3.7), 48), ThetaParam(1.0))
+    assert len(thread_starts) == 1
 
 
 def test_worker_failure_reaches_the_caller(two_cpus, monkeypatch, tmp_path, capsys):
