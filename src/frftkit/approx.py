@@ -437,8 +437,12 @@ def approximation_error(model: SISModel) -> float:
     """Mean residual eigenvalue mass, weighted by the cell measure.
 
     Equals ``|sin θ|^n`` times the average over cells of the eigenvalues
-    beyond the kept rank; zero exactly when the family already lies in a
-    rank-``ell`` invariant subspace.  The eigenvalues are clamped at 0: a
+    beyond the kept rank, which is ``|sin θ|^n Σ_j ‖f_j − P_V f_j‖²`` on an
+    ``n``-dimensional grid: the family's squared L² residual off the fitted
+    space ``V`` times the measure of the frequency period the cells cover,
+    not the residual itself.  It is zero
+    exactly when the family already lies in a rank-``ell`` invariant
+    subspace.  The eigenvalues are clamped at 0: a
     Gramian is positive semidefinite, but where the family has rank
     ``<= ell`` in a cell, rounding can leave them slightly negative.  This
     is the tail rule :func:`_tail_error` read at the model's own rank.

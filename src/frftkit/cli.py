@@ -555,34 +555,21 @@ def cmd_scatter_invariance(args: argparse.Namespace) -> None:
 # ------------------------------------------------------------------- approx
 
 
-def _fiber_grid_for(
-    grids: Sequence[Grid],
-    theta: ThetaParam,
-    omega_samples: int | None,
-    window: int | None,
-) -> FiberGrid:
+def _fiber_grid_for(grids: Sequence[Grid], theta: ThetaParam, window: int | None) -> FiberGrid:
     grid = grids[0]
     for other in grids[1:]:
         if other != grid:
             raise GridMismatch("all data signals must share one grid")
-    period = _integer_period(grid)
-    # Fewer cells than P would read only every (P/W)-th spectrum bin.
-    if omega_samples is not None and omega_samples != period:
-        raise CliConfigError(
-            f"--omega-samples {omega_samples} must equal the signal period {period}"
-        )
     if window is None:
         window = _covering_window(grid)
-    return FiberGrid(theta, grid.n_dims, period, window)
+    return FiberGrid(theta, grid.n_dims, _integer_period(grid), window)
 
 
 def cmd_approx_fit(args: argparse.Namespace) -> None:
     if args.ell < 1:
         raise CliConfigError("--ell must be at least 1")
     signals = [read_signal(p) for p in args.data]
-    fgrid = _fiber_grid_for(
-        [s.grid for s in signals], args.theta, args.omega_samples, args.window
-    )
+    fgrid = _fiber_grid_for([s.grid for s in signals], args.theta, args.window)
     fibers = [fiber_map(s, fgrid) for s in signals]
     model = fit_sis(fibers, args.ell)
 
@@ -628,7 +615,7 @@ def cmd_multitile_fit(args: argparse.Namespace) -> None:
     if args.bound < 1:
         raise CliConfigError("--N must be at least 1")
     signals = [read_signal(p) for p in args.data]
-    fgrid = _fiber_grid_for([s.grid for s in signals], args.theta, None, None)
+    fgrid = _fiber_grid_for([s.grid for s in signals], args.theta, None)
     if args.bound > fgrid.window:
         raise CliConfigError(
             f"--N {args.bound} exceeds the grid's offset window {fgrid.window}"
@@ -665,7 +652,7 @@ def _tile_from_json(path: Path | str) -> tuple[TileSet, int]:
         n_dims=n_dims,
         omega_samples=omega_samples,
         bound=bound,
-        cells=[map(tuple, cell) for cell in cells],  # TileSet stores the cells as tuples
+        cells=[map(tuple, cell) for cell in cells],  # TileSet takes offsets as tuples
     )
     return tile, ell
 
@@ -771,7 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", nargs="+", required=True, metavar="CSV")
     p_fit.add_argument("--ell", type=int, required=True)
     _add_theta_flags(p_fit)
-    p_fit.add_argument("--omega-samples", type=int, default=None)
     p_fit.add_argument("--window", type=int, default=None)
     p_fit.add_argument("--out-dir", required=True)
     p_fit.set_defaults(func=cmd_approx_fit)

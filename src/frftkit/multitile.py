@@ -9,9 +9,10 @@ optimally for a family of signals by ranking per-cell offset energies.
 Tile masks come from the fiber layout of :mod:`frftkit.approx`: a projection
 filters the chirped samples, keeping exactly the bins of their FFT that the
 fibers of the tile's slots read, through the layout that module keeps
-cached.  Tiles are checked and masked on one integer array of all their
-offsets, ``(offset, axis)`` in cell order, which a tile set keeps from its
-check; the nested ``cells`` tuples are built only for the result.  The
+cached.  A tile set is held as two read-only integer arrays, the cell of
+every offset and all offsets as ``(offset, axis)`` rows in cell order; it is
+checked, masked, compared and hashed on them, and its nested ``cells``
+tuples (and a model's ``selection``) are built only when read.  The
 truncated frame expansion is computed on fibers too, where a twisted
 integer shift is one phase per cell.
 """
@@ -19,7 +20,8 @@ integer shift is one phase per cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,14 +53,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TileSet:
+class _Record:
+    """Base of the frozen records here, which hold read-only arrays: ``_set``
+    fills the fields in order, ``_of`` builds a record unchecked from values
+    the library built valid, and records are equal, and hash, by their
+    fields, an array by its entries."""
+
+    def _set(self, *values: object) -> _Record:
+        for f, value in zip(fields(self), values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, f.name, value)
+        return self
+
+    @classmethod
+    def _of(cls, *values: object):
+        return cls.__new__(cls)._set(*values)
+
+    def _key(self) -> tuple:
+        return tuple(_hashable(getattr(self, f.name)) for f in fields(self))
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _hashable(value: object) -> object:
+    """``value``, or an array's entries as bytes (as Python integers past int64)."""
+    if not isinstance(value, np.ndarray):
+        return value
+    return value.tobytes() if value.dtype != object else tuple(value.ravel().tolist())
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class TileSet(_Record):
     """Offsets per base frequency cell.
 
     ``cells[w]`` is the tuple of offsets attached to flattened cell ``w``
     (cells flatten row-major over ``omega_samples`` per dimension), sorted
     and duplicate-free, each offset a tuple of integers (not bools) bounded
-    by ``bound`` in the max norm; cells given as lists are stored as tuples.
+    by ``bound`` in the max norm; cells may be given as lists.
     ``omega_samples`` must be at least 1 and ``bound`` nonnegative: a tile
     set with no cell would pass as a tile of every offset count, and one
     whose bound holds no offset as a 0-fold tile.
@@ -68,51 +104,57 @@ class TileSet:
     n_dims: int
     omega_samples: int
     bound: int
-    cells: tuple[tuple[tuple[int, ...], ...], ...]
-    # The (cell, offsets) arrays of _flat_offsets, kept from validation.
-    _flat: tuple[NDArray[np.intp], NDArray] = field(init=False, repr=False, compare=False)
+    _cell: NDArray[np.intp]  # the cell of every offset, ascending
+    _offsets: NDArray  # (offset, axis), int64 unless a value is past its range
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", as_theta(self.theta))
-        for name in ("n_dims", "omega_samples", "bound"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if self.n_dims not in (1, 2):
+    def __init__(self, theta: ThetaParam | float, n_dims: int, omega_samples: int,
+                 bound: int, cells: Sequence[Sequence[Sequence[int]]]) -> None:
+        theta, n_dims = as_theta(theta), _as_int(n_dims, "n_dims")
+        omega_samples, bound = _as_int(omega_samples, "omega_samples"), _as_int(bound, "bound")
+        if n_dims not in (1, 2):
             raise ValueError("only 1- and 2-dimensional tile sets are supported")
-        if self.omega_samples < 1:
+        if omega_samples < 1:
             raise ValueError("need at least one base frequency cell per dimension")
-        if self.bound < 0:
-            raise ValueError(f"offset bound {self.bound} is negative")
-        if len(self.cells) != self.omega_samples**self.n_dims:
-            raise ValueError(
-                f"expected {self.omega_samples ** self.n_dims} cells, "
-                f"got {len(self.cells)}"
-            )
-        object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
-        flat = _flat_offsets(self.cells, self.n_dims)
-        if flat is None or flat[1].dtype.kind not in "iu":
-            suspects = range(len(self.cells))  # no integer array: check every cell
+        if bound < 0:
+            raise ValueError(f"offset bound {bound} is negative")
+        if len(cells) != omega_samples**n_dims:
+            raise ValueError(f"expected {omega_samples ** n_dims} cells, got {len(cells)}")
+        cells = tuple(map(tuple, cells))
+        flat = _flat_offsets(cells, n_dims)
+        if flat is None or flat[1].dtype == object:
+            suspects = range(len(cells))  # no int64 array: check every cell
         else:
-            cell, offsets = flat
-            suspects = np.unique(cell[_defects(cell, offsets, self.bound)]).tolist()
-        for w in suspects:
-            _check_cell(w, self.cells[w], self.n_dims, self.bound)
-        object.__setattr__(self, "_flat", flat)
+            suspects = np.unique(flat[0][_defects(*flat, bound)]).tolist()
+        for w in suspects:  # so a tile that passes has its arrays
+            _check_cell(w, cells[w], n_dims, bound)
+        self._set(theta, n_dims, omega_samples, bound, *flat)
 
     @property
     def n_cells(self) -> int:
         return self.omega_samples**self.n_dims
 
-    @property
+    @cached_property
     def counts(self) -> tuple[int, ...]:
-        return tuple(map(len, self.cells))
+        return tuple(np.bincount(self._cell, minlength=self.n_cells).tolist())
+
+    @cached_property
+    def cells(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return _tuples(self._offsets, self.counts)
+
+
+def _tuples(offsets: NDArray, counts: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The ``(offset, axis)`` rows as tuples, grouped per cell by ``counts``."""
+    rows, ends = list(map(tuple, offsets.tolist())), list(itertools.accumulate(counts))
+    return tuple(tuple(rows[a:b]) for a, b in zip([0, *ends], ends))
 
 
 def _flat_offsets(
     cells: Sequence[Sequence[Sequence[int]]], n_dims: int
 ) -> tuple[NDArray[np.intp], NDArray] | None:
     """The cell of every offset and all offsets as one ``(offset, axis)``
-    array, in cell order; ``None`` unless every offset is a tuple of
-    ``n_dims`` components, each an integer."""
+    array (int64 unless a value is past its range), in cell order; ``None``
+    unless every offset is a tuple of ``n_dims`` components, each an
+    integer."""
     counts = [len(c) for c in cells]
     flat = list(itertools.chain.from_iterable(cells))
     tuples = all(map(isinstance, flat, itertools.repeat(tuple)))
@@ -121,9 +163,11 @@ def _flat_offsets(
     values = list(itertools.chain.from_iterable(flat))
     if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, values))):
         return None
-    offsets = np.array(values) if values else np.zeros(0, dtype=np.int64)
-    offsets = offsets.reshape(len(flat), n_dims)
-    return np.repeat(np.arange(len(cells)), counts), offsets
+    try:
+        offsets = np.array(values, dtype=np.int64)
+    except OverflowError:
+        offsets = np.array(values, dtype=object)
+    return np.repeat(np.arange(len(cells)), counts), offsets.reshape(len(flat), n_dims)
 
 
 def _defects(
@@ -156,8 +200,8 @@ def _check_cell(w: int, offsets: Sequence[Sequence[int]], n_dims: int, bound: in
             raise ValueError(f"cell {w} offset {k} exceeds bound {bound}")
 
 
-@dataclass(frozen=True, slots=True)
-class MultiTileModel:
+@dataclass(frozen=True, init=False, eq=False)
+class MultiTileModel(_Record):
     """An equal-cardinality tile set with its per-cell energy ranking.
 
     ``selection[w]`` orders the chosen offsets by decreasing captured
@@ -167,26 +211,40 @@ class MultiTileModel:
 
     tile: TileSet
     ell: int
-    selection: tuple[tuple[tuple[int, ...], ...], ...]
+    _ranked: NDArray  # the selection as (offset, axis) rows, cell by cell, best first
 
-    def __post_init__(self) -> None:
-        if not is_multitile(self.tile, self.ell):
-            raise NotMultiTile(f"tile set does not have {self.ell} offsets per cell")
-        if len(self.selection) != self.tile.n_cells:
+    def __init__(self, tile: TileSet, ell: int,
+                 selection: Sequence[Sequence[Sequence[int]]]) -> None:
+        ell = _as_int(ell, "ell")
+        if not is_multitile(tile, ell):
+            raise NotMultiTile(f"tile set does not have {ell} offsets per cell")
+        if len(selection) != tile.n_cells:
             raise ValueError("selection length must match the cell count")
-        chosen = tuple(map(tuple, map(sorted, self.selection)))
-        if chosen != self.tile.cells:
-            w = next(w for w, (a, b) in enumerate(zip(chosen, self.tile.cells)) if a != b)
+        flat = _flat_offsets(selection, tile.n_dims)
+        agrees = flat is not None and np.array_equal(flat[0], tile._cell)
+        if agrees:  # every cell's offsets sorted at once, then compared with the tile
+            order = np.lexsort((*flat[1].T[::-1], flat[0]))
+            agrees = np.array_equal(flat[1][order], tile._offsets)
+        if not agrees:  # name the first cell that is ragged, foreign or not integer
+            w = next(w for w, chosen in enumerate(selection)
+                     if _flat_offsets([chosen], tile.n_dims) is None
+                     or sorted(chosen) != list(tile.cells[w]))
             raise ValueError(f"selection at cell {w} disagrees with the tile set")
+        self._set(tile, ell, flat[1])
 
     @property
     def theta(self) -> ThetaParam:
         return self.tile.theta
 
+    @cached_property
+    def selection(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return _tuples(self._ranked, self.tile.counts)
+
 
 def is_multitile(tile: TileSet, ell: int) -> bool:
     """Whether every cell carries exactly ``ell`` offsets."""
-    return tile.counts == (_as_int(ell, "ell"),) * tile.n_cells
+    ell = _as_int(ell, "ell")
+    return bool(np.all(np.bincount(tile._cell, minlength=tile.n_cells) == ell))
 
 
 def partition_multitile(tile: TileSet, ell: int) -> list[TileSet]:
@@ -201,19 +259,9 @@ def partition_multitile(tile: TileSet, ell: int) -> list[TileSet]:
             f"cannot partition: offset counts per cell are {set(tile.counts)}, "
             f"expected all {ell}"
         )
-    parts = []
-    for s in range(ell):
-        cells = tuple((tile.cells[w][s],) for w in range(tile.n_cells))
-        parts.append(
-            TileSet(
-                theta=tile.theta,
-                n_dims=tile.n_dims,
-                omega_samples=tile.omega_samples,
-                bound=tile.bound,
-                cells=cells,
-            )
-        )
-    return parts
+    cell = np.arange(tile.n_cells)
+    return [TileSet._of(tile.theta, tile.n_dims, tile.omega_samples, tile.bound, cell,
+                        tile._offsets[s::ell]) for s in range(ell)]
 
 
 def _window_slots(fg: FiberGrid, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +291,7 @@ def optimal_multitile(
     if not 1 <= ell <= n_candidates:
         raise BadRank(f"rank {ell} is not within 1..{n_candidates}")
     # Every offset of max norm <= bound, ascending lexicographic.
-    axes = np.indices((2 * bound + 1,) * grid.n_dims) - bound
+    axes = np.indices((2 * bound + 1,) * grid.n_dims, dtype=np.int64) - bound
     candidates = axes.reshape(grid.n_dims, -1).T
 
     # Energy of every candidate per cell; candidates outside the window score 0.
@@ -257,24 +305,11 @@ def optimal_multitile(
     for r in range(ell):
         ranked[:, r] = np.argmax(table, axis=1)
         table[np.arange(grid.n_cells), ranked[:, r]] = -np.inf
-    offsets = list(map(tuple, candidates.tolist()))
-    selection = _nested(offsets, ranked)
-    cells = _nested(offsets, np.sort(ranked, axis=1))
-    tile = TileSet(
-        theta=grid.theta,
-        n_dims=grid.n_dims,
-        omega_samples=grid.omega_samples,
-        bound=bound,
-        cells=cells,
-    )
-    return MultiTileModel(tile=tile, ell=ell, selection=selection)
-
-
-def _nested(
-    offsets: list[tuple[int, ...]], index: NDArray[np.intp]
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per cell ``w``, the tuple of ``offsets[j]`` for ``j`` in ``index[w]``."""
-    return tuple(tuple([offsets[j] for j in row]) for row in index.tolist())
+    # Each cell's picks ascending make the tile; in rank order, the model.
+    cell = np.repeat(np.arange(grid.n_cells), ell)
+    tile = TileSet._of(grid.theta, grid.n_dims, grid.omega_samples, bound, cell,
+                       candidates[np.sort(ranked, axis=1).ravel()])
+    return MultiTileModel._of(tile, ell, candidates[ranked.ravel()])
 
 
 def _support_mask(grid: Grid, tile: TileSet, window: int) -> NDArray[np.bool_]:
@@ -285,10 +320,9 @@ def _support_mask(grid: Grid, tile: TileSet, window: int) -> NDArray[np.bool_]:
     layout = _fiber_layout(grid, fgrid)
 
     # member[cell, slot] says whether the tile carries that slot's offset.
-    cells, offsets = tile._flat
-    slot, in_window = _window_slots(fgrid, offsets.astype(np.int64, copy=False))
+    slot, in_window = _window_slots(fgrid, tile._offsets.astype(np.int64, copy=False))
     member = np.zeros((tile.n_cells, fgrid.window_size), dtype=bool)
-    member[cells[in_window], slot[in_window]] = True
+    member[tile._cell[in_window], slot[in_window]] = True
 
     keep = np.zeros(grid.size, dtype=bool)
     keep[layout.index[member & layout.valid]] = True
@@ -314,7 +348,9 @@ def bandlimited_project(f: SampledSignal, model: MultiTileModel) -> SampledSigna
     # The window of the CLI's fiber maps too: one cached layout serves both.
     keep = _support_mask(f.grid, tile, _covering_window(f.grid))
     plan = _chirp_plan(f.grid, tile.theta)
-    return SampledSignal._owning(f.grid, plan.unchirp(plan.filter(plan.chirp(f.as_nd()), keep)))
+    s = plan.spectrum(plan.chirp(f.as_nd()), in_place=True)
+    s *= keep
+    return SampledSignal._owning(f.grid, plan.unchirp(plan.samples(s)))
 
 
 def partial_projection(

@@ -142,11 +142,23 @@ def _as_fraction(s: float | Rational) -> Fraction:
             )
     if frac.denominator > MAX_DENOMINATOR:
         raise IrrationalScale(
-            f"dilation denominator {frac.denominator} exceeds {MAX_DENOMINATOR}"
+            f"dilation denominator {_shown(frac.denominator)} exceeds {MAX_DENOMINATOR}"
         )
     if frac <= 0:
-        raise ValueError(f"dilation factor must be positive, got {s}")
+        got = s if not isinstance(s, Rational) else _shown(frac.numerator) + (
+            f"/{frac.denominator}" if frac.denominator > 1 else "")
+        raise ValueError(f"dilation factor must be positive, got {got}")
     return frac
+
+
+def _shown(n: int) -> str:
+    """``n`` in decimal for a message, but past 50 digits its sign and its
+    number of digits: ``str`` refuses an integer past 4300 digits."""
+    if abs(n) < 10**50:
+        return str(n)
+    digits = int(math.log10(abs(n)))  # one less than the count, or one off by rounding
+    digits += 1 + (abs(n) >= 10 ** (digits + 1)) - (abs(n) < 10**digits)
+    return f"{'-' if n < 0 else ''}<{digits} digits>"
 
 
 def _alias_tail_fraction(

@@ -473,20 +473,18 @@ def test_approx_fit(tmp_path):
     assert (out_dir / "model.json").read_bytes() == (out_dir2 / "model.json").read_bytes()
 
 
-def test_approx_fit_omega_samples_must_equal_the_period(tmp_path, capsys):
-    """Fewer cells than the period P would skip spectrum bins, so only W = P
-    is accepted, and it is the default."""
+def test_approx_fit_takes_no_omega_samples(tmp_path, capsys):
+    """The cell count is the period P, which no flag sets: ``--omega-samples``
+    is an unknown argument (exit code 2)."""
     grid = Grid(1, 256, 8.0)
     paths = [write_csv(tmp_path / f"m{i}.csv", banded_signal(grid, PI3, 0.5, s))
              for i, s in enumerate((61, 62))]
     args = ["approx", "fit", "--data", *paths, "--ell", "1", "--theta-frac", "1", "3"]
-    assert main([*args, "--omega-samples", "8", "--out-dir", str(tmp_path / "half")]) == 4
-    assert "period 16" in capsys.readouterr().err
-    assert main([*args, "--out-dir", str(tmp_path / "default")]) == 0
-    assert main([*args, "--omega-samples", "16", "--out-dir", str(tmp_path / "full")]) == 0
-    for name in ("model.json", "generator_0.csv"):
-        assert (tmp_path / "full" / name).read_bytes() == (
-            tmp_path / "default" / name).read_bytes()
+    assert main([*args, "--omega-samples", "16", "--out-dir", str(tmp_path / "fit")]) == 2
+    assert "unrecognized arguments: --omega-samples 16" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+    assert main([*args, "--out-dir", str(tmp_path / "fit")]) == 0
+    assert json.loads((tmp_path / "fit" / "model.json").read_text())["omega_samples"] == 16
 
 
 @pytest.mark.parametrize("frac", [("1", "3"), ("-2", "5")], ids=["pi/3", "-2pi/5"])

@@ -1,4 +1,5 @@
 """Multi-tile spectral supports and truncated frame expansions."""
+import hashlib
 import itertools
 import math
 
@@ -743,3 +744,121 @@ def test_multitile_refusals(call, error, message):
 
 def test_multitile_model_takes_the_angle_of_its_tile():
     assert MultiTileModel(_TILE, 2, _TILE.cells).theta is _TILE.theta
+
+
+_CONTRACT_CASES = [  # (grid, theta, ell, bound): the benchmark's shape, and small ones
+    (Grid(2, 128, 8.0), PI3, 2, 3),
+    (Grid(2, 32, 4.0), ThetaParam(-2 * math.pi / 5), 3, 2),
+    (Grid(1, 64, 4.0), ThetaParam(-math.pi / 4), 1, 4),
+    (Grid(1, 64, 4.0), PI3, 4, 2),
+]
+
+
+@pytest.mark.parametrize("grid, theta, ell, bound", _CONTRACT_CASES,
+                         ids=["2d-128", "2d-32", "1d-ell1", "1d-ell4"])
+def test_optimal_tile_is_the_tile_of_its_own_cells(grid, theta, ell, bound):
+    """The tile that ``optimal_multitile`` builds from its arrays equals, and
+    hashes as, the tile that the public constructor builds from its
+    ``cells``, with the same support mask; the model equals the one built
+    from its ``selection``, and the partition holds the same parts as one
+    built cell by cell from the tuples."""
+    period = round(grid.period)
+    fg = FiberGrid(theta, grid.n_dims, period, approx._covering_window(grid))
+    family = [random_signal(grid, 410 + k) for k in range(3)]
+    model = optimal_multitile([fiber_map(f, fg) for f in family], ell, bound)
+    tile = model.tile
+    public = TileSet(theta, grid.n_dims, period, bound, tile.cells)
+    assert public == tile and tile == public
+    assert hash(public) == hash(tile)
+    assert public.counts == tile.counts == (ell,) * tile.n_cells
+    window = approx._covering_window(grid)
+    assert np.array_equal(multitile._support_mask(grid, tile, window),
+                          multitile._support_mask(grid, public, window))
+    again = MultiTileModel(public, ell, model.selection)
+    assert again == model and hash(again) == hash(model)
+    assert again.selection == model.selection
+    parts = partition_multitile(tile, ell)
+    for s, part in enumerate(parts):
+        cells = tuple((tile.cells[w][s],) for w in range(tile.n_cells))
+        assert part == TileSet(theta, grid.n_dims, period, bound, cells)
+        assert part.cells == cells
+    assert parts == partition_multitile(public, ell)
+
+
+def test_tiles_are_equal_by_their_offsets_cells_and_fields():
+    """Equality and hash follow the offsets, the cell of each and every
+    field, also for offsets past int64, which a bound past it holds."""
+    tile = TileSet(PI3, 1, 2, 1, (((-1,),), ((0,), (1,))))
+    same = TileSet(PI3, 1, 2, 1, [[(-1,)], [(np.int32(0),), (1,)]])
+    others = [
+        TileSet(PI3, 1, 2, 1, (((-1,), (0,)), ((1,),))),  # the same offsets, split otherwise
+        TileSet(PI3, 1, 2, 1, (((-1,),), ((-1,), (1,)))),
+        TileSet(PI3, 1, 2, 2, (((-1,),), ((0,), (1,)))),
+        TileSet(ThetaParam(1.0), 1, 2, 1, (((-1,),), ((0,), (1,)))),
+    ]
+    assert tile == same and hash(tile) == hash(same) and tile != "tile"
+    assert all(tile != other for other in others)
+    assert len({tile, same, *others}) == 5
+    huge = [TileSet(PI3, 1, 1, 2**70, (((-(2**69),), (k,)),)) for k in (2**69, 2**69, 1)]
+    assert huge[0] == huge[1] and hash(huge[0]) == hash(huge[1]) and huge[0] != huge[2]
+    assert huge[0].cells == (((-(2**69),), (2**69,)),)
+    assert [p.cells for p in partition_multitile(huge[0], 2)] == [(((-(2**69),),),), (((2**69,),),)]
+    cells = (((-1,), (1,)), ((0,), (1,)))
+    pair = TileSet(PI3, 1, 2, 1, cells)
+    flipped = MultiTileModel(pair, 2, tuple(c[::-1] for c in cells))
+    assert MultiTileModel(pair, 2, cells) != flipped
+    assert flipped == MultiTileModel(pair, 2, [[(1,), (-1,)], [(1,), (0,)]])
+
+
+def test_the_fit_builds_no_tuples():
+    """``optimal_multitile`` and ``bandlimited_project`` read only the
+    arrays: no ``cells`` or ``selection`` tuples are built until read."""
+    grid = Grid(2, 32, 4.0)
+    family = [random_signal(grid, 430 + k) for k in range(3)]
+    fg = FiberGrid(PI3, 2, 8, 2)
+    model = optimal_multitile([fiber_map(f, fg) for f in family], 2, 2)
+    bandlimited_project(family[0], model)
+    assert "cells" not in vars(model.tile) and "selection" not in vars(model)
+    assert is_multitile(model.tile, 2) and "cells" not in vars(model.tile)
+    assert model.selection is model.selection and "selection" in vars(model)
+    assert model.tile.cells is model.tile.cells and "cells" in vars(model.tile)
+
+
+# sha256 of multitile fit's tile.json and errors.csv, and of the float.hex
+# text of bandlimited_project on each member, for three white-noise members
+# on Grid(2, 32, 4.0) (period 8, window 2) at ell = 2, --N 2.
+_PINNED = {
+    ("1", "3"): (
+        "3bc95ec3859dc10ddba502b273f04ccaf2886911179df1b893897b356af62fb7",
+        "e2b610fce55b9bec01dfe75834fb1b2a4a888426ca698eed13d4de9ddf5a947e",
+        "37283e4643078d07e45101d61b6dadb2e5e42b39fb41a7f2a978ab337c7dbe07",
+    ),
+    ("-2", "5"): (
+        "d36f7bc628dcffee7d81c13916ed45770af4470b81c941d983606d528258f1fd",
+        "b6e450c35654a105f585f561ace556ae005711e6a603f487e5a8a5349fbbd0c6",
+        "dbf30f9177f0307e64b48a23c9a5d05616137603844668be8bdec9e62aeb6801",
+    ),
+}
+
+
+@pytest.mark.parametrize("frac", list(_PINNED), ids=["pi/3", "-2pi/5"])
+def test_multitile_fit_bytes_are_pinned(frac, tmp_path):
+    """The files of ``multitile fit`` and the bits of the projection, at
+    both signs of sin θ, are those the tile's tuple form gave."""
+    grid = Grid(2, 32, 4.0)
+    family = [random_signal(grid, 4102 + k) for k in range(3)]
+    paths = []
+    for i, f in enumerate(family):
+        paths.append(str(tmp_path / f"m{i}.csv"))
+        write_signal(paths[-1], f)
+    out = tmp_path / "tiles"
+    assert main(["multitile", "fit", "--data", *paths, "--ell", "2", "--N", "2",
+                 "--theta-frac", *frac, "--out-dir", str(out)]) == 0
+    theta = ThetaParam(math.pi * int(frac[0]) / int(frac[1]))
+    model = optimal_multitile([fiber_map(f, FiberGrid(theta, 2, 8, 2)) for f in family], 2, 2)
+    values = np.concatenate([bandlimited_project(f, model).values for f in family])
+    text = " ".join(map(float.hex, np.concatenate([values.real, values.imag]).tolist()))
+    got = (hashlib.sha256((out / "tile.json").read_bytes()).hexdigest(),
+           hashlib.sha256((out / "errors.csv").read_bytes()).hexdigest(),
+           hashlib.sha256(text.encode()).hexdigest())
+    assert got == _PINNED[frac]

@@ -421,6 +421,27 @@ def test_dilation_refuses_factors_that_are_not_positive(s):
         theta_dilate(f, s, ANGLES[1])
 
 
+@pytest.mark.parametrize(
+    "s, error, message",
+    [
+        (-10**5000, ValueError, "dilation factor must be positive, got -<5001 digits>"),
+        (-10**400, ValueError, "dilation factor must be positive, got -<401 digits>"),
+        (Fraction(-10**5000, 3), ValueError,
+         "dilation factor must be positive, got -<5001 digits>/3"),
+        (-(10**50 - 1), ValueError, f"dilation factor must be positive, got -{'9' * 50}"),
+        (Fraction(1, 10**5000), IrrationalScale, "dilation denominator <5001 digits> exceeds 256"),
+        (Fraction(1, 10**49), IrrationalScale, f"dilation denominator 1{'0' * 49} exceeds 256"),
+    ],
+    ids=["int-5001", "int-401", "fraction-5001", "int-50", "denominator-5001", "denominator-50"],
+)
+def test_dilation_refusals_name_a_long_integer_by_its_sign_and_digits(s, error, message):
+    """An integer past 50 digits is named by its sign and digit count, also
+    past the 4300 digits that ``str`` refuses; up to 50 it is written out."""
+    f = random_signal(Grid(1, 64, 4.0), 8)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        theta_dilate(f, s, ANGLES[1])
+
+
 @pytest.mark.parametrize("s", [1, 1.0, Fraction(2, 2)])
 def test_dilation_by_one_is_the_identity(s):
     f = random_signal(Grid(1, 64, 4.0), 9)
